@@ -1,8 +1,28 @@
-"""Finite abelian groups, elimination modulo the exponent, affine closure.
+"""Finite abelian groups as lookup tables, elimination modulo the exponent,
+affine closure.
 
-Subgroups of L^k for a finite abelian group L are handled by a Howell-style
-row echelon over Z_m, where m is the exponent of L and every coordinate is
-embedded into Z_m.  The Howell completion (annihilator rows) guarantees
+An ``AbelianGroupSpec`` is Z_{m_1} x ... x Z_{m_s} on the dense indices
+0..size-1 (mixed radix, last factor fastest) with a designated zero.  Its
+tables are built once, when the frozen spec is made:
+
+* ``residues``: element -> residue row relative to the zero, (size, s);
+* ``embedded``: element -> row of Z_m, m the exponent, residue i scaled by
+  m / m_i, so that L^k embeds into Z_m^{k*s} as a lattice;
+* ``element_of_code``: the inverse map, from the mixed-radix code of a
+  residue row back to the element;
+* ``neg_table``, and on first use ``add_table`` (size x size) and
+  ``scale_table`` (exponent x size).
+
+The scalar methods ``vec``, ``elem``, ``add``, ``neg`` and ``scale`` are
+lookups in these tables.  The whole-tuple functions ``embed_elements``,
+``unembed``, ``tuple_add``, ``tuple_sub`` and ``tuple_scale`` are one numpy
+indexing step each, behind ``check_elements``: numpy wraps negative indices
+and broadcasts length-one arrays, so every tuple is range- and
+shape-checked where it enters.  Inside the solver tuples stay int64 arrays,
+one row per tuple; they become Python tuples only at the API and JSON edge.
+
+Subgroups of L^k are handled by a Howell-style row echelon over Z_m on the
+embedded vectors.  The Howell completion (annihilator rows) guarantees
 that, for every prefix, the rows with later pivots generate exactly the
 subgroup elements vanishing on that prefix; this is what makes kernels,
 signatures and membership witnesses exact over non-prime moduli.
@@ -18,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +53,11 @@ class NotAffineError(AlgebraError):
         self.inputs = inputs
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class AbelianGroupSpec:
     """Product of cyclic groups Z_{m_1} x ... x Z_{m_s} on dense indices."""
@@ -43,74 +68,172 @@ class AbelianGroupSpec:
     def __post_init__(self):
         if not self.orders or any(m < 1 for m in self.orders):
             raise AlgebraError("cyclic orders must be positive")
-        object.__setattr__(self, "orders", tuple(int(m) for m in self.orders))
-        if not 0 <= self.zero < self.size:
+        orders = tuple(int(m) for m in self.orders)
+        object.__setattr__(self, "orders", orders)
+        size = math.prod(orders)
+        if not 0 <= self.zero < size:
             raise AlgebraError("zero element out of range")
+        m = math.lcm(*orders)
+        mods = np.asarray(orders, dtype=np.int64)
+        weights = np.asarray([math.prod(orders[i + 1:])
+                              for i in range(len(orders))], dtype=np.int64)
+        digits = (np.arange(size, dtype=np.int64)[:, None] // weights) % mods
+        residues = (digits - digits[self.zero]) % mods
+        element_of_code = np.empty(size, dtype=np.int64)
+        element_of_code[residues @ weights] = np.arange(size)
+        tables = {
+            "_size": size, "_exponent": m, "mods": _frozen(mods),
+            "weights": _frozen(weights), "factors": _frozen(m // mods),
+            "residues": _frozen(residues),
+            "embedded": _frozen(residues * (m // mods)),
+            "element_of_code": _frozen(element_of_code),
+        }
+        for name, value in tables.items():
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "neg_table",
+                           _frozen(self.from_residues(-residues)))
+
+    def from_residues(self, res) -> np.ndarray:
+        """Elements of residue rows (last axis), entries taken mod m_i."""
+        return self.element_of_code[(res % self.mods) @ self.weights]
+
+    @cached_property
+    def add_table(self) -> np.ndarray:
+        res = self.residues
+        return _frozen(self.from_residues(res[:, None, :] + res[None, :, :]))
+
+    @cached_property
+    def scale_table(self) -> np.ndarray:
+        """scale_table[c, x] is c * x, for 0 <= c < exponent."""
+        c = np.arange(self._exponent, dtype=np.int64)[:, None, None]
+        return _frozen(self.from_residues(c * self.residues[None, :, :]))
 
     @property
     def size(self) -> int:
-        return math.prod(self.orders)
+        return self._size
 
     @property
     def exponent(self) -> int:
-        return math.lcm(*self.orders)
+        return self._exponent
 
     @property
     def rank(self) -> int:
         return len(self.orders)
 
-    def _radix(self, x: int) -> tuple:
-        out = []
-        for m in reversed(self.orders):
-            out.append(x % m)
-            x //= m
-        return tuple(reversed(out))
+    # -- scalar lookups ----------------------------------------------------
+
+    def _check(self, x) -> None:
+        if not 0 <= x < self._size:
+            raise AlgebraError(f"element {x} out of range")
 
     def vec(self, x: int) -> tuple:
         """Residue vector of element x, relative to the designated zero."""
-        if not 0 <= x < self.size:
-            raise AlgebraError(f"element {x} out of range")
-        raw = self._radix(x)
-        zero = self._radix(self.zero)
-        return tuple((a - z) % m for a, z, m in zip(raw, zero, self.orders))
+        self._check(x)
+        return tuple(self.residues[x].tolist())
 
     def elem(self, residues) -> int:
-        zero = self._radix(self.zero)
-        x = 0
-        for r, z, m in zip(residues, zero, self.orders):
-            x = x * m + (int(r) + z) % m
-        return x
+        """The element with these residues (each taken mod its order)."""
+        if len(residues) != self.rank:
+            raise AlgebraError("residue vector length differs from the rank")
+        code = 0
+        for r, m in zip(residues, self.orders):
+            code = code * m + int(r) % m
+        return int(self.element_of_code[code])
 
     def add(self, x: int, y: int) -> int:
-        return self.elem(tuple(a + b for a, b in zip(self.vec(x), self.vec(y))))
+        self._check(x)
+        self._check(y)
+        return int(self.add_table[x, y])
 
     def neg(self, x: int) -> int:
-        return self.elem(tuple(-a for a in self.vec(x)))
+        self._check(x)
+        return int(self.neg_table[x])
 
     def scale(self, c: int, x: int) -> int:
-        return self.elem(tuple(c * a for a in self.vec(x)))
+        self._check(x)
+        return int(self.scale_table[c % self._exponent, x])
 
-    # -- embedding of L^k into Z_m^{k*s} ------------------------------------
+    # -- whole tuples ------------------------------------------------------
 
-    def embed_factors(self) -> np.ndarray:
-        m = self.exponent
-        return np.asarray([m // mi for mi in self.orders], dtype=np.int64)
+    def check_elements(self, elements) -> np.ndarray:
+        """`elements` (a tuple, or rows of tuples) as an int64 index array.
+
+        Raises AlgebraError on entries outside 0..size-1 and on rows of
+        unequal length.
+        """
+        try:
+            arr = np.asarray(elements, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError):
+            raise AlgebraError("tuples must be integer rows of equal "
+                               "length") from None
+        if arr.ndim == 0:
+            raise AlgebraError("expected a tuple of elements, got a scalar")
+        if arr.size and (arr.min() < 0 or arr.max() >= self._size):
+            bad = arr[(arr < 0) | (arr >= self._size)].flat[0]
+            raise AlgebraError(f"element {bad} out of range")
+        return arr
 
     def embed_elements(self, elements) -> np.ndarray:
-        """Flatten a tuple of element indices into an embedded Z_m vector."""
-        vecs = np.asarray([self.vec(int(x)) for x in elements], dtype=np.int64)
-        return (vecs * self.embed_factors()[None, :]).ravel() % self.exponent
+        """Flatten a tuple of element indices into an embedded Z_m vector.
 
-    def unembed(self, flat: np.ndarray) -> tuple:
-        f = self.embed_factors()
+        Rows of a 2-D input are embedded separately.
+        """
+        idx = self.check_elements(elements)
+        return self.embedded[idx].reshape(
+            idx.shape[:-1] + (idx.shape[-1] * self.rank,))
+
+    def unembed_array(self, flat) -> np.ndarray:
+        """Elements of an embedded vector (or of each row of a 2-D array).
+
+        Raises AlgebraError unless every entry lies in 0..m-1 and every
+        chunk lies in the embedded lattice.
+        """
+        flat = np.asarray(flat, dtype=np.int64)
         s = self.rank
-        out = []
-        for j in range(0, len(flat), s):
-            chunk = flat[j:j + s]
-            if np.any(chunk % f):
-                raise AlgebraError("vector is not in the embedded lattice")
-            out.append(self.elem(tuple(int(c // fi) for c, fi in zip(chunk, f))))
-        return tuple(out)
+        if flat.ndim == 0 or flat.shape[-1] % s:
+            raise AlgebraError("embedded length is not a multiple of the rank")
+        if flat.size and (flat.min() < 0 or flat.max() >= self._exponent):
+            raise AlgebraError("embedded entry out of range")
+        chunks = flat.reshape(flat.shape[:-1] + (flat.shape[-1] // s, s))
+        if (chunks % self.factors).any():
+            raise AlgebraError("vector is not in the embedded lattice")
+        return self.element_of_code[(chunks // self.factors) @ self.weights]
+
+    def unembed(self, flat) -> tuple:
+        return tuple(self.unembed_array(flat).tolist())
+
+
+def _same_shape(group: AbelianGroupSpec, x, y):
+    x, y = group.check_elements(x), group.check_elements(y)
+    if x.shape != y.shape:
+        raise AlgebraError("tuples have unequal lengths")
+    return x, y
+
+
+def tuple_add(group: AbelianGroupSpec, x, y) -> tuple:
+    x, y = _same_shape(group, x, y)
+    return tuple(group.add_table[x, y].tolist())
+
+
+def tuple_sub(group: AbelianGroupSpec, x, y) -> tuple:
+    x, y = _same_shape(group, x, y)
+    return tuple(group.add_table[x, group.neg_table[y]].tolist())
+
+
+def tuple_scale(group: AbelianGroupSpec, c: int, x) -> tuple:
+    x = group.check_elements(x)
+    return tuple(group.scale_table[c % group.exponent, x].tolist())
+
+
+def element_rows(group: AbelianGroupSpec, rows, k: int) -> np.ndarray:
+    """Checked (len(rows), k) index array of tuples that must have length k."""
+    if not isinstance(rows, np.ndarray):
+        rows = list(rows)
+    arr = group.check_elements(rows) if len(rows) else \
+        np.zeros((0, k), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != k:
+        raise AlgebraError("tuples have unequal lengths")
+    return arr
 
 
 def _egcd(a: int, b: int):
@@ -298,23 +421,22 @@ def subgroup_member(group: AbelianGroupSpec, gens, target):
     Returns (True, coeffs) with integer coefficients satisfying
     sum(coeffs[i] * gens[i]) == target exactly, or (False, None).
     """
-    gens = [tuple(g) for g in gens]
+    target = group.check_elements(target)
+    if target.ndim != 1:
+        raise AlgebraError("the target must be a single tuple")
     target_v = group.embed_elements(target)
+    gen_v = group.embed_elements(element_rows(group, gens, len(target)))
     m = group.exponent
-    ech = Echelon(m, len(target_v), track=max(len(gens), 1))
-    for g in gens:
-        if len(g) != len(target):
-            raise AlgebraError("generator and target lengths differ")
-        ech.insert(group.embed_elements(g))
+    ech = Echelon(m, len(target_v), track=max(len(gen_v), 1))
+    for g in gen_v:
+        ech.insert(g)
     residue, coeffs = ech.reduce(target_v)
     if residue.any():
         return False, None
-    coeffs = [int(c) for c in coeffs[:len(gens)]]
-    check = np.zeros(len(target_v), dtype=np.int64)
-    for c, g in zip(coeffs, gens):
-        check = (check + c * group.embed_elements(g)) % m
-    assert np.array_equal(check, target_v), "witness verification failed"
-    return True, coeffs
+    coeffs = coeffs[:len(gen_v)]
+    assert np.array_equal((coeffs @ gen_v) % m, target_v), \
+        "witness verification failed"
+    return True, [int(c) for c in coeffs]
 
 
 def affine_member(group: AbelianGroupSpec, points, target):
@@ -326,26 +448,14 @@ def affine_member(group: AbelianGroupSpec, points, target):
     points = list(points)
     if not points:
         raise AlgebraError("affine closure of no points is empty")
-    base = points[0]
-    diffs = [tuple_sub(group, p, base) for p in points[1:]]
-    ok, coeffs = subgroup_member(group, diffs, tuple_sub(group, target, base))
+    target = group.check_elements(target)
+    pts = element_rows(group, points, len(target))
+    neg_base = group.neg_table[pts[0]]
+    ok, coeffs = subgroup_member(group, group.add_table[pts[1:], neg_base],
+                                 group.add_table[target, neg_base])
     if not ok:
         return False, None
-    lam = [int(c) for c in coeffs]
-    lam0 = 1 - sum(lam)
-    return True, [lam0] + lam
-
-
-def tuple_add(group: AbelianGroupSpec, x, y) -> tuple:
-    return tuple(group.add(a, b) for a, b in zip(x, y))
-
-
-def tuple_sub(group: AbelianGroupSpec, x, y) -> tuple:
-    return tuple(group.add(a, group.neg(b)) for a, b in zip(x, y))
-
-
-def tuple_scale(group: AbelianGroupSpec, c: int, x) -> tuple:
-    return tuple(group.scale(c, a) for a in x)
+    return True, [1 - sum(coeffs)] + coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -365,74 +475,54 @@ class AffineOpSpec:
         return int(mat[0][0]) if len(mat) == 1 else None
 
 
-def _extract_endo(group: AbelianGroupSpec, fn) -> tuple:
-    """Matrix of x -> fn(x) on residue vectors; fn must fix 0."""
-    s = group.rank
-    cols = []
-    for j in range(s):
-        basis = group.elem(tuple(1 if i == j else 0 for i in range(s)))
-        cols.append(group.vec(fn(basis)))
-    # rows indexed by output coordinate, columns by input coordinate
-    return tuple(tuple(cols[j][i] for j in range(s)) for i in range(s))
-
-
-def apply_endo(group: AbelianGroupSpec, mat, x: int) -> int:
-    xv = group.vec(x)
-    s = group.rank
-    out = [sum(mat[i][j] * xv[j] for j in range(s)) for i in range(s)]
-    return group.elem(out)
-
-
 def verify_affine(alg: FiniteAlgebra, group: AbelianGroupSpec):
     """Extract per-argument endomorphisms and constants for every operation.
 
-    Raises NotAffineError at the first operation and input where the affine
-    form fails to reproduce the table.
+    Each argument map x -> f(0..x..0) - f(0..0) is checked for additivity
+    on all pairs, then the affine form on the whole table, both as array
+    comparisons.  Raises NotAffineError at the first operation and input
+    (in table order) where a check fails.
     """
     if group.size != alg.size:
         raise AlgebraError("group size differs from algebra domain")
-    zero = group.zero
+    size, zero = group.size, group.zero
+    add, neg = group.add_table, group.neg_table
+    res = group.residues
+    # the elements with unit residue vectors
+    basis = group.element_of_code[(1 % group.mods) * group.weights]
     specs = []
     for op in alg.ops:
-        const_elem = alg.apply(op.symbol, (zero,) * op.arity)
+        r = op.arity
+        table = np.asarray(op.table, dtype=np.int64).reshape((size,) * r)
+        const = int(table[(zero,) * r])
         mats = []
-        for i in range(op.arity):
-            def partial(x, i=i):
-                args = [zero] * op.arity
-                args[i] = x
-                return group.add(alg.apply(op.symbol, tuple(args)),
-                                 group.neg(const_elem))
-            # additivity check before trusting the matrix form
-            for x in range(alg.size):
-                for y in range(alg.size):
-                    if partial(group.add(x, y)) != group.add(partial(x), partial(y)):
-                        raise NotAffineError(op.symbol, (x, y),
-                                             "argument map is not additive")
-            mats.append(_extract_endo(group, partial))
-        spec = AffineOpSpec(op.symbol, op.arity, tuple(mats), group.vec(const_elem))
-        for args in product(range(alg.size), repeat=op.arity):
-            acc = group.elem(spec.constant)
-            for i, x in enumerate(args):
-                acc = group.add(acc, apply_endo(group, spec.matrices[i], x))
-            if acc != alg.apply(op.symbol, args):
-                raise NotAffineError(op.symbol, args,
-                                     "affine form does not reproduce the table")
-        specs.append(spec)
+        predicted = np.asarray(const)
+        for i in range(r):
+            line = table[(zero,) * i + (slice(None),) + (zero,) * (r - 1 - i)]
+            part = add[line, neg[const]]
+            bad = np.argwhere(part[add] != add[part[:, None], part[None, :]])
+            if len(bad):
+                raise NotAffineError(op.symbol, tuple(bad[0].tolist()),
+                                     "argument map is not additive")
+            # rows indexed by output coordinate, columns by input coordinate
+            mat = res[part[basis]].T
+            mats.append(tuple(map(tuple, mat.tolist())))
+            predicted = add[predicted[..., None],
+                             group.from_residues(res @ mat.T)]
+        bad = np.argwhere(predicted != table)
+        if len(bad):
+            raise NotAffineError(op.symbol, tuple(bad[0].tolist()),
+                                 "affine form does not reproduce the table")
+        specs.append(AffineOpSpec(op.symbol, r, tuple(mats),
+                                  tuple(res[const].tolist())))
     return specs
 
 
 def endo_on_embedded(group: AbelianGroupSpec, mat, flat: np.ndarray) -> np.ndarray:
     """Apply an endomorphism coordinate-wise to an embedded L^k vector."""
-    m = group.exponent
-    s = group.rank
-    f = group.embed_factors()
-    k = len(flat) // s
-    chunks = flat.reshape(k, s)
-    resid = chunks // f[None, :]
-    matrix = np.asarray(mat, dtype=np.int64)
-    out_resid = resid @ matrix.T
-    return ((out_resid % np.asarray(group.orders)[None, :])
-            * f[None, :]).ravel() % m
+    resid = flat.reshape(-1, group.rank) // group.factors
+    out = (resid @ np.asarray(mat, dtype=np.int64).T) % group.mods
+    return (out * group.factors).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +547,7 @@ class AffineSubpowerRep:
     echelon: Echelon | None = None
     tuples_materialized: int = 0
     _tracked: Echelon | None = None
+    _raw_rows: np.ndarray | None = None
 
     def base_tuple(self) -> tuple:
         return self.group.unembed(self.base_flat)
@@ -471,6 +562,14 @@ class AffineSubpowerRep:
             ech.canonicalize()
             self._tracked = ech
         return self._tracked
+
+    def raw_rows(self) -> np.ndarray:
+        """The raw difference vectors as one (len(raw), width) matrix."""
+        if self._raw_rows is None:
+            self._raw_rows = np.asarray(
+                [vec for vec, _, _ in self.raw],
+                dtype=np.int64).reshape(len(self.raw), len(self.base_flat))
+        return self._raw_rows
 
     def resolve(self, member) -> np.ndarray | None:
         """Raw coefficients expressing member - base, or None if outside."""
@@ -496,17 +595,8 @@ class AffineSubpowerRep:
 
     def member_flat(self, raw_coeffs) -> np.ndarray:
         m = self.group.exponent
-        out = self.base_flat.copy()
-        for j, c in enumerate(raw_coeffs):
-            out = (out + int(c) * self.raw[j][0]) % m
-        return out
-
-    def element_at(self, flat: np.ndarray, i: int) -> int:
-        """The i-th coordinate of an embedded vector, as a group element."""
-        s = self.group.rank
-        f = self.group.embed_factors()
-        chunk = flat[i * s:(i + 1) * s]
-        return self.group.elem(tuple(int(c // fi) for c, fi in zip(chunk, f)))
+        coeffs = np.asarray(raw_coeffs, dtype=np.int64) % m
+        return (self.base_flat + coeffs @ self.raw_rows()) % m
 
 
 def affine_span(alg: FiniteAlgebra, group: AbelianGroupSpec, gens,
@@ -514,38 +604,44 @@ def affine_span(alg: FiniteAlgebra, group: AbelianGroupSpec, gens,
     """Fixpoint base-plus-differences form of Sg(gens) for affine `alg`.
 
     `group` is the abelian group on single coordinates; gens are tuples in
-    A^k.  The difference set starts from gens[j] - gens[0] and closes under
-    the per-argument endomorphisms of every operation together with the
-    constant shifts f(base..base) - base.
+    A^k (or one int array, a row per tuple).  The difference set starts
+    from gens[j] - gens[0] and closes under the per-argument endomorphisms
+    of every operation together with the constant shifts
+    f(base..base) - base.
     """
-    gens = [tuple(g) for g in gens]
-    if not gens:
+    if not len(gens):
         raise AlgebraError("affine closure needs at least one generator")
-    k = len(gens[0])
+    gens = group.check_elements(gens)
+    if gens.ndim != 2:
+        raise AlgebraError("generators must be tuples of equal length")
+    n, k = gens.shape
     if op_specs is None:
         op_specs = verify_affine(alg, group)
-    n = len(gens)
     bank = CircuitBank(n)
     m = group.exponent
     width = k * group.rank
+    flats = group.embed_elements(gens)
 
     rep = AffineSubpowerRep(
-        alg=alg, group=group, k=k, generators=tuple(gens),
-        base_flat=group.embed_elements(gens[0]), base_node=bank.var(1),
-        bank=bank)
+        alg=alg, group=group, k=k, generators=tuple(map(tuple, gens.tolist())),
+        base_flat=flats[0], base_node=bank.var(1), bank=bank)
     rep.echelon = Echelon(m, width, track=None)
     rep.tuples_materialized = n
 
     queue: list[tuple[np.ndarray, int, int]] = []
     for j in range(1, n):
-        vec = (group.embed_elements(gens[j]) - rep.base_flat) % m
-        queue.append((vec, bank.var(j + 1), bank.var(1)))
+        queue.append(((flats[j] - rep.base_flat) % m,
+                      bank.var(j + 1), bank.var(1)))
     for spec in op_specs:
         node = bank.app(spec.symbol, (rep.base_node,) * spec.arity)
-        val = group.embed_elements(
-            [alg.apply(spec.symbol, (gens[0][i],) * spec.arity) for i in range(k)])
-        vec = (val - rep.base_flat) % m
-        queue.append((vec, node, rep.base_node))
+        # f(x, ..., x) sits at index x * (size^(r-1) + ... + 1) of the table
+        diagonal = sum(alg.size ** j for j in range(spec.arity))
+        table = alg.op(spec.symbol).table
+        val = group.embed_elements([table[x * diagonal]
+                                    for x in gens[0].tolist()])
+        queue.append(((val - rep.base_flat) % m, node, rep.base_node))
+    endos = [[np.asarray(mat, dtype=np.int64) for mat in spec.matrices]
+             for spec in op_specs]
 
     while queue:
         vec, plus, minus = queue.pop()
@@ -555,9 +651,9 @@ def affine_span(alg: FiniteAlgebra, group: AbelianGroupSpec, gens,
             continue
         rep.raw.append((vec, plus, minus))
         rep.tuples_materialized += 1
-        for spec in op_specs:
-            for i in range(spec.arity):
-                img = endo_on_embedded(group, spec.matrices[i], vec)
+        for spec, mats in zip(op_specs, endos):
+            for i, mat in enumerate(mats):
+                img = endo_on_embedded(group, mat, vec)
                 if not img.any() or rep.echelon.contains(img):
                     continue
                 up = [rep.base_node] * spec.arity
@@ -588,22 +684,22 @@ def span_members(rep: AffineSubpowerRep):
     return {rep.group.unembed(np.asarray(v)) for v in members}
 
 
-def _value_combos(rep: AffineSubpowerRep, row_ids, coord: int) -> dict:
-    """Element values reachable at `coord` from the given echelon rows.
+# ---------------------------------------------------------------------------
+# compact representations of cosets
 
-    Returns {element: coefficient vector over row_ids} for the subgroup of
-    L generated by the rows' coord-th elements.
+def _reachable(add: list, zero: int, elems: list) -> dict:
+    """{element: coefficient list} for the subgroup of L the elements span.
+
+    `add` is the group's addition table as nested lists; each element is
+    reached by a fixed walk, so the coefficients are deterministic.
     """
-    group = rep.group
-    ech = rep.tracked_echelon()
-    elems = [rep.element_at(ech.rows[r], coord) for r in row_ids]
-    zero = group.zero
-    combos = {zero: np.zeros(len(row_ids), dtype=np.int64)}
+    combos = {zero: [0] * len(elems)}
     frontier = [zero]
     while frontier:
         v = frontier.pop()
+        row = add[v]
         for j, e in enumerate(elems):
-            w = group.add(v, e)
+            w = row[e]
             if w not in combos:
                 c = combos[v].copy()
                 c[j] += 1
@@ -612,52 +708,53 @@ def _value_combos(rep: AffineSubpowerRep, row_ids, coord: int) -> dict:
     return combos
 
 
-def coset_compact_rep(rep: AffineSubpowerRep):
-    """Compact representation (with circuits) of the coset base + <raw>.
+def _fork_coefficients(group: AbelianGroupSpec, ech: Echelon, k: int):
+    """Row combinations of a canonical echelon for the per-coordinate forks.
 
-    For each coordinate, realizes every reachable value together with every
-    fork reachable without disturbing earlier coordinates; the latter come
-    from echelon rows whose pivot lies at or after the coordinate.
+    For each coordinate i, yields a coefficient vector over ech.rows for
+    every value reachable at i, followed by that value plus each nonzero
+    fork reachable at i from the rows with pivot at or after i (these
+    leave the earlier coordinates alone).
     """
+    nrows = len(ech.rows)
+    rows = np.asarray(ech.rows, dtype=np.int64).reshape(nrows, k * group.rank)
+    at = group.unembed_array(rows).T.tolist()    # at[i][r]: row r's i-th element
+    add = group.add_table.tolist()
+    zero = group.zero
+    for i in range(k):
+        values = _reachable(add, zero, at[i])
+        tail = ech.tail_rows(i * group.rank)
+        forks = _reachable(add, zero, [at[i][r] for r in tail])
+        for v in sorted(values):
+            base = np.asarray(values[v], dtype=np.int64)
+            yield base
+            for d in sorted(forks):
+                if d != zero:
+                    total = base.copy()
+                    total[tail] += forks[d]
+                    yield total
+
+
+def coset_compact_rep(rep: AffineSubpowerRep):
+    """Compact representation (with circuits) of the coset base + <raw>."""
     from .comprep import EnumeratedCompactRep
 
-    group = rep.group
-    s = group.rank
+    m = rep.group.exponent
     ech = rep.tracked_echelon()
     nraw = len(rep.raw)
+    coeffs = np.asarray([c[:nraw] for c in ech.coeffs],
+                        dtype=np.int64).reshape(len(ech.rows), nraw)
     out = EnumeratedCompactRep(rep.generators, [], rep.bank)
-    all_rows = list(range(len(ech.rows)))
     emitted = set()
-
-    def raw_coeffs_of(row_ids, combo) -> np.ndarray:
-        total = np.zeros(nraw, dtype=np.int64)
-        for r, c in zip(row_ids, combo):
-            if int(c) and ech.coeffs[r] is not None:
-                total = (total + int(c) * ech.coeffs[r][:nraw]) % group.exponent
-        return total
-
-    def emit(raw_c):
+    for combo in _fork_coefficients(rep.group, ech, rep.k):
+        raw_c = (combo @ coeffs) % m
         flat = rep.member_flat(raw_c)
         key = flat.tobytes()
         if key in emitted:
-            return
+            continue
         emitted.add(key)
-        node = rep.member_node(raw_c)
-        out.add(group.unembed(flat), node)
+        out.add(rep.group.unembed(flat), rep.member_node(raw_c))
         rep.tuples_materialized += 1
-
-    for i in range(rep.k):
-        value_combos = _value_combos(rep, all_rows, i)
-        tail = ech.tail_rows(i * s)
-        fork_combos = _value_combos(rep, tail, i)
-        for v in sorted(value_combos):
-            base_c = raw_coeffs_of(all_rows, value_combos[v])
-            emit(base_c)
-            for d in sorted(fork_combos):
-                if d == group.zero:
-                    continue
-                emit((base_c + raw_coeffs_of(tail, fork_combos[d]))
-                     % group.exponent)
     return out
 
 
@@ -675,50 +772,18 @@ def subgroup_compact_tuples(group: AbelianGroupSpec, k: int, generators) -> list
     circuits; the base point is the zero tuple.
     """
     m = group.exponent
-    s = group.rank
-    generators = [tuple(g) for g in generators]
-    ech = Echelon(m, k * s, track=max(len(generators), 1))
-    for g in generators:
-        ech.insert(group.embed_elements(g))
+    ech = Echelon(m, k * group.rank)
+    for g in group.embed_elements(element_rows(group, generators, k)):
+        ech.insert(g)
     ech.canonicalize()
-    rows = ech.rows
-
-    def element_at(flat, i):
-        f = group.embed_factors()
-        chunk = flat[i * s:(i + 1) * s]
-        return group.elem(tuple(int(c // fi) for c, fi in zip(chunk, f)))
-
-    def value_vectors(row_ids, coord):
-        elems = [element_at(rows[r], coord) for r in row_ids]
-        reach = {group.zero: np.zeros(k * s, dtype=np.int64)}
-        frontier = [group.zero]
-        while frontier:
-            v = frontier.pop()
-            for j, e in enumerate(elems):
-                w = group.add(v, e)
-                if w not in reach:
-                    reach[w] = (reach[v] + rows[row_ids[j]]) % m
-                    frontier.append(w)
-        return reach
-
+    rows = np.asarray(ech.rows, dtype=np.int64).reshape(len(ech.rows),
+                                                        k * group.rank)
     out = []
     seen = set()
-
-    def emit(flat):
+    for combo in _fork_coefficients(group, ech, k):
+        flat = (combo @ rows) % m
         key = flat.tobytes()
         if key not in seen:
             seen.add(key)
             out.append(group.unembed(flat))
-
-    all_rows = list(range(len(rows)))
-    for i in range(k):
-        values = value_vectors(all_rows, i)
-        tail = ech.tail_rows(i * s)
-        forks = value_vectors(tail, i)
-        for v in sorted(values):
-            base = values[v]
-            emit(base)
-            for d in sorted(forks):
-                if d != group.zero:
-                    emit((base + forks[d]) % m)
     return out

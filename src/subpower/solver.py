@@ -20,6 +20,7 @@ Three paths:
 from __future__ import annotations
 
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -27,8 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .affine import (AbelianGroupSpec, Echelon, affine_closure_comprep,
-                     affine_span, subgroup_member, tuple_add, tuple_sub,
-                     verify_affine)
+                     affine_span, element_rows, subgroup_member, verify_affine)
 from .circuits import parse_sexpr, serialize_sexpr
 from .comprep import (EnumeratedCompactRep, maltsev_chain_member,
                       maltsev_fold, thin_to_compact)
@@ -120,20 +120,20 @@ def wreath_context(spec: WreathSpec, clonoid_cap: int = 3000) -> WreathContext:
 # ---------------------------------------------------------------------------
 # the wreath path
 
-def _extended_rows(spec: WreathSpec, inst: SmpInstance):
-    """Append rows enumerating the single-nonzero argument assignments."""
+def _extended_rows(spec: WreathSpec, gens: np.ndarray) -> np.ndarray:
+    """Append rows enumerating the single-nonzero argument assignments.
+
+    `gens` holds one generator per row; so does the result, extended by
+    the all-zero row and, for each generator i and nonzero element a, the
+    row that is a at generator i and zero elsewhere.
+    """
+    n = len(gens)
     zero = spec.zero
-    n = inst.n
-    columns = [list(g) for g in inst.generators]
-    for col in columns:
-        col.append(zero)                       # the all-zero row
-    for i in range(n):
-        for a in range(spec.size):
-            if a == zero:
-                continue
-            for j in range(n):
-                columns[j].append(a if j == i else zero)
-    return [tuple(c) for c in columns]
+    nonzero = [a for a in range(spec.size) if a != zero]
+    single = np.full((n, n, len(nonzero)), zero, dtype=np.int64)
+    single[np.arange(n), np.arange(n)] = nonzero
+    return np.hstack([gens, np.full((n, 1), zero, dtype=np.int64),
+                      single.reshape(n, -1)])
 
 
 def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
@@ -152,25 +152,23 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
     k, n = inst.k, inst.n
     s1 = comp_group.rank
 
-    u_cols = [spec.u_part(g) for g in inst.generators]
-    l_b = spec.l_part(inst.target)
-    u_b = spec.u_part(inst.target)
+    gen_rows = np.asarray(inst.generators, dtype=np.int64)
+    target = np.asarray(inst.target, dtype=np.int64)
+    l_b, u_b = np.divmod(target, p)
 
-    ext = _extended_rows(spec, inst)
-    rep = affine_span(spec.companion, comp_group, ext,
-                      op_specs=ctx.comp_specs)
+    rep = affine_span(spec.companion, comp_group,
+                      _extended_rows(spec, gen_rows), op_specs=ctx.comp_specs)
     tuples_materialized = rep.tuples_materialized
 
     def u_residues(flat: np.ndarray) -> np.ndarray:
         # quotient residue of the first k coordinates of an embedded vector
-        factor = comp_group.embed_factors()[-1]
+        factor = comp_group.factors[-1]
         return (flat.reshape(-1, s1)[:k, -1] // factor) % p
 
-    u_target = np.asarray(u_b, dtype=np.int64)
     u_ech = Echelon(p, k, track=max(len(rep.raw), 1))
     for vec, _, _ in rep.raw:
         u_ech.insert(u_residues(vec))
-    residue, coeffs = u_ech.reduce((u_target - u_residues(rep.base_flat)) % p)
+    residue, coeffs = u_ech.reduce((u_b - u_residues(rep.base_flat)) % p)
     stats = {"path": "wreath", "k": k, "n": n}
     if residue.any():
         stats["tuples_materialized"] = tuples_materialized
@@ -198,22 +196,21 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
     alg = spec.algebra
     member_coeffs = [x0_coeffs] + [(x0_coeffs + kc) % m for kc in kernel_coeffs]
     nodes = [rep.member_node(c) for c in member_coeffs]
-    args = [np.asarray(g) for g in inst.generators]
-    vals = eval_nodes(alg, rep.bank, nodes, args)
-    members = [tuple(int(v) for v in vals[node]) for node in nodes]
+    vals = eval_nodes(alg, rep.bank, nodes, list(gen_rows))
+    members = np.asarray([vals[node] for node in nodes], dtype=np.int64)
     tuples_materialized += len(members)
-    for t in members:
-        if spec.u_part(t) != tuple(u_b):
-            raise AssertionError("fixed member has wrong quotient components")
+    if (members % p != u_b).any():
+        raise AssertionError("fixed member has wrong quotient components")
 
-    image = clonoid_image_comprep(gens, u_cols)
+    image = clonoid_image_comprep(gens, (gen_rows % p).tolist())
     tuples_materialized += image.tuples_materialized
 
-    base_l = spec.l_part(members[0])
-    diffs = [tuple_sub(group, spec.l_part(t), base_l) for t in members[1:]]
-    diffs.extend(image.generators)
+    l_members = members // p
+    neg_base = group.neg_table[l_members[0]]
+    diffs = np.vstack([group.add_table[l_members[1:], neg_base],
+                       element_rows(group, image.generators, k)])
     ok, witness_coeffs = subgroup_member(group, diffs,
-                                         tuple_sub(group, l_b, base_l))
+                                         group.add_table[l_b, neg_base])
     stats["tuples_materialized"] = tuples_materialized
     stats["elapsed_ms"] = 1000 * (time.perf_counter() - t_start)
     if not ok:
@@ -221,17 +218,18 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
     witness = None
     if want_witness:
         n_members = len(members) - 1
+        values = members.tolist()
         witness = {
             "path": "wreath",
-            "base": {"value": list(members[0]),
+            "base": {"value": values[0],
                      "circuit": serialize_sexpr(rep.bank.extract(nodes[0]))},
             "members": [
-                {"coeff": int(witness_coeffs[j]), "value": list(members[j + 1]),
+                {"coeff": witness_coeffs[j], "value": values[j + 1],
                  "circuit": serialize_sexpr(rep.bank.extract(nodes[j + 1]))}
                 for j in range(n_members) if witness_coeffs[j] % m],
             "clonoid": [
-                {"coeff": int(witness_coeffs[n_members + j]),
-                 "value": [int(v) for v in image.generators[j]]}
+                {"coeff": witness_coeffs[n_members + j],
+                 "value": list(image.generators[j])}
                 for j in range(len(image.generators))
                 if witness_coeffs[n_members + j] % m],
         }
@@ -263,6 +261,32 @@ def clone_contains_companion(spec: WreathSpec, max_arity: int = 2,
     return cache[max_arity]
 
 
+def _directproduct_sums(spec: WreathSpec, comp_specs, gens: ClonoidGenSet,
+                        generators):
+    """Sums of direct-product members and clonoid image tuples.
+
+    Returns the direct product's compact representation, the clonoid image
+    tuples, and the (unthinned) representation of every sum, direct-product
+    member major.
+    """
+    comp_rep = affine_closure_comprep(spec.companion, spec.companion_group,
+                                      generators, op_specs=comp_specs)
+    p = spec.p
+    k = len(generators[0])
+    image = clonoid_image_comprep(
+        gens, (np.asarray(generators, dtype=np.int64) % p).tolist())
+    image_tuples = image.compact_rep().tuples()
+    members = np.asarray(comp_rep.tuples(), dtype=np.int64).reshape(-1, k)
+    shifts = np.asarray(image_tuples, dtype=np.int64).reshape(-1, k)
+    l_sums = spec.left_group.add_table[(members // p)[:, None, :],
+                                       shifts[None, :, :]]
+    sums = l_sums * p + (members % p)[:, None, :]
+    combined = EnumeratedCompactRep(generators, [], None)
+    for t in sums.reshape(-1, k).tolist():
+        combined.add(t, None)
+    return comp_rep, image_tuples, combined
+
+
 def solve_smp_directproduct(spec: WreathSpec, inst: SmpInstance,
                             gens: ClonoidGenSet | None = None,
                             hypothesis_asserted: bool = True,
@@ -285,24 +309,8 @@ def solve_smp_directproduct(spec: WreathSpec, inst: SmpInstance,
             "clone containment fails at arity <= 2; the direct-product "
             "path is not applicable")
     _check_range(inst, spec.size)
-    group = spec.left_group
-    p = spec.p
-
-    comp_rep = affine_closure_comprep(spec.companion, spec.companion_group,
-                                      inst.generators, op_specs=ctx.comp_specs)
-    u_cols = [spec.u_part(g) for g in inst.generators]
-    image = clonoid_image_comprep(gens, u_cols)
-    image_tuples = image.compact_rep().tuples()
-
-    combined = EnumeratedCompactRep(inst.generators, [], None)
-    meta = []
-    for ci, (c, _) in enumerate(comp_rep.entries):
-        for ri, r in enumerate(image_tuples):
-            shifted = tuple(
-                spec.pair(group.add(spec.split(x)[0], rv), spec.split(x)[1])
-                for x, rv in zip(c, r))
-            combined.add(shifted, None)
-            meta.append((ci, ri))
+    comp_rep, image_tuples, combined = _directproduct_sums(
+        spec, ctx.comp_specs, gens, inst.generators)
     thinned = thin_to_compact(combined)
     stats = {"path": "directproduct", "k": inst.k, "n": inst.n,
              "tuples_materialized": len(comp_rep.entries) + len(image_tuples)
@@ -396,20 +404,8 @@ def compute_comprep(algebra_input, generators, *, allow_oracle: bool = False,
         spec = algebra_input
         if clone_contains_companion(spec):
             ctx = wreath_context(spec)
-            comp_rep = affine_closure_comprep(
-                spec.companion, spec.companion_group, generators,
-                op_specs=ctx.comp_specs)
-            u_cols = [spec.u_part(g) for g in generators]
-            image = clonoid_image_comprep(ctx.gens, u_cols)
-            group = spec.left_group
-            combined = EnumeratedCompactRep(generators, [], None)
-            for c, _ in comp_rep.entries:
-                for r in image.compact_rep().tuples():
-                    shifted = tuple(
-                        spec.pair(group.add(spec.split(x)[0], rv),
-                                  spec.split(x)[1])
-                        for x, rv in zip(c, r))
-                    combined.add(shifted, None)
+            _, _, combined = _directproduct_sums(spec, ctx.comp_specs,
+                                                 ctx.gens, generators)
             return thin_to_compact(combined)
         # the containment can fail; fall through to the oracle route
         algebra_input = spec.algebra
@@ -432,46 +428,80 @@ def compute_comprep(algebra_input, generators, *, allow_oracle: bool = False,
     return thin_to_compact(rep)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _witness_row(values, k: int, size: int) -> tuple:
+    """A witness value: a list of k integers in 0..size-1."""
+    if not isinstance(values, (list, tuple)) or len(values) != k or \
+            not all(_is_int(v) and 0 <= v < size for v in values):
+        raise AlgebraError("malformed witness value")
+    return tuple(int(v) for v in values)
+
+
+def _witness_coeff(value) -> int:
+    if not _is_int(value):
+        raise AlgebraError("witness coefficient is not an integer")
+    return int(value)
+
+
 def check_witness(algebra_input, inst: SmpInstance,
                   verdict: SmpVerdict) -> bool:
-    """Re-derive the target from a verdict's witness, numerically."""
-    if not verdict.member or verdict.witness is None:
+    """Re-derive the target from a verdict's witness, numerically.
+
+    Total: a malformed witness (missing keys, values of the wrong length or
+    out of range, non-integer coefficients, unparsable circuits) gives
+    False rather than an exception.
+    """
+    try:
+        if not verdict.member or verdict.witness is None:
+            return False
+        return _rederive(algebra_input, inst, verdict.witness)
+    except (AlgebraError, KeyError, TypeError, ValueError, IndexError,
+            AttributeError):
         return False
-    w = verdict.witness
+
+
+def _rederive(algebra_input, inst: SmpInstance, w: dict) -> bool:
+    k = inst.k
+    args = list(inst.generators)
     if w["path"] == "affine":
         alg, _ = _as_algebra_group(algebra_input)
         circuit = parse_sexpr(w["circuit"], arity=inst.n)
-        return eval_circuit(alg, circuit, list(inst.generators)) == inst.target
+        return eval_circuit(alg, circuit, args) == inst.target
     if w["path"] == "directproduct":
-        spec = algebra_input
-        alg = spec.algebra
-        current = tuple(w["start"])
+        alg = algebra_input.algebra
+        current = _witness_row(w["start"], k, alg.size)
         for vb, va in w["steps"]:
-            current = maltsev_fold(alg, current, tuple(vb), tuple(va))
+            current = maltsev_fold(alg, current, _witness_row(vb, k, alg.size),
+                                   _witness_row(va, k, alg.size))
         return current == inst.target
     if w["path"] == "wreath":
         spec = algebra_input
-        group = spec.left_group
         alg = spec.algebra
-        base = tuple(w["base"]["value"])
-        circuit = parse_sexpr(w["base"]["circuit"], arity=inst.n)
-        if eval_circuit(alg, circuit, list(inst.generators)) != base:
-            return False
-        acc = spec.l_part(base)
-        base_l = spec.l_part(base)
+        group = spec.left_group
+        m = group.exponent
+        p = spec.p
+
+        def member(part) -> np.ndarray:
+            # a product element tuple its circuit must reproduce
+            value = _witness_row(part["value"], k, spec.size)
+            circuit = parse_sexpr(part["circuit"], arity=inst.n)
+            if eval_circuit(alg, circuit, args) != value:
+                raise AlgebraError("witness circuit misses its value")
+            return np.asarray(value, dtype=np.int64)
+
+        base = member(w["base"])
+        base_l = group.embed_elements(base // p)
+        acc = base_l.copy()
         for part in w["members"]:
-            value = tuple(part["value"])
-            circ = parse_sexpr(part["circuit"], arity=inst.n)
-            if eval_circuit(alg, circ, list(inst.generators)) != value:
-                return False
-            delta = tuple_sub(group, spec.l_part(value), base_l)
-            for _ in range(part["coeff"] % group.exponent):
-                acc = tuple_add(group, acc, delta)
+            coeff = _witness_coeff(part["coeff"]) % m
+            acc += coeff * (group.embed_elements(member(part) // p) - base_l)
         for part in w["clonoid"]:
-            delta = tuple(part["value"])
-            for _ in range(part["coeff"] % group.exponent):
-                acc = tuple_add(group, acc, delta)
-        expected = tuple(spec.pair(l, u)
-                         for l, u in zip(acc, spec.u_part(base)))
-        return expected == inst.target
+            coeff = _witness_coeff(part["coeff"]) % m
+            value = _witness_row(part["value"], k, group.size)
+            acc += coeff * group.embed_elements(value)
+        l_values = group.unembed_array(acc % m)
+        return (l_values * p + base % p).tolist() == list(inst.target)
     return False

@@ -13,7 +13,7 @@ to plain subgroup generators of L^k.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from .circuits import Circuit
 from .core import (AlgebraError, ClosureCapExceeded, FiniteAlgebra, Operation,
                    closure_with_circuits, verify_maltsev)
-from .affine import AbelianGroupSpec, Echelon
+from .affine import AbelianGroupSpec, Echelon, _frozen
 
 
 class WreathSpecError(AlgebraError):
@@ -126,23 +126,12 @@ def build_wreath(spec: WreathSpec) -> FiniteAlgebra:
     size = left.size * p
     ops = []
     for op in left.ops:
-        rop = right.op(op.symbol)
-        hat_table = spec.hat[op.symbol]
-        table = []
-        for args in product(range(size), repeat=op.arity):
-            ls = tuple(a // p for a in args)
-            us = tuple(a % p for a in args)
-            l_idx = 0
-            u_idx = 0
-            for l, u in zip(ls, us):
-                l_idx = l_idx * left.size + l
-                u_idx = u_idx * p + u
-            lval = left.op(op.symbol).table[l_idx] if op.arity else left.op(op.symbol).table[0]
-            hval = hat_table[u_idx] if op.arity else hat_table[0]
-            uval = rop.table[u_idx] if op.arity else rop.table[0]
-            out_l = group.add(lval, hval)
-            table.append(out_l * p + uval)
-        ops.append(Operation(op.symbol, op.arity, tuple(table)))
+        l_idx, u_idx = _split_positions(left.size, p, op.arity)
+        lval = np.asarray(op.table, dtype=np.int64)[l_idx]
+        hval = np.asarray(spec.hat[op.symbol], dtype=np.int64)[u_idx]
+        uval = np.asarray(right.op(op.symbol).table, dtype=np.int64)[u_idx]
+        table = group.add_table[lval, hval] * p + uval
+        ops.append(Operation(op.symbol, op.arity, tuple(table.tolist())))
     alg = FiniteAlgebra(size, ops, spec.maltsev, check=False)
     if not verify_maltsev(alg):
         raise WreathSpecError("assembled product fails the Mal'tsev identities")
@@ -178,31 +167,69 @@ class ClonoidGenSet:
                     raise AlgebraError("binary clonoid generator hits the diagonal")
 
 
+@lru_cache(maxsize=32)
+def _split_positions(l_size: int, p: int, arity: int):
+    """Flat L- and U-table indices of every position of a product table.
+
+    Position j of a table on the product (size l_size * p, row-major,
+    first argument most significant) has arguments (l_1, u_1) ... ; the
+    returned arrays hold the index of (l_1 .. l_r) in an L-table and of
+    (u_1 .. u_r) in a U-table.
+    """
+    size = l_size * p
+    pos = np.arange(size ** arity, dtype=np.int64)
+    l_idx = np.zeros_like(pos)
+    u_idx = np.zeros_like(pos)
+    for j in range(arity):
+        l, u = np.divmod((pos // size ** (arity - 1 - j)) % size, p)
+        l_idx = l_idx * l_size + l
+        u_idx = u_idx * p + u
+    return _frozen(l_idx), _frozen(u_idx)
+
+
+@lru_cache(maxsize=32)
+def _hat_positions(l_size: int, p: int, zero_l: int, arity: int):
+    """Positions of a product table whose arguments all have l-part zero,
+    in the order of their u-arguments."""
+    size = l_size * p
+    us = np.arange(p ** arity, dtype=np.int64)
+    pos = np.zeros_like(us)
+    for j in range(arity):
+        pos = pos * size + zero_l * p + (us // p ** (arity - 1 - j)) % p
+    return _frozen(pos)
+
+
+def _table_rows(tables) -> np.ndarray:
+    tables = np.asarray(tables, dtype=np.int64)
+    return tables.reshape(len(tables), -1)
+
+
+def _hats(spec: WreathSpec, tables, arity: int) -> np.ndarray:
+    """The u-shift of each term table: its L-part at arguments with l-part
+    zero, one row per table."""
+    pos = _hat_positions(spec.left.size, spec.p, spec.left_group.zero, arity)
+    return _table_rows(tables)[:, pos] // spec.p
+
+
+def _companion_keys(spec: WreathSpec, tables, arity: int) -> np.ndarray:
+    """The direct-product behaviour of each term table, one row per table:
+    every entry (l, u) with its shift removed, encoded (l - hat) * p + u."""
+    tables = _table_rows(tables)
+    p = spec.p
+    group = spec.left_group
+    _, u_idx = _split_positions(spec.left.size, p, arity)
+    shift = _hats(spec, tables, arity)[:, u_idx]
+    return group.add_table[tables // p, group.neg_table[shift]] * p + tables % p
+
+
 def _hat_of_table(spec: WreathSpec, table, arity: int) -> tuple:
     """The u-shift of a term table: its L-part at arguments with l-part zero."""
-    out = []
-    p = spec.p
-    for us in product(range(p), repeat=arity):
-        idx = 0
-        for u in us:
-            idx = idx * spec.size + spec.pair(spec.left_group.zero, u)
-        out.append(spec.split(table[idx])[0])
-    return tuple(out)
+    return tuple(_hats(spec, [table], arity)[0].tolist())
 
 
 def _companion_key(spec: WreathSpec, table, arity: int) -> tuple:
     """The direct-product behaviour of a term table (bucketing key)."""
-    hat = _hat_of_table(spec, table, arity)
-    p = spec.p
-    group = spec.left_group
-    key = []
-    for pos, args in enumerate(product(range(spec.size), repeat=arity)):
-        u_idx = 0
-        for a in args:
-            u_idx = u_idx * p + a % p
-        l, u = spec.split(table[pos])
-        key.append((group.add(l, group.neg(hat[u_idx])), u))
-    return tuple(key)
+    return tuple(_companion_keys(spec, [table], arity)[0].tolist())
 
 
 def _affine_substitutions(p: int, arity: int) -> list:
@@ -228,21 +255,25 @@ def _remap_embedded(row: np.ndarray, sub, rank: int) -> np.ndarray:
     return row[idx]
 
 
-def _table_diffs(spec: WreathSpec, tables, arity: int):
-    """Hat differences of same-companion term tables."""
-    buckets: dict = {}
-    for t in tables:
-        buckets.setdefault(_companion_key(spec, t, arity), []).append(t)
+def _table_diffs(spec: WreathSpec, tables, arity: int) -> np.ndarray:
+    """Hat differences of same-companion term tables, one row each.
+
+    Buckets are taken in sorted key order and the tables of a bucket in
+    sorted order; every table after a bucket's first gives its hat minus
+    the first one's.
+    """
+    tables = _table_rows(tables)
+    _, bucket = np.unique(_companion_keys(spec, tables, arity), axis=0,
+                          return_inverse=True)
+    order = np.lexsort(tuple(tables.T[::-1]) + (bucket.ravel(),))
+    bucket = bucket.ravel()[order]
+    first = np.r_[True, bucket[1:] != bucket[:-1]]
+    leader = order[np.maximum.accumulate(
+        np.where(first, np.arange(len(order)), 0))]
+    hats = _hats(spec, tables, arity)
     group = spec.left_group
-    diffs = []
-    for key in sorted(buckets):
-        members = sorted(buckets[key])
-        rep_hat = _hat_of_table(spec, members[0], arity)
-        for t in members[1:]:
-            hat = _hat_of_table(spec, t, arity)
-            diffs.append(tuple(group.add(a, group.neg(b))
-                               for a, b in zip(hat, rep_hat)))
-    return diffs
+    return group.add_table[hats[order[~first]],
+                           group.neg_table[hats[leader[~first]]]]
 
 
 def diff_clonoid_gens(spec: WreathSpec, cap: int = 3000) -> ClonoidGenSet:
@@ -271,38 +302,38 @@ def diff_clonoid_gens(spec: WreathSpec, cap: int = 3000) -> ClonoidGenSet:
         return tuples, truncated
 
     # unary part: exact
+    s = group.rank
     unary_tables, _ = enumerate_tables(1, allow_truncate=False)
-    u_ech = Echelon(m, p * group.rank)
-    for d in _table_diffs(spec, unary_tables, 1):
-        u_ech.insert(group.embed_elements(d))
+    u_ech = Echelon(m, p * s)
+    for row in group.embed_elements(_table_diffs(spec, unary_tables, 1)):
+        u_ech.insert(row)
     for sub in _affine_substitutions(p, 1):
         stable = False
         while not stable:
             stable = True
             for row in list(u_ech.rows):
-                if u_ech.insert(_remap_embedded(row, sub, group.rank)):
+                if u_ech.insert(_remap_embedded(row, sub, s)):
                     stable = False
     u_ech.canonicalize()
     unary_span = u_ech.span_size()
 
     # binary part: exact when possible, certified bounded otherwise
     binary_tables, truncated = enumerate_tables(2, allow_truncate=True)
-    b_ech = Echelon(m, p * p * group.rank)
-    for d in _table_diffs(spec, binary_tables, 2):
-        b_ech.insert(group.embed_elements(d))
+    b_ech = Echelon(m, p * p * s)
+    for row in group.embed_elements(_table_diffs(spec, binary_tables, 2)):
+        b_ech.insert(row)
     for row in u_ech.rows:
         # unary members reappear at arity two through composition with the
-        # first projection; seeding them helps a bounded run close
-        g = group.unembed(np.asarray(row))
-        b_ech.insert(group.embed_elements([g[x] for x in range(p)
-                                           for _ in range(p)]))
+        # first projection (g(x, y) = g(x)); seeding them helps a bounded
+        # run close
+        b_ech.insert(np.repeat(row.reshape(p, s), p, axis=0).ravel())
     subs = _affine_substitutions(p, 2)
     stable = False
     while not stable:
         stable = True
         for sub in subs:
             for row in list(b_ech.rows):
-                if b_ech.insert(_remap_embedded(row, sub, group.rank)):
+                if b_ech.insert(_remap_embedded(row, sub, s)):
                     stable = False
     b_ech.canonicalize()
     binary_span = b_ech.span_size()
@@ -315,21 +346,19 @@ def diff_clonoid_gens(spec: WreathSpec, cap: int = 3000) -> ClonoidGenSet:
             raise ClosureCapExceeded(cap)
 
     # split off the diagonal-vanishing part by head-block elimination
-    s = group.rank
     head = p * s
+    diagonal = np.arange(p) * (p + 1)
     aug = Echelon(m, head + p * p * s)
     for row in b_ech.rows:
-        table = group.unembed(np.asarray(row))
-        diag = tuple(table[x * p + x] for x in range(p))
-        aug.insert(np.concatenate([group.embed_elements(diag),
-                                   np.asarray(row)]))
+        aug.insert(np.concatenate([row.reshape(p * p, s)[diagonal].ravel(),
+                                   row]))
     aug.canonicalize()
     binary = []
     for ridx in aug.tail_rows(head):
         tail = np.asarray(aug.rows[ridx][head:])
         if tail.any():
             binary.append(group.unembed(tail))
-    unary = [group.unembed(np.asarray(row)) for row in u_ech.rows]
+    unary = [group.unembed(row) for row in u_ech.rows]
     unary = [t for t in unary if any(v != group.zero for v in t)]
     return ClonoidGenSet(p=p, group=group, unary=unary, binary=binary,
                          exact=not truncated, unary_span=unary_span,
@@ -443,32 +472,33 @@ def clonoid_image_comprep(gens: ClonoidGenSet, u_columns) -> ClonoidImage:
         for i, kind in enumerate(kinds):
             if isinstance(kind, Plane):
                 planes.setdefault(kind.axis, []).append(i)
+        binary = np.asarray(gens.binary, dtype=np.int64).reshape(-1, p * p)
         for axis in sorted(planes):
-            for bi, f in enumerate(gens.binary):
-                vec = [zero] * k
-                for i in planes[axis]:
-                    kind = kinds[i]
-                    vec[i] = f[kind.x * p + kind.y]
+            cols = planes[axis]
+            vecs = np.full((len(binary), k), zero, dtype=np.int64)
+            vecs[:, cols] = binary[:, [kinds[i].x * p + kinds[i].y
+                                       for i in cols]]
+            for bi, vec in enumerate(vecs.tolist()):
                 emitted.append((("binary", bi, axis), tuple(vec)))
-    diag_scale = pow(p, n - 1, m) if n >= 2 else 1
-    plane_scale = pow(p, n - 2, m) if n >= 2 else 0
-    for ai, f in enumerate(gens.unary):
-        total = zero
+    unary = np.asarray(gens.unary, dtype=np.int64).reshape(-1, p)
+    if len(unary):
+        diag_scale = pow(p, n - 1, m) if n >= 2 else 1
+        plane_scale = pow(p, n - 2, m) if n >= 2 else 0
+        total = np.full(len(unary), zero, dtype=np.int64)
         for v in range(p):
-            total = group.add(total, f[v])
-        vec = []
-        for kind in kinds:
-            if isinstance(kind, Diagonal):
-                vec.append(group.scale(diag_scale, f[kind.value]))
-            else:
-                vec.append(group.scale(plane_scale, total))
-        emitted.append((("unary", ai), tuple(vec)))
+            total = group.add_table[total, unary[:, v]]
+        is_diag = np.asarray([isinstance(kind, Diagonal) for kind in kinds])
+        at = [kind.value if isinstance(kind, Diagonal) else 0 for kind in kinds]
+        vecs = np.where(is_diag, group.scale_table[diag_scale][unary[:, at]],
+                        group.scale_table[plane_scale][total][:, None])
+        for ai, vec in enumerate(vecs.tolist()):
+            emitted.append((("unary", ai), tuple(vec)))
 
     ech = Echelon(m, k * group.rank)
-    for _, vec in emitted:
-        ech.insert(group.embed_elements(vec))
+    for row in group.embed_elements([vec for _, vec in emitted]):
+        ech.insert(row)
     ech.canonicalize()
-    generators = [group.unembed(np.asarray(row)) for row in ech.rows]
+    generators = [group.unembed(row) for row in ech.rows]
     return ClonoidImage(group=group, k=k, generators=generators,
                         emitted=emitted,
                         tuples_materialized=len(emitted) + len(generators))

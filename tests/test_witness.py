@@ -1,0 +1,130 @@
+"""check_witness is total: malformed witnesses give False, never an error."""
+
+import copy
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from subpower.catalog import a6_symmetric, zmod_group_algebra
+from subpower.solver import (SmpInstance, SmpVerdict, check_witness,
+                             dispatch, solve_smp_directproduct)
+
+# a6 instance whose wreath witness uses a member and a clonoid part
+INST = SmpInstance(((4, 0, 3, 2), (0, 0, 1, 5)), (0, 0, 1, 0))
+
+
+@pytest.fixture(scope="module")
+def wreath_verdict(a6_spec):
+    verdict = dispatch(a6_spec, INST)
+    assert verdict.member
+    w = verdict.witness
+    assert w["members"] and w["clonoid"] and 0 in w["clonoid"][0]["value"]
+    assert check_witness(a6_spec, INST, verdict)
+    return verdict
+
+
+def _mutated(verdict, change) -> SmpVerdict:
+    witness = copy.deepcopy(verdict.witness)
+    change(witness)
+    return SmpVerdict(True, witness, dict(verdict.stats))
+
+
+def _set_clonoid_zero(w, value):
+    row = w["clonoid"][0]["value"]
+    row[row.index(0)] = value
+
+
+MALFORMED = {
+    # -3 indexes the same element as 0 in Z_3 if negative indices wrap
+    "clonoid value out of range (negative)":
+        lambda w: _set_clonoid_zero(w, -3),
+    "clonoid value out of range (too large)":
+        lambda w: _set_clonoid_zero(w, 3),
+    "clonoid value too short": lambda w: w["clonoid"][0]["value"].pop(),
+    # a length-one row would broadcast against the other tuples
+    "clonoid value of length one":
+        lambda w: w["clonoid"][0].update(value=[0]),
+    "member value too long": lambda w: w["members"][0]["value"].append(0),
+    "member value out of range":
+        lambda w: w["members"][0]["value"].__setitem__(0, 6),
+    "string coefficient": lambda w: w["members"][0].update(coeff="2"),
+    "float coefficient": lambda w: w["clonoid"][0].update(coeff=1.0),
+    "missing base": lambda w: w.pop("base"),
+    "missing members": lambda w: w.pop("members"),
+    "missing circuit": lambda w: w["members"][0].pop("circuit"),
+    "unparsable circuit":
+        lambda w: w["base"].update(circuit="(m x1"),
+    "circuit on a missing variable":
+        lambda w: w["base"].update(circuit="x7"),
+    "base value not a list": lambda w: w["base"].update(value=17),
+    "clonoid entry not a dict": lambda w: w["clonoid"].__setitem__(0, [1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_wreath_witness_is_false(a6_spec, wreath_verdict, name):
+    bad = _mutated(wreath_verdict, MALFORMED[name])
+    assert check_witness(a6_spec, INST, bad) is False
+
+
+def test_malformed_verdicts_are_false(a6_spec, wreath_verdict):
+    assert check_witness(a6_spec, INST, SmpVerdict(True, ["wreath"])) is False
+    assert check_witness(a6_spec, INST, SmpVerdict(True, {})) is False
+    assert check_witness(a6_spec, INST, None) is False
+    unknown = _mutated(wreath_verdict, lambda w: w.update(path="other"))
+    assert check_witness(a6_spec, INST, unknown) is False
+
+
+def test_malformed_directproduct_witness_is_false():
+    spec = a6_symmetric()
+    inst = SmpInstance(((1, 3, 5, 3), (3, 1, 3, 4)), (1, 3, 5, 3))
+    verdict = solve_smp_directproduct(spec, inst)
+    assert verdict.member and check_witness(spec, inst, verdict)
+    for change in (lambda w: w["start"].__setitem__(0, -6),
+                   lambda w: w["start"].pop(),
+                   lambda w: w.update(steps=[[w["start"]]]),
+                   lambda w: w.pop("steps")):
+        assert check_witness(spec, inst, _mutated(verdict, change)) is False
+
+
+def test_malformed_affine_witness_is_false():
+    alg_group = zmod_group_algebra(12)
+    inst = SmpInstance(((3, 8, 8, 2), (3, 3, 8, 4)), (3, 8, 8, 2))
+    verdict = dispatch(alg_group, inst)
+    assert verdict.member and check_witness(alg_group, inst, verdict)
+    for change in (lambda w: w.update(circuit="(add x1"),
+                   lambda w: w.update(circuit=5),
+                   lambda w: w.pop("circuit")):
+        assert check_witness(alg_group, inst, _mutated(verdict, change)) \
+            is False
+
+
+json_leaf = st.one_of(st.integers(-10, 10), st.text(max_size=3), st.none(),
+                      st.booleans(), st.floats(allow_nan=False, width=16))
+json_value = st.recursive(
+    json_leaf, lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.dictionaries(st.sampled_from(["value", "coeff", "circuit",
+                                         "base", "members", "clonoid",
+                                         "path"]), inner, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_check_witness_never_raises(a6_spec, wreath_verdict, data):
+    witness = copy.deepcopy(wreath_verdict.witness)
+    # replace one node of the witness tree with arbitrary JSON
+    node, key = witness, None
+    while True:
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        key = data.draw(st.sampled_from(sorted(keys, key=str)))
+        child = node[key]
+        if not isinstance(child, (dict, list)) or not child or \
+                data.draw(st.booleans()):
+            break
+        node = child
+    node[key] = data.draw(json_value)
+    result = check_witness(a6_spec, INST, SmpVerdict(True, witness))
+    assert isinstance(result, bool)
