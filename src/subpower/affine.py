@@ -31,7 +31,10 @@ The affine closure of generator tuples under a verified affine algebra is
 kept in base-plus-differences form.  Every inserted difference remembers a
 pair of member circuits realizing it, so arbitrary members can be issued
 with witness circuits by chaining the designated Mal'tsev circuit
-(m(x, y, z) adds the difference x - y to z).
+(m(x, y, z) adds the difference x - y to z).  Compact representations of
+a coset or subgroup are built as matrices: one matrix of per-coordinate
+fork combinations (``_fork_coefficients``), one product for the members,
+a first-occurrence dedupe, and one ``unembed_array``.
 """
 
 from __future__ import annotations
@@ -549,9 +552,6 @@ class AffineSubpowerRep:
     _tracked: Echelon | None = None
     _raw_rows: np.ndarray | None = None
 
-    def base_tuple(self) -> tuple:
-        return self.group.unembed(self.base_flat)
-
     def tracked_echelon(self) -> Echelon:
         """Canonical echelon of the differences with raw-combination tracking."""
         if self._tracked is None:
@@ -571,29 +571,18 @@ class AffineSubpowerRep:
                 dtype=np.int64).reshape(len(self.raw), len(self.base_flat))
         return self._raw_rows
 
-    def resolve(self, member) -> np.ndarray | None:
-        """Raw coefficients expressing member - base, or None if outside."""
-        m = self.group.exponent
-        target = (self.group.embed_elements(member) - self.base_flat) % m
-        residue, coeffs = self.tracked_echelon().reduce(target)
-        if residue.any():
-            return None
-        return coeffs[:len(self.raw)] if self.raw else np.zeros(0, np.int64)
-
     def member_node(self, raw_coeffs) -> int:
         """Circuit for base + sum coeff_j * raw_j via Mal'tsev chaining."""
         node = self.base_node
-        m = self.group.exponent
-        for j, c in enumerate(raw_coeffs):
-            c = int(c) % m
-            if c == 0:
-                continue
-            _, plus, minus = self.raw[j]
+        splice, maltsev = self.bank.splice, self.alg.maltsev
+        coeffs = np.asarray(raw_coeffs, dtype=np.int64) % self.group.exponent
+        for (_, plus, minus), c in zip(self.raw, coeffs.tolist(), strict=True):
             for _ in range(c):
-                node = self.bank.splice(self.alg.maltsev, [plus, minus, node])
+                node = splice(maltsev, [plus, minus, node])
         return node
 
     def member_flat(self, raw_coeffs) -> np.ndarray:
+        """Embedded base + sum coeff_j * raw_j (a row per coefficient row)."""
         m = self.group.exponent
         coeffs = np.asarray(raw_coeffs, dtype=np.int64) % m
         return (self.base_flat + coeffs @ self.raw_rows()) % m
@@ -708,31 +697,43 @@ def _reachable(add: list, zero: int, elems: list) -> dict:
     return combos
 
 
-def _fork_coefficients(group: AbelianGroupSpec, ech: Echelon, k: int):
+def _fork_coefficients(group: AbelianGroupSpec, ech: Echelon,
+                       k: int) -> np.ndarray:
     """Row combinations of a canonical echelon for the per-coordinate forks.
 
-    For each coordinate i, yields a coefficient vector over ech.rows for
-    every value reachable at i, followed by that value plus each nonzero
-    fork reachable at i from the rows with pivot at or after i (these
-    leave the earlier coordinates alone).
+    One matrix, a row of coefficients over ech.rows per combination: for
+    each coordinate i and each value reachable at i, that value, followed
+    by that value plus each nonzero fork reachable at i from the rows with
+    pivot at or after i (these leave the earlier coordinates alone).
     """
     nrows = len(ech.rows)
     rows = np.asarray(ech.rows, dtype=np.int64).reshape(nrows, k * group.rank)
     at = group.unembed_array(rows).T.tolist()    # at[i][r]: row r's i-th element
     add = group.add_table.tolist()
     zero = group.zero
+    blocks = [np.zeros((0, nrows), dtype=np.int64)]
     for i in range(k):
         values = _reachable(add, zero, at[i])
+        bases = np.asarray([values[v] for v in sorted(values)],
+                           dtype=np.int64).reshape(len(values), nrows)
         tail = ech.tail_rows(i * group.rank)
         forks = _reachable(add, zero, [at[i][r] for r in tail])
-        for v in sorted(values):
-            base = np.asarray(values[v], dtype=np.int64)
-            yield base
-            for d in sorted(forks):
-                if d != zero:
-                    total = base.copy()
-                    total[tail] += forks[d]
-                    yield total
+        shifts = np.zeros((len(forks), nrows), dtype=np.int64)
+        # the zero fork (no shift) first, then the others in element order
+        shifts[1:, tail] = np.asarray(
+            [forks[d] for d in sorted(forks) if d != zero],
+            dtype=np.int64).reshape(len(forks) - 1, len(tail))
+        blocks.append((bases[:, None, :] + shifts[None, :, :])
+                      .reshape(len(values) * len(forks), nrows))
+    return np.concatenate(blocks)
+
+
+def _first_rows(flats: np.ndarray) -> list:
+    """Indices of the first occurrence of each distinct row, in row order."""
+    first: dict = {}
+    for j, row in enumerate(flats):
+        first.setdefault(row.tobytes(), j)
+    return list(first.values())
 
 
 def coset_compact_rep(rep: AffineSubpowerRep):
@@ -744,18 +745,15 @@ def coset_compact_rep(rep: AffineSubpowerRep):
     nraw = len(rep.raw)
     coeffs = np.asarray([c[:nraw] for c in ech.coeffs],
                         dtype=np.int64).reshape(len(ech.rows), nraw)
-    out = EnumeratedCompactRep(rep.generators, [], rep.bank)
-    emitted = set()
-    for combo in _fork_coefficients(rep.group, ech, rep.k):
-        raw_c = (combo @ coeffs) % m
-        flat = rep.member_flat(raw_c)
-        key = flat.tobytes()
-        if key in emitted:
-            continue
-        emitted.add(key)
-        out.add(rep.group.unembed(flat), rep.member_node(raw_c))
-        rep.tuples_materialized += 1
-    return out
+    raw_c = (_fork_coefficients(rep.group, ech, rep.k) @ coeffs) % m
+    flats = rep.member_flat(raw_c)
+    first = _first_rows(flats)
+    rep.tuples_materialized += len(first)
+    tuples = rep.group.unembed_array(flats[first]).tolist()
+    return EnumeratedCompactRep(
+        rep.generators,
+        [(tuple(t), rep.member_node(raw_c[j])) for t, j in zip(tuples, first)],
+        rep.bank)
 
 
 def affine_closure_comprep(alg: FiniteAlgebra, group: AbelianGroupSpec, gens,
@@ -778,12 +776,6 @@ def subgroup_compact_tuples(group: AbelianGroupSpec, k: int, generators) -> list
     ech.canonicalize()
     rows = np.asarray(ech.rows, dtype=np.int64).reshape(len(ech.rows),
                                                         k * group.rank)
-    out = []
-    seen = set()
-    for combo in _fork_coefficients(group, ech, k):
-        flat = (combo @ rows) % m
-        key = flat.tobytes()
-        if key not in seen:
-            seen.add(key)
-            out.append(group.unembed(flat))
-    return out
+    flats = (_fork_coefficients(group, ech, k) @ rows) % m
+    return [tuple(t) for t in
+            group.unembed_array(flats[_first_rows(flats)]).tolist()]

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 
 
 class CircuitError(ValueError):
@@ -57,6 +59,24 @@ class Circuit:
     @property
     def size(self) -> int:
         return len(self.gates)
+
+    @cached_property
+    def template(self) -> tuple:
+        """(apps, output) for ``CircuitBank.splice``: slots 0..arity-1 hold
+        the leaves, and each application gate, in gate order, is (symbol,
+        getter of its children from the slots) and fills the next slot."""
+        slot_of, apps = [], []
+        for gate in self.gates:
+            if gate[0] == _VAR:
+                slot_of.append(gate[1] - 1)
+                continue
+            kids = [slot_of[c] for c in gate[1:]]
+            # itemgetter returns a bare item for one key: slice instead
+            getter = itemgetter(*kids) if len(kids) > 1 else \
+                itemgetter(slice(kids[0], kids[0] + 1) if kids else slice(0))
+            apps.append((gate[0], getter))
+            slot_of.append(self.arity + len(apps) - 1)
+        return tuple(apps), slot_of[self.output]
 
     def to_sexpr(self) -> str:
         return serialize_sexpr(self)
@@ -108,13 +128,16 @@ class CircuitBank:
         """
         if len(leaves) != circuit.arity:
             raise CircuitError("leaf count does not match circuit arity")
-        mapped = []
-        for gate in circuit.gates:
-            if gate[0] == _VAR:
-                mapped.append(leaves[gate[1] - 1])
-            else:
-                mapped.append(self.app(gate[0], tuple(mapped[c] for c in gate[1:])))
-        return mapped[circuit.output]
+        count = len(self.gates)
+        for leaf in leaves:
+            if not 0 <= leaf < count:
+                raise CircuitError("unknown child node")
+        apps, output = circuit.template
+        slots = list(leaves)
+        for symbol, children in apps:
+            # children are leaves or nodes made here: no range check needed
+            slots.append(self._node((symbol, *children(slots))))
+        return slots[output]
 
     def extract(self, node: int) -> Circuit:
         """Standalone circuit for `node`, keeping only reachable gates."""

@@ -5,6 +5,11 @@ signature as R and at most 2|Sig(R)| members; with a Mal'tsev operation the
 whole subpower is recovered by chaining forks coordinate by coordinate.  An
 enumerated representation additionally carries, per member, a circuit over
 the original generators that re-evaluates to it.
+
+Signatures, fork witnesses and thinning all come from one vectorized prefix
+walk over the stably sorted tuple array (``_fork_index``): it maps each
+signature triple to its witness pair, and thinning keeps the union of the
+witness pairs.
 """
 
 from __future__ import annotations
@@ -17,34 +22,57 @@ from .circuits import Circuit, CircuitBank
 from .core import AlgebraError, FiniteAlgebra, _Closure, eval_nodes
 
 
+def _fork_index(tuples) -> dict:
+    """(i, a, b) -> (idx_a, idx_b): the fork witnesses, in one vectorized
+    prefix walk; the keys, in sorted order, are exactly the signature.
+
+    At coordinate i (1-based) a *run* is a block of the stably sorted
+    tuples agreeing before i; the witnesses of (i, a, b) are the first
+    tuples with a and with b at i in the first run holding both.  A
+    coordinate has sum d_r^2 <= N|A| (run, a, b) candidates, d_r the number
+    of distinct values in run r.
+    """
+    rows = [tuple(t) for t in tuples]
+    k = len(rows[0]) if rows else 0
+    if any(len(t) != k for t in rows):
+        raise AlgebraError("tuples have unequal lengths")
+    rows = np.asarray(rows, dtype=np.int64).reshape(len(rows), k)
+    n = len(rows)
+    order = np.lexsort(rows.T[::-1]) if k else np.arange(n)  # stable
+    s = rows[order]
+    vals, codes = np.unique(s, return_inverse=True)
+    codes = codes.reshape(n, k)
+    # new[i, p]: sorted tuple p starts a block agreeing on coordinates 0..i
+    new = np.ones((k, n), dtype=bool)
+    new[:, 1:] = np.logical_or.accumulate(s[1:] != s[:-1], axis=1).T
+    run_start = np.arange(n) == 0        # runs at coordinate 0: one
+    index: dict = {}
+    for i in range(k):
+        pos = np.flatnonzero(new[i])     # first tuple of each (run, value)
+        run = np.cumsum(run_start[pos]) - 1
+        run_start = new[i]
+        width = np.bincount(run)         # distinct values per run
+        reps = width[run]                # each pairs with its run's values
+        first_pair = np.cumsum(reps) - reps
+        ja = np.repeat(np.arange(len(pos)), reps)
+        jb = np.arange(len(ja)) + np.repeat(
+            (np.cumsum(width) - width)[run] - first_pair, reps)
+        code = codes[pos, i]
+        # the first run holding both values comes first among equal keys
+        _, first = np.unique(code[ja] * len(vals) + code[jb],
+                             return_index=True)
+        pa, pb = pos[ja[first]], pos[jb[first]]
+        keys = zip([i + 1] * len(pa), s[pa, i].tolist(), s[pb, i].tolist())
+        index.update(zip(keys, zip(order[pa].tolist(), order[pb].tolist())))
+    return index
+
+
 def signature(tuples) -> set:
     """Sig(S): triples (i, a, b) witnessed by members agreeing before i.
 
     Coordinates are 1-based.  The empty family has the empty signature.
     """
-    tuples = [tuple(t) for t in tuples]
-    if not tuples:
-        return set()
-    k = len(tuples[0])
-    if any(len(t) != k for t in tuples):
-        raise AlgebraError("tuples have unequal lengths")
-    sig = set()
-    group_of = [0] * len(tuples)
-    for i in range(k):
-        buckets: dict = {}
-        for idx, t in enumerate(tuples):
-            buckets.setdefault(group_of[idx], {}).setdefault(t[i], []).append(idx)
-        reassign: dict = {}
-        for gid in buckets:
-            for a in buckets[gid]:
-                for b in buckets[gid]:
-                    sig.add((i + 1, a, b))
-        for idx, t in enumerate(tuples):
-            key = (group_of[idx], t[i])
-            if key not in reassign:
-                reassign[key] = len(reassign)
-            group_of[idx] = reassign[key]
-    return sig
+    return set(_fork_index(tuples))
 
 
 def maltsev_table(alg: FiniteAlgebra) -> np.ndarray:
@@ -116,9 +144,9 @@ class EnumeratedCompactRep:
 def thin_to_compact(rep_or_tuples, generators=None) -> EnumeratedCompactRep:
     """Thin a tuple family to a same-signature subset of size <= 2|Sig|.
 
-    Witness selection is greedy and lexicographic, so outputs are stable
-    across runs.  Accepts either an EnumeratedCompactRep (circuits kept) or
-    a plain tuple family plus its generators.
+    Keeps the fork witnesses of every signature triple (see _fork_index), so
+    outputs are stable across runs.  Accepts either an EnumeratedCompactRep
+    (circuits kept) or a plain tuple family plus its generators.
     """
     if isinstance(rep_or_tuples, EnumeratedCompactRep):
         rep = rep_or_tuples
@@ -128,40 +156,11 @@ def thin_to_compact(rep_or_tuples, generators=None) -> EnumeratedCompactRep:
         rep = EnumeratedCompactRep(tuple(tuple(g) for g in generators))
         for t in rep_or_tuples:
             rep.add(t, None)
-    seen: dict = {}
-    for t, n in rep.entries:
-        if t not in seen:
-            seen[t] = n
-    items = sorted(seen.items())
-    out = EnumeratedCompactRep(rep.generators, [], rep.bank)
-    if not items:
-        return out
-    k = len(items[0][0])
-    keep = set()
-    groups: dict = {(): list(range(len(items)))}
-    for i in range(k):
-        witnessed: dict = {}
-        for prefix in sorted(groups):
-            members = groups[prefix]
-            by_value: dict = {}
-            for idx in members:
-                by_value.setdefault(items[idx][0][i], []).append(idx)
-            for a in sorted(by_value):
-                for b in sorted(by_value):
-                    if (a, b) not in witnessed:
-                        witnessed[(a, b)] = (by_value[a][0], by_value[b][0])
-        for ia, ib in witnessed.values():
-            keep.add(ia)
-            keep.add(ib)
-        next_groups: dict = {}
-        for prefix, members in groups.items():
-            for idx in members:
-                next_groups.setdefault(prefix + (items[idx][0][i],), []).append(idx)
-        groups = next_groups
-    for idx in sorted(keep):
-        t, n = items[idx]
-        out.add(t, n)
-    return out
+    # witnesses are first occurrences of distinct tuples; list them sorted
+    keep = sorted({j for pair in _fork_index(rep.tuples()).values()
+                   for j in pair}, key=lambda j: rep.entries[j][0])
+    return EnumeratedCompactRep(rep.generators,
+                                [rep.entries[j] for j in keep], rep.bank)
 
 
 @dataclass
@@ -172,33 +171,6 @@ class Chain:
     steps: list
     value: tuple
     node: int | None = None
-
-
-def _fork_index(tuples) -> dict:
-    """(i, a, b) -> (idx_a, idx_b): lexicographically first witness pair."""
-    if not tuples:
-        return {}
-    k = len(tuples[0])
-    order = sorted(range(len(tuples)), key=lambda j: tuples[j])
-    index: dict = {}
-    groups: dict = {(): order}
-    for i in range(k):
-        for prefix in sorted(groups):
-            members = groups[prefix]
-            by_value: dict = {}
-            for idx in members:
-                by_value.setdefault(tuples[idx][i], []).append(idx)
-            for a in sorted(by_value):
-                for b in sorted(by_value):
-                    key = (i + 1, a, b)
-                    if key not in index:
-                        index[key] = (by_value[a][0], by_value[b][0])
-        next_groups: dict = {}
-        for prefix, members in groups.items():
-            for idx in members:
-                next_groups.setdefault(prefix + (tuples[idx][i],), []).append(idx)
-        groups = next_groups
-    return index
 
 
 def maltsev_chain_member(alg: FiniteAlgebra, rep: EnumeratedCompactRep,
@@ -218,11 +190,8 @@ def maltsev_chain_member(alg: FiniteAlgebra, rep: EnumeratedCompactRep,
     if len(target) != k:
         raise AlgebraError("target length differs from representation")
     forks = _fork_index(tuples)
-    start = None
-    for idx in sorted(range(len(tuples)), key=lambda j: tuples[j]):
-        if tuples[idx][0] == target[0]:
-            start = idx
-            break
+    # the lexicographically first entry with the target's first value
+    start, _ = forks.get((1, target[0], target[0]), (None, None))
     if start is None:
         return None
 
@@ -238,11 +207,9 @@ def maltsev_chain_member(alg: FiniteAlgebra, rep: EnumeratedCompactRep,
         idx_b, idx_a = witness
         current = maltsev_fold(alg, current, tuples[idx_b], tuples[idx_a])
         steps.append((i, idx_b, idx_a))
-        if node is not None:
-            nb = rep.entries[idx_b][1]
-            na = rep.entries[idx_a][1]
-            node = (None if nb is None or na is None
-                    else rep.bank.splice(alg.maltsev, [node, nb, na]))
+        nb, na = rep.entries[idx_b][1], rep.entries[idx_a][1]
+        node = None if None in (node, nb, na) else \
+            rep.bank.splice(alg.maltsev, [node, nb, na])
     if current != target:
         return None
     return Chain(start=start, steps=steps, value=current, node=node)
@@ -341,19 +308,16 @@ def fix_block(alg: FiniteAlgebra, rep: EnumeratedCompactRep, block,
         for (x, y), pnode in sorted(pairs.items()):
             if x in block and y not in reachable:
                 reachable[y] = pnode
-        for (i, a, b), (idx_a, idx_b) in sorted(forks.items()):
+        for (i, a, b), (idx_a, idx_b) in forks.items():
             if i != j + 1 or a == b or a not in reachable:
                 continue
             pnode = reachable[a]
             t_val = materialize(pnode)
             emit(t_val, pnode)
             s_val = maltsev_fold(alg, t_val, tuples[idx_a], tuples[idx_b])
-            s_node = rep.bank.splice(alg.maltsev,
-                                     [pnode, rep.entries[idx_a][1],
-                                      rep.entries[idx_b][1]]) \
-                if rep.entries[idx_a][1] is not None \
-                and rep.entries[idx_b][1] is not None and pnode is not None \
-                else None
+            na, nb = rep.entries[idx_a][1], rep.entries[idx_b][1]
+            s_node = None if None in (pnode, na, nb) else \
+                rep.bank.splice(alg.maltsev, [pnode, na, nb])
             emit(s_val, s_node)
     return out
 

@@ -12,9 +12,11 @@ to plain subgroup generators of L^k.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
+from types import MappingProxyType
 
 import numpy as np
 
@@ -28,15 +30,23 @@ class WreathSpecError(AlgebraError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class WreathSpec:
-    """Affine left part, prime-order right part, and hat shift tables."""
+    """Affine left part, prime-order right part, and hat shift tables.
+
+    Frozen, and ``hat`` is copied into a read-only mapping of tuples, so
+    the algebra and solver context cached on a spec cannot go stale.
+    """
 
     left: FiniteAlgebra
     left_group: AbelianGroupSpec
     right: FiniteAlgebra
-    hat: dict
+    hat: Mapping
     maltsev: Circuit
+
+    def __post_init__(self):
+        object.__setattr__(self, "hat", MappingProxyType(
+            {sym: tuple(table) for sym, table in self.hat.items()}))
 
     @property
     def p(self) -> int:

@@ -56,3 +56,19 @@ def test_bank_splice_and_extract():
     assert n1 == n1_again
     ext = bank.extract(n2)
     assert ext.size == 5  # three vars + two gates
+
+
+def test_bank_splice_rejects_bad_leaves():
+    c = parse_sexpr("(m x1 x2 x3)")
+    bank = CircuitBank(3)
+    leaves = [bank.var(1), bank.var(2), bank.var(3)]
+    size = len(bank)
+    with pytest.raises(CircuitError):
+        bank.splice(c, [leaves[0], leaves[1], size])      # out of range
+    with pytest.raises(CircuitError):
+        bank.splice(c, [leaves[0], -1, leaves[2]])        # negative
+    with pytest.raises(CircuitError):
+        bank.splice(c, leaves[:2])                        # wrong count
+    with pytest.raises(CircuitError):
+        bank.splice(c, leaves + [leaves[0]])
+    assert len(bank) == size                              # nothing added

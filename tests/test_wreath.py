@@ -56,6 +56,33 @@ def test_build_wreath_rejects_bad_hat():
         build_wreath(spec)
 
 
+def test_wreath_spec_is_frozen():
+    # a mutated spec would keep serving its cached algebra and context
+    from dataclasses import FrozenInstanceError
+
+    from subpower.catalog import a6
+    from subpower.solver import wreath_context
+    spec = a6()
+    wreath_context(spec)
+    table = spec.algebra.op("m").table
+    with pytest.raises(TypeError):
+        spec.hat["m"] = (0,) * 8
+    with pytest.raises(FrozenInstanceError):
+        spec.hat = {"m": (0,) * 8}
+    assert spec.hat["m"] == a6().hat["m"]
+    assert spec.algebra.op("m").table == table
+
+
+def test_wreath_spec_copies_hat():
+    left, left_group = zmod_algebra(3)
+    right, _ = zmod_algebra(2)
+    hat = {"m": [0] * 8}
+    spec = WreathSpec(left=left, left_group=left_group, right=right,
+                      hat=hat, maltsev=parse_sexpr("(m x1 x2 x3)"))
+    hat["m"][0] = 1
+    assert spec.hat["m"] == (0,) * 8
+
+
 def test_companion_eval_projection(a6_spec):
     from subpower.circuits import variable
     c = variable(1, 2)
