@@ -40,6 +40,7 @@ a first-occurrence dedupe, and one ``unembed_array``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -264,7 +265,16 @@ def _unit_scale(a: int, m: int) -> int:
 
 
 class Echelon:
-    """Howell-form row space over Z_m with optional generator bookkeeping."""
+    """Howell-form row space over Z_m with optional generator bookkeeping.
+
+    Elimination is sequential, one pivot at a time, because the tracked
+    coefficients are part of the witnesses.  Each row is stored augmented
+    with its coefficient row, so one elimination step is one fused update;
+    ``rows`` and ``coeffs`` are lists of views into the augmented rows.  A
+    stored array is never written after it is made (a replaced or
+    canonicalized row is a new array), so row lists handed out stay valid
+    while more vectors are inserted.
+    """
 
     def __init__(self, m: int, width: int, track: int | None = None):
         if m < 1:
@@ -273,13 +283,43 @@ class Echelon:
         self.width = width
         self.track = track
         self.rows: list[np.ndarray] = []
-        self.coeffs: list[np.ndarray] = []
+        self.coeffs: list[np.ndarray | None] = []
         self.pivots: dict[int, int] = {}
         self._gen_count = 0
+        self._aug: list[np.ndarray] = []     # row, then its coefficients
+        # per row: (d, m // d, inverse of a / d mod m / d), a the pivot entry
+        # and d = gcd(a, m)
+        self._div: list[tuple[int, int, int]] = []
+        self._order: list[int] | None = None  # sorted pivot columns
 
-    def _lead(self, v: np.ndarray) -> int | None:
-        nz = np.flatnonzero(v)
-        return int(nz[0]) if len(nz) else None
+    def _vector(self, v) -> np.ndarray:
+        w = np.asarray(v, dtype=np.int64)
+        if w.shape != (self.width,):
+            raise AlgebraError("vector width mismatch")
+        return w % self.m
+
+    def _set_row(self, ridx: int, col: int, aug: np.ndarray) -> None:
+        m, width = self.m, self.width
+        a = int(aug[col])
+        d = math.gcd(a, m)
+        div = (d, m // d, pow(a // d, -1, m // d))
+        row = aug[:width]
+        coeff = None if self.track is None else aug[width:]
+        if ridx == len(self._aug):
+            self._aug.append(aug)
+            self.rows.append(row)
+            self.coeffs.append(coeff)
+            self._div.append(div)
+        else:
+            self._aug[ridx] = aug
+            self.rows[ridx] = row
+            self.coeffs[ridx] = coeff
+            self._div[ridx] = div
+
+    def _pivot_order(self) -> list[int]:
+        if self._order is None:
+            self._order = sorted(self.pivots)
+        return self._order
 
     def unit_coeff(self) -> np.ndarray | None:
         if self.track is None:
@@ -292,121 +332,120 @@ class Echelon:
 
     def insert(self, v, coeff: np.ndarray | None = None) -> bool:
         """Add a generator; returns True when the span grew."""
-        m = self.m
-        v = np.asarray(v, dtype=np.int64) % m
-        if len(v) != self.width:
-            raise AlgebraError("vector width mismatch")
-        if self.track is not None and coeff is None:
-            coeff = self.unit_coeff()
+        m, width = self.m, self.width
+        w = self._vector(v)
+        if self.track is None:
+            if coeff is not None:
+                raise AlgebraError("coefficients need a tracked echelon")
+        else:
+            if coeff is None:
+                coeff = self.unit_coeff()
+            coeff = np.asarray(coeff, dtype=np.int64)
+            if coeff.shape != (self.track,):
+                raise AlgebraError("coefficient width mismatch")
+            w = np.concatenate([w, coeff % m])
         self._gen_count += 1
+        pivots, augs, divs = self.pivots, self._aug, self._div
         grew = False
-        queue = [(v, coeff)]
+        queue = [w]
         while queue:
-            w, wc = queue.pop()
-            w = w % m
-            col = self._lead(w)
-            while col is not None:
-                ridx = self.pivots.get(col)
+            w = queue.pop()
+            nz = w[:width].nonzero()[0]
+            while len(nz):
+                col = int(nz[0])
+                ridx = pivots.get(col)
                 if ridx is None:
-                    self.pivots[col] = len(self.rows)
-                    self.rows.append(w)
-                    self.coeffs.append(wc if wc is not None else None)
+                    ridx = pivots[col] = len(augs)
+                    self._order = None
+                    self._set_row(ridx, col, w)
                     grew = True
-                    ann = m // math.gcd(int(w[col]), m)
-                    aw = (ann * w) % m
-                    if aw.any():
-                        queue.append((aw, None if wc is None else (ann * wc) % m))
+                    self._queue_annihilator(queue, ridx)
                     break
-                p = self.rows[ridx]
-                pc = self.coeffs[ridx]
-                a, b = int(p[col]), int(w[col])
-                d = math.gcd(a, m)
+                p = augs[ridx]
+                d, mp, inv = divs[ridx]
+                b = int(w[col])
                 if b % d == 0:
-                    mp = m // d
-                    q = (b // d) * pow(a // d, -1, mp) % mp if mp > 1 else 0
-                    w = (w - q * p) % m
-                    if wc is not None:
-                        wc = (wc - q * pc) % m
+                    w = w - (b // d) * inv % mp * p
+                    np.remainder(w, m, out=w)
                 else:
+                    a = int(p[col])
                     g, s, t = _egcd(a, b)
-                    newp = (s * p + t * w) % m
-                    neww = ((a // g) * w - (b // g) * p) % m
-                    self.rows[ridx] = newp
-                    if pc is not None and wc is not None:
-                        self.coeffs[ridx] = (s * pc + t * wc) % m
-                        wc = ((a // g) * wc - (b // g) * pc) % m
+                    newp = s * p + t * w
+                    np.remainder(newp, m, out=newp)
+                    w = (a // g) * w - (b // g) * p
+                    np.remainder(w, m, out=w)
+                    self._set_row(ridx, col, newp)
                     grew = True
-                    ann = m // math.gcd(int(newp[col]), m)
-                    anp = (ann * newp) % m
-                    if anp.any():
-                        npc = self.coeffs[ridx]
-                        queue.append((anp, None if npc is None else (ann * npc) % m))
-                    w = neww
-                col = self._lead(w)
+                    self._queue_annihilator(queue, ridx)
+                nz = w[:width].nonzero()[0]
         return grew
+
+    def _queue_annihilator(self, queue: list, ridx: int) -> None:
+        # (m / d) * row kills the pivot entry; Howell form needs the rest
+        ann = self._div[ridx][1]
+        if ann < self.m:
+            aw = ann * self._aug[ridx]
+            np.remainder(aw, self.m, out=aw)
+            if aw[:self.width].any():
+                queue.append(aw)
+
+    def _eliminate(self, w: np.ndarray, rows: list, strict: bool):
+        """Reduce w by the pivot rows in column order.  A pivot row is zero
+        before its column, so an entry at a pivot it cannot clear stays:
+        with ``strict``, return None there."""
+        m, pivots, divs = self.m, self.pivots, self._div
+        for col in self._pivot_order():
+            b = int(w[col])
+            if b:
+                ridx = pivots[col]
+                d, mp, inv = divs[ridx]
+                if b % d == 0:
+                    w = w - (b // d) * inv % mp * rows[ridx]
+                    np.remainder(w, m, out=w)
+                elif strict:
+                    return None
+        return w
 
     def reduce(self, v) -> tuple[np.ndarray, np.ndarray | None]:
         """Residue of v modulo the span, plus combination coefficients."""
-        m = self.m
-        w = np.asarray(v, dtype=np.int64) % m
-        used = None
-        if self.track is not None:
-            used = np.zeros(self.track, dtype=np.int64)
-        for col in sorted(self.pivots):
-            b = int(w[col])
-            if b == 0:
-                continue
-            ridx = self.pivots[col]
-            a = int(self.rows[ridx][col])
-            d = math.gcd(a, m)
-            if b % d:
-                continue
-            mp = m // d
-            q = (b // d) * pow(a // d, -1, mp) % mp if mp > 1 else 0
-            w = (w - q * self.rows[ridx]) % m
-            if used is not None and self.coeffs[ridx] is not None:
-                used = (used + q * self.coeffs[ridx]) % m
-        return w, used
+        w = self._vector(v)
+        if self.track is None:
+            return self._eliminate(w, self.rows, strict=False), None
+        # the coefficient part accumulates minus the combination
+        w = self._eliminate(np.concatenate([w, np.zeros(self.track, np.int64)]),
+                            self._aug, strict=False)
+        return w[:self.width], (-w[self.width:]) % self.m
 
     def contains(self, v) -> bool:
-        residue, _ = self.reduce(v)
-        return not residue.any()
+        w = self._eliminate(self._vector(v), self.rows, strict=True)
+        return w is not None and not w.any()
 
     def canonicalize(self) -> None:
         """Unit-normalize pivots, clear entries above them, sort rows."""
         m = self.m
-        for col in sorted(self.pivots):
-            ridx = self.pivots[col]
-            a = int(self.rows[ridx][col])
-            u = _unit_scale(a, m)
-            self.rows[ridx] = (u * self.rows[ridx]) % m
-            if self.coeffs[ridx] is not None:
-                self.coeffs[ridx] = (u * self.coeffs[ridx]) % m
-        for col in sorted(self.pivots):
-            ridx = self.pivots[col]
-            d = int(self.rows[ridx][col])
-            for other_col, oidx in self.pivots.items():
-                if oidx == ridx or other_col >= col:
-                    continue
-                row = self.rows[oidx]
-                q = int(row[col]) // d
-                if q:
-                    self.rows[oidx] = (row - q * self.rows[ridx]) % m
-                    if self.coeffs[oidx] is not None and self.coeffs[ridx] is not None:
-                        self.coeffs[oidx] = (self.coeffs[oidx]
-                                             - q * self.coeffs[ridx]) % m
-        order = sorted(self.pivots)
-        rows = [self.rows[self.pivots[c]] for c in order]
-        coeffs = [self.coeffs[self.pivots[c]] for c in order]
-        self.rows, self.coeffs = rows, coeffs
+        order = self._pivot_order()
+        if not order:
+            return
+        aug = np.array([self._aug[self.pivots[c]] for c in order],
+                       dtype=np.int64)
+        units = [_unit_scale(int(row[c]), m) for row, c in zip(aug, order)]
+        aug *= np.asarray(units, dtype=np.int64)[:, None]
+        np.remainder(aug, m, out=aug)
+        # rows before j have earlier pivots; row j is final once reached
+        for j, col in enumerate(order):
+            q = aug[:j, col] // aug[j, col]
+            hit = q.nonzero()[0]
+            if len(hit):
+                aug[hit] = (aug[hit] - q[hit, None] * aug[j]) % m
+        self._aug, self.rows, self.coeffs, self._div = [], [], [], []
+        for ridx, (col, row) in enumerate(zip(order, aug)):
+            self._set_row(ridx, col, row)
         self.pivots = {c: i for i, c in enumerate(order)}
 
     def span_size(self) -> int:
         total = 1
-        m = self.m
-        for col, ridx in self.pivots.items():
-            a = int(self.rows[ridx][col])
-            total *= m // math.gcd(a, m)
+        for _, mp, _ in self._div:
+            total *= mp
         return total
 
     def tail_rows(self, start_col: int) -> list[int]:
@@ -415,7 +454,8 @@ class Echelon:
         By the Howell property these generate every span element vanishing
         before start_col.
         """
-        return [self.pivots[c] for c in sorted(self.pivots) if c >= start_col]
+        order = self._pivot_order()
+        return [self.pivots[c] for c in order[bisect_left(order, start_col):]]
 
 
 def subgroup_member(group: AbelianGroupSpec, gens, target):
@@ -547,7 +587,7 @@ class AffineSubpowerRep:
     base_node: int
     bank: CircuitBank
     raw: list = field(default_factory=list)   # (flat_vec, plus_node, minus_node)
-    echelon: Echelon | None = None
+    echelon: Echelon | None = None   # span of raw, not canonicalized
     tuples_materialized: int = 0
     _tracked: Echelon | None = None
     _raw_rows: np.ndarray | None = None
@@ -652,7 +692,6 @@ def affine_span(alg: FiniteAlgebra, group: AbelianGroupSpec, gens,
                 queue.append((img,
                               bank.app(spec.symbol, tuple(up)),
                               bank.app(spec.symbol, tuple(down))))
-    rep.echelon.canonicalize()
     return rep
 
 

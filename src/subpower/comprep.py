@@ -292,9 +292,15 @@ def fix_block(alg: FiniteAlgebra, rep: EnumeratedCompactRep, block,
             emitted.add(tup)
             out.add(tup, node)
 
+    values: dict = {}
+
     def materialize(node):
-        vals = eval_nodes(alg, rep.bank, [node], args)[node]
-        return tuple(int(v) for v in vals)
+        # the same pair node recurs across fork triples: evaluate it once
+        got = values.get(node)
+        if got is None:
+            got = values[node] = tuple(
+                eval_nodes(alg, rep.bank, [node], args)[node].tolist())
+        return got
 
     # realize every block value occurring at the fixed coordinate
     self_pairs = _pair_closure(alg, rep, c, c)

@@ -113,57 +113,76 @@ def _check_tuples(alg: FiniteAlgebra, tuples) -> int:
     return k
 
 
+def _needed(gates, targets) -> list[int]:
+    """The gates the targets depend on, in increasing id order, which is
+    children first in a bank and in a circuit."""
+    need = set()
+    stack = list(targets)
+    while stack:
+        cur = stack.pop()
+        if cur not in need:
+            need.add(cur)
+            gate = gates[cur]
+            if gate[0] != "x":
+                stack.extend(gate[1:])
+    return sorted(need)
+
+
+def _evaluate(alg: FiniteAlgebra, gates, order, mats, length: int) -> dict:
+    """{gate: values} for the gates in ``order``, one pass, children first;
+    ``mats`` holds one int64 array per input variable."""
+    size = alg.size
+    ops: dict = {}
+    val: dict = {}
+    for node in order:
+        gate = gates[node]
+        symbol = gate[0]
+        if symbol == "x":
+            val[node] = mats[gate[1] - 1]
+            continue
+        got = ops.get(symbol)
+        if got is None:
+            got = ops[symbol] = (alg.op(symbol).arity,
+                                 alg.table(symbol).astype(np.int64))
+        arity, table = got
+        if len(gate) - 1 != arity:
+            raise AlgebraError(f"{symbol}: gate arity mismatch")
+        if arity == 0:
+            val[node] = np.full(length, table[0], dtype=np.int64)
+        elif arity == 1:
+            val[node] = table[val[gate[1]]]
+        else:
+            idx = val[gate[1]] * size + val[gate[2]]
+            for child in gate[3:]:
+                idx = idx * size + val[child]
+            val[node] = table[idx]
+    return val
+
+
 def eval_nodes(alg: FiniteAlgebra, bank: CircuitBank, nodes, args) -> dict:
     """Evaluate bank nodes coordinate-wise on ``args`` (one array per input).
 
-    Returns {node: np.ndarray}.  Evaluation is memoized across the requested
-    nodes, so shared gates are computed once.
+    Returns {node: np.ndarray}.  The gates the nodes need are collected
+    first and evaluated once each in increasing node id, so shared gates
+    are computed once.
     """
     if len(args) != bank.arity:
         raise AlgebraError(
             f"circuit arity {bank.arity} but {len(args)} argument tuples given")
     mats = [np.asarray(a, dtype=np.int64) for a in args]
     length = len(mats[0]) if mats else 1
-    memo: dict[int, np.ndarray] = {}
+    val = _evaluate(alg, bank.gates, _needed(bank.gates, nodes), mats, length)
+    return {node: val[node] for node in nodes}
 
-    def ev(node: int) -> np.ndarray:
-        got = memo.get(node)
-        if got is not None:
-            return got
-        gate = bank.gates[node]
-        if gate[0] == "x":
-            val = mats[gate[1] - 1]
-        else:
-            op = alg.op(gate[0])
-            children = gate[1:]
-            if len(children) != op.arity:
-                raise AlgebraError(f"{gate[0]}: gate arity mismatch")
-            if op.arity == 0:
-                val = np.full(length, op.table[0], dtype=np.int64)
-            else:
-                idx = ev(children[0]).astype(np.int64)
-                for c in children[1:]:
-                    idx = idx * alg.size + ev(c)
-                val = alg.table(gate[0])[idx].astype(np.int64)
-        memo[node] = val
-        return val
 
-    # iterative pre-pass to avoid deep recursion on chain circuits
-    for target in nodes:
-        stack = [target]
-        while stack:
-            cur = stack[-1]
-            if cur in memo:
-                stack.pop()
-                continue
-            gate = bank.gates[cur]
-            pending = [c for c in gate[1:] if c not in memo] if gate[0] != "x" else []
-            if pending:
-                stack.extend(pending)
-            else:
-                ev(cur)
-                stack.pop()
-    return {node: memo[node] for node in nodes}
+def _circuit_values(alg: FiniteAlgebra, circuit: Circuit, mats,
+                    length: int) -> tuple:
+    """``eval_circuit`` on arguments already checked and held as int64
+    arrays, one per input (``length`` is their common length)."""
+    out = _evaluate(alg, circuit.gates,
+                    _needed(circuit.gates, [circuit.output]), mats,
+                    length)[circuit.output]
+    return tuple(out.tolist())
 
 
 def eval_circuit(alg: FiniteAlgebra, circuit: Circuit, args) -> tuple:
@@ -176,13 +195,8 @@ def eval_circuit(alg: FiniteAlgebra, circuit: Circuit, args) -> tuple:
         k = len(args[0])
     else:
         k = 1
-    bank = CircuitBank(circuit.arity)
-    node = bank.splice(circuit, [bank.var(i + 1) for i in range(circuit.arity)])
-    vals = eval_nodes(alg, bank, [node], [np.asarray(a) for a in args] or [])
-    out = vals[node]
-    if np.ndim(out) == 0:
-        out = np.full(k, int(out))
-    return tuple(int(v) for v in out)
+    return _circuit_values(alg, circuit,
+                           [np.asarray(a, dtype=np.int64) for a in args], k)
 
 
 def verify_maltsev(alg: FiniteAlgebra, circuit: Circuit | None = None) -> bool:

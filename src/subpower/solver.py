@@ -32,7 +32,8 @@ from .affine import (AbelianGroupSpec, Echelon, affine_closure_comprep,
 from .circuits import parse_sexpr, serialize_sexpr
 from .comprep import (EnumeratedCompactRep, maltsev_chain_member,
                       maltsev_fold, thin_to_compact)
-from .core import (AlgebraError, FiniteAlgebra, eval_circuit, eval_nodes,
+from .core import (AlgebraError, FiniteAlgebra, _check_tuples,
+                   _circuit_values, eval_circuit, eval_nodes,
                    smp_oracle, verify_central)
 from .wreath import (ClonoidGenSet, WreathSpec, clonoid_image_comprep,
                      diff_clonoid_gens)
@@ -429,7 +430,8 @@ def compute_comprep(algebra_input, generators, *, allow_oracle: bool = False,
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
 
 
 def _witness_row(values, k: int, size: int) -> tuple:
@@ -483,12 +485,14 @@ def _rederive(algebra_input, inst: SmpInstance, w: dict) -> bool:
         group = spec.left_group
         m = group.exponent
         p = spec.p
+        _check_tuples(alg, args)
+        mats = [np.asarray(a, dtype=np.int64) for a in args]
 
         def member(part) -> np.ndarray:
             # a product element tuple its circuit must reproduce
             value = _witness_row(part["value"], k, spec.size)
             circuit = parse_sexpr(part["circuit"], arity=inst.n)
-            if eval_circuit(alg, circuit, args) != value:
+            if _circuit_values(alg, circuit, mats, k) != value:
                 raise AlgebraError("witness circuit misses its value")
             return np.asarray(value, dtype=np.int64)
 

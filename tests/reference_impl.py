@@ -1,15 +1,18 @@
-"""Pure-Python reference versions of the prefix walk, the fork builder and
-circuit splicing.
+"""Pure-Python reference versions of the prefix walk, the fork builder,
+circuit splicing, the echelon and bank evaluation.
 
 These are the straightforward implementations the array code in
-``subpower.comprep`` and ``subpower.affine`` and the compiled
-``CircuitBank.splice`` replaced; the differential tests check the library
-against them, output for output.
+``subpower.comprep``, ``subpower.affine`` and ``subpower.core`` and the
+compiled ``CircuitBank.splice`` replaced; the differential tests check the
+library against them, output for output.
 """
+
+import math
 
 import numpy as np
 
 from subpower.affine import AbelianGroupSpec, Echelon, element_rows
+from subpower.core import AlgebraError
 
 
 def signature(tuples) -> set:
@@ -183,3 +186,232 @@ def splice(bank, circuit, leaves) -> int:
         else:
             mapped.append(bank.app(gate[0], tuple(mapped[c] for c in gate[1:])))
     return mapped[circuit.output]
+
+
+def _egcd(a: int, b: int):
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
+
+
+def _unit_scale(a: int, m: int) -> int:
+    """A unit u mod m with u*a == gcd(a, m) mod m."""
+    d = math.gcd(a, m)
+    ap, mp = a // d, m // d
+    s = pow(ap, -1, mp) if mp > 1 else 1
+    for j in range(d + 1):
+        cand = (s + j * mp) % m
+        if cand and math.gcd(cand, m) == 1:
+            return cand
+    raise AssertionError("no unit scaling found")  # unreachable
+
+
+class ReferenceEchelon:
+    """The sequential Echelon with separate row and coefficient arrays and
+    a full pivot walk in ``reduce``/``contains``."""
+
+    def __init__(self, m: int, width: int, track: int | None = None):
+        if m < 1:
+            raise AlgebraError("modulus must be positive")
+        self.m = m
+        self.width = width
+        self.track = track
+        self.rows: list[np.ndarray] = []
+        self.coeffs: list[np.ndarray] = []
+        self.pivots: dict[int, int] = {}
+        self._gen_count = 0
+
+    def _lead(self, v: np.ndarray) -> int | None:
+        nz = np.flatnonzero(v)
+        return int(nz[0]) if len(nz) else None
+
+    def unit_coeff(self) -> np.ndarray | None:
+        if self.track is None:
+            return None
+        c = np.zeros(self.track, dtype=np.int64)
+        if self._gen_count >= self.track:
+            raise AlgebraError("more generators than the tracking width")
+        c[self._gen_count] = 1
+        return c
+
+    def insert(self, v, coeff: np.ndarray | None = None) -> bool:
+        """Add a generator; returns True when the span grew."""
+        m = self.m
+        v = np.asarray(v, dtype=np.int64) % m
+        if len(v) != self.width:
+            raise AlgebraError("vector width mismatch")
+        if self.track is not None and coeff is None:
+            coeff = self.unit_coeff()
+        self._gen_count += 1
+        grew = False
+        queue = [(v, coeff)]
+        while queue:
+            w, wc = queue.pop()
+            w = w % m
+            col = self._lead(w)
+            while col is not None:
+                ridx = self.pivots.get(col)
+                if ridx is None:
+                    self.pivots[col] = len(self.rows)
+                    self.rows.append(w)
+                    self.coeffs.append(wc if wc is not None else None)
+                    grew = True
+                    ann = m // math.gcd(int(w[col]), m)
+                    aw = (ann * w) % m
+                    if aw.any():
+                        queue.append((aw, None if wc is None else (ann * wc) % m))
+                    break
+                p = self.rows[ridx]
+                pc = self.coeffs[ridx]
+                a, b = int(p[col]), int(w[col])
+                d = math.gcd(a, m)
+                if b % d == 0:
+                    mp = m // d
+                    q = (b // d) * pow(a // d, -1, mp) % mp if mp > 1 else 0
+                    w = (w - q * p) % m
+                    if wc is not None:
+                        wc = (wc - q * pc) % m
+                else:
+                    g, s, t = _egcd(a, b)
+                    newp = (s * p + t * w) % m
+                    neww = ((a // g) * w - (b // g) * p) % m
+                    self.rows[ridx] = newp
+                    if pc is not None and wc is not None:
+                        self.coeffs[ridx] = (s * pc + t * wc) % m
+                        wc = ((a // g) * wc - (b // g) * pc) % m
+                    grew = True
+                    ann = m // math.gcd(int(newp[col]), m)
+                    anp = (ann * newp) % m
+                    if anp.any():
+                        npc = self.coeffs[ridx]
+                        queue.append((anp, None if npc is None else (ann * npc) % m))
+                    w = neww
+                col = self._lead(w)
+        return grew
+
+    def reduce(self, v) -> tuple[np.ndarray, np.ndarray | None]:
+        """Residue of v modulo the span, plus combination coefficients."""
+        m = self.m
+        w = np.asarray(v, dtype=np.int64) % m
+        used = None
+        if self.track is not None:
+            used = np.zeros(self.track, dtype=np.int64)
+        for col in sorted(self.pivots):
+            b = int(w[col])
+            if b == 0:
+                continue
+            ridx = self.pivots[col]
+            a = int(self.rows[ridx][col])
+            d = math.gcd(a, m)
+            if b % d:
+                continue
+            mp = m // d
+            q = (b // d) * pow(a // d, -1, mp) % mp if mp > 1 else 0
+            w = (w - q * self.rows[ridx]) % m
+            if used is not None and self.coeffs[ridx] is not None:
+                used = (used + q * self.coeffs[ridx]) % m
+        return w, used
+
+    def contains(self, v) -> bool:
+        residue, _ = self.reduce(v)
+        return not residue.any()
+
+    def canonicalize(self) -> None:
+        """Unit-normalize pivots, clear entries above them, sort rows."""
+        m = self.m
+        for col in sorted(self.pivots):
+            ridx = self.pivots[col]
+            a = int(self.rows[ridx][col])
+            u = _unit_scale(a, m)
+            self.rows[ridx] = (u * self.rows[ridx]) % m
+            if self.coeffs[ridx] is not None:
+                self.coeffs[ridx] = (u * self.coeffs[ridx]) % m
+        for col in sorted(self.pivots):
+            ridx = self.pivots[col]
+            d = int(self.rows[ridx][col])
+            for other_col, oidx in self.pivots.items():
+                if oidx == ridx or other_col >= col:
+                    continue
+                row = self.rows[oidx]
+                q = int(row[col]) // d
+                if q:
+                    self.rows[oidx] = (row - q * self.rows[ridx]) % m
+                    if self.coeffs[oidx] is not None and self.coeffs[ridx] is not None:
+                        self.coeffs[oidx] = (self.coeffs[oidx]
+                                             - q * self.coeffs[ridx]) % m
+        order = sorted(self.pivots)
+        rows = [self.rows[self.pivots[c]] for c in order]
+        coeffs = [self.coeffs[self.pivots[c]] for c in order]
+        self.rows, self.coeffs = rows, coeffs
+        self.pivots = {c: i for i, c in enumerate(order)}
+
+    def span_size(self) -> int:
+        total = 1
+        m = self.m
+        for col, ridx in self.pivots.items():
+            a = int(self.rows[ridx][col])
+            total *= m // math.gcd(a, m)
+        return total
+
+    def tail_rows(self, start_col: int) -> list[int]:
+        """Row indices with pivot at or after start_col.
+
+        By the Howell property these generate every span element vanishing
+        before start_col.
+        """
+        return [self.pivots[c] for c in sorted(self.pivots) if c >= start_col]
+
+
+def eval_nodes(alg, bank, nodes, args) -> dict:
+    """The recursive memoized evaluator with a DFS pre-pass."""
+    if len(args) != bank.arity:
+        raise AlgebraError(
+            f"circuit arity {bank.arity} but {len(args)} argument tuples given")
+    mats = [np.asarray(a, dtype=np.int64) for a in args]
+    length = len(mats[0]) if mats else 1
+    memo: dict[int, np.ndarray] = {}
+
+    def ev(node: int) -> np.ndarray:
+        got = memo.get(node)
+        if got is not None:
+            return got
+        gate = bank.gates[node]
+        if gate[0] == "x":
+            val = mats[gate[1] - 1]
+        else:
+            op = alg.op(gate[0])
+            children = gate[1:]
+            if len(children) != op.arity:
+                raise AlgebraError(f"{gate[0]}: gate arity mismatch")
+            if op.arity == 0:
+                val = np.full(length, op.table[0], dtype=np.int64)
+            else:
+                idx = ev(children[0]).astype(np.int64)
+                for c in children[1:]:
+                    idx = idx * alg.size + ev(c)
+                val = alg.table(gate[0])[idx].astype(np.int64)
+        memo[node] = val
+        return val
+
+    # iterative pre-pass to avoid deep recursion on chain circuits
+    for target in nodes:
+        stack = [target]
+        while stack:
+            cur = stack[-1]
+            if cur in memo:
+                stack.pop()
+                continue
+            gate = bank.gates[cur]
+            pending = [c for c in gate[1:] if c not in memo] if gate[0] != "x" else []
+            if pending:
+                stack.extend(pending)
+            else:
+                ev(cur)
+                stack.pop()
+    return {node: memo[node] for node in nodes}
