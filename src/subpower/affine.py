@@ -612,14 +612,14 @@ class AffineSubpowerRep:
         return self._raw_rows
 
     def member_node(self, raw_coeffs) -> int:
-        """Circuit for base + sum coeff_j * raw_j via Mal'tsev chaining."""
-        node = self.base_node
-        splice, maltsev = self.bank.splice, self.alg.maltsev
+        """Circuit for base + sum coeff_j * raw_j via Mal'tsev chaining:
+        coeff_j steps m(plus_j, minus_j, node) per difference, in order,
+        made by one ``CircuitBank.chain`` call."""
         coeffs = np.asarray(raw_coeffs, dtype=np.int64) % self.group.exponent
+        steps = []
         for (_, plus, minus), c in zip(self.raw, coeffs.tolist(), strict=True):
-            for _ in range(c):
-                node = splice(maltsev, [plus, minus, node])
-        return node
+            steps += [(plus, minus)] * c
+        return self.bank.chain(self.alg.maltsev, self.base_node, steps, 2)
 
     def member_flat(self, raw_coeffs) -> np.ndarray:
         """Embedded base + sum coeff_j * raw_j (a row per coefficient row)."""
@@ -775,10 +775,9 @@ def _first_rows(flats: np.ndarray) -> list:
     return list(first.values())
 
 
-def coset_compact_rep(rep: AffineSubpowerRep):
-    """Compact representation (with circuits) of the coset base + <raw>."""
-    from .comprep import EnumeratedCompactRep
-
+def coset_members(rep: AffineSubpowerRep) -> tuple[list, np.ndarray]:
+    """Compact-representation tuples of the coset base + <raw>, without
+    circuits, and the raw-coefficient row of each (``member_node`` input)."""
     m = rep.group.exponent
     ech = rep.tracked_echelon()
     nraw = len(rep.raw)
@@ -789,10 +788,18 @@ def coset_compact_rep(rep: AffineSubpowerRep):
     first = _first_rows(flats)
     rep.tuples_materialized += len(first)
     tuples = rep.group.unembed_array(flats[first]).tolist()
+    return [tuple(t) for t in tuples], raw_c[first]
+
+
+def coset_compact_rep(rep: AffineSubpowerRep):
+    """Compact representation (with circuits) of the coset base + <raw>:
+    ``coset_members`` plus one ``member_node`` per entry, in entry order."""
+    from .comprep import EnumeratedCompactRep
+
+    tuples, raw_c = coset_members(rep)
     return EnumeratedCompactRep(
         rep.generators,
-        [(tuple(t), rep.member_node(raw_c[j])) for t, j in zip(tuples, first)],
-        rep.bank)
+        [(t, rep.member_node(c)) for t, c in zip(tuples, raw_c)], rep.bank)
 
 
 def affine_closure_comprep(alg: FiniteAlgebra, group: AbelianGroupSpec, gens,

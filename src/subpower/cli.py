@@ -13,6 +13,7 @@ import json
 import sys
 
 from .affine import verify_affine
+from .circuits import CircuitError
 from .comprep import fix_values
 from .core import (AlgebraError, ClosureCapExceeded, maltsev_counterexample,
                    smp_oracle)
@@ -226,7 +227,7 @@ def main(argv=None) -> int:
     except ClosureCapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (UnsupportedAlgebraError, AlgebraError) as e:
+    except (UnsupportedAlgebraError, AlgebraError, CircuitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except FileNotFoundError as e:

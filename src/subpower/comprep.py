@@ -180,7 +180,8 @@ def maltsev_chain_member(alg: FiniteAlgebra, rep: EnumeratedCompactRep,
     Walks the coordinates, folding in a fork witness pair with the Mal'tsev
     operation at every disagreement.  Requires `rep` to be a genuine compact
     representation of its subpower; returns None exactly when the target is
-    outside.
+    outside.  The walk is decided on the tuples alone; the chain's circuit
+    (``Chain.node``) is built afterwards when every entry it uses has one.
     """
     target = tuple(target)
     tuples = rep.tuples()
@@ -196,7 +197,6 @@ def maltsev_chain_member(alg: FiniteAlgebra, rep: EnumeratedCompactRep,
         return None
 
     current = tuples[start]
-    node = rep.entries[start][1]
     steps = []
     for i in range(2, k + 1):
         if current[i - 1] == target[i - 1]:
@@ -207,12 +207,24 @@ def maltsev_chain_member(alg: FiniteAlgebra, rep: EnumeratedCompactRep,
         idx_b, idx_a = witness
         current = maltsev_fold(alg, current, tuples[idx_b], tuples[idx_a])
         steps.append((i, idx_b, idx_a))
-        nb, na = rep.entries[idx_b][1], rep.entries[idx_a][1]
-        node = None if None in (node, nb, na) else \
-            rep.bank.splice(alg.maltsev, [node, nb, na])
     if current != target:
         return None
-    return Chain(start=start, steps=steps, value=current, node=node)
+    chain = Chain(start=start, steps=steps, value=current)
+    chain.node = chain_node(alg, rep.bank, [n for _, n in rep.entries], chain)
+    return chain
+
+
+def chain_node(alg: FiniteAlgebra, bank: CircuitBank, nodes,
+               chain: Chain) -> int | None:
+    """The circuit of a chain's value, from the circuits `nodes` of the
+    representation's entries: the start entry's, then m(node, b, a) per
+    step, in step order, in one ``CircuitBank.chain`` call.  None when an
+    entry the chain uses has no circuit."""
+    start = nodes[chain.start]
+    steps = [(nodes[ib], nodes[ia]) for _, ib, ia in chain.steps]
+    if start is None or any(None in pair for pair in steps):
+        return None
+    return bank.chain(alg.maltsev, start, steps, 0)
 
 
 # ---------------------------------------------------------------------------

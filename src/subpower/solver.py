@@ -28,9 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .affine import (AbelianGroupSpec, Echelon, affine_closure_comprep,
-                     affine_span, element_rows, subgroup_member, verify_affine)
+                     affine_span, coset_members, element_rows, subgroup_member,
+                     verify_affine)
 from .circuits import parse_sexpr, serialize_sexpr
-from .comprep import (EnumeratedCompactRep, maltsev_chain_member,
+from .comprep import (EnumeratedCompactRep, chain_node, maltsev_chain_member,
                       maltsev_fold, thin_to_compact)
 from .core import (AlgebraError, FiniteAlgebra, _check_tuples,
                    _circuit_values, eval_circuit, eval_nodes,
@@ -376,19 +377,30 @@ def _as_algebra_group(algebra_input):
 
 
 def _solve_affine(alg, group, op_specs, inst, want_witness) -> SmpVerdict:
+    """Decide on the compact representation's tuples; build circuits only
+    for a returned witness."""
     t_start = time.perf_counter()
     _check_range(inst, alg.size)
-    rep = affine_closure_comprep(alg, group, inst.generators, op_specs=op_specs)
-    chain = maltsev_chain_member(alg, rep, inst.target)
+    rep = affine_span(alg, group, inst.generators, op_specs=op_specs)
+    tuples, raw_coeffs = coset_members(rep)
+    comp = EnumeratedCompactRep(rep.generators, [(t, None) for t in tuples],
+                                rep.bank)
+    chain = maltsev_chain_member(alg, comp, inst.target)
     stats = {"path": "affine", "k": inst.k, "n": inst.n,
-             "tuples_materialized": len(rep.entries),
-             "elapsed_ms": 1000 * (time.perf_counter() - t_start)}
+             "tuples_materialized": len(tuples)}
+    node = None
+    if chain is not None and want_witness:
+        # every entry's circuit, in entry order, then the chain's steps:
+        # the bank, and so the witness, is as if all were built up front
+        nodes = [rep.member_node(c) for c in raw_coeffs]
+        node = chain_node(alg, rep.bank, nodes, chain)
+    stats["elapsed_ms"] = 1000 * (time.perf_counter() - t_start)
     if chain is None:
         return SmpVerdict(False, None, stats)
     witness = None
-    if want_witness and chain.node is not None:
+    if node is not None:
         witness = {"path": "affine",
-                   "circuit": serialize_sexpr(rep.bank.extract(chain.node))}
+                   "circuit": serialize_sexpr(rep.bank.extract(node))}
     return SmpVerdict(True, witness, stats)
 
 

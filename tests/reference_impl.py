@@ -1,17 +1,21 @@
 """Pure-Python reference versions of the prefix walk, the fork builder,
-circuit splicing, the echelon and bank evaluation.
+circuit splicing, the echelon, bank evaluation, and the recursive
+s-expression reader and writer.
 
 These are the straightforward implementations the array code in
 ``subpower.comprep``, ``subpower.affine`` and ``subpower.core`` and the
-compiled ``CircuitBank.splice`` replaced; the differential tests check the
+compiled ``CircuitBank.splice`` and the non-recursive
+``parse_sexpr``/``serialize_sexpr`` replaced; the differential tests check the
 library against them, output for output.
 """
 
 import math
+import re
 
 import numpy as np
 
 from subpower.affine import AbelianGroupSpec, Echelon, element_rows
+from subpower.circuits import Circuit, CircuitError
 from subpower.core import AlgebraError
 
 
@@ -415,3 +419,112 @@ def eval_nodes(alg, bank, nodes, args) -> dict:
                 ev(cur)
                 stack.pop()
     return {node: memo[node] for node in nodes}
+
+
+# ---------------------------------------------------------------------------
+# s-expressions
+
+_TOKEN = re.compile(r"\(|\)|[^\s()]+")
+_VAR = "x"
+
+
+def _read_tree(tokens: list[str], pos: int):
+    tok = tokens[pos]
+    if tok == "(":
+        items = []
+        pos += 1
+        while pos < len(tokens) and tokens[pos] != ")":
+            item, pos = _read_tree(tokens, pos)
+            items.append(item)
+        if pos >= len(tokens):
+            raise CircuitError("unbalanced s-expression")
+        return items, pos + 1
+    if tok == ")":
+        raise CircuitError("unexpected ')'")
+    return tok, pos + 1
+
+
+def parse_sexpr(text: str, arity: int | None = None) -> Circuit:
+    """The recursive reader and builder."""
+    tokens = _TOKEN.findall(text)
+    if not tokens:
+        raise CircuitError("empty circuit expression")
+    tree, pos = _read_tree(tokens, 0)
+    if pos != len(tokens):
+        raise CircuitError("trailing tokens in circuit expression")
+
+    gates: list[tuple] = []
+    intern: dict[tuple, int] = {}
+    max_var = 0
+
+    def emit(gate: tuple) -> int:
+        if gate in intern:
+            return intern[gate]
+        gates.append(gate)
+        intern[gate] = len(gates) - 1
+        return len(gates) - 1
+
+    def build(node, env: dict[str, int]) -> int:
+        nonlocal max_var
+        if isinstance(node, str):
+            if node in env:
+                return env[node]
+            m = re.fullmatch(r"x(\d+)", node)
+            if not m:
+                raise CircuitError(f"unknown atom {node!r}")
+            i = int(m.group(1))
+            if i < 1:
+                raise CircuitError("input variables are numbered from x1")
+            max_var = max(max_var, i)
+            return emit((_VAR, i))
+        if not node:
+            raise CircuitError("empty application")
+        head = node[0]
+        if head == "let":
+            if len(node) != 3:
+                raise CircuitError("let expects bindings and a body")
+            inner = dict(env)
+            for binding in node[1]:
+                if not (isinstance(binding, list) and len(binding) == 2
+                        and isinstance(binding[0], str)):
+                    raise CircuitError("malformed let binding")
+                inner[binding[0]] = build(binding[1], inner)
+            return build(node[2], inner)
+        if not isinstance(head, str):
+            raise CircuitError("operation symbol expected")
+        children = tuple(build(child, env) for child in node[1:])
+        return emit((head,) + children)
+
+    out = build(tree, {})
+    n = arity if arity is not None else max_var
+    if max_var > n:
+        raise CircuitError(f"circuit uses x{max_var} but arity is {n}")
+    return Circuit(n, tuple(gates), out)
+
+
+def serialize_sexpr(circuit: Circuit, share_threshold: int = 2) -> str:
+    """The recursive writer."""
+    refs = [0] * len(circuit.gates)
+    refs[circuit.output] += 1
+    for gate in circuit.gates:
+        if gate[0] != _VAR:
+            for c in gate[1:]:
+                refs[c] += 1
+
+    shared = [i for i, gate in enumerate(circuit.gates)
+              if gate[0] != _VAR and refs[i] >= share_threshold and i != circuit.output]
+    names = {node: f"g{pos}" for pos, node in enumerate(shared)}
+
+    def render(node: int, binding_of: int | None = None) -> str:
+        if node in names and node != binding_of:
+            return names[node]
+        gate = circuit.gates[node]
+        if gate[0] == _VAR:
+            return f"x{gate[1]}"
+        return "(" + " ".join([gate[0]] + [render(c) for c in gate[1:]]) + ")"
+
+    body = render(circuit.output)
+    if not shared:
+        return body
+    bindings = " ".join(f"({names[n]} {render(n, binding_of=n)})" for n in shared)
+    return f"(let ({bindings}) {body})"

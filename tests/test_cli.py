@@ -139,3 +139,40 @@ def test_bench_csv(a6_file, capsys):
 def test_missing_file_exit2(capsys):
     rc = main(["verify", "--algebra", "/nonexistent/path.json"])
     assert rc == 2
+
+
+def _deep_maltsev(depth: int) -> str:
+    # m(x1, x2, m(x2, x2, ... m(x2, x2, x3))) is x1 - x2 + x3 again
+    return "(m x1 x2 " + "(m x2 x2 " * depth + "x3" + ")" * (depth + 1)
+
+
+def test_verify_deep_circuit_file(tmp_path, capsys):
+    alg, group = zmod_algebra(3)
+    deep = algebra_to_dict(alg, group)
+    deep["maltsev"] = _deep_maltsev(3000)
+    path = tmp_path / "deep.json"
+    path.write_text(dump_json(deep))
+    assert main(["verify", "--algebra", str(path)]) == 0
+    capsys.readouterr()
+    deep["maltsev"] = _deep_maltsev(3000)[:-1]          # unbalanced
+    path.write_text(dump_json(deep))
+    assert main(["verify", "--algebra", str(path)]) == 2
+    assert "unbalanced" in capsys.readouterr().err
+    deep["maltsev"] = "(x)"                             # an input gate
+    path.write_text(dump_json(deep))
+    assert main(["verify", "--algebra", str(path)]) == 2
+    assert "input gate" in capsys.readouterr().err
+
+
+def test_solve_witness_z128(tmp_path, capsys):
+    from subpower.catalog import zmod_group_algebra
+    from subpower.instances import random_instance
+    alg_input = zmod_group_algebra(128)
+    path = tmp_path / "z128.json"
+    path.write_text(dump_json(algebra_to_dict(*alg_input)))
+    inst = tmp_path / "inst.json"
+    inst.write_text(dump_json(random_instance(alg_input, 30, 8, 1.0, seed=3)))
+    rc = main(["solve", "--algebra", str(path), "--instance", str(inst),
+               "--witness"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0 and out["member"] is True and out["witness"]["circuit"]
