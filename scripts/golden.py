@@ -7,7 +7,9 @@ change that must not alter behaviour keeps the output byte-identical.
 
     python3 scripts/golden.py             # print the outputs
     python3 scripts/golden.py --write     # regenerate tests/golden_outputs.jsonl
-    python3 scripts/golden.py --check     # exit 1 if outputs differ from it
+    python3 scripts/golden.py --check     # exit 1 if outputs differ from it,
+                                          # naming each differing record and
+                                          # its differing JSON fields
 
 Run from the root of a checkout; ``src/`` is put on the import path.
 """
@@ -15,6 +17,7 @@ Run from the root of a checkout; ``src/`` is put on the import path.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -146,13 +149,60 @@ def render() -> str:
     return "".join(dump_json(r) + "\n" for r in records())
 
 
+def _field_diffs(got, want, path: str = "") -> list:
+    """Dotted paths at which two JSON values differ (list items by index)."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        out = []
+        for key in list(want) + [key for key in got if key not in want]:
+            sub = f"{path}.{key}" if path else str(key)
+            if key in got and key in want:
+                out += _field_diffs(got[key], want[key], sub)
+            else:
+                out.append(sub)
+        return out
+    if isinstance(got, list) and isinstance(want, list) and \
+            len(got) == len(want):
+        out = []
+        for i, (g, w) in enumerate(zip(got, want)):
+            out += _field_diffs(g, w, f"{path}.{i}" if path else str(i))
+        return out
+    if type(got) is type(want) and got == want:
+        return []
+    return [path or "(record)"]
+
+
+def diff_fields(text: str, want: str) -> list:
+    """One line per differing record: its 1-based index, case/kind/seed,
+    and the dotted JSON paths that differ."""
+    got_lines, want_lines = text.splitlines(), want.splitlines()
+    lines = []
+    for i in range(max(len(got_lines), len(want_lines))):
+        g = got_lines[i] if i < len(got_lines) else None
+        w = want_lines[i] if i < len(want_lines) else None
+        if g == w:
+            continue
+        if g is None or w is None:
+            record = json.loads(g or w)
+            fields = ["(missing in current)" if g is None
+                      else "(missing in golden)"]
+        else:
+            record = json.loads(w)
+            fields = _field_diffs(json.loads(g), record)
+        label = "/".join(str(record.get(key, "-"))
+                         for key in ("case", "kind", "seed"))
+        lines.append(f"record {i + 1} ({label}): {', '.join(fields)}")
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = ap.add_mutually_exclusive_group()
     mode.add_argument("--write", action="store_true",
                       help=f"overwrite {os.path.relpath(GOLDEN, ROOT)}")
     mode.add_argument("--check", action="store_true",
-                      help="compare against the golden file; exit 1 on a diff")
+                      help="compare against the golden file; print each "
+                           "differing record and its differing JSON fields; "
+                           "exit 1 on a diff")
     args = ap.parse_args(argv)
     text = render()
     if args.write:
@@ -164,15 +214,8 @@ def main(argv=None) -> int:
             want = fh.read()
         if text == want:
             return 0
-        got_lines, want_lines = text.splitlines(), want.splitlines()
-        for i, (g, w) in enumerate(zip(got_lines, want_lines)):
-            if g != w:
-                print(f"first difference at record {i + 1}:\n"
-                      f"  golden:  {w[:300]}\n  current: {g[:300]}")
-                break
-        else:
-            print(f"record counts differ: golden {len(want_lines)}, "
-                  f"current {len(got_lines)}")
+        print("\n".join(diff_fields(text, want))
+              or "the files differ only in line endings")
         return 1
     sys.stdout.write(text)
     return 0

@@ -775,9 +775,12 @@ def _first_rows(flats: np.ndarray) -> list:
     return list(first.values())
 
 
-def coset_members(rep: AffineSubpowerRep) -> tuple[list, np.ndarray]:
-    """Compact-representation tuples of the coset base + <raw>, without
-    circuits, and the raw-coefficient row of each (``member_node`` input)."""
+def coset_compact_rep(rep: AffineSubpowerRep):
+    """Compact representation (with circuits) of the coset base + <raw>:
+    the distinct per-coordinate fork members, each with one ``member_node``
+    circuit, in entry order."""
+    from .comprep import EnumeratedCompactRep
+
     m = rep.group.exponent
     ech = rep.tracked_echelon()
     nraw = len(rep.raw)
@@ -788,18 +791,10 @@ def coset_members(rep: AffineSubpowerRep) -> tuple[list, np.ndarray]:
     first = _first_rows(flats)
     rep.tuples_materialized += len(first)
     tuples = rep.group.unembed_array(flats[first]).tolist()
-    return [tuple(t) for t in tuples], raw_c[first]
-
-
-def coset_compact_rep(rep: AffineSubpowerRep):
-    """Compact representation (with circuits) of the coset base + <raw>:
-    ``coset_members`` plus one ``member_node`` per entry, in entry order."""
-    from .comprep import EnumeratedCompactRep
-
-    tuples, raw_c = coset_members(rep)
     return EnumeratedCompactRep(
         rep.generators,
-        [(t, rep.member_node(c)) for t, c in zip(tuples, raw_c)], rep.bank)
+        [(tuple(t), rep.member_node(c)) for t, c in zip(tuples, raw_c[first])],
+        rep.bank)
 
 
 def affine_closure_comprep(alg: FiniteAlgebra, group: AbelianGroupSpec, gens,

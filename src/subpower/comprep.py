@@ -210,21 +210,13 @@ def maltsev_chain_member(alg: FiniteAlgebra, rep: EnumeratedCompactRep,
     if current != target:
         return None
     chain = Chain(start=start, steps=steps, value=current)
-    chain.node = chain_node(alg, rep.bank, [n for _, n in rep.entries], chain)
+    # the chain's circuit: the start entry's, then m(node, b, a) per step in
+    # one CircuitBank.chain call, when every entry it uses has a circuit
+    nodes = [n for _, n in rep.entries]
+    pairs = [(nodes[ib], nodes[ia]) for _, ib, ia in steps]
+    if nodes[start] is not None and all(None not in p for p in pairs):
+        chain.node = rep.bank.chain(alg.maltsev, nodes[start], pairs, 0)
     return chain
-
-
-def chain_node(alg: FiniteAlgebra, bank: CircuitBank, nodes,
-               chain: Chain) -> int | None:
-    """The circuit of a chain's value, from the circuits `nodes` of the
-    representation's entries: the start entry's, then m(node, b, a) per
-    step, in step order, in one ``CircuitBank.chain`` call.  None when an
-    entry the chain uses has no circuit."""
-    start = nodes[chain.start]
-    steps = [(nodes[ib], nodes[ia]) for _, ib, ia in chain.steps]
-    if start is None or any(None in pair for pair in steps):
-        return None
-    return bank.chain(alg.maltsev, start, steps, 0)
 
 
 # ---------------------------------------------------------------------------

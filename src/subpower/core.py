@@ -41,6 +41,18 @@ class Operation:
     table: tuple
 
     def __post_init__(self):
+        # circuits write an application as (symbol arg ...) and input i as
+        # the gate ("x", i); a symbol must not read back as anything else
+        symbol = self.symbol
+        if not isinstance(symbol, str) or not symbol:
+            raise AlgebraError(
+                f"operation symbol {symbol!r} is not a non-empty string")
+        if symbol in ("x", "let"):
+            raise AlgebraError(f"operation symbol {symbol!r} is reserved "
+                               "in circuits (input gates and let bindings)")
+        if any(ch.isspace() or ch in "()" for ch in symbol):
+            raise AlgebraError(f"operation symbol {symbol!r} contains "
+                               "whitespace or a parenthesis")
         if self.arity < 0:
             raise AlgebraError(f"{self.symbol}: negative arity")
 

@@ -28,10 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .affine import (AbelianGroupSpec, Echelon, affine_closure_comprep,
-                     affine_span, coset_members, element_rows, subgroup_member,
-                     verify_affine)
+                     affine_span, element_rows, subgroup_member, verify_affine)
 from .circuits import parse_sexpr, serialize_sexpr
-from .comprep import (EnumeratedCompactRep, chain_node, maltsev_chain_member,
+from .comprep import (EnumeratedCompactRep, maltsev_chain_member,
                       maltsev_fold, thin_to_compact)
 from .core import (AlgebraError, FiniteAlgebra, _check_tuples,
                    _circuit_values, eval_circuit, eval_nodes,
@@ -377,31 +376,27 @@ def _as_algebra_group(algebra_input):
 
 
 def _solve_affine(alg, group, op_specs, inst, want_witness) -> SmpVerdict:
-    """Decide on the compact representation's tuples; build circuits only
-    for a returned witness."""
+    """Decide whether target - base lies in the span of the differences;
+    for a returned witness, one tracked reduction gives its raw
+    coefficients and the witness is one Mal'tsev chain over the raw
+    differences."""
     t_start = time.perf_counter()
     _check_range(inst, alg.size)
     rep = affine_span(alg, group, inst.generators, op_specs=op_specs)
-    tuples, raw_coeffs = coset_members(rep)
-    comp = EnumeratedCompactRep(rep.generators, [(t, None) for t in tuples],
-                                rep.bank)
-    chain = maltsev_chain_member(alg, comp, inst.target)
+    diff = (group.embed_elements(inst.target) - rep.base_flat) % group.exponent
+    member = rep.echelon.contains(diff)
     stats = {"path": "affine", "k": inst.k, "n": inst.n,
-             "tuples_materialized": len(tuples)}
+             "tuples_materialized": rep.tuples_materialized}
     node = None
-    if chain is not None and want_witness:
-        # every entry's circuit, in entry order, then the chain's steps:
-        # the bank, and so the witness, is as if all were built up front
-        nodes = [rep.member_node(c) for c in raw_coeffs]
-        node = chain_node(alg, rep.bank, nodes, chain)
+    if member and want_witness:
+        _, coeffs = rep.tracked_echelon().reduce(diff)
+        node = rep.member_node(coeffs[:len(rep.raw)])
     stats["elapsed_ms"] = 1000 * (time.perf_counter() - t_start)
-    if chain is None:
-        return SmpVerdict(False, None, stats)
     witness = None
     if node is not None:
         witness = {"path": "affine",
                    "circuit": serialize_sexpr(rep.bank.extract(node))}
-    return SmpVerdict(True, witness, stats)
+    return SmpVerdict(member, witness, stats)
 
 
 def compute_comprep(algebra_input, generators, *, allow_oracle: bool = False,

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_impl as ref
-from subpower.affine import AffineSubpowerRep, affine_span, coset_members
+from subpower.affine import AffineSubpowerRep, affine_span, coset_compact_rep
 from subpower.catalog import zmod_group_algebra
 from subpower.circuits import Circuit, CircuitBank, CircuitError, parse_sexpr
+from subpower.comprep import signature
+from subpower.core import eval_circuit, subpower_closure
 from subpower.instances import random_instance
 from subpower.serialize import instance_from_dict
 from subpower.solver import SmpInstance, check_witness, dispatch
@@ -120,12 +122,13 @@ def test_member_node_matches_step_by_step_splice():
 def test_coset_members_are_the_compact_tuples():
     alg, group = zmod_group_algebra(12)
     gens = [(1, 2, 3, 4), (0, 6, 9, 2)]
-    rep = affine_span(alg, group, gens)
-    size = len(rep.bank)
-    tuples, coeffs = coset_members(rep)
-    assert len(rep.bank) == size                # no circuits
-    assert [tuple(t) for t in rep.group.unembed_array(
-        rep.member_flat(coeffs)).tolist()] == tuples
+    comp = coset_compact_rep(affine_span(alg, group, gens))
+    tuples = comp.tuples()
+    members = subpower_closure(alg, gens)
+    assert len(set(tuples)) == len(tuples) and set(tuples) <= members
+    assert signature(tuples) == signature(sorted(members))
+    for t, node in comp.entries:
+        assert eval_circuit(alg, comp.bank.extract(node), gens) == t
 
 
 @pytest.fixture()
@@ -152,4 +155,6 @@ def test_affine_verdicts_build_no_circuits(member_node_calls):
     assert verdict.member and verdict.witness is None
     assert member_node_calls == []
     verdict = dispatch(alg_input, member)
-    assert member_node_calls and check_witness(alg_input, member, verdict)
+    # the witness is one Mal'tsev chain over the raw differences
+    assert member_node_calls == [1]
+    assert check_witness(alg_input, member, verdict)

@@ -176,3 +176,15 @@ def test_solve_witness_z128(tmp_path, capsys):
                "--witness"])
     out = json.loads(capsys.readouterr().out)
     assert rc == 0 and out["member"] is True and out["witness"]["circuit"]
+
+
+def test_solve_rejects_an_operation_named_x(tmp_path, capsys):
+    alg, group = zmod_algebra(3)
+    d = algebra_to_dict(alg, group)
+    d["ops"].append({"symbol": "x", "arity": 1, "table": [0, 1, 2]})
+    path = tmp_path / "x_op.json"
+    path.write_text(dump_json(d))
+    inst = write_instance(tmp_path, [(0, 0), (1, 1)], (2, 2))
+    rc = main(["solve", "--algebra", str(path), "--instance", inst])
+    assert rc == 2
+    assert "operation symbol 'x' is reserved" in capsys.readouterr().err

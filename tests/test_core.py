@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -149,3 +150,15 @@ def test_verify_central_relabel_invariance(a6_spec):
     relabeled = [1 - b for b in base]
     assert verify_central(alg, kernel_partition(base)) == \
         verify_central(alg, kernel_partition(relabeled))
+
+
+@pytest.mark.parametrize("symbol", ["x", "let", "", "f g", "f\tg", "f\n",
+                                    "(f", "f)", "()"])
+def test_algebra_rejects_symbols_circuits_cannot_carry(symbol):
+    alg, _ = zmod_algebra(3)
+    ops = list(alg.ops)
+    with pytest.raises(AlgebraError,
+                       match=re.escape(f"operation symbol {symbol!r}")):
+        FiniteAlgebra(3, ops + [Operation(symbol, 1, (0, 1, 2))],
+                      alg.maltsev)
+

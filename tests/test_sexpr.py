@@ -150,7 +150,7 @@ def test_comprep_from_dict_reads_deep_circuits():
 
 def test_z128_solves_with_a_deep_witness():
     alg_input = zmod_group_algebra(128)
-    inst = instance_from_dict(random_instance(alg_input, 30, 8, 1.0, seed=3))
+    inst = instance_from_dict(random_instance(alg_input, 60, 24, 1.0, seed=4))
     verdict = dispatch(alg_input, inst)
     assert verdict.member
     text = verdict.witness["circuit"]
