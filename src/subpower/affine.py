@@ -21,11 +21,19 @@ and broadcasts length-one arrays, so every tuple is range- and
 shape-checked where it enters.  Inside the solver tuples stay int64 arrays,
 one row per tuple; they become Python tuples only at the API and JSON edge.
 
-Subgroups of L^k are handled by a Howell-style row echelon over Z_m on the
-embedded vectors.  The Howell completion (annihilator rows) guarantees
-that, for every prefix, the rows with later pivots generate exactly the
-subgroup elements vanishing on that prefix; this is what makes kernels,
-signatures and membership witnesses exact over non-prime moduli.
+Subgroups of L^k are handled by row echelons on the embedded vectors.
+Over a prime modulus ``FieldEchelon`` keeps the basis fully reduced, so a
+reduction is one product and an insert one rank-1 update.  Over other
+moduli ``Echelon`` keeps a Howell-style form over Z_m: the Howell
+completion (annihilator rows) guarantees that, for every prefix, the rows
+with later pivots generate exactly the subgroup elements vanishing on that
+prefix, which makes kernels, signatures and membership witnesses exact.
+Only prime-power factors need it (Storjohann & Mulders, ESA 1998): for a
+squarefree m, ``SplitSpan`` keeps the span as one ``FieldEchelon`` per
+prime factor, by CRT.  ``Echelon`` also stays wherever its rows and
+tracked coefficients become golden bytes: ``tracked_echelon`` behind
+compact representations and Fix-Value, ``subgroup_compact_tuples``, and
+the difference clonoid.
 
 The affine closure of generator tuples under a verified affine algebra is
 kept in base-plus-differences form.  Every inserted difference remembers a
@@ -252,6 +260,22 @@ def _egcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
+def is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def prime_factors(n: int) -> list:
+    """The distinct prime factors of n, ascending."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
 def _unit_scale(a: int, m: int) -> int:
     """A unit u mod m with u*a == gcd(a, m) mod m."""
     d = math.gcd(a, m)
@@ -267,13 +291,16 @@ def _unit_scale(a: int, m: int) -> int:
 class Echelon:
     """Howell-form row space over Z_m with optional generator bookkeeping.
 
-    Elimination is sequential, one pivot at a time, because the tracked
-    coefficients are part of the witnesses.  Each row is stored augmented
-    with its coefficient row, so one elimination step is one fused update;
-    ``rows`` and ``coeffs`` are lists of views into the augmented rows.  A
-    stored array is never written after it is made (a replaced or
-    canonicalized row is a new array), so row lists handed out stay valid
-    while more vectors are inserted.
+    Elimination is sequential, one pivot at a time: compact
+    representations, Fix-Value and the difference clonoid take their bytes
+    from the tracked coefficients and rows in this order.  Over a prime
+    modulus, where that does not bind, ``FieldEchelon`` is one product per
+    reduction instead of one step per pivot met.  Each row is stored
+    augmented with its coefficient row, so one elimination step is one
+    fused update; ``rows`` and ``coeffs`` are lists of views into the
+    augmented rows.  A stored array is never written after it is made (a
+    replaced or canonicalized row is a new array), so row lists handed out
+    stay valid while more vectors are inserted.
     """
 
     def __init__(self, m: int, width: int, track: int | None = None):
@@ -321,29 +348,31 @@ class Echelon:
             self._order = sorted(self.pivots)
         return self._order
 
-    def unit_coeff(self) -> np.ndarray | None:
-        if self.track is None:
-            return None
-        c = np.zeros(self.track, dtype=np.int64)
-        if self._gen_count >= self.track:
-            raise AlgebraError("more generators than the tracking width")
-        c[self._gen_count] = 1
-        return c
-
-    def insert(self, v, coeff: np.ndarray | None = None) -> bool:
-        """Add a generator; returns True when the span grew."""
-        m, width = self.m, self.width
+    def _augmented(self, v, coeff) -> np.ndarray:
+        """v reduced mod m, followed by its coefficient row when tracked:
+        `coeff`, or else the unit row of the next generator."""
         w = self._vector(v)
         if self.track is None:
             if coeff is not None:
                 raise AlgebraError("coefficients need a tracked echelon")
+            return w
+        out = np.zeros(self.width + self.track, dtype=np.int64)
+        out[:self.width] = w
+        if coeff is None:
+            if self._gen_count >= self.track:
+                raise AlgebraError("more generators than the tracking width")
+            out[self.width + self._gen_count] = 1
         else:
-            if coeff is None:
-                coeff = self.unit_coeff()
             coeff = np.asarray(coeff, dtype=np.int64)
             if coeff.shape != (self.track,):
                 raise AlgebraError("coefficient width mismatch")
-            w = np.concatenate([w, coeff % m])
+            out[self.width:] = coeff % self.m
+        return out
+
+    def insert(self, v, coeff: np.ndarray | None = None) -> bool:
+        """Add a generator; returns True when the span grew."""
+        m, width = self.m, self.width
+        w = self._augmented(v, coeff)
         self._gen_count += 1
         pivots, augs, divs = self.pivots, self._aug, self._div
         grew = False
@@ -420,6 +449,10 @@ class Echelon:
         w = self._eliminate(self._vector(v), self.rows, strict=True)
         return w is not None and not w.any()
 
+    def contains_rows(self, rows) -> np.ndarray:
+        """``contains`` of each row of a matrix, as a boolean array."""
+        return np.asarray([self.contains(row) for row in rows], dtype=bool)
+
     def canonicalize(self) -> None:
         """Unit-normalize pivots, clear entries above them, sort rows."""
         m = self.m
@@ -458,6 +491,162 @@ class Echelon:
         return [self.pivots[c] for c in order[bisect_left(order, start_col):]]
 
 
+class FieldEchelon:
+    """Fully reduced row space over GF(q), q prime, with Echelon's methods.
+
+    Every row has pivot entry 1, and every pivot column is zero in the other
+    rows.  So the residue of w is one product, w - w[pivots] @ basis, whose
+    coefficient part is the combination, and an insert is one reduction
+    plus one rank-1 update.  Rows keep their insertion order until
+    ``canonicalize`` sorts them by pivot; over a prime modulus these are
+    the canonical rows of ``Echelon.canonicalize``.  The augmented rows
+    live in one buffer with spare capacity that inserts update in place,
+    so ``rows`` and ``coeffs`` hand out copies.
+    """
+
+    def __init__(self, q: int, width: int, track: int | None = None):
+        if not is_prime(q):
+            raise AlgebraError(f"modulus {q} is not prime")
+        self.m = q
+        self.width = width
+        self.track = track
+        self._buf = np.zeros((0, width + (track or 0)), dtype=np.int64)
+        self._colbuf = np.zeros(width, dtype=np.intp)
+        self._cols = self._colbuf[:0]          # pivot column of each row
+        self._gen_count = 0
+
+    _vector = Echelon._vector
+    _augmented = Echelon._augmented
+
+    @property
+    def _aug(self) -> np.ndarray:
+        return self._buf[:len(self._cols)]
+
+    @property
+    def rows(self) -> list:
+        return list(self._aug[:, :self.width].copy())
+
+    @property
+    def coeffs(self) -> list:
+        if self.track is None:
+            return [None] * len(self._cols)
+        return list(self._aug[:, self.width:].copy())
+
+    @property
+    def pivots(self) -> dict:
+        return {int(c): i for i, c in enumerate(self._cols)}
+
+    def insert(self, v, coeff: np.ndarray | None = None) -> bool:
+        """Add a generator; returns True when the span grew."""
+        q, aug = self.m, self._aug
+        r = len(aug)
+        w = self._augmented(v, coeff)
+        self._gen_count += 1
+        # only the rows a step touches take part, which keeps sparse
+        # inputs cheap
+        c = w[self._cols]
+        hit = c.nonzero()[0]
+        if len(hit):
+            w -= c[hit] @ aug[hit]
+            w %= q
+        nz = w[:self.width].nonzero()[0]
+        if not len(nz):
+            return False
+        col = nz[0]
+        w *= pow(int(w[col]), -1, q)
+        w %= q
+        hit = aug[:, col].nonzero()[0]
+        if len(hit):
+            aug[hit] = (aug[hit] - np.multiply.outer(aug[hit, col], w)) % q
+        if r == len(self._buf):
+            # the rank is at most the width
+            grown = np.empty((min(max(2 * r, 16), self.width), len(w)),
+                             dtype=np.int64)
+            grown[:r] = aug
+            self._buf = grown
+        self._buf[r] = w
+        self._colbuf[r] = col
+        self._cols = self._colbuf[:r + 1]
+        return True
+
+    def reduce(self, v) -> tuple[np.ndarray, np.ndarray | None]:
+        """Residue of v modulo the span, plus combination coefficients."""
+        w = self._vector(v)
+        c = w[self._cols]
+        aug = self._aug
+        residue = (w - c @ aug[:, :self.width]) % self.m
+        if self.track is None:
+            return residue, None
+        return residue, (c @ aug[:, self.width:]) % self.m
+
+    def contains(self, v) -> bool:
+        return not self.reduce(v)[0].any()
+
+    def contains_rows(self, rows) -> np.ndarray:
+        """``contains`` of each row of a matrix, as a boolean array."""
+        w = np.asarray(rows, dtype=np.int64) % self.m
+        residue = (w - w[:, self._cols] @ self._aug[:, :self.width]) % self.m
+        return ~residue.any(axis=1)
+
+    def canonicalize(self) -> None:
+        """Sort the rows by pivot column."""
+        order = np.argsort(self._cols, kind="stable")
+        self._aug[:] = self._aug[order]
+        self._cols[:] = self._cols[order]
+
+    def span_size(self) -> int:
+        return self.m ** len(self._cols)
+
+    def tail_rows(self, start_col: int) -> list[int]:
+        """Row indices with pivot at or after start_col, in pivot order."""
+        order = np.argsort(self._cols, kind="stable")
+        return order[self._cols[order] >= start_col].tolist()
+
+
+def field_or_howell(m: int, width: int, track: int | None = None):
+    """A FieldEchelon when m is prime, else a Howell Echelon."""
+    return (FieldEchelon if is_prime(m) else Echelon)(m, width, track)
+
+
+class SplitSpan:
+    """Span of embedded L^k vectors over Z_m, m squarefree, kept as one
+    FieldEchelon per prime factor q of m (Z_m is the product of the GF(q)).
+
+    A vector lies in the span iff it does modulo every q, and the span grows
+    iff it grows modulo some q.  Modulo q only the coordinates of cyclic
+    factors of order divisible by q can be nonzero, so each echelon keeps
+    just those columns.
+    """
+
+    def __init__(self, group: AbelianGroupSpec, k: int):
+        self.m = group.exponent
+        self.width = k * group.rank
+        self.parts = []
+        for q in prime_factors(self.m):
+            cols = np.flatnonzero(np.tile(group.mods % q == 0, k))
+            self.parts.append((cols, FieldEchelon(q, len(cols))))
+
+    _vector = Echelon._vector
+
+    def insert(self, v) -> bool:
+        """Add a generator; returns True when the span grew."""
+        w = self._vector(v)
+        grew = [ech.insert(w[cols]) for cols, ech in self.parts]
+        return any(grew)
+
+    def contains(self, v) -> bool:
+        w = self._vector(v)
+        return all(ech.contains(w[cols]) for cols, ech in self.parts)
+
+    def contains_rows(self, rows) -> np.ndarray:
+        """``contains`` of each row of a matrix, as a boolean array."""
+        w = np.asarray(rows, dtype=np.int64).reshape(len(rows), self.width)
+        known = np.ones(len(w), dtype=bool)
+        for cols, ech in self.parts:
+            known &= ech.contains_rows(w[:, cols])
+        return known
+
+
 def subgroup_member(group: AbelianGroupSpec, gens, target):
     """Membership of `target` in the subgroup of L^k generated by `gens`.
 
@@ -470,7 +659,7 @@ def subgroup_member(group: AbelianGroupSpec, gens, target):
     target_v = group.embed_elements(target)
     gen_v = group.embed_elements(element_rows(group, gens, len(target)))
     m = group.exponent
-    ech = Echelon(m, len(target_v), track=max(len(gen_v), 1))
+    ech = field_or_howell(m, len(target_v), track=max(len(gen_v), 1))
     for g in gen_v:
         ech.insert(g)
     residue, coeffs = ech.reduce(target_v)
@@ -561,11 +750,13 @@ def verify_affine(alg: FiniteAlgebra, group: AbelianGroupSpec):
     return specs
 
 
-def endo_on_embedded(group: AbelianGroupSpec, mat, flat: np.ndarray) -> np.ndarray:
-    """Apply an endomorphism coordinate-wise to an embedded L^k vector."""
+def endo_images(group: AbelianGroupSpec, mats: np.ndarray,
+                flat: np.ndarray) -> np.ndarray:
+    """Each endomorphism of a (count, s, s) stack applied coordinate-wise to
+    an embedded L^k vector, one image per row."""
     resid = flat.reshape(-1, group.rank) // group.factors
-    out = (resid @ np.asarray(mat, dtype=np.int64).T) % group.mods
-    return (out * group.factors).ravel()
+    out = (resid @ mats.transpose(0, 2, 1)) % group.mods
+    return (out * group.factors).reshape(len(mats), len(flat))
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +778,8 @@ class AffineSubpowerRep:
     base_node: int
     bank: CircuitBank
     raw: list = field(default_factory=list)   # (flat_vec, plus_node, minus_node)
-    echelon: Echelon | None = None   # span of raw, not canonicalized
+    # span of raw: a SplitSpan for squarefree m, else a Howell Echelon
+    echelon: SplitSpan | Echelon | None = None
     tuples_materialized: int = 0
     _tracked: Echelon | None = None
     _raw_rows: np.ndarray | None = None
@@ -654,7 +846,10 @@ def affine_span(alg: FiniteAlgebra, group: AbelianGroupSpec, gens,
     rep = AffineSubpowerRep(
         alg=alg, group=group, k=k, generators=tuple(map(tuple, gens.tolist())),
         base_flat=flats[0], base_node=bank.var(1), bank=bank)
-    rep.echelon = Echelon(m, width, track=None)
+    if math.prod(prime_factors(m)) == m:       # squarefree
+        rep.echelon = SplitSpan(group, k)
+    else:
+        rep.echelon = Echelon(m, width)
     rep.tuples_materialized = n
 
     queue: list[tuple[np.ndarray, int, int]] = []
@@ -669,29 +864,31 @@ def affine_span(alg: FiniteAlgebra, group: AbelianGroupSpec, gens,
         val = group.embed_elements([table[x * diagonal]
                                     for x in gens[0].tolist()])
         queue.append(((val - rep.base_flat) % m, node, rep.base_node))
-    endos = [[np.asarray(mat, dtype=np.int64) for mat in spec.matrices]
-             for spec in op_specs]
+    # every (operation, argument) endomorphism, in operation-major order
+    slots = [(spec, i) for spec in op_specs for i in range(spec.arity)]
+    endos = np.asarray([spec.matrices[i] for spec, i in slots],
+                       dtype=np.int64).reshape(len(slots), group.rank,
+                                               group.rank)
 
     while queue:
         vec, plus, minus = queue.pop()
-        if not vec.any():
-            continue
-        if not rep.echelon.insert(vec):
+        if not vec.any() or not rep.echelon.insert(vec):
             continue
         rep.raw.append((vec, plus, minus))
         rep.tuples_materialized += 1
-        for spec, mats in zip(op_specs, endos):
-            for i, mat in enumerate(mats):
-                img = endo_on_embedded(group, mat, vec)
-                if not img.any() or rep.echelon.contains(img):
-                    continue
-                up = [rep.base_node] * spec.arity
-                down = [rep.base_node] * spec.arity
-                up[i] = plus
-                down[i] = minus
-                queue.append((img,
-                              bank.app(spec.symbol, tuple(up)),
-                              bank.app(spec.symbol, tuple(down))))
+        images = endo_images(group, endos, vec)
+        # all images are tested against the span as it stands now
+        for (spec, i), img, known in zip(
+                slots, images, rep.echelon.contains_rows(images)):
+            if known:
+                continue
+            up = [rep.base_node] * spec.arity
+            down = [rep.base_node] * spec.arity
+            up[i] = plus
+            down[i] = minus
+            queue.append((img,
+                          bank.app(spec.symbol, tuple(up)),
+                          bank.app(spec.symbol, tuple(down))))
     return rep
 
 

@@ -8,6 +8,8 @@ Three paths:
   values on the extended rows pins direct-product terms down exactly; the
   membership question then splits into an affine fix over the quotient
   components and a subgroup test against the difference-clonoid image.
+  The companion exponent splits by CRT as Z_exp(L) x GF(p), so the fix is
+  GF(p) elimination and the l-part is elimination mod exp(L).
 * ``solve_smp_directproduct``: for wreath products whose clone contains the
   direct-product clone, builds a compact representation of the full
   subpower as sums of direct-product members and clonoid image tuples, and
@@ -27,14 +29,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affine import (AbelianGroupSpec, Echelon, affine_closure_comprep,
-                     affine_span, element_rows, subgroup_member, verify_affine)
+from .affine import (AbelianGroupSpec, FieldEchelon, affine_closure_comprep,
+                     affine_span, element_rows, field_or_howell, is_prime,
+                     subgroup_member, verify_affine)
 from .circuits import parse_sexpr, serialize_sexpr
 from .comprep import (EnumeratedCompactRep, maltsev_chain_member,
                       maltsev_fold, thin_to_compact)
 from .core import (AlgebraError, FiniteAlgebra, _check_tuples,
                    _circuit_values, eval_circuit, eval_nodes,
-                   smp_oracle, verify_central)
+                   smp_oracle)
 from .wreath import (ClonoidGenSet, WreathSpec, clonoid_image_comprep,
                      diff_clonoid_gens)
 
@@ -96,7 +99,7 @@ class WreathContext:
 def validate_prime_quotient_class(spec: WreathSpec) -> None:
     """Preconditions of the polynomial wreath path, checked before any work."""
     p = spec.p
-    if p < 2 or any(p % d == 0 for d in range(2, int(math.isqrt(p)) + 1)):
+    if not is_prime(p):
         raise UnsupportedAlgebraError(f"quotient size {p} is not prime")
     if math.gcd(spec.left.size, p) != 1:
         raise UnsupportedAlgebraError(
@@ -109,9 +112,9 @@ def wreath_context(spec: WreathSpec, clonoid_cap: int = 3000) -> WreathContext:
     ctx = spec.__dict__.get("_solver_context")
     if ctx is None:
         validate_prime_quotient_class(spec)
+        # every companion operation is affine, so the companion is abelian
+        # and central: no separate commutator check is needed
         comp_specs = verify_affine(spec.companion, spec.companion_group)
-        if not verify_central(spec.companion, (0,) * spec.size):
-            raise UnsupportedAlgebraError("direct product companion is not abelian")
         gens = diff_clonoid_gens(spec, cap=clonoid_cap)
         ctx = WreathContext(spec=spec, comp_specs=comp_specs, gens=gens)
         spec.__dict__["_solver_context"] = ctx
@@ -135,6 +138,30 @@ def _extended_rows(spec: WreathSpec, gens: np.ndarray) -> np.ndarray:
     single[np.arange(n), np.arange(n)] = nonzero
     return np.hstack([gens, np.full((n, 1), zero, dtype=np.int64),
                       single.reshape(n, -1)])
+
+
+def _l_part_coeffs(rows: np.ndarray, e: int, p: int) -> list:
+    """Z_m coefficient rows, m = e * p, generating the Z_e span of `rows`
+    with zero GF(p) part.
+
+    One tracked elimination mod e gives the combinations; each is lifted to
+    the Z_m vector that is 0 mod p and a unit multiple of it mod e, the
+    unit chosen for the smallest coefficient sum (a member circuit chains
+    one Mal'tsev step per unit of coefficient).
+    """
+    nraw = len(rows)
+    ech = field_or_howell(e, rows.shape[1], track=max(nraw, 1))
+    for row in rows:
+        ech.insert(row)
+    combos = [c[:nraw] for c in ech.coeffs]
+    if not combos:
+        return []
+    combos = np.asarray(combos, dtype=np.int64)
+    units = np.asarray([u for u in range(1, e) if math.gcd(u, e) == 1],
+                       dtype=np.int64)
+    scaled = (units[:, None, None] * combos[None]) % e
+    best = scaled.sum(axis=2).argmin(axis=0)
+    return list(p * scaled[best, np.arange(len(combos))])
 
 
 def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
@@ -161,36 +188,32 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
                       _extended_rows(spec, gen_rows), op_specs=ctx.comp_specs)
     tuples_materialized = rep.tuples_materialized
 
-    def u_residues(flat: np.ndarray) -> np.ndarray:
-        # quotient residue of the first k coordinates of an embedded vector
-        factor = comp_group.factors[-1]
-        return (flat.reshape(-1, s1)[:k, -1] // factor) % p
-
-    u_ech = Echelon(p, k, track=max(len(rep.raw), 1))
-    for vec, _, _ in rep.raw:
-        u_ech.insert(u_residues(vec))
-    residue, coeffs = u_ech.reduce((u_b - u_residues(rep.base_flat)) % p)
+    # Z_m splits by CRT as Z_e x GF(p), e = exp(L): in every embedded
+    # coordinate the last entry is the u-part times e, the others lie in
+    # the l-part
+    e = group.exponent
+    nraw = len(rep.raw)
+    k_ext = len(rep.base_flat) // s1
+    chunks = rep.raw_rows().reshape(nraw, k_ext, s1)
+    u_ech = FieldEchelon(p, k_ext, track=max(nraw, 1))
+    for row in chunks[:, :, -1] // e:
+        u_ech.insert(row)
+    u_target = np.zeros(k_ext, dtype=np.int64)
+    u_target[:k] = u_b - rep.base_flat.reshape(-1, s1)[:k, -1] // e
+    residue, coeffs = u_ech.reduce(u_target)
     stats = {"path": "wreath", "k": k, "n": n}
-    if residue.any():
+    if residue[:k].any():
         stats["tuples_materialized"] = tuples_materialized
         stats["elapsed_ms"] = 1000 * (time.perf_counter() - t_start)
         return SmpVerdict(False, None, stats)
-    x0_coeffs = (coeffs[:len(rep.raw)] if rep.raw
-                 else np.zeros(0, dtype=np.int64)).astype(np.int64)
-
-    # kernel of the quotient components over the first k rows
-    kernel_coeffs = []
-    if rep.raw:
-        width = len(rep.base_flat)
-        aug = Echelon(m, k + width, track=len(rep.raw))
-        scale = m // p
-        for vec, _, _ in rep.raw:
-            head = (u_residues(vec) * scale) % m
-            aug.insert(np.concatenate([head, vec]))
-        aug.canonicalize()
-        for ridx in aug.tail_rows(k):
-            if np.asarray(aug.rows[ridx][k:]).any():
-                kernel_coeffs.append(aug.coeffs[ridx][:len(rep.raw)])
+    x0_coeffs = coeffs[:nraw]
+    # kernel of the quotient components over the first k coordinates: the
+    # GF(p) rows with pivot past k (their Z_e part is arbitrary), and
+    # generators of the whole Z_e part with u-part zero
+    u_coeffs = u_ech.coeffs
+    kernel_coeffs = [u_coeffs[ridx][:nraw] for ridx in u_ech.tail_rows(k)]
+    kernel_coeffs += _l_part_coeffs(
+        chunks[:, :, :-1].reshape(nraw, k_ext * (s1 - 1)) % e, e, p)
     tuples_materialized += len(kernel_coeffs)
 
     # evaluate the fixed members on the original tuples inside the product
@@ -208,8 +231,12 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
 
     l_members = members // p
     neg_base = group.neg_table[l_members[0]]
-    diffs = np.vstack([group.add_table[l_members[1:], neg_base],
-                       element_rows(group, image.generators, k)])
+    # the image rows go first: they are canonical and sparse, so each
+    # insert touches few basis rows, and a target they reach needs no
+    # member circuit in its witness
+    n_image = len(image.generators)
+    diffs = np.vstack([element_rows(group, image.generators, k),
+                       group.add_table[l_members[1:], neg_base]])
     ok, witness_coeffs = subgroup_member(group, diffs,
                                          group.add_table[l_b, neg_base])
     stats["tuples_materialized"] = tuples_materialized
@@ -225,14 +252,13 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
             "base": {"value": values[0],
                      "circuit": serialize_sexpr(rep.bank.extract(nodes[0]))},
             "members": [
-                {"coeff": witness_coeffs[j], "value": values[j + 1],
+                {"coeff": witness_coeffs[n_image + j], "value": values[j + 1],
                  "circuit": serialize_sexpr(rep.bank.extract(nodes[j + 1]))}
-                for j in range(n_members) if witness_coeffs[j] % m],
+                for j in range(n_members) if witness_coeffs[n_image + j] % m],
             "clonoid": [
-                {"coeff": witness_coeffs[n_members + j],
+                {"coeff": witness_coeffs[j],
                  "value": list(image.generators[j])}
-                for j in range(len(image.generators))
-                if witness_coeffs[n_members + j] % m],
+                for j in range(n_image) if witness_coeffs[j] % m],
         }
     return SmpVerdict(True, witness, stats)
 

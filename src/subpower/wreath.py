@@ -23,7 +23,7 @@ import numpy as np
 from .circuits import Circuit
 from .core import (AlgebraError, ClosureCapExceeded, FiniteAlgebra, Operation,
                    closure_with_circuits, verify_maltsev)
-from .affine import AbelianGroupSpec, Echelon, _frozen
+from .affine import AbelianGroupSpec, Echelon, _frozen, field_or_howell
 
 
 class WreathSpecError(AlgebraError):
@@ -454,42 +454,55 @@ class ClonoidImage:
         return rep
 
 
+def _classify_rows(rows: np.ndarray, p: int):
+    """``classify_row`` of every row of a (k, n) u-value matrix, n >= 2, as
+    arrays: the diagonal mask, each row's first entry x, its entry y at the
+    leading disagreement, and its normalized plane axis (zero for a
+    diagonal row)."""
+    first = rows[:, 0]
+    off = rows != first[:, None]
+    lead = off.argmax(axis=1)
+    y = rows[np.arange(len(rows)), lead]
+    inverse = np.asarray([0] + [pow(d, -1, p) for d in range(1, p)],
+                         dtype=np.int64)
+    axes = (inverse[(y - first) % p][:, None] * (rows - first[:, None])) % p
+    return ~off.any(axis=1), first, y, axes
+
+
 def clonoid_image_comprep(gens: ClonoidGenSet, u_columns) -> ClonoidImage:
     """Generators of {f(u_1..u_n) : f generated by `gens`} inside L^k.
 
     Rows are classified into planes; each binary generator contributes one
-    tuple per populated plane, evaluated through the plane parameterization,
-    and each unary generator contributes its diagonal-collapse image.
+    tuple per populated plane (planes in axis order), evaluated through the
+    plane parameterization, and each unary generator contributes its
+    diagonal-collapse image.
     """
     u_columns = [tuple(u) for u in u_columns]
     n = len(u_columns)
     if n < 1:
         raise AlgebraError("at least one u-column is required")
-    k = len(u_columns[0])
     group = gens.group
     p = gens.p
     m = group.exponent
     zero = group.zero
-    rows = [tuple(col[i] for col in u_columns) for i in range(k)]
-    if n == 1:
-        kinds = [Diagonal(r[0]) for r in rows]
-    else:
-        kinds = [classify_row(r, p) for r in rows]
+    k = len(u_columns[0])
+    rows = np.asarray(u_columns, dtype=np.int64).reshape(n, k).T % p
 
     emitted = []
     if n >= 2:
-        planes: dict = {}
-        for i, kind in enumerate(kinds):
-            if isinstance(kind, Plane):
-                planes.setdefault(kind.axis, []).append(i)
+        is_diag, first, y, axes = _classify_rows(rows, p)
+        plane_rows = np.flatnonzero(~is_diag)
+        planes, plane_of = np.unique(axes[plane_rows], axis=0,
+                                     return_inverse=True)
         binary = np.asarray(gens.binary, dtype=np.int64).reshape(-1, p * p)
-        for axis in sorted(planes):
-            cols = planes[axis]
-            vecs = np.full((len(binary), k), zero, dtype=np.int64)
-            vecs[:, cols] = binary[:, [kinds[i].x * p + kinds[i].y
-                                       for i in cols]]
-            for bi, vec in enumerate(vecs.tolist()):
-                emitted.append((("binary", bi, axis), tuple(vec)))
+        vecs = np.full((len(planes), len(binary), k), zero, dtype=np.int64)
+        vecs[plane_of.ravel(), :, plane_rows] = \
+            binary[:, first[plane_rows] * p + y[plane_rows]].T
+        for axis, block in zip(planes.tolist(), vecs.tolist()):
+            emitted += [(("binary", bi, tuple(axis)), tuple(vec))
+                        for bi, vec in enumerate(block)]
+    else:
+        is_diag, first = np.ones(k, dtype=bool), rows[:, 0]
     unary = np.asarray(gens.unary, dtype=np.int64).reshape(-1, p)
     if len(unary):
         diag_scale = pow(p, n - 1, m) if n >= 2 else 1
@@ -497,14 +510,13 @@ def clonoid_image_comprep(gens: ClonoidGenSet, u_columns) -> ClonoidImage:
         total = np.full(len(unary), zero, dtype=np.int64)
         for v in range(p):
             total = group.add_table[total, unary[:, v]]
-        is_diag = np.asarray([isinstance(kind, Diagonal) for kind in kinds])
-        at = [kind.value if isinstance(kind, Diagonal) else 0 for kind in kinds]
+        at = np.where(is_diag, first, 0)
         vecs = np.where(is_diag, group.scale_table[diag_scale][unary[:, at]],
                         group.scale_table[plane_scale][total][:, None])
         for ai, vec in enumerate(vecs.tolist()):
             emitted.append((("unary", ai), tuple(vec)))
 
-    ech = Echelon(m, k * group.rank)
+    ech = field_or_howell(m, k * group.rank)
     for row in group.embed_elements([vec for _, vec in emitted]):
         ech.insert(row)
     ech.canonicalize()

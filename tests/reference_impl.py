@@ -1,12 +1,12 @@
 """Pure-Python reference versions of the prefix walk, the fork builder,
-circuit splicing, the echelon, bank evaluation, and the recursive
-s-expression reader and writer.
+circuit splicing, the echelon, bank evaluation, the recursive s-expression
+reader and writer, and the per-row clonoid image.
 
 These are the straightforward implementations the array code in
-``subpower.comprep``, ``subpower.affine`` and ``subpower.core`` and the
-compiled ``CircuitBank.splice`` and the non-recursive
-``parse_sexpr``/``serialize_sexpr`` replaced; the differential tests check the
-library against them, output for output.
+``subpower.comprep``, ``subpower.affine``, ``subpower.core`` and
+``subpower.wreath``, the compiled ``CircuitBank.splice`` and the
+non-recursive ``parse_sexpr``/``serialize_sexpr`` replaced; the
+differential tests check the library against them, output for output.
 """
 
 import math
@@ -17,6 +17,7 @@ import numpy as np
 from subpower.affine import AbelianGroupSpec, Echelon, element_rows
 from subpower.circuits import Circuit, CircuitError
 from subpower.core import AlgebraError
+from subpower.wreath import ClonoidImage, Diagonal, Plane, classify_row
 
 
 def signature(tuples) -> set:
@@ -528,3 +529,64 @@ def serialize_sexpr(circuit: Circuit, share_threshold: int = 2) -> str:
         return body
     bindings = " ".join(f"({names[n]} {render(n, binding_of=n)})" for n in shared)
     return f"(let ({bindings}) {body})"
+
+
+def clonoid_image_per_row(gens, u_columns) -> ClonoidImage:
+    """``clonoid_image_comprep`` with one ``classify_row`` call per row and
+    the sequential Howell echelon.
+
+    Rows are classified into planes; each binary generator contributes one
+    tuple per populated plane, evaluated through the plane parameterization,
+    and each unary generator contributes its diagonal-collapse image.
+    """
+    u_columns = [tuple(u) for u in u_columns]
+    n = len(u_columns)
+    if n < 1:
+        raise AlgebraError("at least one u-column is required")
+    k = len(u_columns[0])
+    group = gens.group
+    p = gens.p
+    m = group.exponent
+    zero = group.zero
+    rows = [tuple(col[i] for col in u_columns) for i in range(k)]
+    if n == 1:
+        kinds = [Diagonal(r[0]) for r in rows]
+    else:
+        kinds = [classify_row(r, p) for r in rows]
+
+    emitted = []
+    if n >= 2:
+        planes: dict = {}
+        for i, kind in enumerate(kinds):
+            if isinstance(kind, Plane):
+                planes.setdefault(kind.axis, []).append(i)
+        binary = np.asarray(gens.binary, dtype=np.int64).reshape(-1, p * p)
+        for axis in sorted(planes):
+            cols = planes[axis]
+            vecs = np.full((len(binary), k), zero, dtype=np.int64)
+            vecs[:, cols] = binary[:, [kinds[i].x * p + kinds[i].y
+                                       for i in cols]]
+            for bi, vec in enumerate(vecs.tolist()):
+                emitted.append((("binary", bi, axis), tuple(vec)))
+    unary = np.asarray(gens.unary, dtype=np.int64).reshape(-1, p)
+    if len(unary):
+        diag_scale = pow(p, n - 1, m) if n >= 2 else 1
+        plane_scale = pow(p, n - 2, m) if n >= 2 else 0
+        total = np.full(len(unary), zero, dtype=np.int64)
+        for v in range(p):
+            total = group.add_table[total, unary[:, v]]
+        is_diag = np.asarray([isinstance(kind, Diagonal) for kind in kinds])
+        at = [kind.value if isinstance(kind, Diagonal) else 0 for kind in kinds]
+        vecs = np.where(is_diag, group.scale_table[diag_scale][unary[:, at]],
+                        group.scale_table[plane_scale][total][:, None])
+        for ai, vec in enumerate(vecs.tolist()):
+            emitted.append((("unary", ai), tuple(vec)))
+
+    ech = Echelon(m, k * group.rank)
+    for row in group.embed_elements([vec for _, vec in emitted]):
+        ech.insert(row)
+    ech.canonicalize()
+    generators = [group.unembed(row) for row in ech.rows]
+    return ClonoidImage(group=group, k=k, generators=generators,
+                        emitted=emitted,
+                        tuples_materialized=len(emitted) + len(generators))

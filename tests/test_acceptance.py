@@ -309,6 +309,24 @@ def test_criterion_7_scaling(a6_spec):
                              "exceeded as expected"))
 
 
+def test_criterion_7_member_path_scaling(a6_spec):
+    """The member path at criterion 7's size and bound: the quotient fix,
+    kernel, member evaluation, clonoid image, subgroup test and witness."""
+    k, n = 200, 40
+    inst_dict = random_instance(a6_spec, k, n, member_bias=1.0, seed=777)
+    inst = SmpInstance(tuple(tuple(g) for g in inst_dict["generators"]),
+                       tuple(inst_dict["target"]))
+    solve_smp_wreath(a6_spec, inst, want_witness=False)   # warm the context
+    started = time.perf_counter()
+    verdict = solve_smp_wreath(a6_spec, inst, want_witness=True)
+    elapsed = time.perf_counter() - started
+    assert verdict.member and check_witness(a6_spec, inst, verdict)
+    assert elapsed < 5.0, f"solver took {elapsed:.2f}s"
+    print(PASS.format(num="7b", name="member-path scaling",
+                      detail=f"k={k}, n={n} member solved with its witness "
+                             f"in {elapsed * 1000:.0f} ms"))
+
+
 # ---------------------------------------------------------------------------
 # 8. witness soundness
 

@@ -1,0 +1,141 @@
+"""The fully reduced GF(q) echelon and the factor-split span against the
+sequential Howell echelons: the same span, membership and canonical rows."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_impl as ref
+from subpower.affine import (AbelianGroupSpec, Echelon, FieldEchelon,
+                             SplitSpan, prime_factors)
+from subpower.core import AlgebraError
+
+
+def _vectors(draw, fresh, combine, count):
+    """Zero, duplicate, dependent or fresh vectors, in draw order."""
+    out = []
+    for _ in range(count):
+        kind = draw(st.sampled_from(
+            ["fresh", "fresh", "zero", "duplicate", "dependent"]))
+        if kind == "duplicate" and out:
+            vec = draw(st.sampled_from(out))
+        elif kind == "dependent" and out:
+            vec = combine(draw(st.sampled_from(out)), draw(st.sampled_from(out)),
+                          draw(st.integers(0, 30)))
+        else:
+            vec = draw(fresh)
+            if kind == "zero":
+                vec = [0] * len(vec)
+        out.append(vec)
+    return out
+
+
+@st.composite
+def field_runs(draw):
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    width = draw(st.integers(0, 12))
+    tracked = draw(st.booleans())
+    fresh = st.lists(st.integers(-q, 2 * q), min_size=width, max_size=width)
+    gens = _vectors(draw, fresh,
+                    lambda u, v, c: [c * a + b for a, b in zip(u, v)],
+                    draw(st.integers(0, 10)))
+    targets = draw(st.lists(fresh, max_size=3)) + gens[-2:]
+    return q, width, tracked, gens, targets
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_runs())
+def test_field_echelon_matches_reference(run):
+    q, width, tracked, gens, targets = run
+    track = max(len(gens), 1) if tracked else None
+    old, new = ref.ReferenceEchelon(q, width, track), FieldEchelon(q, width, track)
+    for v in gens:
+        assert new.insert(v) == old.insert(v)
+    assert new.span_size() == old.span_size()
+    assert sorted(new.pivots) == sorted(old.pivots)
+    basis = np.asarray(gens, dtype=np.int64).reshape(len(gens), width)
+    for t in targets + gens:
+        residue, coeffs = new.reduce(t)
+        old_residue, _ = old.reduce(t)
+        # over a field the residue is the unique one vanishing on the pivots
+        assert residue.tolist() == old_residue.tolist()
+        assert new.contains(t) == old.contains(t) == (not residue.any())
+        if tracked:
+            assert np.array_equal(coeffs[:len(gens)] @ basis % q,
+                                  (np.asarray(t) - residue) % q)
+        else:
+            assert coeffs is None
+    assert new.contains_rows(np.asarray(targets, dtype=np.int64)
+                             .reshape(len(targets), width)).tolist() == \
+        [old.contains(t) for t in targets]
+    if tracked:
+        for row, c in zip(new.rows, new.coeffs):
+            assert np.array_equal(c[:len(gens)] @ basis % q, row)
+    old.canonicalize()
+    new.canonicalize()
+    assert [r.tolist() for r in new.rows] == [r.tolist() for r in old.rows]
+    for start in range(width + 2):
+        assert new.tail_rows(start) == old.tail_rows(start)
+
+
+def test_field_echelon_rejects_bad_input():
+    with pytest.raises(AlgebraError):
+        FieldEchelon(6, 3)
+    with pytest.raises(AlgebraError):
+        FieldEchelon(3, 2).insert([1, 0, 0])
+    with pytest.raises(AlgebraError):
+        FieldEchelon(3, 2).insert([1, 0], coeff=[1])
+    tracked = FieldEchelon(3, 2, track=1)
+    tracked.insert([1, 0])
+    with pytest.raises(AlgebraError):
+        tracked.insert([0, 1])
+
+
+def test_field_echelon_rows_stay_valid():
+    ech = FieldEchelon(5, 3)
+    ech.insert([1, 2, 3])
+    first = ech.rows[0]
+    ech.insert([0, 1, 4])
+    assert first.tolist() == [1, 2, 3]
+    assert ech.rows[0].tolist() == [1, 0, (3 - 2 * 4) % 5]
+
+
+GROUPS = [(6,), (10,), (15,), (30,), (2, 3), (2, 5), (3, 5), (6, 5), (2, 15)]
+
+
+@st.composite
+def split_runs(draw):
+    group = AbelianGroupSpec(draw(st.sampled_from(GROUPS)))
+    k = draw(st.integers(1, 6))
+    m = group.exponent
+    fresh = st.lists(st.integers(0, group.size - 1), min_size=k, max_size=k)\
+        .map(lambda t: group.embed_elements(t).tolist())
+    gens = _vectors(draw, fresh,
+                    lambda u, v, c: [(c * a + b) % m for a, b in zip(u, v)],
+                    draw(st.integers(0, 10)))
+    targets = draw(st.lists(fresh, max_size=3)) + gens[-2:]
+    return group, k, gens, targets
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_runs())
+def test_split_span_matches_howell(run):
+    group, k, gens, targets = run
+    split, howell = SplitSpan(group, k), Echelon(group.exponent, k * group.rank)
+    assert len(split.parts) == len(prime_factors(group.exponent))
+    for v in gens:
+        assert split.insert(v) == howell.insert(v)
+    for t in targets:
+        assert split.contains(t) == howell.contains(t)
+    rows = np.asarray(targets, dtype=np.int64).reshape(len(targets),
+                                                       k * group.rank)
+    assert split.contains_rows(rows).tolist() == \
+        howell.contains_rows(rows).tolist()
+
+
+def test_prime_factors():
+    assert prime_factors(1) == []
+    assert prime_factors(12) == [2, 3]
+    assert prime_factors(30) == [2, 3, 5]
+    assert prime_factors(49) == [7]
