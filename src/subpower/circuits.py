@@ -106,6 +106,13 @@ class CircuitBank:
     def __len__(self) -> int:
         return len(self.gates)
 
+    def copy(self) -> "CircuitBank":
+        """An independent bank with the same gates and node ids."""
+        other = CircuitBank(self.arity)
+        other.gates = self.gates.copy()
+        other._intern = self._intern.copy()
+        return other
+
     def _node(self, gate: tuple) -> int:
         node = self._intern.get(gate)
         if node is None:

@@ -8,8 +8,13 @@ Three paths:
   values on the extended rows pins direct-product terms down exactly; the
   membership question then splits into an affine fix over the quotient
   components and a subgroup test against the difference-clonoid image.
+  These padding rows depend on the generator count n alone, so their
+  companion closure is run once per n and cached on the context; a solve
+  evaluates only that closure's leaf nodes on its own k columns.
   The companion exponent splits by CRT as Z_exp(L) x GF(p), so the fix is
-  GF(p) elimination and the l-part is elimination mod exp(L).
+  GF(p) elimination and the l-part is elimination mod exp(L).  The fixed
+  members' values are folded through the Mal'tsev table; their circuits
+  are built only for a returned witness.
 * ``solve_smp_directproduct``: for wreath products whose clone contains the
   direct-product clone, builds a compact representation of the full
   subpower as sums of direct-product members and clonoid image tuples, and
@@ -29,12 +34,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affine import (AbelianGroupSpec, FieldEchelon, affine_closure_comprep,
-                     affine_span, element_rows, field_or_howell, is_prime,
-                     subgroup_member, verify_affine)
+from .affine import (AbelianGroupSpec, AffineSubpowerRep, FieldEchelon,
+                     affine_closure_comprep, affine_span, element_rows,
+                     field_or_howell, is_prime, subgroup_member,
+                     verify_affine)
 from .circuits import parse_sexpr, serialize_sexpr
 from .comprep import (EnumeratedCompactRep, maltsev_chain_member,
-                      maltsev_fold, thin_to_compact)
+                      maltsev_fold, maltsev_table, thin_to_compact)
 from .core import (AlgebraError, FiniteAlgebra, _check_tuples,
                    _circuit_values, eval_circuit, eval_nodes,
                    smp_oracle)
@@ -94,6 +100,9 @@ class WreathContext:
     spec: WreathSpec
     comp_specs: list
     gens: ClonoidGenSet
+    # n -> the companion's affine_span on the padding columns of
+    # _extended_rows, which depend on n alone; filled by the solves
+    padding_spans: dict = field(default_factory=dict)
 
 
 def validate_prime_quotient_class(spec: WreathSpec) -> None:
@@ -140,6 +149,71 @@ def _extended_rows(spec: WreathSpec, gens: np.ndarray) -> np.ndarray:
                       single.reshape(n, -1)])
 
 
+def _companion_span(ctx: WreathContext,
+                    gen_rows: np.ndarray) -> AffineSubpowerRep:
+    """``affine_span`` of the companion on ``_extended_rows(spec, gen_rows)``,
+    from the closure of the padding columns alone, cached per n.
+
+    A difference t(g) - s(g) of companion terms is affine in g, so its first
+    k columns are a linear function of its padding columns (the zero and
+    single-nonzero assignments pin t - s down).  The padding closure
+    therefore makes the same insert and containment decisions, and has the
+    same raw differences, nodes and gates; the first k columns are the
+    values of its base and plus/minus nodes on the generators.  The result
+    carries no echelon, and a copy of the template's bank, so the circuits
+    a witness adds never grow the cached template.
+    """
+    spec = ctx.spec
+    comp, group = spec.companion, spec.companion_group
+    n, k = gen_rows.shape
+    template = ctx.padding_spans.get(n)
+    if template is None:
+        padding = _extended_rows(spec, np.empty((n, 0), dtype=np.int64))
+        template = ctx.padding_spans[n] = affine_span(
+            comp, group, padding, op_specs=ctx.comp_specs)
+    head = group.embed_elements(_leaf_values(comp, template, gen_rows))
+    raw_rows = np.hstack([(head[1::2] - head[2::2]) % group.exponent,
+                          template.raw_rows()])
+    return AffineSubpowerRep(
+        alg=comp, group=group, k=k + template.k,
+        generators=tuple(g + t for g, t in zip(
+            map(tuple, gen_rows.tolist()), template.generators)),
+        base_flat=np.concatenate([head[0], template.base_flat]),
+        base_node=template.base_node, bank=template.bank.copy(),
+        raw=[(row, plus, minus)
+             for row, (_, plus, minus) in zip(raw_rows, template.raw)],
+        tuples_materialized=template.tuples_materialized,
+        _raw_rows=raw_rows)
+
+
+def _leaf_values(alg, rep: AffineSubpowerRep, gen_rows: np.ndarray):
+    """Values in `alg` on the generators of the base node, then of each raw
+    difference's plus and minus node: a (1 + 2 * len(rep.raw), k) array."""
+    nodes = [rep.base_node]
+    for _, plus, minus in rep.raw:
+        nodes += [plus, minus]
+    vals = eval_nodes(alg, rep.bank, nodes, list(gen_rows))
+    return np.asarray([vals[node] for node in nodes])
+
+
+def _fold_members(table: np.ndarray, leaves: np.ndarray,
+                  coeffs: np.ndarray) -> np.ndarray:
+    """Values of ``rep.member_node(c)`` for each row c of `coeffs` (entries
+    in 0..m-1), one row each, without building the circuits: `table` is the
+    Mal'tsev table and `leaves` the ``_leaf_values`` of the algebra.
+
+    The same steps as the chain: from the base, for each raw difference j
+    in order, c_j steps cur = m(plus_j, minus_j, cur), on the rows whose
+    coefficient is still above the step count.
+    """
+    cur = np.tile(leaves[0], (len(coeffs), 1))
+    for plus, minus, col in zip(leaves[1::2], leaves[2::2], coeffs.T):
+        for step in range(col.max(initial=0)):
+            rows = col > step
+            cur[rows] = table[plus, minus, cur[rows]]
+    return cur
+
+
 def _l_part_coeffs(rows: np.ndarray, e: int, p: int) -> list:
     """Z_m coefficient rows, m = e * p, generating the Z_e span of `rows`
     with zero GF(p) part.
@@ -184,8 +258,7 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
     target = np.asarray(inst.target, dtype=np.int64)
     l_b, u_b = np.divmod(target, p)
 
-    rep = affine_span(spec.companion, comp_group,
-                      _extended_rows(spec, gen_rows), op_specs=ctx.comp_specs)
+    rep = _companion_span(ctx, gen_rows)
     tuples_materialized = rep.tuples_materialized
 
     # Z_m splits by CRT as Z_e x GF(p), e = exp(L): in every embedded
@@ -216,12 +289,13 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
         chunks[:, :, :-1].reshape(nraw, k_ext * (s1 - 1)) % e, e, p)
     tuples_materialized += len(kernel_coeffs)
 
-    # evaluate the fixed members on the original tuples inside the product
+    # the fixed members' values on the original tuples inside the product
+    member_coeffs = np.asarray(
+        [x0_coeffs] + [(x0_coeffs + kc) % m for kc in kernel_coeffs],
+        dtype=np.int64).reshape(1 + len(kernel_coeffs), nraw)
     alg = spec.algebra
-    member_coeffs = [x0_coeffs] + [(x0_coeffs + kc) % m for kc in kernel_coeffs]
-    nodes = [rep.member_node(c) for c in member_coeffs]
-    vals = eval_nodes(alg, rep.bank, nodes, list(gen_rows))
-    members = np.asarray([vals[node] for node in nodes], dtype=np.int64)
+    members = _fold_members(maltsev_table(alg),
+                            _leaf_values(alg, rep, gen_rows), member_coeffs)
     tuples_materialized += len(members)
     if (members % p != u_b).any():
         raise AssertionError("fixed member has wrong quotient components")
@@ -245,16 +319,23 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
         return SmpVerdict(False, None, stats)
     witness = None
     if want_witness:
-        n_members = len(members) - 1
+        # circuits only for the base and the members the witness uses, in
+        # member order; with a one-gate Mal'tsev term, gate ids rise along
+        # each chain, so the extracted circuits are those that building
+        # every member's chain would give
         values = members.tolist()
+        base_node = rep.member_node(member_coeffs[0])
+        used = [(j, rep.member_node(member_coeffs[j]))
+                for j in range(1, len(members))
+                if witness_coeffs[n_image + j - 1] % m]
         witness = {
             "path": "wreath",
             "base": {"value": values[0],
-                     "circuit": serialize_sexpr(rep.bank.extract(nodes[0]))},
+                     "circuit": serialize_sexpr(rep.bank.extract(base_node))},
             "members": [
-                {"coeff": witness_coeffs[n_image + j], "value": values[j + 1],
-                 "circuit": serialize_sexpr(rep.bank.extract(nodes[j + 1]))}
-                for j in range(n_members) if witness_coeffs[n_image + j] % m],
+                {"coeff": witness_coeffs[n_image + j - 1], "value": values[j],
+                 "circuit": serialize_sexpr(rep.bank.extract(node))}
+                for j, node in used],
             "clonoid": [
                 {"coeff": witness_coeffs[j],
                  "value": list(image.generators[j])}
@@ -469,8 +550,14 @@ def _is_int(value) -> bool:
 
 def _witness_row(values, k: int, size: int) -> tuple:
     """A witness value: a list of k integers in 0..size-1."""
-    if not isinstance(values, (list, tuple)) or len(values) != k or \
-            not all(_is_int(v) and 0 <= v < size for v in values):
+    if not isinstance(values, (list, tuple)) or len(values) != k:
+        raise AlgebraError("malformed witness value")
+    if set(map(type, values)) <= {int}:
+        # plain ints (the JSON case): one range check
+        if not (0 <= min(values) and max(values) < size):
+            raise AlgebraError("malformed witness value")
+        return tuple(values)
+    if not all(_is_int(v) and 0 <= v < size for v in values):
         raise AlgebraError("malformed witness value")
     return tuple(int(v) for v in values)
 

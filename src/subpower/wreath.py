@@ -520,7 +520,9 @@ def clonoid_image_comprep(gens: ClonoidGenSet, u_columns) -> ClonoidImage:
     for row in group.embed_elements([vec for _, vec in emitted]):
         ech.insert(row)
     ech.canonicalize()
-    generators = [group.unembed(row) for row in ech.rows]
+    rows = ech.rows
+    generators = [tuple(row) for row in group.unembed_array(
+        np.asarray(rows)).tolist()] if rows else []
     return ClonoidImage(group=group, k=k, generators=generators,
                         emitted=emitted,
                         tuples_materialized=len(emitted) + len(generators))

@@ -1,0 +1,167 @@
+"""The wreath path's per-arity companion closure and numeric member fold:
+the cached padding closure against a fresh ``affine_span`` on the extended
+rows, the fold against the member circuits, warm contexts that never grow,
+circuits built only for a returned witness, and the open forged-witness
+gap of ``check_witness``."""
+
+import random
+from functools import cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from subpower.affine import AffineSubpowerRep, affine_span, verify_affine
+from subpower.catalog import a6, random_wreath, w15
+from subpower.comprep import maltsev_table
+from subpower.core import eval_nodes
+from subpower.instances import random_instance
+from subpower.solver import (SmpInstance, SmpVerdict, WreathContext,
+                             _companion_span, _extended_rows, _fold_members,
+                             _leaf_values, check_witness, solve_smp_wreath,
+                             wreath_context)
+
+SPECS = {"a6": a6, "w15": w15}
+SPECS.update({f"random_wreath{args}": (lambda args=args: random_wreath(*args))
+              for args in [(2, 3, 1), (3, 2, 1), (2, 9, 3), (3, 5, 2),
+                           (5, 2, 1)]})
+
+
+@cache
+def span_context(name: str) -> WreathContext:
+    """A context holding just what ``_companion_span`` reads (the clonoid
+    generators are not needed, and w15's take seconds to extract)."""
+    spec = SPECS[name]()
+    return WreathContext(spec=spec, comp_specs=verify_affine(
+        spec.companion, spec.companion_group), gens=None)
+
+
+def _instance(spec, k: int, n: int, seed: int, bias: float = 1.0):
+    d = random_instance(spec, k, n, bias, seed=seed)
+    return SmpInstance(d["generators"], d["target"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(SPECS)), k=st.integers(1, 12),
+       n=st.integers(1, 6), seed=st.integers(0, 10_000))
+def test_cached_closure_equals_fresh_span(name, k, n, seed):
+    ctx = span_context(name)
+    spec = ctx.spec
+    rng = random.Random(seed)
+    # constant generators (one value everywhere) often leave no differences
+    gen_rows = np.asarray(
+        [[rng.randrange(spec.size)] * k if rng.random() < 0.2 else
+         [rng.randrange(spec.size) for _ in range(k)] for _ in range(n)],
+        dtype=np.int64)
+    got = _companion_span(ctx, gen_rows)
+    want = affine_span(spec.companion, spec.companion_group,
+                       _extended_rows(spec, gen_rows),
+                       op_specs=ctx.comp_specs)
+    assert got.k == want.k and got.generators == want.generators
+    assert np.array_equal(got.base_flat, want.base_flat)
+    assert got.base_node == want.base_node
+    assert len(got.raw) == len(want.raw)
+    for (gv, gp, gm), (wv, wp, wm) in zip(got.raw, want.raw):
+        assert np.array_equal(gv, wv) and (gp, gm) == (wp, wm)
+    assert np.array_equal(got.raw_rows(), want.raw_rows())
+    assert got.bank.gates == want.bank.gates
+    assert got.tuples_materialized == want.tuples_materialized
+
+    # the fold against the member circuits, for random coefficient rows
+    m = spec.companion_group.exponent
+    rows = rng.randint(1, 4)
+    coeffs = np.asarray([[rng.randrange(m) for _ in got.raw]
+                         for _ in range(rows)],
+                        dtype=np.int64).reshape(rows, len(got.raw))
+    folded = _fold_members(maltsev_table(spec.algebra),
+                           _leaf_values(spec.algebra, got, gen_rows), coeffs)
+    nodes = [got.member_node(c) for c in coeffs]
+    vals = eval_nodes(spec.algebra, got.bank, nodes, list(gen_rows))
+    assert folded.tolist() == [vals[node].tolist() for node in nodes]
+
+
+def test_constant_generators_leave_no_raw_differences():
+    ctx = span_context("a6")
+    zero = ctx.spec.zero
+    rep = _companion_span(ctx, np.full((1, 3), zero, dtype=np.int64))
+    assert rep.raw == [] and rep.raw_rows().shape == (0, len(rep.base_flat))
+    alg = ctx.spec.algebra
+    leaves = _leaf_values(alg, rep, np.full((1, 3), zero, dtype=np.int64))
+    folded = _fold_members(maltsev_table(alg), leaves,
+                           np.zeros((2, 0), dtype=np.int64))
+    assert folded.tolist() == [[zero] * 3] * 2
+
+
+@pytest.fixture()
+def member_node_calls(monkeypatch):
+    calls = []
+    original = AffineSubpowerRep.member_node
+
+    def counted(self, raw_coeffs):
+        calls.append(1)
+        return original(self, raw_coeffs)
+
+    monkeypatch.setattr(AffineSubpowerRep, "member_node", counted)
+    return calls
+
+
+def test_warm_context_template_never_grows(member_node_calls):
+    spec = a6()
+    ctx = wreath_context(spec)
+    assert ctx.padding_spans == {}
+    gates = None
+    members = 0
+    for seed in range(40):
+        inst = _instance(spec, 8, 3, seed, bias=0.5)
+        verdict = solve_smp_wreath(spec, inst)
+        members += verdict.member
+        template = ctx.padding_spans[3]
+        if gates is None:
+            gates = len(template.bank)
+        assert len(template.bank) == gates
+        assert list(ctx.padding_spans) == [3]
+    # witnesses were built on the solves' own banks
+    assert members and member_node_calls
+
+
+def test_circuits_only_for_a_returned_witness(member_node_calls):
+    spec = a6()
+    inst = _instance(spec, 6, 3, 0)
+    verdict = solve_smp_wreath(spec, inst, want_witness=False)
+    assert verdict.member and verdict.witness is None
+    assert member_node_calls == []
+    verdict = solve_smp_wreath(spec, inst)
+    assert check_witness(spec, inst, verdict)
+    # the base, then each member with a nonzero coefficient; this instance
+    # uses some
+    assert verdict.witness["members"]
+    assert len(member_node_calls) == 1 + len(verdict.witness["members"])
+    member_node_calls.clear()
+    target = list(inst.target)
+    l, u = spec.split(target[0])
+    target[0] = spec.pair(spec.left_group.add(l, 1), u)
+    moved = SmpInstance(inst.generators, target)
+    assert not solve_smp_wreath(spec, moved).member
+    assert member_node_calls == []
+
+
+@pytest.mark.xfail(strict=True, reason="check_witness takes clonoid parts on "
+                   "trust; checking each against the clonoid image is open")
+def test_forged_clonoid_part_is_rejected():
+    spec = a6()
+    inst = _instance(spec, 6, 3, 0)
+    honest = solve_smp_wreath(spec, inst).witness
+    # move the l-part of one target coordinate: a non-member
+    shift = 1
+    target = list(inst.target)
+    l, u = spec.split(target[0])
+    target[0] = spec.pair(spec.left_group.add(l, shift), u)
+    moved = SmpInstance(inst.generators, target)
+    assert not solve_smp_wreath(spec, moved).member
+    # the honest witness plus one clonoid part holding the l-difference
+    part = [spec.left_group.zero] * inst.k
+    part[0] = shift
+    forged = dict(honest, clonoid=honest["clonoid"] + [
+        {"coeff": 1, "value": part}])
+    assert not check_witness(spec, moved, SmpVerdict(True, forged))
