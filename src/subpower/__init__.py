@@ -18,7 +18,7 @@ from .core import (AlgebraError, ClosureCapExceeded, FiniteAlgebra, Operation,
                    subpower_closure, verify_central, verify_maltsev)
 from .solver import (SmpInstance, SmpVerdict, UnsupportedAlgebraError,
                      check_witness, compute_comprep, dispatch,
-                     solve_smp_directproduct, solve_smp_wreath)
+                     solve_smp_wreath)
 from .wreath import (ClonoidGenSet, Diagonal, Plane, WreathSpec, build_wreath,
                      classify_row, clonoid_image_comprep, companion_eval,
                      diff_clonoid_gens, plane_axes, plane_count)

@@ -32,15 +32,14 @@ Only prime-power factors need it (Storjohann & Mulders, ESA 1998): for a
 squarefree m, ``SplitSpan`` keeps the span as one ``FieldEchelon`` per
 prime factor, by CRT.  ``Echelon`` also stays wherever its rows and
 tracked coefficients become golden bytes: ``tracked_echelon`` behind
-compact representations and Fix-Value, ``subgroup_compact_tuples``, and
-the difference clonoid.
+compact representations and Fix-Value, and the difference clonoid.
 
 The affine closure of generator tuples under a verified affine algebra is
 kept in base-plus-differences form.  Every inserted difference remembers a
 pair of member circuits realizing it, so arbitrary members can be issued
 with witness circuits by chaining the designated Mal'tsev circuit
 (m(x, y, z) adds the difference x - y to z).  Compact representations of
-a coset or subgroup are built as matrices: one matrix of per-coordinate
+a coset are built as matrices: one matrix of per-coordinate
 fork combinations (``_fork_coefficients``), one product for the members,
 a first-occurrence dedupe, and one ``unembed_array``.
 """
@@ -999,21 +998,3 @@ def affine_closure_comprep(alg: FiniteAlgebra, group: AbelianGroupSpec, gens,
     """Enumerated compact representation of Sg(gens) for an affine algebra."""
     rep = affine_span(alg, group, gens, op_specs=op_specs)
     return coset_compact_rep(rep)
-
-
-def subgroup_compact_tuples(group: AbelianGroupSpec, k: int, generators) -> list:
-    """Compact-representation tuples of the subgroup of L^k the generators span.
-
-    Same per-coordinate fork construction as coset_compact_rep, without
-    circuits; the base point is the zero tuple.
-    """
-    m = group.exponent
-    ech = Echelon(m, k * group.rank)
-    for g in group.embed_elements(element_rows(group, generators, k)):
-        ech.insert(g)
-    ech.canonicalize()
-    rows = np.asarray(ech.rows, dtype=np.int64).reshape(len(ech.rows),
-                                                        k * group.rank)
-    flats = (_fork_coefficients(group, ech, k) @ rows) % m
-    return [tuple(t) for t in
-            group.unembed_array(flats[_first_rows(flats)]).tolist()]

@@ -300,6 +300,10 @@ class _Builder:
             return [form, dict(env), 0, None]
         if not isinstance(head, str):
             raise CircuitError("operation symbol expected")
+        if head == _VAR:
+            # an application gate ("x", c) would read as the variable x_c
+            raise CircuitError("'x' is reserved for input gates, "
+                               "not an operation symbol")
         return [form, env, 1, [head]]
 
     def build(self, tree) -> int:

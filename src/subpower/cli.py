@@ -21,7 +21,7 @@ from .instances import bench, random_instance
 from .serialize import (comprep_to_dict, dump_json, instance_from_dict,
                         load_algebra_input, verdict_to_dict)
 from .solver import (SmpInstance, UnsupportedAlgebraError, check_witness,
-                     compute_comprep, dispatch)
+                     compute_comprep, dispatch, underlying_algebra)
 from .wreath import WreathSpec, diff_clonoid_gens
 
 
@@ -118,9 +118,8 @@ def _cmd_solve(args) -> int:
 def _cmd_oracle(args) -> int:
     algebra = load_algebra_input(args.algebra)
     inst = _load_instance(args.instance)
-    alg = algebra.algebra if isinstance(algebra, WreathSpec) else (
-        algebra[0] if isinstance(algebra, tuple) else algebra)
-    member = smp_oracle(alg, inst.generators, inst.target, cap=args.cap)
+    member = smp_oracle(underlying_algebra(algebra), inst.generators,
+                        inst.target, cap=args.cap)
     _emit({"member": member, "witness": None,
            "stats": {"path": "oracle", "cap": args.cap}}, args.format)
     return 0 if member else 1
@@ -144,9 +143,7 @@ def _cmd_fix(args) -> int:
         raise AlgebraError("--values must be comma-separated integers") from None
     rep = compute_comprep(algebra, inst.generators,
                           allow_oracle=args.allow_oracle, cap=args.cap)
-    alg = algebra.algebra if isinstance(algebra, WreathSpec) else (
-        algebra[0] if isinstance(algebra, tuple) else algebra)
-    fixed = fix_values(alg, rep, values)
+    fixed = fix_values(underlying_algebra(algebra), rep, values)
     _emit(comprep_to_dict(fixed), args.format)
     return 0
 

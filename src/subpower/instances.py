@@ -7,18 +7,7 @@ import time
 
 from .core import AlgebraError, FiniteAlgebra
 from .circuits import CircuitBank
-from .solver import SmpInstance, dispatch
-from .wreath import WreathSpec
-
-
-def _underlying_algebra(algebra_input) -> FiniteAlgebra:
-    if isinstance(algebra_input, WreathSpec):
-        return algebra_input.algebra
-    if isinstance(algebra_input, FiniteAlgebra):
-        return algebra_input
-    if isinstance(algebra_input, tuple):
-        return algebra_input[0]
-    raise AlgebraError("expected a wreath spec, an algebra, or (algebra, group)")
+from .solver import SmpInstance, dispatch, underlying_algebra
 
 
 def _random_term_value(alg: FiniteAlgebra, gens, rng: random.Random,
@@ -51,7 +40,7 @@ def random_instance(algebra_input, k: int, n: int, member_bias: float,
     """
     if k < 1 or n < 1:
         raise AlgebraError("instance sizes must be at least 1")
-    alg = _underlying_algebra(algebra_input)
+    alg = underlying_algebra(algebra_input)
     rng = random.Random(seed)
     gens = [tuple(rng.randrange(alg.size) for _ in range(k)) for _ in range(n)]
     if rng.random() < member_bias:

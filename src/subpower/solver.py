@@ -1,6 +1,6 @@
 """End-to-end subpower membership decision procedures.
 
-Three paths:
+Two paths:
 
 * ``solve_smp_wreath``: the polynomial pipeline for coprime wreath products
   with prime-order affine quotient.  The generator matrix is extended by
@@ -15,10 +15,6 @@ Three paths:
   GF(p) elimination and the l-part is elimination mod exp(L).  The fixed
   members' values are folded through the Mal'tsev table; their circuits
   are built only for a returned witness.
-* ``solve_smp_directproduct``: for wreath products whose clone contains the
-  direct-product clone, builds a compact representation of the full
-  subpower as sums of direct-product members and clonoid image tuples, and
-  decides by Mal'tsev chaining.
 * ``dispatch``: affine algebras go through elimination, coprime
   prime-quotient wreath products through the wreath path, and anything else
   falls back to the exhaustive oracle (opt-in).
@@ -39,8 +35,7 @@ from .affine import (AbelianGroupSpec, AffineSubpowerRep, FieldEchelon,
                      field_or_howell, is_prime, subgroup_member,
                      verify_affine)
 from .circuits import parse_sexpr, serialize_sexpr
-from .comprep import (EnumeratedCompactRep, maltsev_chain_member,
-                      maltsev_fold, maltsev_table, thin_to_compact)
+from .comprep import EnumeratedCompactRep, maltsev_table, thin_to_compact
 from .core import (AlgebraError, FiniteAlgebra, _check_tuples,
                    _circuit_values, eval_circuit, eval_nodes,
                    smp_oracle)
@@ -239,13 +234,10 @@ def _l_part_coeffs(rows: np.ndarray, e: int, p: int) -> list:
 
 
 def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
-                     gens: ClonoidGenSet | None = None,
                      want_witness: bool = True) -> SmpVerdict:
     """Polynomial-time membership for the coprime prime-quotient class."""
     t_start = time.perf_counter()
     ctx = wreath_context(spec)
-    if gens is None:
-        gens = ctx.gens
     _check_range(inst, spec.size)
     group = spec.left_group
     comp_group = spec.companion_group
@@ -300,7 +292,7 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
     if (members % p != u_b).any():
         raise AssertionError("fixed member has wrong quotient components")
 
-    image = clonoid_image_comprep(gens, (gen_rows % p).tolist())
+    image = clonoid_image_comprep(ctx.gens, (gen_rows % p).tolist())
     tuples_materialized += image.tuples_materialized
 
     l_members = members // p
@@ -340,102 +332,6 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
                 {"coeff": witness_coeffs[j],
                  "value": list(image.generators[j])}
                 for j in range(n_image) if witness_coeffs[j] % m],
-        }
-    return SmpVerdict(True, witness, stats)
-
-
-# ---------------------------------------------------------------------------
-# the direct-product path
-
-def clone_contains_companion(spec: WreathSpec, max_arity: int = 2,
-                             cap: int = 100_000) -> bool:
-    """Spot-check Clo(direct product) inside Clo(product) at small arities.
-
-    The containment is what justifies representing the whole subpower as
-    sums of direct-product members and clonoid image tuples; it can fail
-    even for coprime affine parts, so the check is cached per spec.
-    """
-    cache = spec.__dict__.setdefault("_containment_cache", {})
-    if max_arity not in cache:
-        from .core import clone_enumerate
-        ok = True
-        for arity in range(1, max_arity + 1):
-            comp = {t for t, _ in clone_enumerate(spec.companion, arity, cap)}
-            full = {t for t, _ in clone_enumerate(spec.algebra, arity, cap)}
-            if not comp <= full:
-                ok = False
-                break
-        cache[max_arity] = ok
-    return cache[max_arity]
-
-
-def _directproduct_sums(spec: WreathSpec, comp_specs, gens: ClonoidGenSet,
-                        generators):
-    """Sums of direct-product members and clonoid image tuples.
-
-    Returns the direct product's compact representation, the clonoid image
-    tuples, and the (unthinned) representation of every sum, direct-product
-    member major.
-    """
-    comp_rep = affine_closure_comprep(spec.companion, spec.companion_group,
-                                      generators, op_specs=comp_specs)
-    p = spec.p
-    k = len(generators[0])
-    image = clonoid_image_comprep(
-        gens, (np.asarray(generators, dtype=np.int64) % p).tolist())
-    image_tuples = image.compact_rep().tuples()
-    members = np.asarray(comp_rep.tuples(), dtype=np.int64).reshape(-1, k)
-    shifts = np.asarray(image_tuples, dtype=np.int64).reshape(-1, k)
-    l_sums = spec.left_group.add_table[(members // p)[:, None, :],
-                                       shifts[None, :, :]]
-    sums = l_sums * p + (members % p)[:, None, :]
-    combined = EnumeratedCompactRep(generators, [], None)
-    for t in sums.reshape(-1, k).tolist():
-        combined.add(t, None)
-    return comp_rep, image_tuples, combined
-
-
-def solve_smp_directproduct(spec: WreathSpec, inst: SmpInstance,
-                            gens: ClonoidGenSet | None = None,
-                            hypothesis_asserted: bool = True,
-                            verify_hypothesis: bool = False,
-                            want_witness: bool = True) -> SmpVerdict:
-    """Membership via a compact representation of the whole subpower.
-
-    Requires the clone of the product to contain the clone of the direct
-    product (caller-asserted; optionally spot-checked at arity <= 2).
-    """
-    t_start = time.perf_counter()
-    ctx = wreath_context(spec)
-    if gens is None:
-        gens = ctx.gens
-    if not hypothesis_asserted:
-        raise UnsupportedAlgebraError(
-            "direct-product path requires the clone containment hypothesis")
-    if verify_hypothesis and not clone_contains_companion(spec):
-        raise UnsupportedAlgebraError(
-            "clone containment fails at arity <= 2; the direct-product "
-            "path is not applicable")
-    _check_range(inst, spec.size)
-    comp_rep, image_tuples, combined = _directproduct_sums(
-        spec, ctx.comp_specs, gens, inst.generators)
-    thinned = thin_to_compact(combined)
-    stats = {"path": "directproduct", "k": inst.k, "n": inst.n,
-             "tuples_materialized": len(comp_rep.entries) + len(image_tuples)
-             + len(combined.entries)}
-
-    chain = maltsev_chain_member(spec.algebra, thinned, inst.target)
-    stats["elapsed_ms"] = 1000 * (time.perf_counter() - t_start)
-    if chain is None:
-        return SmpVerdict(False, None, stats)
-    witness = None
-    if want_witness:
-        entries = thinned.tuples()
-        witness = {
-            "path": "directproduct",
-            "start": list(entries[chain.start]),
-            "steps": [[list(entries[ib]), list(entries[ia])]
-                      for _, ib, ia in chain.steps],
         }
     return SmpVerdict(True, witness, stats)
 
@@ -482,6 +378,13 @@ def _as_algebra_group(algebra_input):
     raise AlgebraError("expected a wreath spec, an algebra, or (algebra, group)")
 
 
+def underlying_algebra(algebra_input) -> FiniteAlgebra:
+    """The algebra of a wreath spec, an algebra, or (algebra, group)."""
+    if isinstance(algebra_input, WreathSpec):
+        return algebra_input.algebra
+    return _as_algebra_group(algebra_input)[0]
+
+
 def _solve_affine(alg, group, op_specs, inst, want_witness) -> SmpVerdict:
     """Decide whether target - base lies in the span of the differences;
     for a returned witness, one tracked reduction gives its raw
@@ -510,20 +413,19 @@ def compute_comprep(algebra_input, generators, *, allow_oracle: bool = False,
                     cap: int = 1_000_000) -> EnumeratedCompactRep:
     """A compact representation of Sg(generators) for the given algebra.
 
-    Affine algebras go through elimination; wreath products through the
-    direct-product construction (clone containment asserted); anything else
-    through the capped oracle with thinning.
+    Affine algebras go through elimination; anything else, wreath products
+    included (their membership is decided in polynomial time, but no sound
+    polynomial construction of their compact representations is
+    implemented), through the capped oracle with thinning.
     """
     generators = tuple(tuple(g) for g in generators)
     if isinstance(algebra_input, WreathSpec):
-        spec = algebra_input
-        if clone_contains_companion(spec):
-            ctx = wreath_context(spec)
-            _, _, combined = _directproduct_sums(spec, ctx.comp_specs,
-                                                 ctx.gens, generators)
-            return thin_to_compact(combined)
-        # the containment can fail; fall through to the oracle route
-        algebra_input = spec.algebra
+        if not allow_oracle:
+            raise UnsupportedAlgebraError(
+                "compact representations of a wreath product are computed "
+                "by the exhaustive oracle only; pass allow_oracle=True "
+                "(--allow-oracle)")
+        algebra_input = algebra_input.algebra
     alg, group = _as_algebra_group(algebra_input)
     if group is not None:
         try:
@@ -592,13 +494,6 @@ def _rederive(algebra_input, inst: SmpInstance, w: dict) -> bool:
         alg, _ = _as_algebra_group(algebra_input)
         circuit = parse_sexpr(w["circuit"], arity=inst.n)
         return eval_circuit(alg, circuit, args) == inst.target
-    if w["path"] == "directproduct":
-        alg = algebra_input.algebra
-        current = _witness_row(w["start"], k, alg.size)
-        for vb, va in w["steps"]:
-            current = maltsev_fold(alg, current, _witness_row(vb, k, alg.size),
-                                   _witness_row(va, k, alg.size))
-        return current == inst.target
     if w["path"] == "wreath":
         spec = algebra_input
         alg = spec.algebra

@@ -444,15 +444,6 @@ class ClonoidImage:
     emitted: list                         # (tag, tuple) raw emissions
     tuples_materialized: int = 0
 
-    def compact_rep(self):
-        from .affine import subgroup_compact_tuples
-        from .comprep import EnumeratedCompactRep
-        tuples = subgroup_compact_tuples(self.group, self.k, self.generators)
-        rep = EnumeratedCompactRep((), [], None)
-        for t in tuples:
-            rep.add(t, None)
-        return rep
-
 
 def _classify_rows(rows: np.ndarray, p: int):
     """``classify_row`` of every row of a (k, n) u-value matrix, n >= 2, as

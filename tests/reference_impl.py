@@ -14,7 +14,7 @@ import re
 
 import numpy as np
 
-from subpower.affine import AbelianGroupSpec, Echelon, element_rows
+from subpower.affine import AbelianGroupSpec, Echelon
 from subpower.circuits import Circuit, CircuitError
 from subpower.core import AlgebraError
 from subpower.wreath import ClonoidImage, Diagonal, Plane, classify_row
@@ -160,25 +160,6 @@ def coset_compact_entries(rep) -> list:
             continue
         emitted.add(key)
         out.append((rep.group.unembed(flat), rep.member_node(raw_c)))
-    return out
-
-
-def subgroup_compact_tuples(group: AbelianGroupSpec, k: int, generators) -> list:
-    m = group.exponent
-    ech = Echelon(m, k * group.rank)
-    for g in group.embed_elements(element_rows(group, generators, k)):
-        ech.insert(g)
-    ech.canonicalize()
-    rows = np.asarray(ech.rows, dtype=np.int64).reshape(len(ech.rows),
-                                                        k * group.rank)
-    out = []
-    seen = set()
-    for combo in fork_coefficients(group, ech, k):
-        flat = (combo @ rows) % m
-        key = flat.tobytes()
-        if key not in seen:
-            seen.add(key)
-            out.append(group.unembed(flat))
     return out
 
 
@@ -493,6 +474,9 @@ def parse_sexpr(text: str, arity: int | None = None) -> Circuit:
             return build(node[2], inner)
         if not isinstance(head, str):
             raise CircuitError("operation symbol expected")
+        if head == _VAR:
+            raise CircuitError("'x' is reserved for input gates, "
+                               "not an operation symbol")
         children = tuple(build(child, env) for child in node[1:])
         return emit((head,) + children)
 

@@ -6,7 +6,7 @@ import pytest
 from subpower.affine import (AbelianGroupSpec, Echelon, NotAffineError,
                              affine_closure_comprep, affine_member,
                              affine_span, span_members, subgroup_member,
-                             subgroup_compact_tuples, verify_affine)
+                             verify_affine)
 from subpower.catalog import zmod_algebra
 from subpower.circuits import parse_sexpr
 from subpower.comprep import signature
@@ -164,20 +164,3 @@ def test_affine_closure_companion_matches_oracle(a6_spec):
         gens = [tuple(rng.randrange(6) for _ in range(k)) for _ in range(n)]
         rep = affine_span(comp, g, gens)
         assert span_members(rep) == subpower_closure(comp, gens)
-
-
-def test_subgroup_compact_tuples_signature():
-    g = AbelianGroupSpec((6,))
-    gens = [(2, 0, 4), (0, 3, 3)]
-    tuples = subgroup_compact_tuples(g, 3, gens)
-    full = {(0, 0, 0)}
-    frontier = [(0, 0, 0)]
-    while frontier:
-        cur = frontier.pop()
-        for gen in gens:
-            nxt = tuple((a + b) % 6 for a, b in zip(cur, gen))
-            if nxt not in full:
-                full.add(nxt)
-                frontier.append(nxt)
-    assert set(tuples) <= full
-    assert signature(tuples) == signature(sorted(full))

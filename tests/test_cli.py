@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from subpower.catalog import a6, zmod_algebra
+from subpower.catalog import a6, a6_symmetric, zmod_algebra
 from subpower.cli import main
+from subpower.comprep import signature
+from subpower.core import subpower_closure
 from subpower.serialize import (algebra_to_dict, dump_json, wreath_to_dict)
 
 
@@ -125,6 +127,26 @@ def test_comprep_and_fix(tmp_path, z3_file, capsys):
                "--values", "2"])
     fixed = json.loads(capsys.readouterr().out)
     assert rc == 0 and fixed["tuples"] == [[2, 2]]
+
+
+def test_comprep_and_fix_on_wreath_need_the_oracle(tmp_path, capsys):
+    spec = a6_symmetric()
+    path = tmp_path / "a6_symmetric.json"
+    path.write_text(dump_json(wreath_to_dict(spec)))
+    gens = [(1, 3, 5), (3, 1, 3)]
+    inst = write_instance(tmp_path, gens, (1, 3, 5))
+    for argv in (["comprep"], ["fix", "--values", "1"]):
+        argv += ["--algebra", str(path), "--instance", inst]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--allow-oracle" in captured.err
+        assert main(argv + ["--allow-oracle"]) == 0
+        tuples = [tuple(t) for t in json.loads(capsys.readouterr().out)["tuples"]]
+        closed = subpower_closure(spec.algebra, gens)
+        if argv[0] == "fix":
+            closed = {t for t in closed if t[0] == 1}
+        assert set(tuples) <= closed
+        assert signature(tuples) == signature(sorted(closed))
 
 
 def test_bench_csv(a6_file, capsys):

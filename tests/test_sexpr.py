@@ -98,6 +98,9 @@ def test_reader_messages():
         "(let x1 x1)": "malformed let binding",
         "(m y)": "unknown atom 'y'",
         "(m x0)": "input variables are numbered from x1",
+        # not hash-consed onto the input gate x1 (m(x1, x2, x1))
+        "(m x1 x2 (x x2))": "'x' is reserved for input gates",
+        "(let ((g (x x1))) (m g g g))": "'x' is reserved for input gates",
         # a let's names are gone after it
         "(m (let ((g x1)) g) g)": "unknown atom 'g'",
     }

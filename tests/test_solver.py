@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from subpower.catalog import random_wreath, zmod_algebra
-from subpower.comprep import maltsev_fold
-from subpower.core import smp_oracle
+from subpower.catalog import a6_symmetric, random_wreath, zmod_algebra
+from subpower.circuits import parse_sexpr
+from subpower.comprep import maltsev_fold, signature
+from subpower.core import smp_oracle, subpower_closure
+from subpower.instances import random_instance
 from subpower.solver import (SmpInstance, UnsupportedAlgebraError,
                              check_witness, compute_comprep, dispatch,
-                             solve_smp_directproduct, solve_smp_wreath,
-                             validate_prime_quotient_class)
+                             solve_smp_wreath, validate_prime_quotient_class)
 from subpower.wreath import WreathSpec
 
 
@@ -78,63 +79,38 @@ def test_wreath_agrees_with_oracle_extra_symbol(a6e_spec):
             assert check_witness(a6e_spec, inst, v)
 
 
-def test_directproduct_path_agrees():
-    from subpower.catalog import a6_symmetric
+def _seeded(spec, k: int, n: int, bias: float, seed: int) -> SmpInstance:
+    d = random_instance(spec, k, n, bias, seed=seed)
+    return SmpInstance(d["generators"], d["target"])
+
+
+def test_wreath_agrees_with_oracle_symmetric():
+    # a6_symmetric passes the arity <= 2 clone-containment spot-check that
+    # admitted the removed direct-product route, yet that route disagreed
+    # with the oracle on 3 of the seeded k=5, n=3 instances below, and
+    # called 33 of the 39 k=20 term-value members non-members
     spec = a6_symmetric()
     alg = spec.algebra
     rng = random.Random(2)
+    insts = [random_member_instance(alg, rng, rng.randint(1, 3),
+                                    rng.randint(1, 3), bias=0.5)
+             for _ in range(60)]
+    insts += [_seeded(spec, 5, 3, 0.5, seed) for seed in range(1, 40)]
+    cases = [(inst, smp_oracle(alg, inst.generators, inst.target))
+             for inst in insts]
+    # members by construction, past the oracle's reach
+    cases += [(_seeded(spec, 20, 6, 1.0, seed), True) for seed in range(1, 40)]
     member_count = 0
-    for _ in range(60):
-        k = rng.randint(1, 3)
-        n = rng.randint(1, 3)
-        inst = random_member_instance(alg, rng, k, n, bias=0.5)
-        v1 = solve_smp_wreath(spec, inst)
-        v2 = solve_smp_directproduct(spec, inst, verify_hypothesis=True)
-        assert v1.member == v2.member
-        assert v1.member == smp_oracle(alg, inst.generators, inst.target)
-        if v2.member:
-            assert check_witness(spec, inst, v2)
+    for inst, member in cases:
+        v = solve_smp_wreath(spec, inst)
+        assert v.member == member
+        if v.member:
+            assert check_witness(spec, inst, v)
             member_count += 1
-    assert member_count > 0
+    assert member_count > 39
 
 
-def test_containment_hypothesis_holds_for_symmetric_variant():
-    from subpower.catalog import a6_symmetric
-    from subpower.solver import clone_contains_companion
-    assert clone_contains_companion(a6_symmetric())
-
-
-def test_directproduct_path_on_w15(w15_spec):
-    # the fifteen-element algebra passes the containment spot-check, so
-    # both decision paths apply and must agree with the oracle
-    from subpower.solver import clone_contains_companion
-    assert clone_contains_companion(w15_spec)
-    alg = w15_spec.algebra
-    rng = random.Random(3)
-    for _ in range(15):
-        n = rng.randint(1, 3)
-        k = rng.randint(1, 3)
-        inst = random_member_instance(alg, rng, k, n, bias=0.5)
-        v = solve_smp_directproduct(w15_spec, inst, verify_hypothesis=True,
-                                    want_witness=False)
-        assert v.member == smp_oracle(alg, inst.generators, inst.target,
-                                      cap=100_000)
-
-
-def test_containment_hypothesis_fails_for_a6(a6_spec):
-    # the class of the term with direct-product behaviour 2x - y contains
-    # no shift-free member, so the direct-product construction would be
-    # unsound here and must be refused when verification is requested
-    from subpower.solver import clone_contains_companion
-    assert not clone_contains_companion(a6_spec)
-    inst = SmpInstance(((0, 1), (3, 3)), (0, 1))
-    with pytest.raises(UnsupportedAlgebraError):
-        solve_smp_directproduct(a6_spec, inst, verify_hypothesis=True)
-
-
-def test_directproduct_zero_hat_reduces_to_affine():
-    from subpower.catalog import zmod_algebra
-    from subpower.circuits import parse_sexpr
+def test_wreath_zero_hat_reduces_to_affine():
     left, left_group = zmod_algebra(3)
     right, _ = zmod_algebra(2)
     flat = WreathSpec(left=left, left_group=left_group, right=right,
@@ -142,9 +118,11 @@ def test_directproduct_zero_hat_reduces_to_affine():
     rng = random.Random(8)
     for _ in range(10):
         inst = random_member_instance(flat.algebra, rng, 3, 2, bias=0.5)
-        v = solve_smp_directproduct(flat, inst, verify_hypothesis=True)
+        v = solve_smp_wreath(flat, inst)
         assert v.member == smp_oracle(flat.algebra, inst.generators,
                                       inst.target)
+        if v.member:
+            assert check_witness(flat, inst, v)
 
 
 def test_monotonicity_appending_generator(a6_spec):
@@ -215,26 +193,29 @@ def test_dispatch_oracle_fallback():
 
 
 def test_compute_comprep_matches_oracle():
-    from subpower.catalog import a6_symmetric
-    from subpower.comprep import signature
-    from subpower.core import subpower_closure
+    # wreath compact representations come from the oracle; the removed
+    # direct-product construction missed forks on 3 of the k=6 instances
     spec = a6_symmetric()
     rng = random.Random(12)
+    gen_sets = []
     for _ in range(8):
         k = rng.randint(1, 3)
-        gens = tuple(tuple(rng.randrange(6) for _ in range(k))
-                     for _ in range(rng.randint(1, 3)))
-        rep = compute_comprep(spec, gens)
+        gen_sets.append(tuple(tuple(rng.randrange(6) for _ in range(k))
+                              for _ in range(rng.randint(1, 3))))
+    gen_sets += [_seeded(spec, 6, 3, 0.5, seed).generators
+                 for seed in range(1, 11)]
+    for gens in gen_sets:
+        rep = compute_comprep(spec, gens, allow_oracle=True)
         closed = subpower_closure(spec.algebra, gens)
         assert set(rep.tuples()) <= closed
         assert signature(rep.tuples()) == signature(sorted(closed))
+    with pytest.raises(UnsupportedAlgebraError, match="allow_oracle"):
+        compute_comprep(spec, gen_sets[0])
 
 
 def test_compute_comprep_a6_falls_back_to_oracle(a6_spec):
-    # without the containment the polynomial representation route is not
-    # justified; the oracle fallback still produces a faithful result
-    from subpower.comprep import signature
-    from subpower.core import subpower_closure
+    # no polynomial representation route for wreath products: refused
+    # without the oracle, faithful with it
     gens = ((0, 1), (3, 2))
     with pytest.raises(UnsupportedAlgebraError):
         compute_comprep(a6_spec, gens)

@@ -1,14 +1,12 @@
 """The array-built prefix walk, fork builder and splice against the
 pure-Python references in ``reference_impl``."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_impl as ref
-from subpower.affine import (AbelianGroupSpec, affine_span, coset_compact_rep,
-                             subgroup_compact_tuples)
+from subpower.affine import affine_span, coset_compact_rep
 from subpower.catalog import zmod_algebra, zmod_group_algebra
 from subpower.circuits import Circuit, CircuitBank
 from subpower.comprep import (EnumeratedCompactRep, _fork_index, signature,
@@ -73,18 +71,6 @@ def test_coset_compact_rep_matches_reference(order, full, k, data):
     assert coset_compact_rep(ours).entries == ref.coset_compact_entries(theirs)
     # same circuits, issued in the same order
     assert ours.bank.gates == theirs.bank.gates
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from([(6,), (2, 4), (3, 3), (12,)]), st.integers(1, 5),
-       st.data())
-def test_subgroup_compact_tuples_match_reference(orders, k, data):
-    group = AbelianGroupSpec(orders, zero=data.draw(
-        st.integers(0, int(np.prod(orders)) - 1)))
-    gens = data.draw(st.lists(st.tuples(*[st.integers(0, group.size - 1)] * k),
-                              max_size=3))
-    assert subgroup_compact_tuples(group, k, gens) == \
-        ref.subgroup_compact_tuples(group, k, gens)
 
 
 @st.composite

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subpower.catalog import a6_symmetric, zmod_group_algebra
-from subpower.solver import (SmpInstance, SmpVerdict, check_witness,
-                             dispatch, solve_smp_directproduct)
+from subpower.catalog import zmod_group_algebra
+from subpower.solver import SmpInstance, SmpVerdict, check_witness, dispatch
 
 # a6 instance whose wreath witness uses a member and a clonoid part
 INST = SmpInstance(((4, 0, 3, 2), (0, 0, 1, 5)), (0, 0, 1, 0))
@@ -74,18 +73,11 @@ def test_malformed_verdicts_are_false(a6_spec, wreath_verdict):
     assert check_witness(a6_spec, INST, None) is False
     unknown = _mutated(wreath_verdict, lambda w: w.update(path="other"))
     assert check_witness(a6_spec, INST, unknown) is False
-
-
-def test_malformed_directproduct_witness_is_false():
-    spec = a6_symmetric()
-    inst = SmpInstance(((1, 3, 5, 3), (3, 1, 3, 4)), (1, 3, 5, 3))
-    verdict = solve_smp_directproduct(spec, inst)
-    assert verdict.member and check_witness(spec, inst, verdict)
-    for change in (lambda w: w["start"].__setitem__(0, -6),
-                   lambda w: w["start"].pop(),
-                   lambda w: w.update(steps=[[w["start"]]]),
-                   lambda w: w.pop("steps")):
-        assert check_witness(spec, inst, _mutated(verdict, change)) is False
+    # the removed direct-product route's witness, a Mal'tsev chain over
+    # tuples taken on trust, is no witness even when it starts at the target
+    chain = SmpVerdict(True, {"path": "directproduct",
+                              "start": list(INST.target), "steps": []})
+    assert check_witness(a6_spec, INST, chain) is False
 
 
 def test_malformed_affine_witness_is_false():
@@ -95,6 +87,8 @@ def test_malformed_affine_witness_is_false():
     assert verdict.member and check_witness(alg_group, inst, verdict)
     for change in (lambda w: w.update(circuit="(add x1"),
                    lambda w: w.update(circuit=5),
+                   # x names input gates, not an operation
+                   lambda w: w.update(circuit="(x x1)"),
                    lambda w: w.pop("circuit")):
         assert check_witness(alg_group, inst, _mutated(verdict, change)) \
             is False
