@@ -73,11 +73,22 @@ def test_malformed_verdicts_are_false(a6_spec, wreath_verdict):
     assert check_witness(a6_spec, INST, None) is False
     unknown = _mutated(wreath_verdict, lambda w: w.update(path="other"))
     assert check_witness(a6_spec, INST, unknown) is False
+
+
+def test_malformed_directproduct_witness_is_false(a6_spec):
     # the removed direct-product route's witness, a Mal'tsev chain over
     # tuples taken on trust, is no witness even when it starts at the target
-    chain = SmpVerdict(True, {"path": "directproduct",
-                              "start": list(INST.target), "steps": []})
-    assert check_witness(a6_spec, INST, chain) is False
+    start = list(INST.target)
+    for witness in ({"path": "directproduct", "start": start, "steps": []},
+                    {"path": "directproduct", "start": [-6] + start[1:],
+                     "steps": []},
+                    {"path": "directproduct", "start": start[:-1],
+                     "steps": []},
+                    {"path": "directproduct", "start": start,
+                     "steps": [[start]]},
+                    {"path": "directproduct", "start": start}):
+        assert check_witness(a6_spec, INST, SmpVerdict(True, witness)) \
+            is False
 
 
 def test_malformed_affine_witness_is_false():
