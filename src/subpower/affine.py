@@ -452,6 +452,11 @@ class Echelon:
         """``contains`` of each row of a matrix, as a boolean array."""
         return np.asarray([self.contains(row) for row in rows], dtype=bool)
 
+    def extend(self, rows) -> None:
+        """``insert`` each row of a matrix, in order."""
+        for row in rows:
+            self.insert(row)
+
     def canonicalize(self) -> None:
         """Unit-normalize pivots, clear entries above them, sort rows."""
         m = self.m
@@ -513,6 +518,33 @@ class FieldEchelon:
         self._colbuf = np.zeros(width, dtype=np.intp)
         self._cols = self._colbuf[:0]          # pivot column of each row
         self._gen_count = 0
+
+    @classmethod
+    def from_basis(cls, q: int, basis, track: int | None = None):
+        """The echelon that inserting the rows of `basis` one at a time
+        leaves, when `basis` is fully reduced over GF(q) (every row has
+        pivot entry 1 and every pivot column is zero in the other rows):
+        the same rows in the same order, each with the unit coefficient row
+        of its generator slot."""
+        basis = np.asarray(basis, dtype=np.int64)
+        r, width = basis.shape
+        ech = cls(q, width, track)
+        cols = (basis != 0).argmax(axis=1) if r else np.zeros(0, np.intp)
+        at_pivots = basis[:, cols]
+        if r and (basis.min() < 0 or basis.max() >= q
+                  or (at_pivots.diagonal() != 1).any()
+                  or np.count_nonzero(at_pivots) != r):
+            raise AlgebraError("rows are not a fully reduced basis")
+        if track is not None and r > track:
+            raise AlgebraError("more generators than the tracking width")
+        ech._buf = np.zeros((r, width + (track or 0)), dtype=np.int64)
+        ech._buf[:, :width] = basis
+        if track is not None:
+            ech._buf[np.arange(r), width + np.arange(r)] = 1
+        ech._colbuf[:r] = cols
+        ech._cols = ech._colbuf[:r]
+        ech._gen_count = r
+        return ech
 
     _vector = Echelon._vector
     _augmented = Echelon._augmented
@@ -587,6 +619,22 @@ class FieldEchelon:
         residue = (w - w[:, self._cols] @ self._aug[:, :self.width]) % self.m
         return ~residue.any(axis=1)
 
+    def extend(self, rows) -> None:
+        """``insert`` each row of a matrix, in order.
+
+        One product finds the rows already in the span; they only take
+        their generator slots, as ``insert`` would give them, and only the
+        others are inserted.
+        """
+        rows = np.asarray(rows, dtype=np.int64).reshape(len(rows), self.width)
+        start = self._gen_count
+        if self.track is not None and start + len(rows) > self.track:
+            raise AlgebraError("more generators than the tracking width")
+        for j in np.flatnonzero(~self.contains_rows(rows)):
+            self._gen_count = start + j
+            self.insert(rows[j])
+        self._gen_count = start + len(rows)
+
     def canonicalize(self) -> None:
         """Sort the rows by pivot column."""
         order = np.argsort(self._cols, kind="stable")
@@ -646,11 +694,16 @@ class SplitSpan:
         return known
 
 
-def subgroup_member(group: AbelianGroupSpec, gens, target):
-    """Membership of `target` in the subgroup of L^k generated by `gens`.
+def subgroup_member(group: AbelianGroupSpec, gens, target, basis=None):
+    """Membership of `target` in the subgroup of L^k generated by `gens`,
+    after the rows of `basis` when it is given.
 
-    Returns (True, coeffs) with integer coefficients satisfying
-    sum(coeffs[i] * gens[i]) == target exactly, or (False, None).
+    `basis` holds embedded rows of a canonicalized echelon (such as
+    ``ClonoidImage.basis``).  Over a prime exponent they seed the
+    elimination, since inserting them one at a time would store exactly
+    those rows; elsewhere they are inserted.  Returns (True, coeffs) with
+    integer coefficients, those of the basis rows first, satisfying
+    sum(coeffs[i] * generator[i]) == target exactly, or (False, None).
     """
     target = group.check_elements(target)
     if target.ndim != 1:
@@ -658,12 +711,20 @@ def subgroup_member(group: AbelianGroupSpec, gens, target):
     target_v = group.embed_elements(target)
     gen_v = group.embed_elements(element_rows(group, gens, len(target)))
     m = group.exponent
-    ech = field_or_howell(m, len(target_v), track=max(len(gen_v), 1))
-    for g in gen_v:
-        ech.insert(g)
+    width = len(target_v)
+    if basis is None:
+        basis = np.zeros((0, width), dtype=np.int64)
+    track = max(len(basis) + len(gen_v), 1)
+    if is_prime(m):
+        ech = FieldEchelon.from_basis(m, basis, track)
+    else:
+        ech = Echelon(m, width, track)
+        ech.extend(basis)
+    ech.extend(gen_v)
     residue, coeffs = ech.reduce(target_v)
     if residue.any():
         return False, None
+    gen_v = np.vstack([basis, gen_v])
     coeffs = coeffs[:len(gen_v)]
     assert np.array_equal((coeffs @ gen_v) % m, target_v), \
         "witness verification failed"

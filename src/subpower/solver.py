@@ -13,8 +13,12 @@ Two paths:
   evaluates only that closure's leaf nodes on its own k columns.
   The companion exponent splits by CRT as Z_exp(L) x GF(p), so the fix is
   GF(p) elimination and the l-part is elimination mod exp(L).  The fixed
-  members' values are folded through the Mal'tsev table; their circuits
-  are built only for a returned witness.
+  members' values are folded through power tables of the Mal'tsev steps,
+  one lookup per difference; their circuits are built only for a returned
+  witness.  The subgroup test starts from the clonoid image's canonical
+  basis, which for prime exp(L) is assembled plane by plane rather than
+  eliminated, and inserts only the member differences outside the span
+  so far.
 * ``dispatch``: affine algebras go through elimination, coprime
   prime-quotient wreath products through the wreath path, and anything else
   falls back to the exhaustive oracle (opt-in).
@@ -31,9 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .affine import (AbelianGroupSpec, AffineSubpowerRep, FieldEchelon,
-                     affine_closure_comprep, affine_span, element_rows,
-                     field_or_howell, is_prime, subgroup_member,
-                     verify_affine)
+                     affine_closure_comprep, affine_span, field_or_howell,
+                     is_prime, subgroup_member, verify_affine)
 from .circuits import parse_sexpr, serialize_sexpr
 from .comprep import EnumeratedCompactRep, maltsev_table, thin_to_compact
 from .core import (AlgebraError, FiniteAlgebra, _check_tuples,
@@ -191,6 +194,10 @@ def _leaf_values(alg, rep: AffineSubpowerRep, gen_rows: np.ndarray):
     return np.asarray([vals[node] for node in nodes])
 
 
+# entries of the power tables of one block of differences in _fold_members
+_FOLD_BLOCK_ENTRIES = 1 << 20
+
+
 def _fold_members(table: np.ndarray, leaves: np.ndarray,
                   coeffs: np.ndarray) -> np.ndarray:
     """Values of ``rep.member_node(c)`` for each row c of `coeffs` (entries
@@ -198,14 +205,35 @@ def _fold_members(table: np.ndarray, leaves: np.ndarray,
     Mal'tsev table and `leaves` the ``_leaf_values`` of the algebra.
 
     The same steps as the chain: from the base, for each raw difference j
-    in order, c_j steps cur = m(plus_j, minus_j, cur), on the rows whose
-    coefficient is still above the step count.
+    in order, c_j steps cur = m(plus_j, minus_j, cur).  Per coordinate a
+    step is a map of the algebra, so the c-th power of difference j's map
+    is tabulated for every c up to the largest coefficient, and each
+    difference is one lookup.  The tables are built for a block of
+    differences at a time, at most ``_FOLD_BLOCK_ENTRIES`` entries unless
+    one difference alone needs more; differences with no coefficient above
+    zero are skipped.
     """
+    size = len(table)
+    k = leaves.shape[1]
     cur = np.tile(leaves[0], (len(coeffs), 1))
-    for plus, minus, col in zip(leaves[1::2], leaves[2::2], coeffs.T):
-        for step in range(col.max(initial=0)):
-            rows = col > step
-            cur[rows] = table[plus, minus, cur[rows]]
+    active = np.flatnonzero(coeffs.max(axis=0, initial=0))
+    if not len(active):
+        return cur
+    per_diff = (coeffs.max() + 1) * k * size
+    block = max(1, _FOLD_BLOCK_ENTRIES // per_diff)
+    # flat index of (power c, coordinate i, value a) is (c * k + i) * size + a
+    coord_base = np.arange(k) * size
+    for start in range(0, len(active), block):
+        js = active[start:start + block]
+        top = int(coeffs[:, js].max())
+        powers = np.empty((len(js), top + 1, k, size), dtype=table.dtype)
+        powers[:, 0] = np.arange(size)
+        plus = leaves[1 + 2 * js][:, :, None]
+        minus = leaves[2 + 2 * js][:, :, None]
+        for c in range(1, top + 1):
+            powers[:, c] = table[plus, minus, powers[:, c - 1]]
+        for flat, col in zip(powers.reshape(len(js), -1), coeffs[:, js].T):
+            cur = flat[(col[:, None] * k * size + coord_base) + cur]
     return cur
 
 
@@ -220,8 +248,7 @@ def _l_part_coeffs(rows: np.ndarray, e: int, p: int) -> list:
     """
     nraw = len(rows)
     ech = field_or_howell(e, rows.shape[1], track=max(nraw, 1))
-    for row in rows:
-        ech.insert(row)
+    ech.extend(rows)
     combos = [c[:nraw] for c in ech.coeffs]
     if not combos:
         return []
@@ -261,8 +288,7 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
     k_ext = len(rep.base_flat) // s1
     chunks = rep.raw_rows().reshape(nraw, k_ext, s1)
     u_ech = FieldEchelon(p, k_ext, track=max(nraw, 1))
-    for row in chunks[:, :, -1] // e:
-        u_ech.insert(row)
+    u_ech.extend(chunks[:, :, -1] // e)
     u_target = np.zeros(k_ext, dtype=np.int64)
     u_target[:k] = u_b - rep.base_flat.reshape(-1, s1)[:k, -1] // e
     residue, coeffs = u_ech.reduce(u_target)
@@ -297,14 +323,13 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
 
     l_members = members // p
     neg_base = group.neg_table[l_members[0]]
-    # the image rows go first: they are canonical and sparse, so each
-    # insert touches few basis rows, and a target they reach needs no
-    # member circuit in its witness
+    # the image's canonical rows go first and seed the elimination, so a
+    # target they reach needs no member circuit in its witness; member
+    # differences already in their span are not inserted
     n_image = len(image.generators)
-    diffs = np.vstack([element_rows(group, image.generators, k),
-                       group.add_table[l_members[1:], neg_base]])
-    ok, witness_coeffs = subgroup_member(group, diffs,
-                                         group.add_table[l_b, neg_base])
+    ok, witness_coeffs = subgroup_member(
+        group, group.add_table[l_members[1:], neg_base],
+        group.add_table[l_b, neg_base], basis=image.basis)
     stats["tuples_materialized"] = tuples_materialized
     stats["elapsed_ms"] = 1000 * (time.perf_counter() - t_start)
     if not ok:
@@ -346,7 +371,12 @@ def dispatch(algebra_input, inst: SmpInstance, *, allow_oracle: bool = False,
         try:
             return solve_smp_wreath(algebra_input, inst,
                                     want_witness=want_witness)
-        except UnsupportedAlgebraError:
+        except UnsupportedAlgebraError as err:
+            if not allow_oracle:
+                raise UnsupportedAlgebraError(
+                    f"{err}, so the polynomial wreath path does not apply; "
+                    "pass allow_oracle=True (--allow-oracle) for the "
+                    "exponential fallback") from err
             algebra_input = algebra_input.algebra
     alg, group = _as_algebra_group(algebra_input)
     if group is not None:

@@ -23,7 +23,8 @@ import numpy as np
 from .circuits import Circuit
 from .core import (AlgebraError, ClosureCapExceeded, FiniteAlgebra, Operation,
                    closure_with_circuits, verify_maltsev)
-from .affine import AbelianGroupSpec, Echelon, _frozen, field_or_howell
+from .affine import (AbelianGroupSpec, Echelon, FieldEchelon, _frozen,
+                     is_prime)
 
 
 class WreathSpecError(AlgebraError):
@@ -175,6 +176,33 @@ class ClonoidGenSet:
             for x in range(self.p):
                 if g[x * self.p + x] != zero:
                     raise AlgebraError("binary clonoid generator hits the diagonal")
+
+    @cached_property
+    def pair_bases(self) -> tuple:
+        """The rows a coordinate alone in its plane adds to a clonoid image,
+        by the coordinate's pair index x * p + y: for each pair, the
+        canonical GF(m) basis (m = exp(L), prime) of the embedded binary
+        column at that pair, zero-padded to an (s, s) block, and its rank.
+        """
+        p, group = self.p, self.group
+        s = group.rank
+        columns = group.embedded[np.asarray(self.binary, dtype=np.int64)
+                                 .reshape(-1, p * p)]
+        bases = np.zeros((p * p, s, s), dtype=np.int64)
+        ranks = np.zeros(p * p, dtype=np.int64)
+        for pair in range(p * p):
+            rows = _reduced_rows(group.exponent, columns[:, pair])
+            bases[pair, :len(rows)] = rows
+            ranks[pair] = len(rows)
+        return bases, ranks
+
+
+def _reduced_rows(q: int, mat: np.ndarray) -> np.ndarray:
+    """The canonical GF(q) basis of the row space of `mat`, by pivot."""
+    ech = FieldEchelon(q, mat.shape[1])
+    ech.extend(mat)
+    ech.canonicalize()
+    return np.asarray(ech.rows, dtype=np.int64).reshape(-1, mat.shape[1])
 
 
 @lru_cache(maxsize=32)
@@ -443,6 +471,7 @@ class ClonoidImage:
     generators: list                      # canonical echelon generators
     emitted: list                         # (tag, tuple) raw emissions
     tuples_materialized: int = 0
+    basis: np.ndarray | None = None       # the generators, embedded
 
 
 def _classify_rows(rows: np.ndarray, p: int):
@@ -460,13 +489,66 @@ def _classify_rows(rows: np.ndarray, p: int):
     return ~off.any(axis=1), first, y, axes
 
 
+def _binary_image_basis(gens: ClonoidGenSet, k: int, plane_rows: np.ndarray,
+                        plane_of: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """The canonical GF(m) basis, embedded and sorted by pivot, of the
+    binary emissions of ``clonoid_image_comprep`` (m = exp(L), prime).
+
+    `plane_rows` are the off-diagonal coordinates, `plane_of` their plane
+    and `pairs` their pair index x * p + y.  An emission is supported on
+    one plane, so the basis is the union of one basis per plane.  A lone
+    coordinate reads its rows from ``gens.pair_bases``.  A plane with
+    several coordinates is eliminated over its distinct pair columns, in
+    order of their first coordinate, and each column is repeated at the
+    coordinates sharing its pair: a row's pivot then falls on the first
+    coordinate of its pair, and stays the only nonzero entry of its column.
+    """
+    group, p = gens.group, gens.p
+    s, m = group.rank, group.exponent
+    offsets = np.arange(s)
+    counts = np.bincount(plane_of)
+    lone = counts[plane_of] == 1
+    bases, ranks = gens.pair_bases
+    reps = ranks[pairs[lone]]
+    coord = np.repeat(plane_rows[lone], reps)
+    slot = np.arange(len(coord)) - np.repeat(np.cumsum(reps) - reps, reps)
+    rows = np.zeros((len(coord), k * s), dtype=np.int64)
+    rows[np.arange(len(coord))[:, None], coord[:, None] * s + offsets] = \
+        bases[np.repeat(pairs[lone], reps), slot]
+    parts = [rows]
+    multi = np.flatnonzero(counts > 1)
+    if len(multi):
+        columns = group.embedded[np.asarray(gens.binary, dtype=np.int64)
+                                 .reshape(-1, p * p)]
+    for plane in multi:
+        coords = plane_rows[plane_of == plane]
+        distinct, first, inverse = np.unique(
+            pairs[plane_of == plane], return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        reduced = _reduced_rows(m, columns[:, distinct[order]].reshape(
+            len(columns), len(order) * s))
+        expanded = reduced.reshape(len(reduced), len(order), s)[
+            :, np.argsort(order)[inverse]]
+        rows = np.zeros((len(reduced), k * s), dtype=np.int64)
+        rows[:, (coords[:, None] * s + offsets).ravel()] = \
+            expanded.reshape(len(reduced), len(coords) * s)
+        parts.append(rows)
+    basis = np.vstack(parts)
+    return basis[np.argsort((basis != 0).argmax(axis=1))]
+
+
 def clonoid_image_comprep(gens: ClonoidGenSet, u_columns) -> ClonoidImage:
     """Generators of {f(u_1..u_n) : f generated by `gens`} inside L^k.
 
     Rows are classified into planes; each binary generator contributes one
     tuple per populated plane (planes in axis order), evaluated through the
     plane parameterization, and each unary generator contributes its
-    diagonal-collapse image.
+    diagonal-collapse image.  The generators are the canonical rows of the
+    span of these emissions.  When exp(L) is prime, the binary emissions
+    are not eliminated: their basis is assembled plane by plane
+    (``_binary_image_basis``), the unary emissions are reduced against it
+    in one product, and only those left over are inserted.  Other
+    exponents take the Howell echelon of all emissions.
     """
     u_columns = [tuple(u) for u in u_columns]
     n = len(u_columns)
@@ -485,16 +567,21 @@ def clonoid_image_comprep(gens: ClonoidGenSet, u_columns) -> ClonoidImage:
         plane_rows = np.flatnonzero(~is_diag)
         planes, plane_of = np.unique(axes[plane_rows], axis=0,
                                      return_inverse=True)
+        plane_of = plane_of.ravel()
+        pairs = first[plane_rows] * p + y[plane_rows]
         binary = np.asarray(gens.binary, dtype=np.int64).reshape(-1, p * p)
         vecs = np.full((len(planes), len(binary), k), zero, dtype=np.int64)
-        vecs[plane_of.ravel(), :, plane_rows] = \
-            binary[:, first[plane_rows] * p + y[plane_rows]].T
+        vecs[plane_of, :, plane_rows] = binary[:, pairs].T
         for axis, block in zip(planes.tolist(), vecs.tolist()):
             emitted += [(("binary", bi, tuple(axis)), tuple(vec))
                         for bi, vec in enumerate(block)]
+        binary_vecs = vecs.reshape(-1, k)
     else:
         is_diag, first = np.ones(k, dtype=bool), rows[:, 0]
+        plane_rows = plane_of = pairs = np.zeros(0, dtype=np.int64)
+        binary_vecs = np.zeros((0, k), dtype=np.int64)
     unary = np.asarray(gens.unary, dtype=np.int64).reshape(-1, p)
+    unary_vecs = np.zeros((0, k), dtype=np.int64)
     if len(unary):
         diag_scale = pow(p, n - 1, m) if n >= 2 else 1
         plane_scale = pow(p, n - 2, m) if n >= 2 else 0
@@ -502,18 +589,24 @@ def clonoid_image_comprep(gens: ClonoidGenSet, u_columns) -> ClonoidImage:
         for v in range(p):
             total = group.add_table[total, unary[:, v]]
         at = np.where(is_diag, first, 0)
-        vecs = np.where(is_diag, group.scale_table[diag_scale][unary[:, at]],
-                        group.scale_table[plane_scale][total][:, None])
-        for ai, vec in enumerate(vecs.tolist()):
+        unary_vecs = np.where(
+            is_diag, group.scale_table[diag_scale][unary[:, at]],
+            group.scale_table[plane_scale][total][:, None])
+        for ai, vec in enumerate(unary_vecs.tolist()):
             emitted.append((("unary", ai), tuple(vec)))
 
-    ech = field_or_howell(m, k * group.rank)
-    for row in group.embed_elements([vec for _, vec in emitted]):
-        ech.insert(row)
+    width = k * group.rank
+    if is_prime(m):
+        ech = FieldEchelon.from_basis(m, _binary_image_basis(
+            gens, k, plane_rows, plane_of, pairs))
+        ech.extend(group.embed_elements(unary_vecs))
+    else:
+        ech = Echelon(m, width)
+        ech.extend(group.embed_elements(np.vstack([binary_vecs, unary_vecs])))
     ech.canonicalize()
-    rows = ech.rows
-    generators = [tuple(row) for row in group.unembed_array(
-        np.asarray(rows)).tolist()] if rows else []
+    basis = np.asarray(ech.rows, dtype=np.int64).reshape(-1, width)
+    generators = [tuple(row) for row in group.unembed_array(basis).tolist()]
     return ClonoidImage(group=group, k=k, generators=generators,
                         emitted=emitted,
-                        tuples_materialized=len(emitted) + len(generators))
+                        tuples_materialized=len(emitted) + len(generators),
+                        basis=basis)

@@ -1,6 +1,7 @@
 """Pure-Python reference versions of the prefix walk, the fork builder,
 circuit splicing, the echelon, bank evaluation, the recursive s-expression
-reader and writer, and the per-row clonoid image.
+reader and writer, the per-row clonoid image, the clonoid image by
+row-by-row elimination, and the stepwise member fold.
 
 These are the straightforward implementations the array code in
 ``subpower.comprep``, ``subpower.affine``, ``subpower.core`` and
@@ -14,10 +15,11 @@ import re
 
 import numpy as np
 
-from subpower.affine import AbelianGroupSpec, Echelon
+from subpower.affine import AbelianGroupSpec, Echelon, field_or_howell
 from subpower.circuits import Circuit, CircuitError
 from subpower.core import AlgebraError
-from subpower.wreath import ClonoidImage, Diagonal, Plane, classify_row
+from subpower.wreath import (ClonoidImage, Diagonal, Plane, _classify_rows,
+                             classify_row)
 
 
 def signature(tuples) -> set:
@@ -574,3 +576,70 @@ def clonoid_image_per_row(gens, u_columns) -> ClonoidImage:
     return ClonoidImage(group=group, k=k, generators=generators,
                         emitted=emitted,
                         tuples_materialized=len(emitted) + len(generators))
+
+
+def clonoid_image_rowwise(gens, u_columns) -> ClonoidImage:
+    """``clonoid_image_comprep`` with the emissions built as arrays and then
+    eliminated one row at a time (a prime-field echelon when exp(L) is
+    prime, else the Howell one)."""
+    u_columns = [tuple(u) for u in u_columns]
+    n = len(u_columns)
+    if n < 1:
+        raise AlgebraError("at least one u-column is required")
+    group = gens.group
+    p = gens.p
+    m = group.exponent
+    zero = group.zero
+    k = len(u_columns[0])
+    rows = np.asarray(u_columns, dtype=np.int64).reshape(n, k).T % p
+
+    emitted = []
+    if n >= 2:
+        is_diag, first, y, axes = _classify_rows(rows, p)
+        plane_rows = np.flatnonzero(~is_diag)
+        planes, plane_of = np.unique(axes[plane_rows], axis=0,
+                                     return_inverse=True)
+        binary = np.asarray(gens.binary, dtype=np.int64).reshape(-1, p * p)
+        vecs = np.full((len(planes), len(binary), k), zero, dtype=np.int64)
+        vecs[plane_of.ravel(), :, plane_rows] = \
+            binary[:, first[plane_rows] * p + y[plane_rows]].T
+        for axis, block in zip(planes.tolist(), vecs.tolist()):
+            emitted += [(("binary", bi, tuple(axis)), tuple(vec))
+                        for bi, vec in enumerate(block)]
+    else:
+        is_diag, first = np.ones(k, dtype=bool), rows[:, 0]
+    unary = np.asarray(gens.unary, dtype=np.int64).reshape(-1, p)
+    if len(unary):
+        diag_scale = pow(p, n - 1, m) if n >= 2 else 1
+        plane_scale = pow(p, n - 2, m) if n >= 2 else 0
+        total = np.full(len(unary), zero, dtype=np.int64)
+        for v in range(p):
+            total = group.add_table[total, unary[:, v]]
+        at = np.where(is_diag, first, 0)
+        vecs = np.where(is_diag, group.scale_table[diag_scale][unary[:, at]],
+                        group.scale_table[plane_scale][total][:, None])
+        for ai, vec in enumerate(vecs.tolist()):
+            emitted.append((("unary", ai), tuple(vec)))
+
+    ech = field_or_howell(m, k * group.rank)
+    for row in group.embed_elements([vec for _, vec in emitted]):
+        ech.insert(row)
+    ech.canonicalize()
+    rows = ech.rows
+    generators = [tuple(row) for row in group.unembed_array(
+        np.asarray(rows)).tolist()] if rows else []
+    return ClonoidImage(group=group, k=k, generators=generators,
+                        emitted=emitted,
+                        tuples_materialized=len(emitted) + len(generators))
+
+
+def fold_members_stepwise(table, leaves, coeffs):
+    """``solver._fold_members`` one Mal'tsev step at a time: from the base,
+    for each raw difference j in order, c_j steps cur = m(plus_j, minus_j,
+    cur), on the rows whose coefficient is still above the step count."""
+    cur = np.tile(leaves[0], (len(coeffs), 1))
+    for plus, minus, col in zip(leaves[1::2], leaves[2::2], coeffs.T):
+        for step in range(col.max(initial=0)):
+            rows = col > step
+            cur[rows] = table[plus, minus, cur[rows]]
+    return cur

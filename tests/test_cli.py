@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from subpower.catalog import a6, a6_symmetric, zmod_algebra
+from subpower.catalog import a6, a6_symmetric, random_wreath, zmod_algebra
 from subpower.cli import main
 from subpower.comprep import signature
 from subpower.core import subpower_closure
@@ -127,6 +127,21 @@ def test_comprep_and_fix(tmp_path, z3_file, capsys):
                "--values", "2"])
     fixed = json.loads(capsys.readouterr().out)
     assert rc == 0 and fixed["tuples"] == [[2, 2]]
+
+
+def test_solve_outside_the_wreath_class_names_the_reason(tmp_path, capsys):
+    path = tmp_path / "wreath_4_3.json"
+    path.write_text(dump_json(wreath_to_dict(random_wreath(4, 3, seed=1))))
+    inst = write_instance(tmp_path, [(0, 1), (2, 2)], (0, 1))
+    argv = ["solve", "--algebra", str(path), "--instance", inst]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "quotient size 4 is not prime" in captured.err
+    assert "--allow-oracle" in captured.err
+    with pytest.warns(UserWarning):
+        assert main(argv + ["--allow-oracle"]) == 0
+    assert json.loads(capsys.readouterr().out)["stats"]["path"] == "oracle"
 
 
 def test_comprep_and_fix_on_wreath_need_the_oracle(tmp_path, capsys):

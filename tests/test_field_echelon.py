@@ -101,6 +101,69 @@ def test_field_echelon_rows_stay_valid():
     assert ech.rows[0].tolist() == [1, 0, (3 - 2 * 4) % 5]
 
 
+@st.composite
+def seeded_runs(draw):
+    """Seed vectors, whose canonical rows seed an echelon, then rows to
+    extend it by: fresh, zero, duplicate or dependent ones, and some in
+    the seeds' span."""
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    width = draw(st.integers(0, 10))
+    fresh = st.lists(st.integers(-q, 2 * q), min_size=width, max_size=width)
+
+    def combine(u, v, c):
+        return [c * a + b for a, b in zip(u, v)]
+
+    seeds = _vectors(draw, fresh, combine, draw(st.integers(0, 8)))
+    rows = _vectors(draw, fresh, combine, draw(st.integers(0, 8)))
+    for _ in range(draw(st.integers(0, 4)) if seeds else 0):
+        rows.insert(draw(st.integers(0, len(rows))),
+                    combine(draw(st.sampled_from(seeds)),
+                            draw(st.sampled_from(seeds)),
+                            draw(st.integers(0, 30))))
+    return q, width, draw(st.booleans()), seeds, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeded_runs())
+def test_seeded_extend_matches_inserts(run):
+    q, width, tracked, seeds, rows = run
+    canon = FieldEchelon(q, width)
+    for v in seeds:
+        canon.insert(v)
+    canon.canonicalize()
+    basis = np.asarray(canon.rows, dtype=np.int64).reshape(
+        len(canon.rows), width)
+    rows = np.asarray(rows, dtype=np.int64).reshape(len(rows), width)
+    track = max(len(basis) + len(rows), 1) if tracked else None
+    old = FieldEchelon(q, width, track)
+    for v in np.vstack([basis, rows]):
+        old.insert(v)
+    new = FieldEchelon.from_basis(q, basis, track)
+    new.extend(rows)
+    assert np.array_equal(new._aug, old._aug)
+    assert new._cols.tolist() == old._cols.tolist()
+    assert new.pivots == old.pivots
+    assert [None if c is None else c.tolist() for c in new.coeffs] == \
+        [None if c is None else c.tolist() for c in old.coeffs]
+    assert new._gen_count == old._gen_count == len(basis) + len(rows)
+    howell = Echelon(q, width, track)
+    howell.extend(np.vstack([basis, rows]))
+    assert new.span_size() == howell.span_size()
+
+
+def test_from_basis_and_extend_reject_bad_input():
+    for bad in ([[2, 0]], [[1, 1], [0, 1]], [[1, 0], [1, 0]], [[0, 0]],
+                [[1, -1]], [[1, 3]]):
+        with pytest.raises(AlgebraError):
+            FieldEchelon.from_basis(3, bad)
+    with pytest.raises(AlgebraError):
+        FieldEchelon.from_basis(3, [[1, 0], [0, 1]], track=1)
+    ech = FieldEchelon.from_basis(3, [[1, 0]], track=2)
+    with pytest.raises(AlgebraError):
+        ech.extend([[1, 0], [0, 1]])
+    assert FieldEchelon.from_basis(3, np.zeros((0, 2), np.int64)).rows == []
+
+
 GROUPS = [(6,), (10,), (15,), (30,), (2, 3), (2, 5), (3, 5), (6, 5), (2, 15)]
 
 

@@ -192,6 +192,18 @@ def test_dispatch_oracle_fallback():
     assert v.member and v.stats["path"] == "oracle"
 
 
+def test_dispatch_names_why_the_wreath_path_does_not_apply():
+    inst = SmpInstance(((0, 1), (2, 2)), (0, 1))
+    for spec, reason in [
+            (random_wreath(4, 3, seed=1), "quotient size 4 is not prime"),
+            (random_wreath(3, 6, seed=0),
+             "left size 6 shares a factor with quotient size 3")]:
+        with pytest.raises(UnsupportedAlgebraError) as err:
+            dispatch(spec, inst)
+        assert reason in str(err.value)
+        assert "allow_oracle=True" in str(err.value)
+
+
 def test_compute_comprep_matches_oracle():
     # wreath compact representations come from the oracle; the removed
     # direct-product construction missed forks on 3 of the k=6 instances

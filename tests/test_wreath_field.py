@@ -1,20 +1,24 @@
 """The wreath path on prime-field elimination: verdicts against the
-exhaustive oracle, the array clonoid image against the per-row one, and the
-centrality that makes the context's commutator check redundant."""
+exhaustive oracle, the array clonoid image against the per-row one, the
+plane-wise image basis against row-by-row elimination, and the centrality
+that makes the context's commutator check redundant."""
 
+import math
 from functools import cache
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_impl as ref
+from subpower.affine import AbelianGroupSpec, subgroup_member
 from subpower.catalog import (a6, a6_shift, a6_symmetric, random_wreath, w15,
                               zmod_group_algebra)
 from subpower.core import smp_oracle, verify_central
 from subpower.instances import random_instance
 from subpower.solver import (SmpInstance, check_witness, solve_smp_wreath,
                              wreath_context)
-from subpower.wreath import clonoid_image_comprep
+from subpower.wreath import ClonoidGenSet, clonoid_image_comprep
 
 # (p, |L|) of random_wreath; L = Z_9 keeps the Howell l-part elimination
 SPECS = {"a6": a6, "w15": w15}
@@ -59,6 +63,108 @@ def test_clonoid_image_arrays_match_per_row(name, data):
     assert got.generators == want.generators
     assert got.emitted == want.emitted
     assert got.tuples_materialized == want.tuples_materialized
+
+
+@st.composite
+def u_columns(draw, p: int):
+    """u-columns whose rows are diagonal, on a few plane axes (so that
+    planes hold several coordinates, with repeated and distinct pairs), or
+    repeats of earlier rows."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 12))
+    axes = []
+    if n >= 2:
+        for _ in range(draw(st.integers(1, 3))):
+            c = draw(st.lists(st.integers(0, p - 1), min_size=n - 1,
+                              max_size=n - 1).filter(any))
+            lead = next(v for v in c if v)
+            axes.append([0] + [v * pow(lead, -1, p) % p for v in c])
+    rows = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(["diagonal", "plane", "plane", "repeat"]))
+        if kind == "repeat" and rows:
+            rows.append(draw(st.sampled_from(rows)))
+        elif kind == "plane" and axes:
+            c = draw(st.sampled_from(axes))
+            x, y = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+            rows.append([(x * (1 - ci) + y * ci) % p for ci in c])
+        else:
+            rows.append([draw(st.integers(0, p - 1))] * n)
+    return [list(col) for col in zip(*rows)]
+
+
+@st.composite
+def synthetic_gens(draw):
+    """A ClonoidGenSet with unary tables (no catalog spec has any), over an
+    elementary abelian or a Howell group, possibly with no binary tables."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    orders = draw(st.sampled_from([(2,), (3,), (5,), (2, 2), (3, 3), (4,),
+                                   (2, 4), (9,)]))
+    size = math.prod(orders)
+    group = AbelianGroupSpec(orders, zero=draw(st.integers(0, size - 1)))
+    element = st.integers(0, size - 1)
+    unary = draw(st.lists(st.tuples(*[element] * p), max_size=3))
+    binary = []
+    for table in draw(st.lists(st.lists(element, min_size=p * p,
+                                        max_size=p * p), max_size=4)):
+        for x in range(p):
+            table[x * p + x] = group.zero
+        binary.append(tuple(table))
+    return ClonoidGenSet(p=p, group=group, unary=unary, binary=binary)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(SPECS) + ["synthetic"] * 3),
+       data=st.data())
+def test_plane_wise_image_matches_rowwise_elimination(name, data):
+    if name == "synthetic":
+        gens = data.draw(synthetic_gens())
+    else:
+        gens = wreath_context(spec_named(name)).gens
+    cols = data.draw(u_columns(gens.p))
+    got = clonoid_image_comprep(gens, cols)
+    want = ref.clonoid_image_rowwise(gens, cols)
+    assert got.generators == want.generators
+    assert got.emitted == want.emitted
+    assert got.tuples_materialized == want.tuples_materialized
+    k = len(cols[0])
+    assert np.array_equal(got.basis, gens.group.embed_elements(
+        np.asarray(got.generators, dtype=np.int64).reshape(-1, k)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(SPECS)), data=st.data())
+def test_seeded_subgroup_test_matches_plain(name, data):
+    """The image basis seeding the subgroup test gives the verdict and
+    coefficients of inserting the image rows, then the differences."""
+    gens = wreath_context(spec_named(name)).gens
+    group = gens.group
+    m = group.exponent
+    cols = data.draw(u_columns(gens.p))
+    k = len(cols[0])
+    image = clonoid_image_comprep(gens, cols)
+
+    def combination(pool):
+        coeffs = data.draw(st.lists(st.integers(0, m - 1),
+                                    min_size=len(pool), max_size=len(pool)))
+        flat = np.asarray(coeffs, dtype=np.int64) @ group.embed_elements(
+            np.asarray(pool, dtype=np.int64).reshape(len(pool), k)) % m
+        return list(group.unembed(flat.reshape(k * group.rank)))
+
+    element = st.integers(0, group.size - 1)
+    diffs = []
+    for _ in range(data.draw(st.integers(0, 5))):
+        if data.draw(st.booleans()):
+            diffs.append(combination(image.generators))
+        else:
+            diffs.append(data.draw(st.lists(element, min_size=k, max_size=k)))
+    if data.draw(st.booleans()):
+        target = combination(image.generators + diffs)
+    else:
+        target = data.draw(st.lists(element, min_size=k, max_size=k))
+    got = subgroup_member(group, diffs, target, basis=image.basis)
+    want = subgroup_member(group, image.generators + diffs, target)
+    assert got == want
 
 
 CENTRAL = {f"Z_{m}": (lambda m=m: zmod_group_algebra(m)[0])

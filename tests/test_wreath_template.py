@@ -1,18 +1,24 @@
 """The wreath path's per-arity companion closure and numeric member fold:
 the cached padding closure against a fresh ``affine_span`` on the extended
-rows, the fold against the member circuits, warm contexts that never grow,
-circuits built only for a returned witness, and the open forged-witness
-gap of ``check_witness``."""
+rows, the fold against the member circuits and the stepwise fold, warm
+contexts that never grow, circuits built only for a returned witness, a
+warm solve that eliminates neither its clonoid image nor the differences
+that image spans, and the open forged-witness gap of ``check_witness``."""
 
 import random
+import sys
 from functools import cache
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subpower.affine import AffineSubpowerRep, affine_span, verify_affine
+import reference_impl as ref
+from subpower import solver
+from subpower.affine import (AffineSubpowerRep, FieldEchelon, affine_span,
+                             verify_affine)
 from subpower.catalog import a6, random_wreath, w15
 from subpower.comprep import maltsev_table
 from subpower.core import eval_nodes
@@ -21,6 +27,7 @@ from subpower.solver import (SmpInstance, SmpVerdict, WreathContext,
                              _companion_span, _extended_rows, _fold_members,
                              _leaf_values, check_witness, solve_smp_wreath,
                              wreath_context)
+from subpower.wreath import clonoid_image_comprep
 
 SPECS = {"a6": a6, "w15": w15}
 SPECS.update({f"random_wreath{args}": (lambda args=args: random_wreath(*args))
@@ -93,6 +100,37 @@ def test_constant_generators_leave_no_raw_differences():
     assert folded.tolist() == [[zero] * 3] * 2
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fold_matches_stepwise(data):
+    """Power tables against one Mal'tsev step at a time, on any table,
+    with all-zero coefficient columns, no differences or no rows, and
+    blocks of one difference, of a few, or of all."""
+    size = data.draw(st.integers(1, 5))
+    element = st.integers(0, size - 1)
+    table = np.asarray(data.draw(st.lists(
+        element, min_size=size ** 3, max_size=size ** 3)),
+        dtype=np.int64).reshape(size, size, size)
+    k = data.draw(st.integers(1, 5))
+    nraw = data.draw(st.integers(0, 5))
+    nrows = data.draw(st.integers(0, 4))
+    m = data.draw(st.integers(1, 7))
+    leaves = np.asarray(data.draw(st.lists(
+        st.lists(element, min_size=k, max_size=k),
+        min_size=1 + 2 * nraw, max_size=1 + 2 * nraw)), dtype=np.int64)
+    coeffs = np.asarray(data.draw(st.lists(
+        st.integers(0, m - 1), min_size=nrows * nraw,
+        max_size=nrows * nraw)), dtype=np.int64).reshape(nrows, nraw)
+    zero = data.draw(st.lists(st.booleans(), min_size=nraw, max_size=nraw))
+    coeffs[:, np.asarray(zero, dtype=bool)] = 0
+    block = data.draw(st.sampled_from([1, 2 * k * size, 1 << 20]))
+    with mock.patch.object(solver, "_FOLD_BLOCK_ENTRIES", block):
+        got = _fold_members(table, leaves, coeffs)
+    want = ref.fold_members_stepwise(table, leaves, coeffs)
+    assert got.shape == (nrows, k)
+    assert got.tolist() == want.tolist()
+
+
 @pytest.fixture()
 def member_node_calls(monkeypatch):
     calls = []
@@ -144,6 +182,54 @@ def test_circuits_only_for_a_returned_witness(member_node_calls):
     moved = SmpInstance(inst.generators, target)
     assert not solve_smp_wreath(spec, moved).member
     assert member_node_calls == []
+
+
+def test_warm_solve_skips_image_and_spanned_differences(monkeypatch):
+    """On a warm a6 context at k=60, n=20, the clonoid image is assembled
+    plane by plane with no insert, and the subgroup test inserts no row
+    that the image already spans (the image rows themselves, or member
+    differences in their span)."""
+    spec = a6()
+    ctx = wreath_context(spec)
+    assert solve_smp_wreath(spec, _instance(spec, 60, 20, 900)).member
+    inserts, tested = [], []
+    insert = FieldEchelon.insert
+
+    def counted(self, v, coeff=None):
+        names, frame = set(), sys._getframe(1)
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        inserts.append((names, np.array(v)))
+        return insert(self, v, coeff)
+
+    subgroup_member = solver.subgroup_member
+
+    def recorded(group, gens, target, **kwargs):
+        tested.append(np.asarray(gens))
+        return subgroup_member(group, gens, target, **kwargs)
+
+    monkeypatch.setattr(FieldEchelon, "insert", counted)
+    monkeypatch.setattr(solver, "subgroup_member", recorded)
+    spanned = 0
+    group = spec.left_group
+    for seed in range(901, 905):
+        inst = _instance(spec, 60, 20, seed)
+        inserts.clear()
+        tested.clear()
+        verdict = solve_smp_wreath(spec, inst)
+        assert verdict.member and check_witness(spec, inst, verdict)
+        assert not [1 for names, _ in inserts
+                    if "clonoid_image_comprep" in names]
+        image = clonoid_image_comprep(
+            ctx.gens, (np.asarray(inst.generators) % spec.p).tolist())
+        span = FieldEchelon.from_basis(group.exponent, image.basis)
+        rows = [row for names, row in inserts if "subgroup_member" in names]
+        assert not any(span.contains(row) for row in rows)
+        (diffs,) = tested
+        spanned += span.contains_rows(group.embed_elements(diffs)).sum()
+    # the differences the image spans were tested, and none was inserted
+    assert spanned
 
 
 @pytest.mark.xfail(strict=True, reason="check_witness takes clonoid parts on "
