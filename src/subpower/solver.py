@@ -16,9 +16,9 @@ Two paths:
   members' values are folded through power tables of the Mal'tsev steps,
   one lookup per difference; their circuits are built only for a returned
   witness.  The subgroup test starts from the clonoid image's canonical
-  basis, which for prime exp(L) is assembled plane by plane rather than
-  eliminated, and inserts only the member differences outside the span
-  so far.
+  basis, which for prime exp(L) reads the rows of each coordinate alone in
+  its plane from a per-pair table rather than eliminating them, and
+  inserts only the member differences outside the span so far.
 * ``dispatch``: affine algebras go through elimination, coprime
   prime-quotient wreath products through the wreath path, and anything else
   falls back to the exhaustive oracle (opt-in).

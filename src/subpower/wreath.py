@@ -489,52 +489,24 @@ def _classify_rows(rows: np.ndarray, p: int):
     return ~off.any(axis=1), first, y, axes
 
 
-def _binary_image_basis(gens: ClonoidGenSet, k: int, plane_rows: np.ndarray,
-                        plane_of: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+def _lone_image_basis(gens: ClonoidGenSet, k: int, coords: np.ndarray,
+                      pairs: np.ndarray) -> np.ndarray:
     """The canonical GF(m) basis, embedded and sorted by pivot, of the
-    binary emissions of ``clonoid_image_comprep`` (m = exp(L), prime).
-
-    `plane_rows` are the off-diagonal coordinates, `plane_of` their plane
-    and `pairs` their pair index x * p + y.  An emission is supported on
-    one plane, so the basis is the union of one basis per plane.  A lone
-    coordinate reads its rows from ``gens.pair_bases``.  A plane with
-    several coordinates is eliminated over its distinct pair columns, in
-    order of their first coordinate, and each column is repeated at the
-    coordinates sharing its pair: a row's pivot then falls on the first
-    coordinate of its pair, and stays the only nonzero entry of its column.
+    binary emissions of ``clonoid_image_comprep`` (m = exp(L), prime) at
+    the coordinates `coords` that are each alone in their plane, with pair
+    indices x * p + y `pairs`.  Such an emission is supported on its one
+    coordinate, so the basis is the union of the ``gens.pair_bases`` rows
+    placed at each coordinate.
     """
-    group, p = gens.group, gens.p
-    s, m = group.rank, group.exponent
-    offsets = np.arange(s)
-    counts = np.bincount(plane_of)
-    lone = counts[plane_of] == 1
+    s = gens.group.rank
     bases, ranks = gens.pair_bases
-    reps = ranks[pairs[lone]]
-    coord = np.repeat(plane_rows[lone], reps)
+    reps = ranks[pairs]
+    coord = np.repeat(coords, reps)
     slot = np.arange(len(coord)) - np.repeat(np.cumsum(reps) - reps, reps)
     rows = np.zeros((len(coord), k * s), dtype=np.int64)
-    rows[np.arange(len(coord))[:, None], coord[:, None] * s + offsets] = \
-        bases[np.repeat(pairs[lone], reps), slot]
-    parts = [rows]
-    multi = np.flatnonzero(counts > 1)
-    if len(multi):
-        columns = group.embedded[np.asarray(gens.binary, dtype=np.int64)
-                                 .reshape(-1, p * p)]
-    for plane in multi:
-        coords = plane_rows[plane_of == plane]
-        distinct, first, inverse = np.unique(
-            pairs[plane_of == plane], return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        reduced = _reduced_rows(m, columns[:, distinct[order]].reshape(
-            len(columns), len(order) * s))
-        expanded = reduced.reshape(len(reduced), len(order), s)[
-            :, np.argsort(order)[inverse]]
-        rows = np.zeros((len(reduced), k * s), dtype=np.int64)
-        rows[:, (coords[:, None] * s + offsets).ravel()] = \
-            expanded.reshape(len(reduced), len(coords) * s)
-        parts.append(rows)
-    basis = np.vstack(parts)
-    return basis[np.argsort((basis != 0).argmax(axis=1))]
+    rows[np.arange(len(coord))[:, None], coord[:, None] * s + np.arange(s)] = \
+        bases[np.repeat(pairs, reps), slot]
+    return rows[np.argsort((rows != 0).argmax(axis=1), kind="stable")]
 
 
 def clonoid_image_comprep(gens: ClonoidGenSet, u_columns) -> ClonoidImage:
@@ -545,10 +517,12 @@ def clonoid_image_comprep(gens: ClonoidGenSet, u_columns) -> ClonoidImage:
     plane parameterization, and each unary generator contributes its
     diagonal-collapse image.  The generators are the canonical rows of the
     span of these emissions.  When exp(L) is prime, the binary emissions
-    are not eliminated: their basis is assembled plane by plane
-    (``_binary_image_basis``), the unary emissions are reduced against it
-    in one product, and only those left over are inserted.  Other
-    exponents take the Howell echelon of all emissions.
+    at coordinates alone in their plane are not eliminated: their basis is
+    read from a per-pair table (``_lone_image_basis``).  The binary
+    emissions of planes with several coordinates and the unary emissions
+    are then reduced against it in one product, and only those left over
+    are inserted.  Other exponents take the Howell echelon of all
+    emissions.
     """
     u_columns = [tuple(u) for u in u_columns]
     n = len(u_columns)
@@ -576,10 +550,14 @@ def clonoid_image_comprep(gens: ClonoidGenSet, u_columns) -> ClonoidImage:
             emitted += [(("binary", bi, tuple(axis)), tuple(vec))
                         for bi, vec in enumerate(block)]
         binary_vecs = vecs.reshape(-1, k)
+        counts = np.bincount(plane_of, minlength=len(planes))
+        lone = counts[plane_of] == 1
+        lone_rows, lone_pairs = plane_rows[lone], pairs[lone]
+        shared_vecs = vecs[counts > 1].reshape(-1, k)
     else:
         is_diag, first = np.ones(k, dtype=bool), rows[:, 0]
-        plane_rows = plane_of = pairs = np.zeros(0, dtype=np.int64)
-        binary_vecs = np.zeros((0, k), dtype=np.int64)
+        lone_rows = lone_pairs = np.zeros(0, dtype=np.int64)
+        binary_vecs = shared_vecs = np.zeros((0, k), dtype=np.int64)
     unary = np.asarray(gens.unary, dtype=np.int64).reshape(-1, p)
     unary_vecs = np.zeros((0, k), dtype=np.int64)
     if len(unary):
@@ -597,9 +575,9 @@ def clonoid_image_comprep(gens: ClonoidGenSet, u_columns) -> ClonoidImage:
 
     width = k * group.rank
     if is_prime(m):
-        ech = FieldEchelon.from_basis(m, _binary_image_basis(
-            gens, k, plane_rows, plane_of, pairs))
-        ech.extend(group.embed_elements(unary_vecs))
+        ech = FieldEchelon.from_basis(m, _lone_image_basis(
+            gens, k, lone_rows, lone_pairs))
+        ech.extend(group.embed_elements(np.vstack([shared_vecs, unary_vecs])))
     else:
         ech = Echelon(m, width)
         ech.extend(group.embed_elements(np.vstack([binary_vecs, unary_vecs])))
