@@ -644,11 +644,6 @@ class FieldEchelon:
     def span_size(self) -> int:
         return self.m ** len(self._cols)
 
-    def tail_rows(self, start_col: int) -> list[int]:
-        """Row indices with pivot at or after start_col, in pivot order."""
-        order = np.argsort(self._cols, kind="stable")
-        return order[self._cols[order] >= start_col].tolist()
-
 
 def field_or_howell(m: int, width: int, track: int | None = None):
     """A FieldEchelon when m is prime, else a Howell Echelon."""

@@ -7,7 +7,8 @@ exponential by nature and guarded by a size cap.  Ternary operations are
 applied through deduplicated partial applications: the unary map
 ``z -> f(a, b, z)`` is computed once per distinct per-coordinate function
 vector instead of once per pair (a, b), which keeps desk-scale closures fast
-without changing the result.
+without changing the result.  One key set (``_KeySet``) records the rows
+seen, and one per ternary symbol its partial maps.
 """
 
 from __future__ import annotations
@@ -303,60 +304,81 @@ def verify_central(alg: FiniteAlgebra, blocks, cap: int = DEFAULT_CAP) -> bool:
 # ---------------------------------------------------------------------------
 # closure engine
 
-class _KeyIndex:
-    """Membership index for int64 keys: sorted core plus a small pending tail."""
+class _KeySet:
+    """The rows of one width over {0..base-1} seen so far.
 
-    __slots__ = ("core", "pending", "pending_set", "_pending_arr")
+    A row's key is its mixed-radix code when base**width < 2**62, else its
+    bytes.  When base**width <= 2**24 the codes are kept in a bitmap; other
+    keys in a sorted array plus a short sorted tail, merged into it every
+    few hundred additions.
+    """
 
-    def __init__(self):
-        self.core = np.empty(0, dtype=np.int64)
-        self.pending: list = []
-        self.pending_set: set = set()
-        self._pending_arr = None
+    _TAIL = 256
 
-    def _compact(self) -> None:
-        if self.pending:
-            self.core = np.sort(np.concatenate(
-                [self.core, np.asarray(self.pending, dtype=np.int64)]))
-            self.pending.clear()
-            self.pending_set.clear()
-            self._pending_arr = None
-
-    def new_mask(self, keys: np.ndarray) -> np.ndarray:
-        """Boolean mask of keys not yet present (duplicates both marked)."""
-        if len(self.pending) > 256:
-            self._compact()
-        if len(self.core):
-            pos = np.searchsorted(self.core, keys)
-            pos = np.minimum(pos, len(self.core) - 1)
-            known = self.core[pos] == keys
+    def __init__(self, base: int, width: int):
+        space = base ** width
+        if space < 1 << 62:
+            self.powers = (base ** np.arange(width - 1, -1, -1)).astype(np.int64)
+            dtype = np.dtype(np.int64)
         else:
-            known = np.zeros(len(keys), dtype=bool)
-        if self.pending:
-            if self._pending_arr is None:
-                self._pending_arr = np.sort(
-                    np.asarray(self.pending, dtype=np.int64))
-            pa = self._pending_arr
-            pos = np.minimum(np.searchsorted(pa, keys), len(pa) - 1)
-            known |= pa[pos] == keys
-        return ~known
+            self.powers = None
+            self.itemtype = np.min_scalar_type(base - 1)
+            dtype = np.dtype((np.void, width * self.itemtype.itemsize))
+        self.bitmap = np.zeros(space, dtype=bool) if space <= 1 << 24 else None
+        self.core = self.tail = np.empty(0, dtype=dtype)
 
-    def add(self, key: int) -> None:
-        self.pending.append(int(key))
-        self.pending_set.add(int(key))
-        self._pending_arr = None
+    def keys(self, mat) -> np.ndarray:
+        """One key per row of `mat`."""
+        if self.powers is not None:
+            return np.asarray(mat, dtype=np.int64) @ self.powers
+        raw = np.ascontiguousarray(mat, dtype=self.itemtype)
+        return raw.view(self.core.dtype).ravel()
 
-    def __contains__(self, key: int) -> bool:
-        if key in self.pending_set:
-            return True
-        if len(self.core) == 0:
-            return False
-        pos = int(np.searchsorted(self.core, key))
-        return pos < len(self.core) and int(self.core[pos]) == key
+    def _known(self, keys: np.ndarray) -> np.ndarray:
+        if self.bitmap is not None:
+            return self.bitmap[keys]
+        known = np.zeros(len(keys), dtype=bool)
+        for arr in (self.core, self.tail):
+            if len(arr):
+                pos = np.minimum(np.searchsorted(arr, keys), len(arr) - 1)
+                known |= arr[pos] == keys
+        return known
+
+    def fresh(self, mat, limit: int | None = None) -> np.ndarray:
+        """Ascending positions in `mat` where a row not seen before first
+        occurs; only the first `limit` of them (all by default) are marked
+        as seen."""
+        keys = self.keys(mat)
+        new = np.flatnonzero(~self._known(keys))
+        if len(new) > 1:
+            _, first = np.unique(keys[new], return_index=True)
+            new = np.sort(new[first])
+        marked = keys[new[:limit]]
+        if self.bitmap is not None:
+            self.bitmap[marked] = True
+        elif len(marked):
+            self.tail = np.sort(np.concatenate([self.tail, marked]),
+                                kind="stable")
+            if len(self.tail) > self._TAIL:
+                self.core = np.sort(np.concatenate([self.core, self.tail]),
+                                    kind="stable")
+                self.tail = self.tail[:0]
+        return new
+
+
+# entries of one block of the batched map sweep
+_SWEEP_ENTRIES = 1 << 18
 
 
 class _Closure:
-    """Fixpoint closure of tuple sets under the basic operations."""
+    """Fixpoint closure of tuple sets under the basic operations.
+
+    With `track`, each row records how it was first made (``prov``), and
+    the partial maps are swept in registration order, so the circuits are
+    first-discovery.  Without it the maps that have seen the same rows are
+    swept together.  A `truncate` run stops at `cap` rows, the first `cap`
+    rows of the full run, where an untruncated one raises.
+    """
 
     def __init__(self, alg: FiniteAlgebra, gens, cap: int, track: bool,
                  truncate: bool = False):
@@ -366,125 +388,50 @@ class _Closure:
         self.truncate = truncate
         self.truncated = False
         self.k = _check_tuples(alg, gens)
-        q = alg.size
-        self.q = q
+        q = self.q = alg.size
         self._store = np.zeros((64, self.k), dtype=np.int16)
         self.prov: list = []
         self.n = 0
         self.processed = 0
-        self.pack = q ** self.k < 2 ** 62
-        self.dense = self.pack and q ** self.k <= 1 << 24 and not track
-        if self.pack:
-            self.powers = (q ** np.arange(self.k - 1, -1, -1)).astype(np.int64)
-            self.codes = _KeyIndex() if not self.dense else None
-            if self.dense:
-                self.presence = np.zeros(q ** self.k, dtype=bool)
-        else:
-            self.codes = set()
-        # partial-application tables for ternary symbols
-        self.tern: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self.seen = _KeySet(q, self.k)
+        # per ternary symbol: the index of the map z -> f(a, b, z) of each
+        # pair (a, b), the distinct maps, and the key set of the registered
+        # per-coordinate map vectors; map_vecs, map_rep and map_done hold
+        # each vector, its rows (a, b) and how many rows it has been applied to
+        self.tern: dict[str, tuple] = {}
         for op in alg.ops:
             if op.arity == 3:
                 cube = np.asarray(op.table, dtype=np.int16).reshape(q * q, q)
                 umaps, fid = np.unique(cube, axis=0, return_inverse=True)
-                self.tern[op.symbol] = (fid.astype(np.int64), umaps)
-        self.nfinfo: dict[str, tuple[bool, np.ndarray | None]] = {}
-        self.maps: dict[str, object] = {}
-        for symbol, (fid, umaps) in self.tern.items():
-            nf = len(umaps)
-            if nf ** self.k < 2 ** 62:
-                self.nfinfo[symbol] = (
-                    True, (nf ** np.arange(self.k - 1, -1, -1)).astype(np.int64))
-                if nf ** self.k <= 1 << 24:
-                    self.maps[symbol] = np.zeros(nf ** self.k, dtype=bool)
-                else:
-                    self.maps[symbol] = _KeyIndex()
-            else:
-                self.nfinfo[symbol] = (False, None)
-                self.maps[symbol] = set()
+                self.tern[op.symbol] = (fid.astype(np.int64), umaps,
+                                        _KeySet(len(umaps), self.k))
         self.map_vecs: dict[str, list[np.ndarray]] = {s: [] for s in self.tern}
         self.map_rep: dict[str, list[tuple[int, int]]] = {s: [] for s in self.tern}
         self.map_done: dict[str, list[int]] = {s: [] for s in self.tern}
 
-        init = np.asarray([tuple(g) for g in gens], dtype=np.int16)
-        self._add(init, [("gen", j) for j in range(len(gens))])
+        self._add(np.asarray([tuple(g) for g in gens], dtype=np.int16),
+                  lambda j: ("gen", j))
         for op in alg.ops:
             if op.arity == 0:
-                const = np.full((1, self.k), op.table[0], dtype=np.int16)
-                self._add(const, [(op.symbol,)])
+                self._add(np.full((1, self.k), op.table[0], dtype=np.int16),
+                          lambda j: (op.symbol,))
 
     @property
     def rows(self) -> np.ndarray:
         return self._store[:self.n]
 
-    def _key_rows(self, mat: np.ndarray):
-        if self.pack:
-            return mat.astype(np.int64) @ self.powers
-        return np.ascontiguousarray(mat).view(
-            np.dtype((np.void, mat.dtype.itemsize * self.k))).ravel()
-
-    def _fresh_indices(self, keys) -> list:
-        """Indices of first occurrences of keys not seen before, marking them."""
-        if self.dense:
-            mask = ~self.presence[keys]
-            if not mask.any():
-                return []
-            cand = np.flatnonzero(mask)
-            _, first = np.unique(keys[cand], return_index=True)
-            out = sorted(int(cand[j]) for j in first)
-            self.presence[keys[out]] = True
-            return out
-        if self.pack:
-            mask = self.codes.new_mask(keys)
-            if not mask.any():
-                return []
-            cand = np.flatnonzero(mask)
-            _, first = np.unique(keys[cand], return_index=True)
-            out = []
-            for i in sorted(int(cand[j]) for j in first):
-                self.codes.add(int(keys[i]))
-                out.append(i)
-            return out
-        _, first = np.unique(keys, return_index=True)
-        out = []
-        for i in sorted(int(j) for j in first):
-            key = keys[i].tobytes()
-            if key not in self.codes:
-                self.codes.add(key)
-                out.append(i)
-        return out
-
-    def _drop_key(self, mat_row) -> None:
-        key = self._key_rows(mat_row[None, :])[0]
-        if self.dense:
-            self.presence[int(key)] = False
-        elif self.pack:
-            k = int(key)
-            self.codes.pending_set.discard(k)
-            if k in self.codes.pending:
-                self.codes.pending.remove(k)
-        else:
-            self.codes.discard(key.tobytes())
-
     def _add(self, mat: np.ndarray, prov) -> None:
-        if mat.size == 0:
-            return
-        mat = np.ascontiguousarray(mat, dtype=np.int16)
-        keys = self._key_rows(mat)
-        fresh = self._fresh_indices(keys)
-        if not fresh:
-            return
-        if self.n + len(fresh) > self.cap:
-            if self.truncate:
-                room = self.cap - self.n
-                for i in fresh[room:]:
-                    self._drop_key(mat[i])
-                fresh = fresh[:room]
-                self.truncated = True
-                if not fresh:
-                    return
-            else:
+        """Admit the new rows of `mat`, at most up to the cap; `prov` maps a
+        row's position in `mat` to its provenance tag."""
+        room = self.cap - self.n
+        fresh = self.seen.fresh(mat, room)
+        if len(fresh) > room:
+            if not self.truncate:
                 raise ClosureCapExceeded(self.cap)
+            self.truncated = True
+            fresh = fresh[:room]
+        if not len(fresh):
+            return
         need = self.n + len(fresh)
         if need > len(self._store):
             grown = np.zeros((max(need, 2 * len(self._store)), self.k), np.int16)
@@ -492,59 +439,26 @@ class _Closure:
             self._store = grown
         self._store[self.n:need] = mat[fresh]
         if self.track:
-            self.prov.extend(prov[i] if isinstance(prov, list) else prov
-                             for i in fresh)
+            self.prov.extend(map(prov, fresh.tolist()))
         self.n = need
 
     def _pair_maps(self, symbol: str, first: np.ndarray, first_idx: int,
-                   others: np.ndarray, other_base: int, order: str) -> None:
-        """Register partial applications f(a, b, .) for pairs with `first`."""
-        fid, _ = self.tern[symbol]
-        if order == "xfirst":
+                   others: np.ndarray, xfirst: bool) -> None:
+        """Register the new partial applications f(a, b, .) of the pairs of
+        `first` (as a if `xfirst`, else as b) with each row of `others`."""
+        fid, _, seen = self.tern[symbol]
+        if xfirst:
             pair = fid[first.astype(np.int64)[None, :] * self.q + others]
         else:
             pair = fid[others.astype(np.int64) * self.q + first[None, :]]
-        registry = self.maps[symbol]
-        packable, powers = self.nfinfo[symbol]
-        if packable:
-            keys = pair @ powers
-            if isinstance(registry, np.ndarray):
-                mask = ~registry[keys]
-            else:
-                mask = registry.new_mask(keys)
-            if not mask.any():
-                return
-            cand = np.flatnonzero(mask)
-            _, first_pos = np.unique(keys[cand], return_index=True)
-            new_rows = sorted(int(cand[j]) for j in first_pos)
-            for i in new_rows:
-                if isinstance(registry, np.ndarray):
-                    registry[int(keys[i])] = True
-                else:
-                    registry.add(int(keys[i]))
-                self._register_map(symbol, pair[i], first_idx, other_base + i,
-                                   order)
-        else:
-            view = np.ascontiguousarray(pair.astype(np.int16))
-            keys = view.view(np.dtype((np.void, 2 * self.k))).ravel()
-            _, uniq_idx = np.unique(keys, return_index=True)
-            for i in sorted(int(j) for j in uniq_idx):
-                key = keys[i].tobytes()
-                if key in registry:
-                    continue
-                registry.add(key)
-                self._register_map(symbol, pair[i], first_idx, other_base + i,
-                                   order)
-
-    def _register_map(self, symbol, vec, first_idx, other_idx, order) -> None:
-        self.map_vecs[symbol].append(vec.astype(np.int64))
-        if order == "xfirst":
-            self.map_rep[symbol].append((first_idx, other_idx))
-        else:
-            self.map_rep[symbol].append((other_idx, first_idx))
-        self.map_done[symbol].append(0)
+        new = seen.fresh(pair)
+        self.map_vecs[symbol].extend(pair[new])
+        self.map_rep[symbol].extend((first_idx, i) if xfirst else (i, first_idx)
+                                    for i in new.tolist())
+        self.map_done[symbol].extend([0] * len(new))
 
     def run(self):
+        sweep = self._sweep_single if self.track else self._sweep_batched
         while True:
             progress = False
             while self.processed < self.n:
@@ -556,96 +470,79 @@ class _Closure:
                 x = self.rows[i]
                 current = self.rows[:self.n]
                 for op in self.alg.ops:
+                    tab = self.alg.table(op.symbol)
                     if op.arity == 1:
-                        tab = self.alg.table(op.symbol)
-                        self._add(tab[x][None, :].astype(np.int16),
-                                  [(op.symbol, i)] if self.track else None)
+                        self._add(tab[x][None, :], lambda j: (op.symbol, i))
                     elif op.arity == 2:
-                        tab = self.alg.table(op.symbol).reshape(self.q, self.q)
-                        out1 = tab[x[None, :], current].astype(np.int16)
-                        self._add(out1, [(op.symbol, i, j) for j in
-                                         range(len(current))] if self.track else None)
-                        out2 = tab[current, x[None, :]].astype(np.int16)
-                        self._add(out2, [(op.symbol, j, i) for j in
-                                         range(len(current))] if self.track else None)
+                        tab = tab.reshape(self.q, self.q)
+                        self._add(tab[x[None, :], current],
+                                  lambda j: (op.symbol, i, j))
+                        self._add(tab[current, x[None, :]],
+                                  lambda j: (op.symbol, j, i))
                     elif op.arity == 3:
-                        self._pair_maps(op.symbol, x, i, current, 0, "xfirst")
-                        self._pair_maps(op.symbol, x, i, current, 0, "xsecond")
+                        self._pair_maps(op.symbol, x, i, current, True)
+                        self._pair_maps(op.symbol, x, i, current, False)
                     elif op.arity > 3:
                         self._slow_combos(op, i)
             if self.truncated:
                 return
             for symbol in self.tern:
-                if self.dense:
-                    progress |= self._sweep_dense(symbol)
-                else:
-                    progress |= self._sweep_single(symbol)
+                progress |= sweep(symbol)
                 if self.truncated:
                     return
             if not progress:
                 return
 
     def _sweep_single(self, symbol: str) -> bool:
-        """Apply each registered partial map to the rows it has not seen."""
-        _, umaps = self.tern[symbol]
+        """Apply each registered partial map, in order, to the rows it has
+        not seen."""
+        umaps = self.tern[symbol][1]
+        done = self.map_done[symbol]
         progress = False
-        for mid in range(len(self.map_vecs[symbol])):
-            done = self.map_done[symbol][mid]
-            if done >= self.n:
+        for mid, vec in enumerate(self.map_vecs[symbol]):
+            start, stop = done[mid], self.n
+            if start >= stop:
                 continue
             progress = True
-            stop = self.n
-            vec = self.map_vecs[symbol][mid]
-            batch = self.rows[done:stop]
-            out = umaps[vec[None, :], batch].astype(np.int16)
-            if self.track:
-                a, b = self.map_rep[symbol][mid]
-                prov = [(symbol, a, b, j) for j in range(done, stop)]
-            else:
-                prov = None
-            self.map_done[symbol][mid] = stop
-            self._add(out, prov)
+            done[mid] = stop
+            a, b = self.map_rep[symbol][mid]
+            self._add(umaps[vec[None, :], self.rows[start:stop]],
+                      lambda j: (symbol, a, b, start + j))
             if self.truncated:
-                return progress
+                break
         return progress
 
-    def _sweep_dense(self, symbol: str, chunk: int = 256) -> bool:
-        """Batched variant of the map sweep for small code spaces."""
-        _, umaps = self.tern[symbol]
-        vecs = self.map_vecs[symbol]
-        done = self.map_done[symbol]
+    def _sweep_batched(self, symbol: str) -> bool:
+        """The map sweep of an untracked closure: the maps that have seen
+        the same rows are applied together, a bounded block at a time."""
+        umaps = self.tern[symbol][1]
+        vecs, done = self.map_vecs[symbol], self.map_done[symbol]
         buckets: dict = {}
         for mid, d in enumerate(done):
             if d < self.n:
                 buckets.setdefault(d, []).append(mid)
-        progress = False
         for d, mids in sorted(buckets.items()):
             stop = self.n
             batch = self.rows[d:stop]
+            chunk = max(1, _SWEEP_ENTRIES // max(1, batch.size))
             for lo in range(0, len(mids), chunk):
-                part = mids[lo:lo + chunk]
-                vmat = np.stack([vecs[mid] for mid in part])
-                out = umaps[vmat[:, None, :], batch[None, :, :]]
-                self._add(out.reshape(-1, self.k).astype(np.int16), None)
-                if self.truncated:
-                    return True
+                vmat = np.stack([vecs[mid] for mid in mids[lo:lo + chunk]])
+                self._add(umaps[vmat[:, None, :], batch[None, :, :]]
+                          .reshape(-1, self.k), None)
             for mid in mids:
                 done[mid] = stop
-            progress = True
-        return progress
+        return bool(buckets)
 
     def _slow_combos(self, op: Operation, new_idx: int):
         # rarely used: arities above 3 fall back to explicit enumeration
-        idxs = range(self.n)
         tab = self.alg.table(op.symbol)
-        for args in product(idxs, repeat=op.arity):
+        for args in product(range(self.n), repeat=op.arity):
             if new_idx not in args:
                 continue
             cols = np.zeros(self.k, dtype=np.int64)
             for a in args:
                 cols = cols * self.q + self.rows[a]
-            self._add(tab[cols][None, :].astype(np.int16),
-                      [(op.symbol,) + tuple(args)])
+            self._add(tab[cols][None, :], lambda j: (op.symbol,) + args)
 
     def circuit_node(self, bank: CircuitBank, idx: int,
                      memo: dict[int, int]) -> int:
@@ -675,7 +572,7 @@ def subpower_closure(alg: FiniteAlgebra, gens, cap: int = DEFAULT_CAP) -> set:
     """Least subset of A^k containing `gens` closed under the basic ops."""
     eng = _Closure(alg, gens, cap, track=False)
     eng.run()
-    return {tuple(int(v) for v in row) for row in eng.rows[:eng.n]}
+    return set(map(tuple, eng.rows.tolist()))
 
 
 def smp_oracle(alg: FiniteAlgebra, gens, b, cap: int = DEFAULT_CAP) -> bool:
@@ -699,7 +596,7 @@ def closure_with_circuits(alg: FiniteAlgebra, gens, cap: int = DEFAULT_CAP,
     bank = CircuitBank(len(list(gens)))
     memo: dict[int, int] = {}
     nodes = [eng.circuit_node(bank, i, memo) for i in range(eng.n)]
-    tuples = [tuple(int(v) for v in row) for row in eng.rows[:eng.n]]
+    tuples = list(map(tuple, eng.rows.tolist()))
     return tuples, nodes, bank, eng.truncated
 
 

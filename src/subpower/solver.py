@@ -12,7 +12,9 @@ Two paths:
   companion closure is run once per n and cached on the context; a solve
   evaluates only that closure's leaf nodes on its own k columns.
   The companion exponent splits by CRT as Z_exp(L) x GF(p), so the fix is
-  GF(p) elimination and the l-part is elimination mod exp(L).  The fixed
+  GF(p) elimination and the l-part is elimination mod exp(L).  The fix
+  rows with pivot past k give no members: ``solve_smp_wreath`` shows their
+  l-differences already lie in the span the subgroup test uses.  The fixed
   members' values are folded through power tables of the Mal'tsev steps,
   one lookup per difference; their circuits are built only for a returned
   witness.  The subgroup test starts from the clonoid image's canonical
@@ -115,14 +117,14 @@ def validate_prime_quotient_class(spec: WreathSpec) -> None:
     verify_affine(spec.right, AbelianGroupSpec((p,)))
 
 
-def wreath_context(spec: WreathSpec, clonoid_cap: int = 3000) -> WreathContext:
+def wreath_context(spec: WreathSpec) -> WreathContext:
     ctx = spec.__dict__.get("_solver_context")
     if ctx is None:
         validate_prime_quotient_class(spec)
         # every companion operation is affine, so the companion is abelian
         # and central: no separate commutator check is needed
         comp_specs = verify_affine(spec.companion, spec.companion_group)
-        gens = diff_clonoid_gens(spec, cap=clonoid_cap)
+        gens = diff_clonoid_gens(spec)
         ctx = WreathContext(spec=spec, comp_specs=comp_specs, gens=gens)
         spec.__dict__["_solver_context"] = ctx
     return ctx
@@ -262,7 +264,28 @@ def _l_part_coeffs(rows: np.ndarray, e: int, p: int) -> list:
 
 def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
                      want_witness: bool = True) -> SmpVerdict:
-    """Polynomial-time membership for the coprime prime-quotient class."""
+    """Polynomial-time membership for the coprime prime-quotient class.
+
+    The GF(p) fix leaves the companion terms whose u-part agrees with the
+    target on the instance's u-rows u_1..u_k.  The subgroup test spans the
+    l-differences of the fixed t_0 plus the l-part generators (differences
+    zero mod p) and the clonoid image.  A term t_a whose u-part differs
+    from t_0's only past k (a fix row with pivot past k) adds nothing to
+    that span, so no member is folded for it.  Its u-difference
+    lam = t_a^U - t_0^U is affine, with linear part d, and vanishes on
+    every u_g.
+    * r = a*t_a + (1 - a)*t_0, a Mal'tsev chain with a = 1 (mod e) and
+      a = 0 (mod p), has r^L = t_a^L and r^U = t_0^U, so r - t_0 lies in
+      the span of the l-part generators.
+    * sigma_i = x_i + w_i*(r - t_a), with d.w = 1, fixes every u_g, and
+      lam o sigma^U = lam - (d.w)*lam = 0.  So t_a o sigma and r o sigma
+      have the same companion (t_a^L = r^L, and t_a^U o sigma^U =
+      t_0^U o sigma^U = r^U o sigma^U), and their hat difference lies in
+      the difference clonoid.  At u_g, where sigma^U is the identity and
+      the equal l-parts cancel sigma's hats, it is
+      hat_{t_a}(u_g) - hat_r(u_g) = l(t_a(g)) - l(r(g)), so that
+      difference lies in the clonoid image.
+    """
     t_start = time.perf_counter()
     ctx = wreath_context(spec)
     _check_range(inst, spec.size)
@@ -298,19 +321,15 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
         stats["elapsed_ms"] = 1000 * (time.perf_counter() - t_start)
         return SmpVerdict(False, None, stats)
     x0_coeffs = coeffs[:nraw]
-    # kernel of the quotient components over the first k coordinates: the
-    # GF(p) rows with pivot past k (their Z_e part is arbitrary), and
     # generators of the whole Z_e part with u-part zero
-    u_coeffs = u_ech.coeffs
-    kernel_coeffs = [u_coeffs[ridx][:nraw] for ridx in u_ech.tail_rows(k)]
-    kernel_coeffs += _l_part_coeffs(
+    l_coeffs = _l_part_coeffs(
         chunks[:, :, :-1].reshape(nraw, k_ext * (s1 - 1)) % e, e, p)
-    tuples_materialized += len(kernel_coeffs)
+    tuples_materialized += len(l_coeffs)
 
     # the fixed members' values on the original tuples inside the product
     member_coeffs = np.asarray(
-        [x0_coeffs] + [(x0_coeffs + kc) % m for kc in kernel_coeffs],
-        dtype=np.int64).reshape(1 + len(kernel_coeffs), nraw)
+        [x0_coeffs] + [(x0_coeffs + lc) % m for lc in l_coeffs],
+        dtype=np.int64).reshape(1 + len(l_coeffs), nraw)
     alg = spec.algebra
     members = _fold_members(maltsev_table(alg),
                             _leaf_values(alg, rep, gen_rows), member_coeffs)

@@ -1,12 +1,17 @@
 import random
 import re
+from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subpower.catalog import zmod_algebra, zmod_group_algebra
-from subpower.circuits import parse_sexpr, variable
+from subpower.circuits import parse_sexpr, serialize_sexpr, variable
 from subpower.core import (AlgebraError, ClosureCapExceeded, FiniteAlgebra,
-                           Operation, clone_enumerate, eval_circuit,
+                           Operation, _KeySet, clone_enumerate,
+                           closure_with_circuits, eval_circuit,
                            is_congruence, kernel_partition, smp_oracle,
                            subpower_closure, verify_central, verify_maltsev)
 
@@ -86,6 +91,67 @@ def test_closure_is_closed(a6_spec):
         a, b, c = (rng.choice(members) for _ in range(3))
         val = eval_circuit(alg, alg.maltsev, [a, b, c])
         assert val in closed
+
+
+# (base, width) of each keying: codes in a bitmap, codes in a sorted array,
+# bytes in a sorted array
+KEYINGS = {"bitmap": (3, 4), "codes": (3, 16), "bytes": (3, 40)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(keying=st.sampled_from(sorted(KEYINGS)), seed=st.integers(0, 10_000),
+       pool=st.integers(1, 600),
+       batches=st.lists(st.tuples(st.integers(0, 300),
+                                  st.none() | st.integers(0, 300)),
+                        min_size=1, max_size=8))
+def test_key_set_matches_python_set(keying, seed, pool, batches):
+    base, width = KEYINGS[keying]
+    keys = _KeySet(base, width)
+    assert (keys.bitmap is not None, keys.powers is not None) == \
+        {"bitmap": (True, True), "codes": (False, True),
+         "bytes": (False, False)}[keying]
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, base, size=(pool, width))
+    seen: set = set()
+    for size, limit in batches:
+        mat = rows[rng.integers(0, pool, size=size)]
+        listed = list(map(tuple, mat.tolist()))
+        expect = [i for i, row in enumerate(listed)
+                  if row not in seen and row not in listed[:i]]
+        assert keys.fresh(mat, limit).tolist() == expect
+        seen.update(listed[i] for i in expect[:limit])
+
+
+def _a6_unary_gens():
+    # k=6: row codes fit a bitmap
+    rng = random.Random(0)
+    return [tuple(rng.randrange(6) for _ in range(6)) for _ in range(3)]
+
+
+def _a6_binary_gens():
+    # the binary projections, k=36: rows are keyed by their bytes
+    return list(zip(*product(range(6), repeat=2)))
+
+
+@pytest.mark.parametrize("make_gens", [_a6_unary_gens, _a6_binary_gens])
+def test_truncated_closure_is_a_prefix(a6_spec, make_gens):
+    alg = a6_spec.algebra
+    gens = make_gens()
+    tuples, nodes, bank, truncated = closure_with_circuits(alg, gens)
+    assert not truncated
+    size = len(tuples)
+    circuits = [serialize_sexpr(bank.extract(node)) for node in nodes]
+    caps = sorted({1, 2, len(gens), size // 3, size // 2, size - 1})
+    for cap in caps:
+        got, got_nodes, got_bank, got_trunc = closure_with_circuits(
+            alg, gens, cap=cap, truncate=True)
+        assert got_trunc
+        assert got == tuples[:cap]
+        assert [serialize_sexpr(got_bank.extract(node))
+                for node in got_nodes] == circuits[:cap]
+    got, _, _, got_trunc = closure_with_circuits(alg, gens, cap=size,
+                                                 truncate=True)
+    assert got == tuples and not got_trunc
 
 
 def test_clone_enumerate_arity1():

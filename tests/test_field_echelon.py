@@ -75,8 +75,6 @@ def test_field_echelon_matches_reference(run):
     old.canonicalize()
     new.canonicalize()
     assert [r.tolist() for r in new.rows] == [r.tolist() for r in old.rows]
-    for start in range(width + 2):
-        assert new.tail_rows(start) == old.tail_rows(start)
 
 
 def test_field_echelon_rejects_bad_input():

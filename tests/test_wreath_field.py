@@ -1,23 +1,26 @@
 """The wreath path on prime-field elimination: verdicts against the
-exhaustive oracle, the array clonoid image against the per-row one, the
-plane-wise image basis against row-by-row elimination, and the centrality
-that makes the context's commutator check redundant."""
+exhaustive oracle, with and without GF(p) fix rows past k, the array
+clonoid image against the per-row one, the plane-wise image basis against
+row-by-row elimination, and the centrality that makes the context's
+commutator check redundant."""
 
 import math
+import random
 from functools import cache
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_impl as ref
-from subpower.affine import AbelianGroupSpec, subgroup_member
+from subpower.affine import AbelianGroupSpec, FieldEchelon, subgroup_member
 from subpower.catalog import (a6, a6_shift, a6_symmetric, random_wreath, w15,
                               zmod_group_algebra)
 from subpower.core import smp_oracle, verify_central
 from subpower.instances import random_instance
-from subpower.solver import (SmpInstance, check_witness, solve_smp_wreath,
-                             wreath_context)
+from subpower.solver import (SmpInstance, _companion_span, check_witness,
+                             solve_smp_wreath, wreath_context)
 from subpower.wreath import ClonoidGenSet, clonoid_image_comprep
 
 # (p, |L|) of random_wreath; L = Z_9 keeps the Howell l-part elimination
@@ -45,6 +48,56 @@ def test_wreath_verdicts_match_oracle(name, k, n, bias, seed):
                                         inst.target)
     if verdict.member:
         assert check_witness(spec, inst, verdict)
+
+
+def _fix_has_rows_past(spec, gens, k: int) -> bool:
+    """Does the GF(p) fix of the instance have a row with pivot past k?"""
+    rep = _companion_span(wreath_context(spec),
+                          np.asarray(gens, dtype=np.int64))
+    u_rows = rep.raw_rows().reshape(len(rep.raw), -1,
+                                    spec.companion_group.rank)[:, :, -1]
+    ech = FieldEchelon(spec.p, u_rows.shape[1])
+    ech.extend(u_rows // spec.left_group.exponent)
+    return any(np.flatnonzero(row)[0] >= k for row in ech.rows)
+
+
+FIX_SPECS = {"a6": a6, "a6_shift": a6_shift,
+             "random_wreath(3, 2, 1)": lambda: random_wreath(3, 2, 1)}
+
+
+@pytest.mark.parametrize("name", sorted(FIX_SPECS))
+def test_no_member_for_fix_rows_past_k(name):
+    """The solve folds no member for the GF(p) fix rows with pivot past k
+    (see ``solve_smp_wreath``).  The seeded instances here all have such
+    rows: their last coordinate repeats the first, so the u-rows have rank
+    below k, while the fix spans at least the n - 1 >= k dimensions of the
+    idempotent linear maps.  An l-shift of a repeated coordinate gives a
+    non-member.  Term-value members and l-shifted probes agree with the
+    oracle, and every witness checks."""
+    spec = FIX_SPECS[name]()
+    p, size_l = spec.p, spec.left.size
+    verdicts = []
+    for seed in range(15):
+        k = 2 + seed % 3
+        d = random_instance(spec, k - 1, k + 1 + seed % 2, member_bias=1.0,
+                            seed=seed)
+        gens = tuple(tuple(g) + (g[0],) for g in d["generators"])
+        target = d["target"] + d["target"][:1]
+        assert _fix_has_rows_past(spec, gens, k)
+        rng = random.Random(seed)
+        probe = list(target)
+        i = rng.randrange(k)
+        l_part, u_part = divmod(probe[i], p)
+        probe[i] = (l_part + rng.randrange(1, size_l)) % size_l * p + u_part
+        for t in (target, probe):
+            inst = SmpInstance(gens, tuple(t))
+            verdict = solve_smp_wreath(spec, inst)
+            assert verdict.member == smp_oracle(spec.algebra, gens, t)
+            if verdict.member:
+                assert check_witness(spec, inst, verdict)
+            verdicts.append(verdict.member)
+    probes = verdicts[1::2]
+    assert all(verdicts[::2]) and any(probes) and not all(probes)
 
 
 @settings(max_examples=150, deadline=None)
