@@ -1,0 +1,69 @@
+"""One seeded a6 member solve at a given size, for scale measurements.
+
+The instance is ``random_instance(a6(), k, n, 1.0, seed)``: uniform
+generators and a target that is a random term's value on them, so a
+member.  The wreath context is built first, untimed; then one
+``solve_smp_wreath`` call with its witness is timed and the witness is
+checked with ``check_witness``.  One JSON line goes to stdout:
+
+* ``wall_s``: wall seconds of the solve, witness included;
+* ``peak_rss_mb``: the process's peak resident set after the solve;
+* ``tuples_materialized``: from the verdict's stats;
+* ``witness_bytes``: length of the witness as compact JSON;
+* ``witness_ok``: the ``check_witness`` result.
+
+    python3 scripts/scale.py --k 1600 --n 80 --seed 7
+
+Exits 0 when the verdict is a member with an accepted witness, else 1.
+Run from the root of a checkout; ``src/`` is put on the import path.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import resource
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if os.path.join(ROOT, "src") not in sys.path:
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from subpower.catalog import a6  # noqa: E402
+from subpower.instances import random_instance  # noqa: E402
+from subpower.serialize import dump_json  # noqa: E402
+from subpower.solver import (SmpInstance, check_witness,  # noqa: E402
+                             solve_smp_wreath, wreath_context)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--k", type=int, default=1600)
+    parser.add_argument("--n", type=int, default=80)
+    parser.add_argument("--seed", type=int, default=7)
+    args = parser.parse_args(argv)
+    spec = a6()
+    d = random_instance(spec, args.k, args.n, 1.0, seed=args.seed)
+    inst = SmpInstance(d["generators"], d["target"])
+    wreath_context(spec)
+    start = time.perf_counter()
+    verdict = solve_smp_wreath(spec, inst)
+    wall = time.perf_counter() - start
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    ok = verdict.member and check_witness(spec, inst, verdict)
+    print(json.dumps({
+        "k": args.k, "n": args.n, "seed": args.seed,
+        "member": verdict.member,
+        "wall_s": round(wall, 4),
+        "peak_rss_mb": round(peak, 1),
+        "tuples_materialized": verdict.stats["tuples_materialized"],
+        "witness_bytes": (len(dump_json(verdict.witness))
+                          if verdict.witness is not None else 0),
+        "witness_ok": ok}))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

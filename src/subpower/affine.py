@@ -479,6 +479,10 @@ class Echelon:
             self._set_row(ridx, col, row)
         self.pivots = {c: i for i, c in enumerate(order)}
 
+    def row_array(self) -> np.ndarray:
+        """The rows as one (rank, width) array."""
+        return np.asarray(self.rows, dtype=np.int64).reshape(-1, self.width)
+
     def span_size(self) -> int:
         total = 1
         for _, mp, _ in self._div:
@@ -530,10 +534,10 @@ class FieldEchelon:
         r, width = basis.shape
         ech = cls(q, width, track)
         cols = (basis != 0).argmax(axis=1) if r else np.zeros(0, np.intp)
-        at_pivots = basis[:, cols]
+        # each row's pivot entry is 1 and the only nonzero of its column
         if r and (basis.min() < 0 or basis.max() >= q
-                  or (at_pivots.diagonal() != 1).any()
-                  or np.count_nonzero(at_pivots) != r):
+                  or (basis[np.arange(r), cols] != 1).any()
+                  or (np.count_nonzero(basis, axis=0)[cols] != 1).any()):
             raise AlgebraError("rows are not a fully reduced basis")
         if track is not None and r > track:
             raise AlgebraError("more generators than the tracking width")
@@ -637,9 +641,15 @@ class FieldEchelon:
 
     def canonicalize(self) -> None:
         """Sort the rows by pivot column."""
+        if (np.diff(self._cols) > 0).all():
+            return
         order = np.argsort(self._cols, kind="stable")
         self._aug[:] = self._aug[order]
         self._cols[:] = self._cols[order]
+
+    def row_array(self) -> np.ndarray:
+        """The rows as one (rank, width) array, a copy."""
+        return self._aug[:, :self.width].copy()
 
     def span_size(self) -> int:
         return self.m ** len(self._cols)
@@ -689,41 +699,58 @@ class SplitSpan:
         return known
 
 
-def subgroup_member(group: AbelianGroupSpec, gens, target, basis=None):
-    """Membership of `target` in the subgroup of L^k generated by `gens`,
-    after the rows of `basis` when it is given.
+def seeded_echelon(group: AbelianGroupSpec, basis, track: int):
+    """A tracked echelon over Z_exp holding the rows of `basis`, each in its
+    own generator slot, with room for `track` generators in all.
 
     `basis` holds embedded rows of a canonicalized echelon (such as
     ``ClonoidImage.basis``).  Over a prime exponent they seed the
     elimination, since inserting them one at a time would store exactly
-    those rows; elsewhere they are inserted.  Returns (True, coeffs) with
-    integer coefficients, those of the basis rows first, satisfying
-    sum(coeffs[i] * generator[i]) == target exactly, or (False, None).
+    those rows; elsewhere they are inserted.
+    """
+    m = group.exponent
+    if is_prime(m):
+        return FieldEchelon.from_basis(m, basis, track)
+    ech = Echelon(m, basis.shape[1], track)
+    ech.extend(basis)
+    return ech
+
+
+def span_witness(ech, rows: np.ndarray, target_v: np.ndarray):
+    """Whether the embedded `target_v` lies in the span of the tracked
+    echelon `ech`, built from the rows of `rows` in order.
+
+    Returns (True, coeffs) with integer coefficients satisfying
+    sum(coeffs[i] * rows[i]) == target_v exactly, checked here, or
+    (False, None).
+    """
+    residue, coeffs = ech.reduce(target_v)
+    if residue.any():
+        return False, None
+    coeffs = coeffs[:len(rows)]
+    if not np.array_equal((coeffs @ rows) % ech.m, target_v):
+        raise AssertionError("witness verification failed")
+    return True, [int(c) for c in coeffs]
+
+
+def subgroup_member(group: AbelianGroupSpec, gens, target, basis=None):
+    """Membership of `target` in the subgroup of L^k generated by `gens`,
+    after the rows of `basis` when it is given (see ``seeded_echelon``).
+
+    Returns (True, coeffs) with integer coefficients, those of the basis
+    rows first, satisfying sum(coeffs[i] * generator[i]) == target exactly,
+    or (False, None).
     """
     target = group.check_elements(target)
     if target.ndim != 1:
         raise AlgebraError("the target must be a single tuple")
     target_v = group.embed_elements(target)
     gen_v = group.embed_elements(element_rows(group, gens, len(target)))
-    m = group.exponent
-    width = len(target_v)
     if basis is None:
-        basis = np.zeros((0, width), dtype=np.int64)
-    track = max(len(basis) + len(gen_v), 1)
-    if is_prime(m):
-        ech = FieldEchelon.from_basis(m, basis, track)
-    else:
-        ech = Echelon(m, width, track)
-        ech.extend(basis)
+        basis = np.zeros((0, len(target_v)), dtype=np.int64)
+    ech = seeded_echelon(group, basis, max(len(basis) + len(gen_v), 1))
     ech.extend(gen_v)
-    residue, coeffs = ech.reduce(target_v)
-    if residue.any():
-        return False, None
-    gen_v = np.vstack([basis, gen_v])
-    coeffs = coeffs[:len(gen_v)]
-    assert np.array_equal((coeffs @ gen_v) % m, target_v), \
-        "witness verification failed"
-    return True, [int(c) for c in coeffs]
+    return span_witness(ech, np.vstack([basis, gen_v]), target_v)
 
 
 def affine_member(group: AbelianGroupSpec, points, target):

@@ -19,8 +19,13 @@ Two paths:
   one lookup per difference; their circuits are built only for a returned
   witness.  The subgroup test starts from the clonoid image's canonical
   basis, which for prime exp(L) reads the rows of each coordinate alone in
-  its plane from a per-pair table rather than eliminating them, and
-  inserts only the member differences outside the span so far.
+  its plane from a per-pair table rather than eliminating them.  The
+  target is reduced against that basis first: when the image reaches it
+  from the fixed base, it is a member, and no l-part generator is built,
+  folded or eliminated.  Otherwise the l-part members are folded, through
+  the base fold's power tables, and only their differences outside the
+  span so far are inserted into the same echelon.  For prime exp(L) both
+  routes give the same witness (see ``solve_smp_wreath``).
 * ``dispatch``: affine algebras go through elimination, coprime
   prime-quotient wreath products through the wreath path, and anything else
   falls back to the exhaustive oracle (opt-in).
@@ -38,7 +43,7 @@ import numpy as np
 
 from .affine import (AbelianGroupSpec, AffineSubpowerRep, FieldEchelon,
                      affine_closure_comprep, affine_span, field_or_howell,
-                     is_prime, subgroup_member, verify_affine)
+                     is_prime, seeded_echelon, span_witness, verify_affine)
 from .circuits import parse_sexpr, serialize_sexpr
 from .comprep import EnumeratedCompactRep, maltsev_table, thin_to_compact
 from .core import (AlgebraError, FiniteAlgebra, _check_tuples,
@@ -200,8 +205,8 @@ def _leaf_values(alg, rep: AffineSubpowerRep, gen_rows: np.ndarray):
 _FOLD_BLOCK_ENTRIES = 1 << 20
 
 
-def _fold_members(table: np.ndarray, leaves: np.ndarray,
-                  coeffs: np.ndarray) -> np.ndarray:
+def _fold_members(table: np.ndarray, leaves: np.ndarray, coeffs: np.ndarray,
+                  powers: dict | None = None) -> np.ndarray:
     """Values of ``rep.member_node(c)`` for each row c of `coeffs` (entries
     in 0..m-1), one row each, without building the circuits: `table` is the
     Mal'tsev table and `leaves` the ``_leaf_values`` of the algebra.
@@ -210,33 +215,50 @@ def _fold_members(table: np.ndarray, leaves: np.ndarray,
     in order, c_j steps cur = m(plus_j, minus_j, cur).  Per coordinate a
     step is a map of the algebra, so the c-th power of difference j's map
     is tabulated for every c up to the largest coefficient, and each
-    difference is one lookup.  The tables are built for a block of
-    differences at a time, at most ``_FOLD_BLOCK_ENTRIES`` entries unless
-    one difference alone needs more; differences with no coefficient above
-    zero are skipped.
+    difference is one lookup.  `powers` keeps the tables across the folds
+    of one solve: difference j maps to its (c + 1, k, size) table of
+    powers 0..c, and a fold that needs a higher power extends the table
+    from its last one, so no table is built twice.  New powers are built
+    for a block of differences at a time, at most ``_FOLD_BLOCK_ENTRIES``
+    entries unless one difference alone needs more; differences with no
+    coefficient above zero are skipped.
     """
+    if powers is None:
+        powers = {}
     size = len(table)
     k = leaves.shape[1]
-    cur = np.tile(leaves[0], (len(coeffs), 1))
-    active = np.flatnonzero(coeffs.max(axis=0, initial=0))
-    if not len(active):
-        return cur
-    per_diff = (coeffs.max() + 1) * k * size
-    block = max(1, _FOLD_BLOCK_ENTRIES // per_diff)
+    need = coeffs.max(axis=0, initial=0)
+    active = np.flatnonzero(need)
+    have = np.asarray([len(powers[j]) - 1 if j in powers else 0
+                       for j in active.tolist()], dtype=np.int64)
+    short = have < need[active]
+    todo, steps = active[short], (need[active] - have)[short]
+    # tables hold elements only: the smallest dtype that fits them
+    dtype = np.min_scalar_type(size - 1)
+    if len(todo):
+        block = max(1, _FOLD_BLOCK_ENTRIES // ((steps.max() + 1) * k * size))
+        for start in range(0, len(todo), block):
+            js = todo[start:start + block]
+            top = int(steps[start:start + block].max())
+            new = np.empty((len(js), top + 1, k, size), dtype=dtype)
+            new[:, 0] = np.arange(size)
+            for i, j in enumerate(js.tolist()):
+                if j in powers:
+                    new[i, 0] = powers[j][-1]
+            plus = leaves[1 + 2 * js][:, :, None]
+            minus = leaves[2 + 2 * js][:, :, None]
+            for c in range(1, top + 1):
+                new[:, c] = table[plus, minus, new[:, c - 1]]
+            for i, j in enumerate(js.tolist()):
+                powers[j] = (np.concatenate([powers[j], new[i, 1:]])
+                             if j in powers else new[i])
     # flat index of (power c, coordinate i, value a) is (c * k + i) * size + a
     coord_base = np.arange(k) * size
-    for start in range(0, len(active), block):
-        js = active[start:start + block]
-        top = int(coeffs[:, js].max())
-        powers = np.empty((len(js), top + 1, k, size), dtype=table.dtype)
-        powers[:, 0] = np.arange(size)
-        plus = leaves[1 + 2 * js][:, :, None]
-        minus = leaves[2 + 2 * js][:, :, None]
-        for c in range(1, top + 1):
-            powers[:, c] = table[plus, minus, powers[:, c - 1]]
-        for flat, col in zip(powers.reshape(len(js), -1), coeffs[:, js].T):
-            cur = flat[(col[:, None] * k * size + coord_base) + cur]
-    return cur
+    cur = np.tile(leaves[0], (len(coeffs), 1))
+    for j in active.tolist():
+        flat = powers[j].reshape(-1)
+        cur = flat[(coeffs[:, j, None] * k * size + coord_base) + cur]
+    return cur.astype(np.int64)
 
 
 def _l_part_coeffs(rows: np.ndarray, e: int, p: int) -> list:
@@ -285,6 +307,19 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
       the equal l-parts cancel sigma's hats, it is
       hat_{t_a}(u_g) - hat_r(u_g) = l(t_a(g)) - l(r(g)), so that
       difference lies in the clonoid image.
+
+    The subgroup test runs image first.  The l-difference w of the target
+    and the base is reduced against the image's echelon before any l-part
+    generator exists.  A zero residue makes the target a member, with the
+    base and image parts as its witness; a nonzero one decides nothing,
+    since the member differences enlarge the span, so the l-part members
+    are folded and their differences inserted.  For prime exp(L) the
+    witness is the one the full test gives.  The image basis is fully
+    reduced: row b_i has 1 at its pivot column c_i, and every other row 0
+    there.  So w, lying in its span, is sum_i w[c_i] b_i.  The full test
+    inserts only member differences outside the span so far, so its rows
+    are independent and w has one combination of them: 0 on every member
+    row, and w[c_i] on image row i.
     """
     t_start = time.perf_counter()
     ctx = wreath_context(spec)
@@ -321,34 +356,51 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
         stats["elapsed_ms"] = 1000 * (time.perf_counter() - t_start)
         return SmpVerdict(False, None, stats)
     x0_coeffs = coeffs[:nraw]
-    # generators of the whole Z_e part with u-part zero
-    l_coeffs = _l_part_coeffs(
-        chunks[:, :, :-1].reshape(nraw, k_ext * (s1 - 1)) % e, e, p)
-    tuples_materialized += len(l_coeffs)
-
-    # the fixed members' values on the original tuples inside the product
-    member_coeffs = np.asarray(
-        [x0_coeffs] + [(x0_coeffs + lc) % m for lc in l_coeffs],
-        dtype=np.int64).reshape(1 + len(l_coeffs), nraw)
     alg = spec.algebra
-    members = _fold_members(maltsev_table(alg),
-                            _leaf_values(alg, rep, gen_rows), member_coeffs)
-    tuples_materialized += len(members)
-    if (members % p != u_b).any():
-        raise AssertionError("fixed member has wrong quotient components")
+    table = maltsev_table(alg)
+    leaves = _leaf_values(alg, rep, gen_rows)
+    powers = {}
+    # the fixed members' values on the original tuples inside the product,
+    # the base's first
+    member_coeffs = x0_coeffs[None]
+    members = _fold_members(table, leaves, member_coeffs, powers)
+    tuples_materialized += 1
 
     image = clonoid_image_comprep(ctx.gens, (gen_rows % p).tolist())
     tuples_materialized += image.tuples_materialized
 
-    l_members = members // p
-    neg_base = group.neg_table[l_members[0]]
-    # the image's canonical rows go first and seed the elimination, so a
-    # target they reach needs no member circuit in its witness; member
-    # differences already in their span are not inserted
-    n_image = len(image.generators)
-    ok, witness_coeffs = subgroup_member(
-        group, group.add_table[l_members[1:], neg_base],
-        group.add_table[l_b, neg_base], basis=image.basis)
+    # the image's canonical rows seed the test; a target they reach is
+    # decided before any l-part generator is built
+    neg_base = group.neg_table[members[0] // p]
+    target_v = group.embed_elements(group.add_table[l_b, neg_base])
+    n_image = len(image.basis)
+    # room for the l-part generators: at most one per raw difference over
+    # a prime e; a Howell echelon may hold more rows than its generators,
+    # but never more than its width
+    room = nraw if is_prime(e) else k_ext * (s1 - 1)
+    ech = seeded_echelon(group, image.basis, max(n_image + room, 1))
+    ok, witness_coeffs = span_witness(ech, image.basis, target_v)
+    if not ok:
+        # generators of the whole Z_e part with u-part zero
+        l_coeffs = _l_part_coeffs(
+            chunks[:, :, :-1].reshape(nraw, k_ext * (s1 - 1)) % e, e, p)
+        tuples_materialized += len(l_coeffs)
+        others = (x0_coeffs + np.asarray(l_coeffs, dtype=np.int64)
+                  .reshape(len(l_coeffs), nraw)) % m
+        folded = _fold_members(table, leaves, others, powers)
+        tuples_materialized += len(folded)
+        member_coeffs = np.vstack([member_coeffs, others])
+        members = np.vstack([members, folded])
+        # differences already in the span are not inserted
+        diffs_v = group.embed_elements(group.add_table[folded // p, neg_base])
+        ech.extend(diffs_v)
+        ok, witness_coeffs = span_witness(
+            ech, np.vstack([image.basis, diffs_v]), target_v)
+    # the echelon is the largest array of a solve; the witness needs none
+    # of it
+    del ech
+    if (members % p != u_b).any():
+        raise AssertionError("fixed member has wrong quotient components")
     stats["tuples_materialized"] = tuples_materialized
     stats["elapsed_ms"] = 1000 * (time.perf_counter() - t_start)
     if not ok:
@@ -364,6 +416,8 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
         used = [(j, rep.member_node(member_coeffs[j]))
                 for j in range(1, len(members))
                 if witness_coeffs[n_image + j - 1] % m]
+        # only the image rows the witness uses are unembedded
+        rows = [j for j in range(n_image) if witness_coeffs[j] % m]
         witness = {
             "path": "wreath",
             "base": {"value": values[0],
@@ -373,9 +427,9 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
                  "circuit": serialize_sexpr(rep.bank.extract(node))}
                 for j, node in used],
             "clonoid": [
-                {"coeff": witness_coeffs[j],
-                 "value": list(image.generators[j])}
-                for j in range(n_image) if witness_coeffs[j] % m],
+                {"coeff": witness_coeffs[j], "value": value}
+                for j, value in zip(rows, group.unembed_array(
+                    image.basis[rows]).tolist())],
         }
     return SmpVerdict(True, witness, stats)
 

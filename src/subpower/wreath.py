@@ -202,7 +202,7 @@ def _reduced_rows(q: int, mat: np.ndarray) -> np.ndarray:
     ech = FieldEchelon(q, mat.shape[1])
     ech.extend(mat)
     ech.canonicalize()
-    return np.asarray(ech.rows, dtype=np.int64).reshape(-1, mat.shape[1])
+    return ech.row_array()
 
 
 @lru_cache(maxsize=32)
@@ -462,16 +462,61 @@ def classify_row(w, p: int):
 # ---------------------------------------------------------------------------
 # clonoid images
 
+def _binary_emissions(planes: int, plane_of: np.ndarray,
+                      coords: np.ndarray, columns: np.ndarray, k: int,
+                      zero: int) -> np.ndarray:
+    """The (planes, binary generators, k) binary emissions: generator b's
+    emission on plane plane_of[i] holds columns[b, i] at coordinate
+    coords[i], and zero off its plane's coordinates."""
+    vecs = np.full((planes, len(columns), k), zero, dtype=np.int64)
+    vecs[plane_of, :, coords] = columns.T
+    return vecs
+
+
 @dataclass
 class ClonoidImage:
-    """Subgroup of L^k generated by clonoid images of fixed u-columns."""
+    """Subgroup of L^k generated by clonoid images of fixed u-columns.
+
+    The solver reads ``basis``; the tuple lists ``generators`` and
+    ``emitted`` are built from the arrays on first read.  The binary
+    emissions are kept sparse: off-diagonal coordinate coords[i] lies on
+    plane plane_of[i] and takes columns[b, i] in binary generator b's
+    emission.
+    """
 
     group: AbelianGroupSpec
     k: int
-    generators: list                      # canonical echelon generators
-    emitted: list                         # (tag, tuple) raw emissions
-    tuples_materialized: int = 0
-    basis: np.ndarray | None = None       # the generators, embedded
+    basis: np.ndarray        # canonical echelon generators, embedded
+    planes: np.ndarray       # populated plane axes, in lexicographic order
+    plane_of: np.ndarray
+    coords: np.ndarray
+    columns: np.ndarray      # (binary generators, off-diagonal coordinates)
+    unary_vecs: np.ndarray   # (unary generators, k) emissions
+
+    @property
+    def tuples_materialized(self) -> int:
+        return (len(self.planes) * len(self.columns) + len(self.unary_vecs)
+                + len(self.basis))
+
+    @cached_property
+    def generators(self) -> list:
+        """The canonical echelon generators as tuples of L."""
+        return [tuple(row) for row in
+                self.group.unembed_array(self.basis).tolist()]
+
+    @cached_property
+    def emitted(self) -> list:
+        """The raw emissions as (tag, tuple): each binary generator's per
+        plane, planes in order, then each unary generator's."""
+        vecs = _binary_emissions(len(self.planes), self.plane_of, self.coords,
+                                 self.columns, self.k, self.group.zero)
+        emitted = []
+        for axis, block in zip(self.planes.tolist(), vecs.tolist()):
+            emitted += [(("binary", bi, tuple(axis)), tuple(vec))
+                        for bi, vec in enumerate(block)]
+        emitted += [(("unary", ai), tuple(vec))
+                    for ai, vec in enumerate(self.unary_vecs.tolist())]
+        return emitted
 
 
 def _classify_rows(rows: np.ndarray, p: int):
@@ -489,6 +534,20 @@ def _classify_rows(rows: np.ndarray, p: int):
     return ~off.any(axis=1), first, y, axes
 
 
+def _group_rows(rows: np.ndarray):
+    """The distinct rows of a 2-D array in lexicographic order, and the
+    index of each row among them, as ``np.unique(rows, axis=0,
+    return_inverse=True)`` gives them: one lexsort and its run
+    boundaries."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
+
+
 def _lone_image_basis(gens: ClonoidGenSet, k: int, coords: np.ndarray,
                       pairs: np.ndarray) -> np.ndarray:
     """The canonical GF(m) basis, embedded and sorted by pivot, of the
@@ -503,10 +562,16 @@ def _lone_image_basis(gens: ClonoidGenSet, k: int, coords: np.ndarray,
     reps = ranks[pairs]
     coord = np.repeat(coords, reps)
     slot = np.arange(len(coord)) - np.repeat(np.cumsum(reps) - reps, reps)
+    pair = np.repeat(pairs, reps)
+    # a row's pivot: its coordinate's first column plus the pivot of its
+    # pair basis row
+    order = np.argsort(coord * s + (bases != 0).argmax(axis=2)[pair, slot],
+                       kind="stable")
+    coord, slot, pair = coord[order], slot[order], pair[order]
     rows = np.zeros((len(coord), k * s), dtype=np.int64)
     rows[np.arange(len(coord))[:, None], coord[:, None] * s + np.arange(s)] = \
-        bases[np.repeat(pairs, reps), slot]
-    return rows[np.argsort((rows != 0).argmax(axis=1), kind="stable")]
+        bases[pair, slot]
+    return rows
 
 
 def clonoid_image_comprep(gens: ClonoidGenSet, u_columns) -> ClonoidImage:
@@ -535,29 +600,18 @@ def clonoid_image_comprep(gens: ClonoidGenSet, u_columns) -> ClonoidImage:
     k = len(u_columns[0])
     rows = np.asarray(u_columns, dtype=np.int64).reshape(n, k).T % p
 
-    emitted = []
+    binary = np.asarray(gens.binary, dtype=np.int64).reshape(-1, p * p)
     if n >= 2:
         is_diag, first, y, axes = _classify_rows(rows, p)
-        plane_rows = np.flatnonzero(~is_diag)
-        planes, plane_of = np.unique(axes[plane_rows], axis=0,
-                                     return_inverse=True)
-        plane_of = plane_of.ravel()
-        pairs = first[plane_rows] * p + y[plane_rows]
-        binary = np.asarray(gens.binary, dtype=np.int64).reshape(-1, p * p)
-        vecs = np.full((len(planes), len(binary), k), zero, dtype=np.int64)
-        vecs[plane_of, :, plane_rows] = binary[:, pairs].T
-        for axis, block in zip(planes.tolist(), vecs.tolist()):
-            emitted += [(("binary", bi, tuple(axis)), tuple(vec))
-                        for bi, vec in enumerate(block)]
-        binary_vecs = vecs.reshape(-1, k)
-        counts = np.bincount(plane_of, minlength=len(planes))
-        lone = counts[plane_of] == 1
-        lone_rows, lone_pairs = plane_rows[lone], pairs[lone]
-        shared_vecs = vecs[counts > 1].reshape(-1, k)
+        coords = np.flatnonzero(~is_diag)
+        planes, plane_of = _group_rows(axes[coords])
+        pairs = first[coords] * p + y[coords]
+        columns = binary[:, pairs]
     else:
         is_diag, first = np.ones(k, dtype=bool), rows[:, 0]
-        lone_rows = lone_pairs = np.zeros(0, dtype=np.int64)
-        binary_vecs = shared_vecs = np.zeros((0, k), dtype=np.int64)
+        planes = np.zeros((0, n), dtype=np.int64)
+        plane_of = coords = pairs = np.zeros(0, dtype=np.int64)
+        columns = np.zeros((len(binary), 0), dtype=np.int64)
     unary = np.asarray(gens.unary, dtype=np.int64).reshape(-1, p)
     unary_vecs = np.zeros((0, k), dtype=np.int64)
     if len(unary):
@@ -570,21 +624,26 @@ def clonoid_image_comprep(gens: ClonoidGenSet, u_columns) -> ClonoidImage:
         unary_vecs = np.where(
             is_diag, group.scale_table[diag_scale][unary[:, at]],
             group.scale_table[plane_scale][total][:, None])
-        for ai, vec in enumerate(unary_vecs.tolist()):
-            emitted.append((("unary", ai), tuple(vec)))
 
     width = k * group.rank
     if is_prime(m):
+        counts = np.bincount(plane_of, minlength=len(planes))
+        lone = counts[plane_of] == 1
+        shared = counts > 1
+        shared_vecs = _binary_emissions(
+            int(shared.sum()), (np.cumsum(shared) - 1)[plane_of[~lone]],
+            coords[~lone], columns[:, ~lone], k, zero).reshape(-1, k)
         ech = FieldEchelon.from_basis(m, _lone_image_basis(
-            gens, k, lone_rows, lone_pairs))
+            gens, k, coords[lone], pairs[lone]))
         ech.extend(group.embed_elements(np.vstack([shared_vecs, unary_vecs])))
     else:
+        vecs = _binary_emissions(len(planes), plane_of, coords, columns, k,
+                                 zero)
         ech = Echelon(m, width)
-        ech.extend(group.embed_elements(np.vstack([binary_vecs, unary_vecs])))
+        ech.extend(group.embed_elements(
+            np.vstack([vecs.reshape(-1, k), unary_vecs])))
     ech.canonicalize()
-    basis = np.asarray(ech.rows, dtype=np.int64).reshape(-1, width)
-    generators = [tuple(row) for row in group.unembed_array(basis).tolist()]
-    return ClonoidImage(group=group, k=k, generators=generators,
-                        emitted=emitted,
-                        tuples_materialized=len(emitted) + len(generators),
-                        basis=basis)
+    basis = ech.row_array()
+    return ClonoidImage(group=group, k=k, basis=basis, planes=planes,
+                        plane_of=plane_of, coords=coords, columns=columns,
+                        unary_vecs=unary_vecs)

@@ -1,7 +1,8 @@
 """Pure-Python reference versions of the prefix walk, the fork builder,
 circuit splicing, the echelon, bank evaluation, the recursive s-expression
 reader and writer, the per-row clonoid image, the clonoid image by
-row-by-row elimination, and the stepwise member fold.
+row-by-row elimination, the stepwise member fold, and the wreath solve
+that builds every l-part member before its subgroup test.
 
 These are the straightforward implementations the array code in
 ``subpower.comprep``, ``subpower.affine``, ``subpower.core`` and
@@ -12,14 +13,17 @@ differential tests check the library against them, output for output.
 
 import math
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
-from subpower.affine import AbelianGroupSpec, Echelon, field_or_howell
-from subpower.circuits import Circuit, CircuitError
+from subpower import solver
+from subpower.affine import (AbelianGroupSpec, Echelon, FieldEchelon,
+                             field_or_howell, subgroup_member)
+from subpower.circuits import Circuit, CircuitError, serialize_sexpr
+from subpower.comprep import maltsev_table
 from subpower.core import AlgebraError
-from subpower.wreath import (ClonoidImage, Diagonal, Plane, _classify_rows,
-                             classify_row)
+from subpower.wreath import Diagonal, Plane, _classify_rows, classify_row
 
 
 def signature(tuples) -> set:
@@ -517,7 +521,19 @@ def serialize_sexpr(circuit: Circuit, share_threshold: int = 2) -> str:
     return f"(let ({bindings}) {body})"
 
 
-def clonoid_image_per_row(gens, u_columns) -> ClonoidImage:
+@dataclass
+class ReferenceImage:
+    """What the reference clonoid images give: the fields of
+    ``ClonoidImage`` that the differential tests compare."""
+
+    group: AbelianGroupSpec
+    k: int
+    generators: list
+    emitted: list
+    tuples_materialized: int
+
+
+def clonoid_image_per_row(gens, u_columns) -> ReferenceImage:
     """``clonoid_image_comprep`` with one ``classify_row`` call per row and
     the sequential Howell echelon.
 
@@ -573,12 +589,12 @@ def clonoid_image_per_row(gens, u_columns) -> ClonoidImage:
         ech.insert(row)
     ech.canonicalize()
     generators = [group.unembed(row) for row in ech.rows]
-    return ClonoidImage(group=group, k=k, generators=generators,
-                        emitted=emitted,
-                        tuples_materialized=len(emitted) + len(generators))
+    return ReferenceImage(group=group, k=k, generators=generators,
+                          emitted=emitted,
+                          tuples_materialized=len(emitted) + len(generators))
 
 
-def clonoid_image_rowwise(gens, u_columns) -> ClonoidImage:
+def clonoid_image_rowwise(gens, u_columns) -> ReferenceImage:
     """``clonoid_image_comprep`` with the emissions built as arrays and then
     eliminated one row at a time (a prime-field echelon when exp(L) is
     prime, else the Howell one)."""
@@ -628,9 +644,9 @@ def clonoid_image_rowwise(gens, u_columns) -> ClonoidImage:
     rows = ech.rows
     generators = [tuple(row) for row in group.unembed_array(
         np.asarray(rows)).tolist()] if rows else []
-    return ClonoidImage(group=group, k=k, generators=generators,
-                        emitted=emitted,
-                        tuples_materialized=len(emitted) + len(generators))
+    return ReferenceImage(group=group, k=k, generators=generators,
+                          emitted=emitted,
+                          tuples_materialized=len(emitted) + len(generators))
 
 
 def fold_members_stepwise(table, leaves, coeffs):
@@ -643,3 +659,70 @@ def fold_members_stepwise(table, leaves, coeffs):
             rows = col > step
             cur[rows] = table[plus, minus, cur[rows]]
     return cur
+
+
+def solve_smp_wreath_full(spec, inst):
+    """``solver.solve_smp_wreath`` with the subgroup test run once, after
+    the l-part generators and every member are folded: the image rows
+    first, then all member differences.  Returns (member, witness) with
+    the witness built as the solver builds it."""
+    ctx = solver.wreath_context(spec)
+    group = spec.left_group
+    comp_group = spec.companion_group
+    p = spec.p
+    m = comp_group.exponent
+    k = inst.k
+    s1 = comp_group.rank
+    gen_rows = np.asarray(inst.generators, dtype=np.int64)
+    target = np.asarray(inst.target, dtype=np.int64)
+    l_b, u_b = np.divmod(target, p)
+    rep = solver._companion_span(ctx, gen_rows)
+    e = group.exponent
+    nraw = len(rep.raw)
+    k_ext = len(rep.base_flat) // s1
+    chunks = rep.raw_rows().reshape(nraw, k_ext, s1)
+    u_ech = FieldEchelon(p, k_ext, track=max(nraw, 1))
+    u_ech.extend(chunks[:, :, -1] // e)
+    u_target = np.zeros(k_ext, dtype=np.int64)
+    u_target[:k] = u_b - rep.base_flat.reshape(-1, s1)[:k, -1] // e
+    residue, coeffs = u_ech.reduce(u_target)
+    if residue[:k].any():
+        return False, None
+    x0_coeffs = coeffs[:nraw]
+    l_coeffs = solver._l_part_coeffs(
+        chunks[:, :, :-1].reshape(nraw, k_ext * (s1 - 1)) % e, e, p)
+    member_coeffs = np.asarray(
+        [x0_coeffs] + [(x0_coeffs + lc) % m for lc in l_coeffs],
+        dtype=np.int64).reshape(1 + len(l_coeffs), nraw)
+    alg = spec.algebra
+    members = solver._fold_members(
+        maltsev_table(alg), solver._leaf_values(alg, rep, gen_rows),
+        member_coeffs)
+    assert not (members % p != u_b).any()
+    image = solver.clonoid_image_comprep(ctx.gens, (gen_rows % p).tolist())
+    l_members = members // p
+    neg_base = group.neg_table[l_members[0]]
+    n_image = len(image.generators)
+    ok, witness_coeffs = subgroup_member(
+        group, group.add_table[l_members[1:], neg_base],
+        group.add_table[l_b, neg_base], basis=image.basis)
+    if not ok:
+        return False, None
+    values = members.tolist()
+    base_node = rep.member_node(member_coeffs[0])
+    used = [(j, rep.member_node(member_coeffs[j]))
+            for j in range(1, len(members))
+            if witness_coeffs[n_image + j - 1] % m]
+    return True, {
+        "path": "wreath",
+        "base": {"value": values[0],
+                 "circuit": serialize_sexpr(rep.bank.extract(base_node))},
+        "members": [
+            {"coeff": witness_coeffs[n_image + j - 1], "value": values[j],
+             "circuit": serialize_sexpr(rep.bank.extract(node))}
+            for j, node in used],
+        "clonoid": [
+            {"coeff": witness_coeffs[j],
+             "value": list(image.generators[j])}
+            for j in range(n_image) if witness_coeffs[j] % m],
+    }

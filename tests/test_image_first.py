@@ -1,0 +1,150 @@
+"""The wreath solve's image-first subgroup test against the full path
+(``reference_impl.solve_smp_wreath_full``): a target whose l-part the
+clonoid image reaches from the base is decided without the l-part
+generators, and one the image misses takes the full test, with the same
+verdicts, the same witnesses when exp(L) is prime, and accepted witnesses
+always; and the witness self-check that ``python -O`` keeps."""
+
+import os
+import random
+import subprocess
+import sys
+from functools import cache
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_impl as ref
+from subpower import solver
+from subpower.affine import is_prime, seeded_echelon
+from subpower.catalog import a6, a6_shift, random_wreath, w15
+from subpower.instances import random_instance
+from subpower.solver import (SmpInstance, check_witness, solve_smp_wreath,
+                             wreath_context)
+from subpower.wreath import clonoid_image_comprep
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# L = Z_9 in random_wreath(2, 9, 3) keeps a Howell exponent in the mix
+SPECS = {"a6": a6, "a6_shift": a6_shift, "w15": w15,
+         "random_wreath(3, 2, 1)": lambda: random_wreath(3, 2, 1),
+         "random_wreath(2, 9, 3)": lambda: random_wreath(2, 9, 3)}
+
+
+@cache
+def spec_named(name: str):
+    spec = SPECS[name]()
+    wreath_context(spec)
+    return spec
+
+
+def _with_l(spec, target, l_values) -> tuple:
+    return tuple(spec.pair(int(l), spec.split(t)[1])
+                 for l, t in zip(l_values, target))
+
+
+def _solve_both(spec, inst):
+    """The solver's verdict, whether it built the l-part generators, and
+    the full path's (member, witness)."""
+    with mock.patch.object(solver, "_l_part_coeffs",
+                           wraps=solver._l_part_coeffs) as l_part:
+        verdict = solve_smp_wreath(spec, inst)
+    return verdict, l_part.call_count, ref.solve_smp_wreath_full(spec, inst)
+
+
+def _agree(spec, inst, verdict, full) -> None:
+    member, witness = full
+    assert verdict.member == member
+    if member:
+        assert check_witness(spec, inst, verdict)
+        if is_prime(spec.left_group.exponent):
+            assert verdict.witness == witness
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(SPECS)), k=st.integers(2, 12),
+       n=st.integers(1, 6), seed=st.integers(0, 10_000))
+def test_image_first_matches_full_path(name, k, n, seed):
+    spec = spec_named(name)
+    group = spec.left_group
+    d = random_instance(spec, k, n, 1.0, seed=seed)
+    member = SmpInstance(d["generators"], d["target"])
+    ok, witness = ref.solve_smp_wreath_full(spec, member)
+    assert ok
+    base_l = np.asarray(witness["base"]["value"]) // spec.p
+    gen_rows = np.asarray(member.generators) % spec.p
+    image = clonoid_image_comprep(wreath_context(spec).gens, gen_rows.tolist())
+    rng = random.Random(seed)
+
+    # the base plus a random combination of the image rows: decided early
+    combo = np.asarray([rng.randrange(group.exponent)
+                        for _ in range(len(image.basis))], dtype=np.int64)
+    reached = group.unembed_array(
+        (group.embed_elements(base_l) + combo @ image.basis)
+        % group.exponent)
+    inst = SmpInstance(member.generators,
+                       _with_l(spec, member.target, reached))
+    verdict, l_part_calls, full = _solve_both(spec, inst)
+    assert verdict.member and l_part_calls == 0
+    assert verdict.witness["members"] == []
+    _agree(spec, inst, verdict, full)
+
+    # the member target with one l-part moved off the image span: the
+    # full test decides it
+    span = seeded_echelon(group, image.basis, max(len(image.basis), 1))
+    l_target = np.asarray(member.target) // spec.p
+    shifts = [(i, a) for i in range(k) for a in range(1, group.size)]
+    rng.shuffle(shifts)
+    for i, a in shifts:
+        moved = l_target.copy()
+        moved[i] = group.add(int(moved[i]), a)
+        diff = group.add_table[moved, group.neg_table[base_l]]
+        if span.reduce(group.embed_elements(diff))[0].any():
+            inst = SmpInstance(member.generators,
+                               _with_l(spec, member.target, moved))
+            verdict, l_part_calls, full = _solve_both(spec, inst)
+            assert l_part_calls == 1
+            _agree(spec, inst, verdict, full)
+            break
+
+
+# a solve whose subgroup test hands out wrong coefficients for a target in
+# its span
+LYING_ECHELON = """
+from subpower import solver
+from subpower.catalog import a6
+from subpower.instances import random_instance
+from subpower.solver import SmpInstance, solve_smp_wreath
+
+seeded_echelon = solver.seeded_echelon
+
+
+class Lying:
+    def __init__(self, ech):
+        self.ech, self.m = ech, ech.m
+
+    def reduce(self, v):
+        residue, coeffs = self.ech.reduce(v)
+        return residue, (coeffs + 1) % self.m
+
+    def extend(self, rows):
+        self.ech.extend(rows)
+
+
+solver.seeded_echelon = lambda *args: Lying(seeded_echelon(*args))
+d = random_instance(a6(), 6, 3, 1.0, seed=0)
+solve_smp_wreath(a6(), SmpInstance(d["generators"], d["target"]))
+"""
+
+
+def test_witness_self_check_survives_optimize():
+    """The check that the coefficients reproduce the target is a raise, not
+    an ``assert``, so it holds under ``python -O`` too."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", LYING_ECHELON],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode != 0
+    assert "AssertionError: witness verification failed" in proc.stderr

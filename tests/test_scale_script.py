@@ -1,0 +1,22 @@
+"""``scripts/scale.py``: one seeded a6 member solve, reported as JSON."""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_scale_probe_at_k_100():
+    proc = subprocess.run(
+        [sys.executable, "scripts/scale.py", "--k", "100", "--n", "20",
+         "--seed", "7"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.strip().splitlines()
+    result = json.loads(line)
+    assert result["k"] == 100 and result["n"] == 20 and result["seed"] == 7
+    assert result["member"] is True and result["witness_ok"] is True
+    assert result["wall_s"] > 0 and result["peak_rss_mb"] > 0
+    assert result["tuples_materialized"] > 0 and result["witness_bytes"] > 0

@@ -21,7 +21,8 @@ from subpower.core import smp_oracle, verify_central
 from subpower.instances import random_instance
 from subpower.solver import (SmpInstance, _companion_span, check_witness,
                              solve_smp_wreath, wreath_context)
-from subpower.wreath import ClonoidGenSet, clonoid_image_comprep
+from subpower.wreath import (ClonoidGenSet, _group_rows,
+                             clonoid_image_comprep)
 
 # (p, |L|) of random_wreath; L = Z_9 keeps the Howell l-part elimination
 SPECS = {"a6": a6, "w15": w15}
@@ -183,6 +184,22 @@ def test_plane_wise_image_matches_rowwise_elimination(name, data):
     k = len(cols[0])
     assert np.array_equal(got.basis, gens.group.embed_elements(
         np.asarray(got.generators, dtype=np.int64).reshape(-1, k)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_plane_grouping_matches_unique(data):
+    """One lexsort and its run boundaries give the planes and the inverse
+    of ``np.unique(axis=0)``, repeated and empty row sets included."""
+    width = data.draw(st.integers(1, 6))
+    top = data.draw(st.integers(0, 4))
+    rows = np.asarray(data.draw(st.lists(
+        st.lists(st.integers(0, top), min_size=width, max_size=width),
+        max_size=40)), dtype=np.int64).reshape(-1, width)
+    planes, inverse = _group_rows(rows)
+    want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+    assert planes.tolist() == want.tolist()
+    assert inverse.tolist() == want_inverse.ravel().tolist()
 
 
 @settings(max_examples=150, deadline=None)

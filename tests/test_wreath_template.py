@@ -2,8 +2,8 @@
 the cached padding closure against a fresh ``affine_span`` on the extended
 rows, the fold against the member circuits and the stepwise fold, warm
 contexts that never grow, circuits built only for a returned witness, a
-warm solve that eliminates neither its clonoid image nor the differences
-that image spans, and the open forged-witness gap of ``check_witness``."""
+warm member solve that its clonoid image decides alone, and the open
+forged-witness gap of ``check_witness``."""
 
 import random
 import sys
@@ -27,7 +27,6 @@ from subpower.solver import (SmpInstance, SmpVerdict, WreathContext,
                              _companion_span, _extended_rows, _fold_members,
                              _leaf_values, check_witness, solve_smp_wreath,
                              wreath_context)
-from subpower.wreath import clonoid_image_comprep
 
 SPECS = {"a6": a6, "w15": w15}
 SPECS.update({f"random_wreath{args}": (lambda args=args: random_wreath(*args))
@@ -105,7 +104,9 @@ def test_constant_generators_leave_no_raw_differences():
 def test_fold_matches_stepwise(data):
     """Power tables against one Mal'tsev step at a time, on any table,
     with all-zero coefficient columns, no differences or no rows, and
-    blocks of one difference, of a few, or of all."""
+    blocks of one difference, of a few, or of all; and the rows split
+    between two folds that share a table cache, the second keeping or
+    extending each table the first built."""
     size = data.draw(st.integers(1, 5))
     element = st.integers(0, size - 1)
     table = np.asarray(data.draw(st.lists(
@@ -124,11 +125,21 @@ def test_fold_matches_stepwise(data):
     zero = data.draw(st.lists(st.booleans(), min_size=nraw, max_size=nraw))
     coeffs[:, np.asarray(zero, dtype=bool)] = 0
     block = data.draw(st.sampled_from([1, 2 * k * size, 1 << 20]))
+    split = data.draw(st.integers(0, nrows))
+    powers = {}
     with mock.patch.object(solver, "_FOLD_BLOCK_ENTRIES", block):
         got = _fold_members(table, leaves, coeffs)
+        first = _fold_members(table, leaves, coeffs[:split], powers)
+        built = dict(powers)
+        second = _fold_members(table, leaves, coeffs[split:], powers)
     want = ref.fold_members_stepwise(table, leaves, coeffs)
     assert got.shape == (nrows, k)
     assert got.tolist() == want.tolist()
+    assert np.vstack([first, second]).tolist() == want.tolist()
+    for j, tab in built.items():
+        assert powers[j] is tab or (
+            len(powers[j]) > len(tab)
+            and np.array_equal(powers[j][:len(tab)], tab))
 
 
 @pytest.fixture()
@@ -185,14 +196,15 @@ def test_circuits_only_for_a_returned_witness(member_node_calls):
 
 
 def test_warm_solve_skips_image_and_spanned_differences(monkeypatch):
-    """On a warm a6 context at k=60, n=20, the clonoid image is assembled
-    plane by plane with no insert, and the subgroup test inserts no row
-    that the image already spans (the image rows themselves, or member
-    differences in their span)."""
+    """On a warm a6 context at k=60, n=20, every member target's l-part
+    lies in the span of the clonoid image, which is assembled plane by
+    plane with no insert: the solve builds no l-part generator, folds the
+    base alone, and inserts no member difference into the subgroup
+    test."""
     spec = a6()
-    ctx = wreath_context(spec)
+    group = spec.left_group
     assert solve_smp_wreath(spec, _instance(spec, 60, 20, 900)).member
-    inserts, tested = [], []
+    inserts, folds, l_parts, tests = [], [], [], []
     insert = FieldEchelon.insert
 
     def counted(self, v, coeff=None):
@@ -200,36 +212,43 @@ def test_warm_solve_skips_image_and_spanned_differences(monkeypatch):
         while frame is not None:
             names.add(frame.f_code.co_name)
             frame = frame.f_back
-        inserts.append((names, np.array(v)))
+        inserts.append((self, names))
         return insert(self, v, coeff)
 
-    subgroup_member = solver.subgroup_member
-
-    def recorded(group, gens, target, **kwargs):
-        tested.append(np.asarray(gens))
-        return subgroup_member(group, gens, target, **kwargs)
+    def recorded(log, fn):
+        def wrapper(*args, **kwargs):
+            log.append(args)
+            return fn(*args, **kwargs)
+        return wrapper
 
     monkeypatch.setattr(FieldEchelon, "insert", counted)
-    monkeypatch.setattr(solver, "subgroup_member", recorded)
-    spanned = 0
-    group = spec.left_group
+    monkeypatch.setattr(solver, "_fold_members",
+                        recorded(folds, solver._fold_members))
+    monkeypatch.setattr(solver, "_l_part_coeffs",
+                        recorded(l_parts, solver._l_part_coeffs))
+    seeded_echelon = solver.seeded_echelon
+
+    def kept(*args):
+        tests.append(seeded_echelon(*args))
+        return tests[-1]
+
+    monkeypatch.setattr(solver, "seeded_echelon", kept)
     for seed in range(901, 905):
         inst = _instance(spec, 60, 20, seed)
-        inserts.clear()
-        tested.clear()
+        for log in (inserts, folds, l_parts, tests):
+            log.clear()
         verdict = solve_smp_wreath(spec, inst)
         assert verdict.member and check_witness(spec, inst, verdict)
-        assert not [1 for names, _ in inserts
-                    if "clonoid_image_comprep" in names]
-        image = clonoid_image_comprep(
-            ctx.gens, (np.asarray(inst.generators) % spec.p).tolist())
-        span = FieldEchelon.from_basis(group.exponent, image.basis)
-        rows = [row for names, row in inserts if "subgroup_member" in names]
-        assert not any(span.contains(row) for row in rows)
-        (diffs,) = tested
-        spanned += span.contains_rows(group.embed_elements(diffs)).sum()
-    # the differences the image spans were tested, and none was inserted
-    assert spanned
+        assert verdict.witness["members"] == []
+        assert not l_parts
+        ((_, _, coeffs, _),) = folds
+        assert coeffs.shape[0] == 1
+        (ech,) = tests
+        assert ech.m == group.exponent
+        assert not [1 for owner, names in inserts
+                    if owner is ech or "clonoid_image_comprep" in names]
+        # the quotient fix still eliminates row by row, over GF(p)
+        assert inserts and {owner.m for owner, _ in inserts} == {spec.p}
 
 
 @pytest.mark.xfail(strict=True, reason="check_witness takes clonoid parts on "
