@@ -23,7 +23,11 @@ one row per tuple; they become Python tuples only at the API and JSON edge.
 
 Subgroups of L^k are handled by row echelons on the embedded vectors.
 Over a prime modulus ``FieldEchelon`` keeps the basis fully reduced, so a
-reduction is one product and an insert one rank-1 update.  Over other
+reduction is one product and an insert one rank-1 update; ``extend``
+eliminates a whole block of rows at once, Gauss-Jordan with deferred
+reduction mod q (Dumas, Giorgi & Pernet, ACM TOMS 2008), and leaves what
+one insert per row would.  Its products stay exact in int64 because
+every ``FieldEchelon`` has width * (q - 1)^2 + q < 2^63.  Over other
 moduli ``Echelon`` keeps a Howell-style form over Z_m: the Howell
 completion (annihilator rows) guarantees that, for every prefix, the rows
 with later pivots generate exactly the subgroup elements vanishing on that
@@ -505,7 +509,12 @@ class FieldEchelon:
     Every row has pivot entry 1, and every pivot column is zero in the other
     rows.  So the residue of w is one product, w - w[pivots] @ basis, whose
     coefficient part is the combination, and an insert is one reduction
-    plus one rank-1 update.  Rows keep their insertion order until
+    plus one rank-1 update.  ``extend`` eliminates a whole block of rows at
+    once, with deferred reduction mod q, and leaves what inserting them one
+    at a time would.  Products are exact in int64 because the constructor
+    requires width * (q - 1)^2 + q < 2^63: a product sums at most `width`
+    terms below (q - 1)^2 each, and a block entry takes at most `width`
+    unreduced updates.  Rows keep their insertion order until
     ``canonicalize`` sorts them by pivot; over a prime modulus these are
     the canonical rows of ``Echelon.canonicalize``.  The augmented rows
     live in one buffer with spare capacity that inserts update in place,
@@ -515,6 +524,10 @@ class FieldEchelon:
     def __init__(self, q: int, width: int, track: int | None = None):
         if not is_prime(q):
             raise AlgebraError(f"modulus {q} is not prime")
+        if width * (q - 1) ** 2 + q >= 2 ** 63:
+            raise AlgebraError(
+                f"width {width} and modulus {q} break the int64 bound "
+                "width * (q - 1)^2 + q < 2^63 of exact elimination")
         self.m = q
         self.width = width
         self.track = track
@@ -606,38 +619,104 @@ class FieldEchelon:
 
     def reduce(self, v) -> tuple[np.ndarray, np.ndarray | None]:
         """Residue of v modulo the span, plus combination coefficients."""
-        w = self._vector(v)
-        c = w[self._cols]
-        aug = self._aug
-        residue = (w - c @ aug[:, :self.width]) % self.m
+        residue, c = self._residues(self._vector(v)[None])
         if self.track is None:
-            return residue, None
-        return residue, (c @ aug[:, self.width:]) % self.m
+            return residue[0], None
+        return residue[0], (c[0] @ self._aug[:, self.width:]) % self.m
 
     def contains(self, v) -> bool:
         return not self.reduce(v)[0].any()
 
+    def _residues(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Residues of the rows of `w` (entries in 0..q-1) modulo the span,
+        and each row's entries on the pivot columns.
+
+        On the pivot columns the basis is a unit matrix, so a residue is
+        zero there and the product runs over the other columns only.
+        """
+        c = w[:, self._cols]
+        if not len(self._cols):
+            return w, c
+        free = np.ones(self.width, dtype=bool)
+        free[self._cols] = False
+        residue = np.zeros_like(w)
+        residue[:, free] = (w[:, free]
+                            - c @ self._aug[:, :self.width][:, free]) % self.m
+        return residue, c
+
     def contains_rows(self, rows) -> np.ndarray:
         """``contains`` of each row of a matrix, as a boolean array."""
         w = np.asarray(rows, dtype=np.int64) % self.m
-        residue = (w - w[:, self._cols] @ self._aug[:, :self.width]) % self.m
-        return ~residue.any(axis=1)
+        return ~self._residues(w)[0].any(axis=1)
 
     def extend(self, rows) -> None:
-        """``insert`` each row of a matrix, in order.
+        """``insert`` each row of a matrix, in order, as one block.
 
-        One product finds the rows already in the span; they only take
-        their generator slots, as ``insert`` would give them, and only the
-        others are inserted.
+        One product reduces the block against the basis; only the rows left
+        nonzero get a coefficient part, their unit generator slot minus one
+        product.  Gauss-Jordan over those rows, in order, reduces just the
+        pivot row and the pivot column mod q at each step before one rank-1
+        update of the block, and the block once at the end: an entry grows
+        by at most (q - 1)^2 a step, and a block takes at most `width`
+        pivots, which the constructor's bound keeps inside int64.  Then each
+        new pivot column is cleared from the old rows it hits.
+
+        Inserting the rows one at a time leaves the same echelon: the same
+        rows in the same order, pivots, coefficient rows and generator
+        count.  A row's residue modulo the span so far, on the pivots so
+        far, is unique, so the pivots agree; and every stored augmented row
+        lies in the span of the augmented generators that grew the span,
+        whose width parts are independent, so its width part, fixed by the
+        span and the pivots, fixes its coefficient part.
         """
-        rows = np.asarray(rows, dtype=np.int64).reshape(len(rows), self.width)
+        q, width = self.m, self.width
+        rows = np.asarray(rows, dtype=np.int64).reshape(len(rows), width) % q
         start = self._gen_count
         if self.track is not None and start + len(rows) > self.track:
             raise AlgebraError("more generators than the tracking width")
-        for j in np.flatnonzero(~self.contains_rows(rows)):
-            self._gen_count = start + j
-            self.insert(rows[j])
         self._gen_count = start + len(rows)
+        residue, c = self._residues(rows)
+        live = np.flatnonzero(residue.any(axis=1))
+        if not len(live):
+            return
+        aug = self._aug
+        block = np.empty((len(live), self._buf.shape[1]), dtype=np.int64)
+        block[:, :width] = residue[live]
+        if self.track is not None:
+            coeff = block[:, width:]
+            np.negative(c[live] @ aug[:, width:], out=coeff)
+            coeff[np.arange(len(live)), start + live] += 1
+            coeff %= q
+        kept, cols = [], []                    # pivot rows of the block
+        for i, row in enumerate(block):
+            row %= q
+            nz = row[:width].nonzero()[0]
+            if not len(nz):
+                continue
+            col = nz[0]
+            if row[col] != 1:
+                row *= pow(int(row[col]), -1, q)
+                row %= q
+            f = block[:, col] % q
+            f[i] = 0
+            block -= np.multiply.outer(f, row)
+            kept.append(i)
+            cols.append(col)
+        block = block[kept] % q
+        for j in aug[:, cols].any(axis=0).nonzero()[0]:
+            hit = aug[:, cols[j]].nonzero()[0]
+            aug[hit] = (aug[hit]
+                        - np.multiply.outer(aug[hit, cols[j]], block[j])) % q
+        r = len(aug)
+        if r + len(block) > len(self._buf):
+            # the rank is at most the width
+            grown = np.empty((min(max(2 * r, r + len(block), 16), width),
+                              self._buf.shape[1]), dtype=np.int64)
+            grown[:r] = aug
+            self._buf = grown
+        self._buf[r:r + len(block)] = block
+        self._colbuf[r:r + len(block)] = cols
+        self._cols = self._colbuf[:r + len(block)]
 
     def canonicalize(self) -> None:
         """Sort the rows by pivot column."""

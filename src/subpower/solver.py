@@ -90,11 +90,32 @@ class SmpVerdict:
     stats: dict = field(default_factory=dict)
 
 
-def _check_range(inst: SmpInstance, size: int) -> None:
-    for t in inst.generators + (inst.target,):
-        for v in t:
-            if not 0 <= v < size:
-                raise AlgebraError(f"element {v} out of range 0..{size - 1}")
+def _instance_rows(inst: SmpInstance, size: int) -> np.ndarray:
+    """The generators, then the target, as one (n + 1, k) int64 array.
+
+    One array conversion and one range test accept an instance.  Otherwise
+    AlgebraError names its first entry, generators first, that is not an
+    integer in 0..size-1: a float such as 1.7 is refused, not truncated.
+    """
+    entries = inst.generators + (inst.target,)
+    try:
+        rows = np.asarray(entries)
+    except (TypeError, ValueError, OverflowError):
+        rows = None
+    if (rows is not None and rows.dtype.kind in "biu"
+            and rows.shape == (inst.n + 1, inst.k)
+            and not (rows.size and (rows.min() < 0 or rows.max() >= size))):
+        return rows.astype(np.int64, copy=False)
+    for i, t in enumerate(entries):
+        for j, v in enumerate(t):
+            integral = isinstance(v, numbers.Integral)
+            if not integral or not 0 <= v < size:
+                where = (f"generators[{i}][{j}]" if i < inst.n
+                         else f"target[{j}]")
+                fault = (f"out of range 0..{size - 1}" if integral
+                         else "is not an integer")
+                raise AlgebraError(f"instance entry {where} = {v!r} {fault}")
+    raise AlgebraError("instance entries do not form an integer array")
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +344,7 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
     """
     t_start = time.perf_counter()
     ctx = wreath_context(spec)
-    _check_range(inst, spec.size)
+    inst_rows = _instance_rows(inst, spec.size)
     group = spec.left_group
     comp_group = spec.companion_group
     p = spec.p
@@ -331,8 +352,7 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
     k, n = inst.k, inst.n
     s1 = comp_group.rank
 
-    gen_rows = np.asarray(inst.generators, dtype=np.int64)
-    target = np.asarray(inst.target, dtype=np.int64)
+    gen_rows, target = inst_rows[:-1], inst_rows[-1]
     l_b, u_b = np.divmod(target, p)
 
     rep = _companion_span(ctx, gen_rows)
@@ -463,10 +483,10 @@ def dispatch(algebra_input, inst: SmpInstance, *, allow_oracle: bool = False,
         raise UnsupportedAlgebraError(
             "algebra is outside the supported classes; "
             "pass allow_oracle=True for the exponential fallback")
+    t_start = time.perf_counter()
+    _instance_rows(inst, alg.size)
     warnings.warn("falling back to the exponential closure oracle",
                   stacklevel=2)
-    t_start = time.perf_counter()
-    _check_range(inst, alg.size)
     member = smp_oracle(alg, inst.generators, inst.target, cap=cap)
     stats = {"path": "oracle", "k": inst.k, "n": inst.n,
              "elapsed_ms": 1000 * (time.perf_counter() - t_start)}
@@ -494,9 +514,9 @@ def _solve_affine(alg, group, op_specs, inst, want_witness) -> SmpVerdict:
     coefficients and the witness is one Mal'tsev chain over the raw
     differences."""
     t_start = time.perf_counter()
-    _check_range(inst, alg.size)
-    rep = affine_span(alg, group, inst.generators, op_specs=op_specs)
-    diff = (group.embed_elements(inst.target) - rep.base_flat) % group.exponent
+    inst_rows = _instance_rows(inst, alg.size)
+    rep = affine_span(alg, group, inst_rows[:-1], op_specs=op_specs)
+    diff = (group.embed_elements(inst_rows[-1]) - rep.base_flat) % group.exponent
     member = rep.echelon.contains(diff)
     stats = {"path": "affine", "k": inst.k, "n": inst.n,
              "tuples_materialized": rep.tuples_materialized}

@@ -89,6 +89,16 @@ def test_usage_error_exit2(tmp_path, a6_file, capsys):
     assert rc == 2
 
 
+def test_solve_refuses_a_float_entry(tmp_path, a6_file, capsys):
+    # 1.7 would truncate to the element 1 and solve as a member
+    inst = write_instance(tmp_path, [(0, 1.7, 2), (3, 4, 5)], (0, 1, 2))
+    rc = main(["solve", "--algebra", a6_file, "--instance", inst])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "generators[0][1] = 1.7 is not an integer" in captured.err
+
+
 def test_random_instance_deterministic(a6_file, capsys):
     rc = main(["random-instance", "--algebra", a6_file, "--k", "4",
                "--n", "3", "--seed", "11", "--member-bias", "1.0"])

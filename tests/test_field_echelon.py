@@ -102,29 +102,37 @@ def test_field_echelon_rows_stay_valid():
 @st.composite
 def seeded_runs(draw):
     """Seed vectors, whose canonical rows seed an echelon, then rows to
-    extend it by: fresh, zero, duplicate or dependent ones, and some in
-    the seeds' span."""
-    q = draw(st.sampled_from([2, 3, 5, 7]))
-    width = draw(st.integers(0, 10))
+    extend it by, in two blocks: fresh, zero, duplicate or dependent ones,
+    some in the seeds' span, and some combinations of every earlier row,
+    whose unreduced entries take an update from each pivot before them."""
+    q = draw(st.sampled_from([2, 3, 5, 7, 31, 65521]))
+    width = draw(st.integers(0, 12))
     fresh = st.lists(st.integers(-q, 2 * q), min_size=width, max_size=width)
 
     def combine(u, v, c):
-        return [c * a + b for a, b in zip(u, v)]
+        return [(c * a + b) % q for a, b in zip(u, v)]
 
     seeds = _vectors(draw, fresh, combine, draw(st.integers(0, 8)))
-    rows = _vectors(draw, fresh, combine, draw(st.integers(0, 8)))
+    rows = _vectors(draw, fresh, combine, draw(st.integers(0, 16)))
     for _ in range(draw(st.integers(0, 4)) if seeds else 0):
         rows.insert(draw(st.integers(0, len(rows))),
                     combine(draw(st.sampled_from(seeds)),
                             draw(st.sampled_from(seeds)),
                             draw(st.integers(0, 30))))
-    return q, width, draw(st.booleans()), seeds, rows
+    for _ in range(draw(st.integers(0, 4)) if rows else 0):
+        at = draw(st.integers(1, len(rows)))
+        coeffs = draw(st.lists(st.integers(0, q - 1), min_size=at,
+                               max_size=at))
+        rows.insert(at, [sum(c * row[i] for c, row in zip(coeffs, rows)) % q
+                         for i in range(width)])
+    split = draw(st.integers(0, len(rows)))
+    return q, width, draw(st.booleans()), seeds, rows, split
 
 
 @settings(max_examples=300, deadline=None)
 @given(seeded_runs())
 def test_seeded_extend_matches_inserts(run):
-    q, width, tracked, seeds, rows = run
+    q, width, tracked, seeds, rows, split = run
     canon = FieldEchelon(q, width)
     for v in seeds:
         canon.insert(v)
@@ -137,7 +145,9 @@ def test_seeded_extend_matches_inserts(run):
     for v in np.vstack([basis, rows]):
         old.insert(v)
     new = FieldEchelon.from_basis(q, basis, track)
-    new.extend(rows)
+    # two blocks: the second starts past the first's generator slots
+    new.extend(rows[:split])
+    new.extend(rows[split:])
     assert np.array_equal(new._aug, old._aug)
     assert new._cols.tolist() == old._cols.tolist()
     assert new.pivots == old.pivots
@@ -147,6 +157,25 @@ def test_seeded_extend_matches_inserts(run):
     howell = Echelon(q, width, track)
     howell.extend(np.vstack([basis, rows]))
     assert new.span_size() == howell.span_size()
+
+
+def test_field_echelon_keeps_products_inside_int64():
+    # width * (q - 1)^2 + q must stay below 2^63
+    with pytest.raises(AlgebraError, match="2\\^63"):
+        FieldEchelon(2**31 - 1, 4)
+    with pytest.raises(AlgebraError, match="2\\^63"):
+        FieldEchelon.from_basis(2**31 - 1, np.zeros((0, 4), np.int64))
+    big = FieldEchelon(65521, 10**6)
+    assert big.span_size() == 1
+    # the largest entries a block can hold, eliminated exactly
+    q = 65521
+    rows = np.full((3, 3), q - 1, dtype=np.int64)
+    rows[1, 0] = rows[2, 1] = 1
+    old, new = FieldEchelon(q, 3, 3), FieldEchelon(q, 3, 3)
+    for v in rows:
+        old.insert(v)
+    new.extend(rows)
+    assert np.array_equal(new._aug, old._aug)
 
 
 def test_from_basis_and_extend_reject_bad_input():

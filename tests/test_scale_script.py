@@ -1,4 +1,5 @@
-"""``scripts/scale.py``: one seeded a6 member solve, reported as JSON."""
+"""``scripts/scale.py``: one seeded a6 solve, a member or with ``--probe``
+an l-shifted non-member, reported as JSON."""
 
 import json
 import os
@@ -8,15 +9,29 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_scale_probe_at_k_100():
+def _scale(*flags) -> dict:
     proc = subprocess.run(
         [sys.executable, "scripts/scale.py", "--k", "100", "--n", "20",
-         "--seed", "7"],
+         "--seed", "7", *flags],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     (line,) = proc.stdout.strip().splitlines()
     result = json.loads(line)
     assert result["k"] == 100 and result["n"] == 20 and result["seed"] == 7
-    assert result["member"] is True and result["witness_ok"] is True
     assert result["wall_s"] > 0 and result["peak_rss_mb"] > 0
-    assert result["tuples_materialized"] > 0 and result["witness_bytes"] > 0
+    assert result["tuples_materialized"] > 0
+    return result
+
+
+def test_scale_probe_at_k_100():
+    result = _scale()
+    assert result["probe"] is False
+    assert result["member"] is True and result["witness_ok"] is True
+    assert result["witness_bytes"] > 0
+
+
+def test_scale_l_shifted_probe_at_k_100():
+    result = _scale("--probe")
+    assert result["probe"] is True
+    assert result["member"] is False and result["witness_ok"] is False
+    assert result["witness_bytes"] == 0

@@ -1,11 +1,13 @@
 import random
+import re
 
+import numpy as np
 import pytest
 
 from subpower.catalog import a6_symmetric, random_wreath, zmod_algebra
 from subpower.circuits import parse_sexpr
 from subpower.comprep import maltsev_fold, signature
-from subpower.core import smp_oracle, subpower_closure
+from subpower.core import AlgebraError, smp_oracle, subpower_closure
 from subpower.instances import random_instance
 from subpower.solver import (SmpInstance, UnsupportedAlgebraError,
                              check_witness, compute_comprep, dispatch,
@@ -190,6 +192,31 @@ def test_dispatch_oracle_fallback():
     with pytest.warns(UserWarning):
         v = dispatch(spec4, inst, allow_oracle=True)
     assert v.member and v.stats["path"] == "oracle"
+
+
+@pytest.mark.parametrize("path", ["wreath", "affine", "oracle"])
+@pytest.mark.parametrize("gens, target, entry", [
+    (((0, 1.7, 2), (2, 1, 0)), (0, 1, 2), "generators[0][1] = 1.7 is not"),
+    (((0, 1, 2), (2, 1, 0)), (0, 1.5, 2), "target[1] = 1.5 is not"),
+    (((0, 1, 2), (2, 1, 0)), (0, 2.0, 2), "target[1] = 2.0 is not"),
+    (((0, 1, 2), (2, "1", 0)), (0, 1, 2), "generators[1][1] = '1' is not"),
+    (((0, 1, 2), (2, 1, 99)), (0, 1, -1), "generators[1][2] = 99 out of"),
+    (((0, 1, 2), (2, 1, 0)), (0, 1, 2**70), f"target[2] = {2**70} out of"),
+])
+def test_instance_entries_must_be_integers_in_range(a6_spec, z3, path, gens,
+                                                   target, entry):
+    """Every path refuses a non-integer or out-of-range entry, naming the
+    first one, before any work: a float is not truncated to an element."""
+    algebra = {"wreath": a6_spec, "affine": z3,
+               "oracle": random_wreath(4, 3, seed=1)}[path]
+    with pytest.raises(AlgebraError, match=re.escape(entry)):
+        dispatch(algebra, SmpInstance(gens, target), allow_oracle=True)
+
+
+def test_instance_rows_keep_integer_inputs(a6_spec):
+    # numpy integers and bools are integers, as before
+    inst = SmpInstance((tuple(np.arange(3)), (True, 4, 5)), (0, 1, 2))
+    assert dispatch(a6_spec, inst).member
 
 
 def test_dispatch_names_why_the_wreath_path_does_not_apply():

@@ -200,7 +200,8 @@ def test_warm_solve_skips_image_and_spanned_differences(monkeypatch):
     lies in the span of the clonoid image, which is assembled plane by
     plane with no insert: the solve builds no l-part generator, folds the
     base alone, and inserts no member difference into the subgroup
-    test."""
+    test.  The quotient fix eliminates its rows as one block, so the solve
+    makes no ``FieldEchelon.insert`` call at all."""
     spec = a6()
     group = spec.left_group
     assert solve_smp_wreath(spec, _instance(spec, 60, 20, 900)).member
@@ -247,8 +248,8 @@ def test_warm_solve_skips_image_and_spanned_differences(monkeypatch):
         assert ech.m == group.exponent
         assert not [1 for owner, names in inserts
                     if owner is ech or "clonoid_image_comprep" in names]
-        # the quotient fix still eliminates row by row, over GF(p)
-        assert inserts and {owner.m for owner, _ in inserts} == {spec.p}
+        # nothing eliminates row by row: the quotient fix is one block
+        assert not inserts
 
 
 @pytest.mark.xfail(strict=True, reason="check_witness takes clonoid parts on "
