@@ -23,15 +23,16 @@ one row per tuple; they become Python tuples only at the API and JSON edge.
 
 Subgroups of L^k are handled by row echelons on the embedded vectors.
 Over a prime modulus ``FieldEchelon`` keeps the basis fully reduced, so a
-reduction is one product and an insert one rank-1 update; ``extend``
+reduction is one product.  Its span grows only by ``extend``, which
 eliminates a whole block of rows at once, Gauss-Jordan with deferred
-reduction mod q (Dumas, Giorgi & Pernet, ACM TOMS 2008), and leaves what
-one insert per row would.  Its products stay exact in int64 because
-every ``FieldEchelon`` has width * (q - 1)^2 + q < 2^63.  Over other
-moduli ``Echelon`` keeps a Howell-style form over Z_m: the Howell
-completion (annihilator rows) guarantees that, for every prefix, the rows
-with later pivots generate exactly the subgroup elements vanishing on that
-prefix, which makes kernels, signatures and membership witnesses exact.
+reduction mod q (Dumas, Giorgi & Pernet, ACM TOMS 2008), and leaves the
+echelon of sequential elimination, row by row.  Its products stay exact
+in int64 because every ``FieldEchelon`` has width * (q - 1)^2 + q < 2^63.
+Over other moduli ``Echelon`` keeps a Howell-style form over Z_m: the
+Howell completion (annihilator rows) guarantees that, for every prefix,
+the rows with later pivots generate exactly the subgroup elements
+vanishing on that prefix, which makes kernels, signatures and membership
+witnesses exact.
 Only prime-power factors need it (Storjohann & Mulders, ESA 1998): for a
 squarefree m, ``SplitSpan`` keeps the span as one ``FieldEchelon`` per
 prime factor, by CRT.  ``Echelon`` also stays wherever its rows and
@@ -58,7 +59,7 @@ from functools import cached_property
 import numpy as np
 
 from .circuits import CircuitBank
-from .core import AlgebraError, FiniteAlgebra
+from .core import AlgebraError, FiniteAlgebra, element_array
 
 
 class NotAffineError(AlgebraError):
@@ -173,19 +174,12 @@ class AbelianGroupSpec:
     def check_elements(self, elements) -> np.ndarray:
         """`elements` (a tuple, or rows of tuples) as an int64 index array.
 
-        Raises AlgebraError on entries outside 0..size-1 and on rows of
-        unequal length.
+        Raises AlgebraError (``core.element_array``) on entries that are not
+        integers in 0..size-1 and on rows of unequal length.
         """
-        try:
-            arr = np.asarray(elements, dtype=np.int64)
-        except (TypeError, ValueError, OverflowError):
-            raise AlgebraError("tuples must be integer rows of equal "
-                               "length") from None
+        arr = element_array(elements, self._size)
         if arr.ndim == 0:
             raise AlgebraError("expected a tuple of elements, got a scalar")
-        if arr.size and (arr.min() < 0 or arr.max() >= self._size):
-            bad = arr[(arr < 0) | (arr >= self._size)].flat[0]
-            raise AlgebraError(f"element {bad} out of range")
         return arr
 
     def embed_elements(self, elements) -> np.ndarray:
@@ -351,31 +345,16 @@ class Echelon:
             self._order = sorted(self.pivots)
         return self._order
 
-    def _augmented(self, v, coeff) -> np.ndarray:
-        """v reduced mod m, followed by its coefficient row when tracked:
-        `coeff`, or else the unit row of the next generator."""
-        w = self._vector(v)
-        if self.track is None:
-            if coeff is not None:
-                raise AlgebraError("coefficients need a tracked echelon")
-            return w
-        out = np.zeros(self.width + self.track, dtype=np.int64)
-        out[:self.width] = w
-        if coeff is None:
-            if self._gen_count >= self.track:
-                raise AlgebraError("more generators than the tracking width")
-            out[self.width + self._gen_count] = 1
-        else:
-            coeff = np.asarray(coeff, dtype=np.int64)
-            if coeff.shape != (self.track,):
-                raise AlgebraError("coefficient width mismatch")
-            out[self.width:] = coeff % self.m
-        return out
-
-    def insert(self, v, coeff: np.ndarray | None = None) -> bool:
+    def insert(self, v) -> bool:
         """Add a generator; returns True when the span grew."""
         m, width = self.m, self.width
-        w = self._augmented(v, coeff)
+        w = self._vector(v)
+        if self.track is not None:
+            # followed by the unit coefficient row of its generator slot
+            if self._gen_count >= self.track:
+                raise AlgebraError("more generators than the tracking width")
+            w = np.concatenate([w, np.zeros(self.track, dtype=np.int64)])
+            w[width + self._gen_count] = 1
         self._gen_count += 1
         pivots, augs, divs = self.pivots, self._aug, self._div
         grew = False
@@ -504,21 +483,23 @@ class Echelon:
 
 
 class FieldEchelon:
-    """Fully reduced row space over GF(q), q prime, with Echelon's methods.
+    """Fully reduced row space over GF(q), q prime.
 
     Every row has pivot entry 1, and every pivot column is zero in the other
     rows.  So the residue of w is one product, w - w[pivots] @ basis, whose
-    coefficient part is the combination, and an insert is one reduction
-    plus one rank-1 update.  ``extend`` eliminates a whole block of rows at
-    once, with deferred reduction mod q, and leaves what inserting them one
-    at a time would.  Products are exact in int64 because the constructor
-    requires width * (q - 1)^2 + q < 2^63: a product sums at most `width`
-    terms below (q - 1)^2 each, and a block entry takes at most `width`
-    unreduced updates.  Rows keep their insertion order until
-    ``canonicalize`` sorts them by pivot; over a prime modulus these are
-    the canonical rows of ``Echelon.canonicalize``.  The augmented rows
-    live in one buffer with spare capacity that inserts update in place,
-    so ``rows`` and ``coeffs`` hand out copies.
+    coefficient part is the combination.  The span grows only by
+    ``extend``, which eliminates a block of rows at once, with deferred
+    reduction mod q, and leaves the echelon of sequential elimination: the
+    rows taken one by one, in order, each reduced against the rows kept so
+    far and, when its residue is nonzero, scaled to pivot entry 1, cleared
+    from the kept rows and appended.  Products are exact in int64 because
+    the constructor requires width * (q - 1)^2 + q < 2^63: a product sums
+    at most `width` terms below (q - 1)^2 each, and a block entry takes at
+    most `width` unreduced updates.  Rows keep their elimination order
+    until ``canonicalize`` sorts them by pivot; over a prime modulus these
+    are the canonical rows of ``Echelon.canonicalize``.  The augmented rows
+    live in one buffer with spare capacity that ``extend`` updates in
+    place, so ``rows`` and ``coeffs`` hand out copies.
     """
 
     def __init__(self, q: int, width: int, track: int | None = None):
@@ -534,11 +515,12 @@ class FieldEchelon:
         self._buf = np.zeros((0, width + (track or 0)), dtype=np.int64)
         self._colbuf = np.zeros(width, dtype=np.intp)
         self._cols = self._colbuf[:0]          # pivot column of each row
+        self._free = None      # non-pivot columns, the basis on them
         self._gen_count = 0
 
     @classmethod
     def from_basis(cls, q: int, basis, track: int | None = None):
-        """The echelon that inserting the rows of `basis` one at a time
+        """The echelon that sequential elimination of the rows of `basis`
         leaves, when `basis` is fully reduced over GF(q) (every row has
         pivot entry 1 and every pivot column is zero in the other rows):
         the same rows in the same order, each with the unit coefficient row
@@ -564,7 +546,6 @@ class FieldEchelon:
         return ech
 
     _vector = Echelon._vector
-    _augmented = Echelon._augmented
 
     @property
     def _aug(self) -> np.ndarray:
@@ -584,39 +565,6 @@ class FieldEchelon:
     def pivots(self) -> dict:
         return {int(c): i for i, c in enumerate(self._cols)}
 
-    def insert(self, v, coeff: np.ndarray | None = None) -> bool:
-        """Add a generator; returns True when the span grew."""
-        q, aug = self.m, self._aug
-        r = len(aug)
-        w = self._augmented(v, coeff)
-        self._gen_count += 1
-        # only the rows a step touches take part, which keeps sparse
-        # inputs cheap
-        c = w[self._cols]
-        hit = c.nonzero()[0]
-        if len(hit):
-            w -= c[hit] @ aug[hit]
-            w %= q
-        nz = w[:self.width].nonzero()[0]
-        if not len(nz):
-            return False
-        col = nz[0]
-        w *= pow(int(w[col]), -1, q)
-        w %= q
-        hit = aug[:, col].nonzero()[0]
-        if len(hit):
-            aug[hit] = (aug[hit] - np.multiply.outer(aug[hit, col], w)) % q
-        if r == len(self._buf):
-            # the rank is at most the width
-            grown = np.empty((min(max(2 * r, 16), self.width), len(w)),
-                             dtype=np.int64)
-            grown[:r] = aug
-            self._buf = grown
-        self._buf[r] = w
-        self._colbuf[r] = col
-        self._cols = self._colbuf[:r + 1]
-        return True
-
     def reduce(self, v) -> tuple[np.ndarray, np.ndarray | None]:
         """Residue of v modulo the span, plus combination coefficients."""
         residue, c = self._residues(self._vector(v)[None])
@@ -624,24 +572,26 @@ class FieldEchelon:
             return residue[0], None
         return residue[0], (c[0] @ self._aug[:, self.width:]) % self.m
 
-    def contains(self, v) -> bool:
-        return not self.reduce(v)[0].any()
-
     def _residues(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Residues of the rows of `w` (entries in 0..q-1) modulo the span,
         and each row's entries on the pivot columns.
 
         On the pivot columns the basis is a unit matrix, so a residue is
-        zero there and the product runs over the other columns only.
+        zero there and the product runs over the other columns only; their
+        indices and the basis restricted to them are kept until the basis
+        changes.
         """
         c = w[:, self._cols]
         if not len(self._cols):
             return w, c
-        free = np.ones(self.width, dtype=bool)
-        free[self._cols] = False
+        if self._free is None:
+            free = np.ones(self.width, dtype=bool)
+            free[self._cols] = False
+            free = np.flatnonzero(free)
+            self._free = free, np.take(self._aug, free, axis=1)
+        free, basis = self._free
         residue = np.zeros_like(w)
-        residue[:, free] = (w[:, free]
-                            - c @ self._aug[:, :self.width][:, free]) % self.m
+        residue[:, free] = (np.take(w, free, axis=1) - c @ basis) % self.m
         return residue, c
 
     def contains_rows(self, rows) -> np.ndarray:
@@ -649,8 +599,9 @@ class FieldEchelon:
         w = np.asarray(rows, dtype=np.int64) % self.m
         return ~self._residues(w)[0].any(axis=1)
 
-    def extend(self, rows) -> None:
-        """``insert`` each row of a matrix, in order, as one block.
+    def extend(self, rows) -> bool:
+        """Add the rows of a matrix as generators, in order, in one block;
+        returns True when the span grew.
 
         One product reduces the block against the basis; only the rows left
         nonzero get a coefficient part, their unit generator slot minus one
@@ -658,36 +609,43 @@ class FieldEchelon:
         pivot row and the pivot column mod q at each step before one rank-1
         update of the block, and the block once at the end: an entry grows
         by at most (q - 1)^2 a step, and a block takes at most `width`
-        pivots, which the constructor's bound keeps inside int64.  Then each
-        new pivot column is cleared from the old rows it hits.
+        pivots, which the constructor's bound keeps inside int64.  Then one
+        product clears the new pivot columns from the old rows: each new
+        row is 1 on its own pivot and 0 on the others, so this subtracts
+        what clearing them one at a time would.
 
-        Inserting the rows one at a time leaves the same echelon: the same
-        rows in the same order, pivots, coefficient rows and generator
-        count.  A row's residue modulo the span so far, on the pivots so
-        far, is unique, so the pivots agree; and every stored augmented row
-        lies in the span of the augmented generators that grew the span,
-        whose width parts are independent, so its width part, fixed by the
-        span and the pivots, fixes its coefficient part.
+        This leaves the echelon of sequential elimination, row by row (see
+        the class docstring): the same rows in the same order, pivots,
+        coefficient rows and generator count.  A row's residue modulo the
+        span so far, on the pivots so far, is unique, so the pivots agree;
+        and every stored augmented row lies in the span of the augmented
+        generators that grew the span, whose width parts are independent,
+        so its width part, fixed by the span and the pivots, fixes its
+        coefficient part.
         """
         q, width = self.m, self.width
-        rows = np.asarray(rows, dtype=np.int64).reshape(len(rows), width) % q
+        try:
+            rows = np.asarray(rows, dtype=np.int64).reshape(len(rows), width)
+        except ValueError:
+            raise AlgebraError("vector width mismatch") from None
+        rows = rows % q
         start = self._gen_count
         if self.track is not None and start + len(rows) > self.track:
             raise AlgebraError("more generators than the tracking width")
         self._gen_count = start + len(rows)
         residue, c = self._residues(rows)
-        live = np.flatnonzero(residue.any(axis=1))
+        live = residue.any(axis=1).nonzero()[0]
         if not len(live):
-            return
+            return False
         aug = self._aug
-        block = np.empty((len(live), self._buf.shape[1]), dtype=np.int64)
-        block[:, :width] = residue[live]
+        block = residue[live]
         if self.track is not None:
-            coeff = block[:, width:]
-            np.negative(c[live] @ aug[:, width:], out=coeff)
+            coeff = -(c[live] @ aug[:, width:])
             coeff[np.arange(len(live)), start + live] += 1
-            coeff %= q
+            block = np.hstack([block, coeff % q])
         kept, cols = [], []                    # pivot rows of the block
+        # a lone row updates no other row, and stays reduced
+        several = len(block) > 1
         for i, row in enumerate(block):
             row %= q
             nz = row[:width].nonzero()[0]
@@ -697,16 +655,18 @@ class FieldEchelon:
             if row[col] != 1:
                 row *= pow(int(row[col]), -1, q)
                 row %= q
-            f = block[:, col] % q
-            f[i] = 0
-            block -= np.multiply.outer(f, row)
+            if several:
+                f = block[:, col] % q
+                f[i] = 0
+                block -= np.multiply.outer(f, row)
             kept.append(i)
             cols.append(col)
-        block = block[kept] % q
-        for j in aug[:, cols].any(axis=0).nonzero()[0]:
-            hit = aug[:, cols[j]].nonzero()[0]
-            aug[hit] = (aug[hit]
-                        - np.multiply.outer(aug[hit, cols[j]], block[j])) % q
+        if several:
+            block = block[kept] % q
+        hits = aug[:, cols]
+        hit = hits.any(axis=1).nonzero()[0]
+        if len(hit):
+            aug[hit] = (aug[hit] - hits[hit] @ block) % q
         r = len(aug)
         if r + len(block) > len(self._buf):
             # the rank is at most the width
@@ -717,6 +677,8 @@ class FieldEchelon:
         self._buf[r:r + len(block)] = block
         self._colbuf[r:r + len(block)] = cols
         self._cols = self._colbuf[:r + len(block)]
+        self._free = None
+        return True
 
     def canonicalize(self) -> None:
         """Sort the rows by pivot column."""
@@ -725,6 +687,7 @@ class FieldEchelon:
         order = np.argsort(self._cols, kind="stable")
         self._aug[:] = self._aug[order]
         self._cols[:] = self._cols[order]
+        self._free = None
 
     def row_array(self) -> np.ndarray:
         """The rows as one (rank, width) array, a copy."""
@@ -762,12 +725,11 @@ class SplitSpan:
     def insert(self, v) -> bool:
         """Add a generator; returns True when the span grew."""
         w = self._vector(v)
-        grew = [ech.insert(w[cols]) for cols, ech in self.parts]
-        return any(grew)
+        # a list, not a generator: every prime part takes the row
+        return any([ech.extend(w[cols][None]) for cols, ech in self.parts])
 
     def contains(self, v) -> bool:
-        w = self._vector(v)
-        return all(ech.contains(w[cols]) for cols, ech in self.parts)
+        return bool(self.contains_rows(self._vector(v)[None])[0])
 
     def contains_rows(self, rows) -> np.ndarray:
         """``contains`` of each row of a matrix, as a boolean array."""
@@ -784,7 +746,7 @@ def seeded_echelon(group: AbelianGroupSpec, basis, track: int):
 
     `basis` holds embedded rows of a canonicalized echelon (such as
     ``ClonoidImage.basis``).  Over a prime exponent they seed the
-    elimination, since inserting them one at a time would store exactly
+    elimination, since eliminating them row by row would store exactly
     those rows; elsewhere they are inserted.
     """
     m = group.exponent

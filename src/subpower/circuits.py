@@ -90,6 +90,21 @@ class Circuit:
         return parse_sexpr(text, arity)
 
 
+def _needed(gates, targets) -> list[int]:
+    """The gates the targets depend on, in increasing id order, which is
+    children first in a bank and in a circuit."""
+    need = set()
+    stack = list(targets)
+    while stack:
+        cur = stack.pop()
+        if cur not in need:
+            need.add(cur)
+            gate = gates[cur]
+            if gate[0] != _VAR:
+                stack.extend(gate[1:])
+    return sorted(need)
+
+
 def variable(i: int, arity: int) -> Circuit:
     """The projection circuit x_i of the given arity."""
     return Circuit(arity, ((_VAR, i),), 0)
@@ -189,19 +204,7 @@ class CircuitBank:
 
     def extract(self, node: int) -> Circuit:
         """Standalone circuit for `node`, keeping only reachable gates."""
-        order: list[int] = []
-        seen = set()
-        stack = [node]
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            order.append(cur)
-            gate = self.gates[cur]
-            if gate[0] != _VAR:
-                stack.extend(gate[1:])
-        order.sort()
+        order = _needed(self.gates, [node])
         renum = {old: new for new, old in enumerate(order)}
         gates = []
         for old in order:

@@ -13,12 +13,13 @@ seen, and one per ternary symbol its partial maps.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .circuits import Circuit, CircuitBank
+from .circuits import Circuit, CircuitBank, _needed
 
 DEFAULT_CAP = 10_000_000
 
@@ -68,6 +69,7 @@ class FiniteAlgebra:
         self.ops = tuple(ops)
         self.maltsev = maltsev
         self.op_by_symbol = {}
+        self._np_tables = {}
         for op in self.ops:
             if op.symbol in self.op_by_symbol:
                 raise AlgebraError(f"duplicate operation symbol {op.symbol!r}")
@@ -75,11 +77,9 @@ class FiniteAlgebra:
                 raise AlgebraError(
                     f"{op.symbol}: table has {len(op.table)} entries, "
                     f"expected {size ** op.arity}")
-            if any(not 0 <= v < size for v in op.table):
-                raise AlgebraError(f"{op.symbol}: table entry out of range")
+            self._np_tables[op.symbol] = element_array(
+                op.table, size, f"{op.symbol} table").astype(np.int16)
             self.op_by_symbol[op.symbol] = op
-        self._np_tables = {
-            op.symbol: np.asarray(op.table, dtype=np.int16) for op in self.ops}
         if check:
             pair = maltsev_counterexample(self, maltsev)
             if pair is not None:
@@ -111,34 +111,53 @@ class FiniteAlgebra:
         return f"FiniteAlgebra(|A|={self.size}, ops=[{syms}])"
 
 
-def _check_tuples(alg: FiniteAlgebra, tuples) -> int:
-    """Validate a family of equal-length tuples over the domain; return k."""
-    tuples = list(tuples)
-    if not tuples:
+def element_array(entries, size: int, name: str = "elements") -> np.ndarray:
+    """`entries` (a tuple, or rows of equal-length tuples) as an int64
+    array, every entry an integer in 0..size-1.
+
+    One array conversion and one range test accept them; numpy integers
+    and bools count as integers.  Otherwise AlgebraError names the first
+    entry, row by row, that is not an integer in range, as
+    ``name[i][j] = value``: a float such as 1.7 is refused, not truncated,
+    and so is a string.  Rows of unequal length are refused too.
+    """
+    try:
+        arr = np.asarray(entries)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if (arr is not None and (arr.dtype.kind in "biu" or not arr.size)
+            and not (arr.size and (arr.min() < 0 or arr.max() >= size))):
+        return arr.astype(np.int64, copy=False)
+    for at, value in _entries(entries, ()):
+        integral = isinstance(value, (numbers.Integral, np.bool_))
+        if not integral or not 0 <= value < size:
+            fault = (f"out of range 0..{size - 1}" if integral
+                     else "is not an integer")
+            where = "".join(f"[{i}]" for i in at)
+            raise AlgebraError(f"{name}{where} = {value!r} {fault}")
+    raise AlgebraError("tuples have unequal lengths")
+
+
+def _entries(entries, at: tuple):
+    """(index, value) of every entry of nested sequences, row by row."""
+    if isinstance(entries, (str, bytes)) or not np.iterable(entries):
+        yield at, entries
+        return
+    for i, item in enumerate(entries):
+        yield from _entries(item, at + (i,))
+
+
+def _check_tuples(alg: FiniteAlgebra, tuples) -> np.ndarray:
+    """A non-empty family of equal-length tuples over the domain, checked,
+    as one (n, k) int64 array."""
+    if not isinstance(tuples, np.ndarray):
+        tuples = list(tuples)
+    if not len(tuples):
         raise AlgebraError("empty tuple family")
-    k = len(tuples[0])
-    for t in tuples:
-        if len(t) != k:
-            raise AlgebraError("tuples have unequal lengths")
-        for v in t:
-            if not 0 <= v < alg.size:
-                raise AlgebraError(f"element {v} out of range 0..{alg.size - 1}")
-    return k
-
-
-def _needed(gates, targets) -> list[int]:
-    """The gates the targets depend on, in increasing id order, which is
-    children first in a bank and in a circuit."""
-    need = set()
-    stack = list(targets)
-    while stack:
-        cur = stack.pop()
-        if cur not in need:
-            need.add(cur)
-            gate = gates[cur]
-            if gate[0] != "x":
-                stack.extend(gate[1:])
-    return sorted(need)
+    rows = element_array(tuples, alg.size, "tuples")
+    if rows.ndim != 2:
+        raise AlgebraError("expected a family of equal-length tuples")
+    return rows
 
 
 def _evaluate(alg: FiniteAlgebra, gates, order, mats, length: int) -> dict:
@@ -203,13 +222,9 @@ def eval_circuit(alg: FiniteAlgebra, circuit: Circuit, args) -> tuple:
     if len(args) != circuit.arity:
         raise AlgebraError(
             f"circuit arity {circuit.arity} but {len(args)} argument tuples given")
-    if args:
-        _check_tuples(alg, args)
-        k = len(args[0])
-    else:
-        k = 1
-    return _circuit_values(alg, circuit,
-                           [np.asarray(a, dtype=np.int64) for a in args], k)
+    rows = (_check_tuples(alg, args) if len(args)
+            else np.zeros((0, 1), dtype=np.int64))
+    return _circuit_values(alg, circuit, list(rows), rows.shape[1])
 
 
 def verify_maltsev(alg: FiniteAlgebra, circuit: Circuit | None = None) -> bool:
@@ -387,7 +402,8 @@ class _Closure:
         self.track = track
         self.truncate = truncate
         self.truncated = False
-        self.k = _check_tuples(alg, gens)
+        gen_rows = _check_tuples(alg, gens)
+        self.k = gen_rows.shape[1]
         q = self.q = alg.size
         self._store = np.zeros((64, self.k), dtype=np.int16)
         self.prov: list = []
@@ -409,8 +425,7 @@ class _Closure:
         self.map_rep: dict[str, list[tuple[int, int]]] = {s: [] for s in self.tern}
         self.map_done: dict[str, list[int]] = {s: [] for s in self.tern}
 
-        self._add(np.asarray([tuple(g) for g in gens], dtype=np.int16),
-                  lambda j: ("gen", j))
+        self._add(gen_rows.astype(np.int16), lambda j: ("gen", j))
         for op in alg.ops:
             if op.arity == 0:
                 self._add(np.full((1, self.k), op.table[0], dtype=np.int16),
@@ -577,10 +592,10 @@ def subpower_closure(alg: FiniteAlgebra, gens, cap: int = DEFAULT_CAP) -> set:
 
 def smp_oracle(alg: FiniteAlgebra, gens, b, cap: int = DEFAULT_CAP) -> bool:
     """Exhaustive membership test: is b generated by `gens` in A^k?"""
-    k = _check_tuples(alg, gens)
+    k = _check_tuples(alg, gens).shape[1]
     if len(b) != k:
         raise AlgebraError("target length differs from generators")
-    _check_tuples(alg, [b])
+    element_array(b, alg.size, "target")
     return tuple(b) in subpower_closure(alg, gens, cap=cap)
 
 

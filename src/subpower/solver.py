@@ -47,7 +47,7 @@ from .affine import (AbelianGroupSpec, AffineSubpowerRep, FieldEchelon,
 from .circuits import parse_sexpr, serialize_sexpr
 from .comprep import EnumeratedCompactRep, maltsev_table, thin_to_compact
 from .core import (AlgebraError, FiniteAlgebra, _check_tuples,
-                   _circuit_values, eval_circuit, eval_nodes,
+                   _circuit_values, element_array, eval_circuit, eval_nodes,
                    smp_oracle)
 from .wreath import (ClonoidGenSet, WreathSpec, clonoid_image_comprep,
                      diff_clonoid_gens)
@@ -93,29 +93,12 @@ class SmpVerdict:
 def _instance_rows(inst: SmpInstance, size: int) -> np.ndarray:
     """The generators, then the target, as one (n + 1, k) int64 array.
 
-    One array conversion and one range test accept an instance.  Otherwise
-    AlgebraError names its first entry, generators first, that is not an
-    integer in 0..size-1: a float such as 1.7 is refused, not truncated.
+    ``element_array`` checks each: AlgebraError names the first entry,
+    generators first, that is not an integer in 0..size-1, such as
+    ``generators[0][1] = 1.7 is not an integer``.
     """
-    entries = inst.generators + (inst.target,)
-    try:
-        rows = np.asarray(entries)
-    except (TypeError, ValueError, OverflowError):
-        rows = None
-    if (rows is not None and rows.dtype.kind in "biu"
-            and rows.shape == (inst.n + 1, inst.k)
-            and not (rows.size and (rows.min() < 0 or rows.max() >= size))):
-        return rows.astype(np.int64, copy=False)
-    for i, t in enumerate(entries):
-        for j, v in enumerate(t):
-            integral = isinstance(v, numbers.Integral)
-            if not integral or not 0 <= v < size:
-                where = (f"generators[{i}][{j}]" if i < inst.n
-                         else f"target[{j}]")
-                fault = (f"out of range 0..{size - 1}" if integral
-                         else "is not an integer")
-                raise AlgebraError(f"instance entry {where} = {v!r} {fault}")
-    raise AlgebraError("instance entries do not form an integer array")
+    return np.vstack([element_array(inst.generators, size, "generators"),
+                      element_array(inst.target, size, "target")])
 
 
 # ---------------------------------------------------------------------------
@@ -623,8 +606,7 @@ def _rederive(algebra_input, inst: SmpInstance, w: dict) -> bool:
         group = spec.left_group
         m = group.exponent
         p = spec.p
-        _check_tuples(alg, args)
-        mats = [np.asarray(a, dtype=np.int64) for a in args]
+        mats = list(_check_tuples(alg, args))
 
         def member(part) -> np.ndarray:
             # a product element tuple its circuit must reproduce
@@ -640,10 +622,12 @@ def _rederive(algebra_input, inst: SmpInstance, w: dict) -> bool:
         for part in w["members"]:
             coeff = _witness_coeff(part["coeff"]) % m
             acc += coeff * (group.embed_elements(member(part) // p) - base_l)
-        for part in w["clonoid"]:
-            coeff = _witness_coeff(part["coeff"]) % m
-            value = _witness_row(part["value"], k, group.size)
-            acc += coeff * group.embed_elements(value)
+        clonoid = w["clonoid"]
+        if clonoid:
+            coeffs = [_witness_coeff(part["coeff"]) % m for part in clonoid]
+            values = [_witness_row(part["value"], k, group.size)
+                      for part in clonoid]
+            acc += np.asarray(coeffs) @ group.embed_elements(values)
         l_values = group.unembed_array(acc % m)
         return (l_values * p + base % p).tolist() == list(inst.target)
     return False

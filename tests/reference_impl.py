@@ -639,7 +639,7 @@ def clonoid_image_rowwise(gens, u_columns) -> ReferenceImage:
 
     ech = field_or_howell(m, k * group.rank)
     for row in group.embed_elements([vec for _, vec in emitted]):
-        ech.insert(row)
+        ech.extend(row[None])
     ech.canonicalize()
     rows = ech.rows
     generators = [tuple(row) for row in group.unembed_array(

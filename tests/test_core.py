@@ -228,3 +228,17 @@ def test_algebra_rejects_symbols_circuits_cannot_carry(symbol):
         FiniteAlgebra(3, ops + [Operation(symbol, 1, (0, 1, 2))],
                       alg.maltsev)
 
+
+
+@pytest.mark.parametrize("entry, fault", [
+    (1.5, "u table[1] = 1.5 is not an integer"),
+    ("1", "u table[1] = '1' is not an integer"),
+    (3, "u table[1] = 3 out of range 0..2"),
+])
+def test_algebra_rejects_a_table_entry_that_is_not_an_element(entry, fault):
+    # a float was accepted and truncated in the array table, while
+    # ``apply`` returned it as given
+    alg, _ = zmod_algebra(3)
+    with pytest.raises(AlgebraError, match=re.escape(fault)):
+        FiniteAlgebra(3, list(alg.ops) + [Operation("u", 1, (0, entry, 2))],
+                      alg.maltsev)

@@ -98,11 +98,6 @@ def test_echelon_rejects_wrong_width():
             ech.contains(bad)
         with pytest.raises(AlgebraError, match="width mismatch"):
             ech.insert(bad)
-    tracked = Echelon(6, 2, track=2)
-    with pytest.raises(AlgebraError, match="coefficient width"):
-        tracked.insert([1, 0], coeff=[1])
-    with pytest.raises(AlgebraError, match="tracked"):
-        Echelon(6, 2).insert([1, 0], coeff=[1])
 
 
 def test_echelon_rows_handed_out_stay_fixed():

@@ -1,5 +1,7 @@
 """The fully reduced GF(q) echelon and the factor-split span against the
-sequential Howell echelons: the same span, membership and canonical rows."""
+sequential Howell echelons: the same span, membership and canonical rows.
+The GF(q) echelon grows only by ``extend``; a one-row block is one step of
+sequential elimination."""
 
 import numpy as np
 import pytest
@@ -51,7 +53,7 @@ def test_field_echelon_matches_reference(run):
     track = max(len(gens), 1) if tracked else None
     old, new = ref.ReferenceEchelon(q, width, track), FieldEchelon(q, width, track)
     for v in gens:
-        assert new.insert(v) == old.insert(v)
+        assert new.extend([v]) == old.insert(v)
     assert new.span_size() == old.span_size()
     assert sorted(new.pivots) == sorted(old.pivots)
     basis = np.asarray(gens, dtype=np.int64).reshape(len(gens), width)
@@ -60,7 +62,8 @@ def test_field_echelon_matches_reference(run):
         old_residue, _ = old.reduce(t)
         # over a field the residue is the unique one vanishing on the pivots
         assert residue.tolist() == old_residue.tolist()
-        assert new.contains(t) == old.contains(t) == (not residue.any())
+        assert new.contains_rows(np.reshape(t, (1, width)))[0] == \
+            old.contains(t) == (not residue.any())
         if tracked:
             assert np.array_equal(coeffs[:len(gens)] @ basis % q,
                                   (np.asarray(t) - residue) % q)
@@ -75,26 +78,27 @@ def test_field_echelon_matches_reference(run):
     old.canonicalize()
     new.canonicalize()
     assert [r.tolist() for r in new.rows] == [r.tolist() for r in old.rows]
+    # sorting the rows keeps the span
+    for t in targets:
+        assert new.reduce(t)[0].tolist() == old.reduce(t)[0].tolist()
 
 
 def test_field_echelon_rejects_bad_input():
     with pytest.raises(AlgebraError):
         FieldEchelon(6, 3)
     with pytest.raises(AlgebraError):
-        FieldEchelon(3, 2).insert([1, 0, 0])
-    with pytest.raises(AlgebraError):
-        FieldEchelon(3, 2).insert([1, 0], coeff=[1])
+        FieldEchelon(3, 2).extend([[1, 0, 0]])
     tracked = FieldEchelon(3, 2, track=1)
-    tracked.insert([1, 0])
+    tracked.extend([[1, 0]])
     with pytest.raises(AlgebraError):
-        tracked.insert([0, 1])
+        tracked.extend([[0, 1]])
 
 
 def test_field_echelon_rows_stay_valid():
     ech = FieldEchelon(5, 3)
-    ech.insert([1, 2, 3])
+    ech.extend([[1, 2, 3]])
     first = ech.rows[0]
-    ech.insert([0, 1, 4])
+    ech.extend([[0, 1, 4]])
     assert first.tolist() == [1, 2, 3]
     assert ech.rows[0].tolist() == [1, 0, (3 - 2 * 4) % 5]
 
@@ -132,18 +136,22 @@ def seeded_runs(draw):
 @settings(max_examples=300, deadline=None)
 @given(seeded_runs())
 def test_seeded_extend_matches_inserts(run):
+    """A seeded echelon extended by two blocks against one-row blocks in
+    sequence (the same state), and against the reference's sequential
+    Howell inserts (the same canonical rows)."""
     q, width, tracked, seeds, rows, split = run
     canon = FieldEchelon(q, width)
     for v in seeds:
-        canon.insert(v)
+        canon.extend([v])
     canon.canonicalize()
     basis = np.asarray(canon.rows, dtype=np.int64).reshape(
         len(canon.rows), width)
     rows = np.asarray(rows, dtype=np.int64).reshape(len(rows), width)
-    track = max(len(basis) + len(rows), 1) if tracked else None
+    gens = np.vstack([basis, rows])
+    track = max(len(gens), 1) if tracked else None
     old = FieldEchelon(q, width, track)
-    for v in np.vstack([basis, rows]):
-        old.insert(v)
+    for v in gens:
+        old.extend(v[None])
     new = FieldEchelon.from_basis(q, basis, track)
     # two blocks: the second starts past the first's generator slots
     new.extend(rows[:split])
@@ -155,8 +163,19 @@ def test_seeded_extend_matches_inserts(run):
         [None if c is None else c.tolist() for c in old.coeffs]
     assert new._gen_count == old._gen_count == len(basis) + len(rows)
     howell = Echelon(q, width, track)
-    howell.extend(np.vstack([basis, rows]))
+    howell.extend(gens)
     assert new.span_size() == howell.span_size()
+    reference = ref.ReferenceEchelon(q, width, track)
+    for v in gens:
+        reference.insert(v)
+    if tracked:
+        for ech in (new, reference):
+            for row, c in zip(ech.rows, ech.coeffs):
+                assert np.array_equal(c[:len(gens)] @ gens % q, row)
+    new.canonicalize()
+    reference.canonicalize()
+    assert [r.tolist() for r in new.rows] == \
+        [r.tolist() for r in reference.rows]
 
 
 def test_field_echelon_keeps_products_inside_int64():
@@ -173,7 +192,7 @@ def test_field_echelon_keeps_products_inside_int64():
     rows[1, 0] = rows[2, 1] = 1
     old, new = FieldEchelon(q, 3, 3), FieldEchelon(q, 3, 3)
     for v in rows:
-        old.insert(v)
+        old.extend(v[None])
     new.extend(rows)
     assert np.array_equal(new._aug, old._aug)
 

@@ -6,6 +6,7 @@ fastest), and its residue vector is radix(x) - radix(zero) mod the orders.
 """
 
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -137,6 +138,20 @@ def test_embed_rejects_out_of_range(bad):
     g = AbelianGroupSpec((2, 4), zero=5)
     with pytest.raises(AlgebraError):
         g.embed_elements(bad)
+
+
+@pytest.mark.parametrize("bad, entry", [
+    ((0, 1.7), "elements[1] = 1.7 is not an integer"),
+    (("1",), "elements[0] = '1' is not an integer"),
+    (((0, 1), (2, 8)), "elements[1][1] = 8 out of range 0..7"),
+    (((0, 1), (2,)), "tuples have unequal lengths"),
+])
+def test_check_elements_refuses_non_integers(bad, entry):
+    g = AbelianGroupSpec((2, 4), zero=5)
+    with pytest.raises(AlgebraError, match=re.escape(entry)):
+        g.check_elements(bad)
+    # numpy integers and bools are integers
+    assert g.check_elements((np.int8(3), True)).tolist() == [3, 1]
 
 
 def test_unembed_rejects_bad_lengths_and_entries():

@@ -7,7 +7,8 @@ import pytest
 from subpower.catalog import a6_symmetric, random_wreath, zmod_algebra
 from subpower.circuits import parse_sexpr
 from subpower.comprep import maltsev_fold, signature
-from subpower.core import AlgebraError, smp_oracle, subpower_closure
+from subpower.core import (AlgebraError, eval_circuit, smp_oracle,
+                           subpower_closure)
 from subpower.instances import random_instance
 from subpower.solver import (SmpInstance, UnsupportedAlgebraError,
                              check_witness, compute_comprep, dispatch,
@@ -217,6 +218,25 @@ def test_instance_rows_keep_integer_inputs(a6_spec):
     # numpy integers and bools are integers, as before
     inst = SmpInstance((tuple(np.arange(3)), (True, 4, 5)), (0, 1, 2))
     assert dispatch(a6_spec, inst).member
+
+
+def test_direct_calls_refuse_a_float_entry(a6_spec):
+    """``check_witness``, ``smp_oracle`` and ``eval_circuit`` check their
+    tuples as the solver does: 1.7 is refused, not truncated to 1."""
+    verdict = solve_smp_wreath(
+        a6_spec, SmpInstance([(0, 1, 2), (3, 4, 5)], (0, 1, 2)))
+    gens = [(0, 1.7, 2), (3, 4, 5)]
+    assert not check_witness(a6_spec, SmpInstance(gens, (0, 1, 2)), verdict)
+    entry = re.escape("[0][1] = 1.7 is not an integer")
+    with pytest.raises(AlgebraError, match=entry):
+        smp_oracle(a6_spec.algebra, gens, (0, 1, 2))
+    circuit = parse_sexpr(verdict.witness["base"]["circuit"], arity=2)
+    with pytest.raises(AlgebraError, match=entry):
+        eval_circuit(a6_spec.algebra, circuit, gens)
+    with pytest.raises(AlgebraError, match=re.escape("target[2] = '2'")):
+        smp_oracle(a6_spec.algebra, [(0, 1, 2)], (0, 1, "2"))
+    with pytest.raises(AlgebraError, match="unequal lengths"):
+        smp_oracle(a6_spec.algebra, [(0, 1, 2), (3, 4)], (0, 1, 2))
 
 
 def test_dispatch_names_why_the_wreath_path_does_not_apply():

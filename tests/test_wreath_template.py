@@ -199,22 +199,17 @@ def test_warm_solve_skips_image_and_spanned_differences(monkeypatch):
     """On a warm a6 context at k=60, n=20, every member target's l-part
     lies in the span of the clonoid image, which is assembled plane by
     plane with no insert: the solve builds no l-part generator, folds the
-    base alone, and inserts no member difference into the subgroup
-    test.  The quotient fix eliminates its rows as one block, so the solve
-    makes no ``FieldEchelon.insert`` call at all."""
+    base alone, and extends the subgroup test's echelon by nothing.  The
+    quotient fix eliminates its rows as one ``FieldEchelon.extend`` call."""
     spec = a6()
     group = spec.left_group
     assert solve_smp_wreath(spec, _instance(spec, 60, 20, 900)).member
-    inserts, folds, l_parts, tests = [], [], [], []
-    insert = FieldEchelon.insert
+    extends, folds, l_parts, tests = [], [], [], []
+    extend = FieldEchelon.extend
 
-    def counted(self, v, coeff=None):
-        names, frame = set(), sys._getframe(1)
-        while frame is not None:
-            names.add(frame.f_code.co_name)
-            frame = frame.f_back
-        inserts.append((self, names))
-        return insert(self, v, coeff)
+    def counted(self, rows):
+        extends.append((self, sys._getframe(1).f_code.co_name))
+        return extend(self, rows)
 
     def recorded(log, fn):
         def wrapper(*args, **kwargs):
@@ -222,7 +217,7 @@ def test_warm_solve_skips_image_and_spanned_differences(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(FieldEchelon, "insert", counted)
+    monkeypatch.setattr(FieldEchelon, "extend", counted)
     monkeypatch.setattr(solver, "_fold_members",
                         recorded(folds, solver._fold_members))
     monkeypatch.setattr(solver, "_l_part_coeffs",
@@ -236,7 +231,7 @@ def test_warm_solve_skips_image_and_spanned_differences(monkeypatch):
     monkeypatch.setattr(solver, "seeded_echelon", kept)
     for seed in range(901, 905):
         inst = _instance(spec, 60, 20, seed)
-        for log in (inserts, folds, l_parts, tests):
+        for log in (extends, folds, l_parts, tests):
             log.clear()
         verdict = solve_smp_wreath(spec, inst)
         assert verdict.member and check_witness(spec, inst, verdict)
@@ -246,10 +241,11 @@ def test_warm_solve_skips_image_and_spanned_differences(monkeypatch):
         assert coeffs.shape[0] == 1
         (ech,) = tests
         assert ech.m == group.exponent
-        assert not [1 for owner, names in inserts
-                    if owner is ech or "clonoid_image_comprep" in names]
-        # nothing eliminates row by row: the quotient fix is one block
-        assert not inserts
+        assert not [1 for owner, _ in extends if owner is ech]
+        # the quotient fix is the solve's only elimination of its own
+        (fix,) = [owner for owner, caller in extends
+                  if caller == "solve_smp_wreath"]
+        assert fix.m == spec.p
 
 
 @pytest.mark.xfail(strict=True, reason="check_witness takes clonoid parts on "
