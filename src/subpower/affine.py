@@ -32,12 +32,10 @@ Over other moduli ``Echelon`` keeps a Howell-style form over Z_m: the
 Howell completion (annihilator rows) guarantees that, for every prefix,
 the rows with later pivots generate exactly the subgroup elements
 vanishing on that prefix, which makes kernels, signatures and membership
-witnesses exact.
-Only prime-power factors need it (Storjohann & Mulders, ESA 1998): for a
-squarefree m, ``SplitSpan`` keeps the span as one ``FieldEchelon`` per
-prime factor, by CRT.  ``Echelon`` also stays wherever its rows and
-tracked coefficients become golden bytes: ``tracked_echelon`` behind
-compact representations and Fix-Value, and the difference clonoid.
+witnesses exact.  Canonical rows are unique either way: the reduced
+echelon form over a field, the Howell normal form over Z_m (Howell 1986;
+Storjohann & Mulders, ESA 1998).  One constructor, ``span_over``, picks
+the class by the modulus; no caller chooses it.
 
 The affine closure of generator tuples under a verified affine algebra is
 kept in base-plus-differences form.  Every inserted difference remembers a
@@ -288,16 +286,14 @@ def _unit_scale(a: int, m: int) -> int:
 class Echelon:
     """Howell-form row space over Z_m with optional generator bookkeeping.
 
-    Elimination is sequential, one pivot at a time: compact
-    representations, Fix-Value and the difference clonoid take their bytes
-    from the tracked coefficients and rows in this order.  Over a prime
-    modulus, where that does not bind, ``FieldEchelon`` is one product per
-    reduction instead of one step per pivot met.  Each row is stored
-    augmented with its coefficient row, so one elimination step is one
-    fused update; ``rows`` and ``coeffs`` are lists of views into the
-    augmented rows.  A stored array is never written after it is made (a
-    replaced or canonicalized row is a new array), so row lists handed out
-    stay valid while more vectors are inserted.
+    Elimination is sequential, one pivot at a time.  Over a prime modulus
+    ``span_over`` gives a ``FieldEchelon`` instead, one product per
+    reduction, with the same canonical rows and tracked coefficients.  Each
+    row is stored augmented with its coefficient row, so one elimination
+    step is one fused update; ``rows`` and ``coeffs`` are lists of views
+    into the augmented rows.  A stored array is never written after it is
+    made (a replaced or canonicalized row is a new array), so row lists
+    handed out stay valid while more vectors are inserted.
     """
 
     def __init__(self, m: int, width: int, track: int | None = None):
@@ -435,10 +431,10 @@ class Echelon:
         """``contains`` of each row of a matrix, as a boolean array."""
         return np.asarray([self.contains(row) for row in rows], dtype=bool)
 
-    def extend(self, rows) -> None:
-        """``insert`` each row of a matrix, in order."""
-        for row in rows:
-            self.insert(row)
+    def extend(self, rows) -> bool:
+        """``insert`` each row of a matrix, in order; True if the span grew."""
+        # a list, not a generator: every row is inserted
+        return any([self.insert(row) for row in rows])
 
     def canonicalize(self) -> None:
         """Unit-normalize pivots, clear entries above them, sort rows."""
@@ -696,10 +692,25 @@ class FieldEchelon:
     def span_size(self) -> int:
         return self.m ** len(self._cols)
 
+    def tail_rows(self, start_col: int) -> list[int]:
+        """Row indices with pivot at or after start_col, by pivot."""
+        order = np.argsort(self._cols, kind="stable")
+        return order[self._cols[order] >= start_col].tolist()
 
-def field_or_howell(m: int, width: int, track: int | None = None):
-    """A FieldEchelon when m is prime, else a Howell Echelon."""
-    return (FieldEchelon if is_prime(m) else Echelon)(m, width, track)
+
+def span_over(m: int, width: int, track: int | None = None, basis=None):
+    """A FieldEchelon when m is prime, else a Howell Echelon, holding the
+    canonical rows `basis` (such as ``ClonoidImage.basis``), if given, each
+    in its own generator slot: they seed a FieldEchelon, which eliminating
+    them row by row would leave as they are, and are inserted otherwise."""
+    if is_prime(m):
+        if basis is None:
+            return FieldEchelon(m, width, track)
+        return FieldEchelon.from_basis(m, basis, track)
+    ech = Echelon(m, width, track)
+    if basis is not None:
+        ech.extend(basis)
+    return ech
 
 
 class SplitSpan:
@@ -720,41 +731,19 @@ class SplitSpan:
             cols = np.flatnonzero(np.tile(group.mods % q == 0, k))
             self.parts.append((cols, FieldEchelon(q, len(cols))))
 
-    _vector = Echelon._vector
-
-    def insert(self, v) -> bool:
-        """Add a generator; returns True when the span grew."""
-        w = self._vector(v)
-        # a list, not a generator: every prime part takes the row
-        return any([ech.extend(w[cols][None]) for cols, ech in self.parts])
-
-    def contains(self, v) -> bool:
-        return bool(self.contains_rows(self._vector(v)[None])[0])
+    def extend(self, rows) -> bool:
+        """Add the rows of a matrix as generators; True if the span grew."""
+        w = np.asarray(rows, dtype=np.int64).reshape(len(rows), self.width)
+        # a list, not a generator: every prime part takes the rows
+        return any([ech.extend(w[:, cols]) for cols, ech in self.parts])
 
     def contains_rows(self, rows) -> np.ndarray:
-        """``contains`` of each row of a matrix, as a boolean array."""
+        """Whether each row of a matrix lies in the span, as booleans."""
         w = np.asarray(rows, dtype=np.int64).reshape(len(rows), self.width)
         known = np.ones(len(w), dtype=bool)
         for cols, ech in self.parts:
             known &= ech.contains_rows(w[:, cols])
         return known
-
-
-def seeded_echelon(group: AbelianGroupSpec, basis, track: int):
-    """A tracked echelon over Z_exp holding the rows of `basis`, each in its
-    own generator slot, with room for `track` generators in all.
-
-    `basis` holds embedded rows of a canonicalized echelon (such as
-    ``ClonoidImage.basis``).  Over a prime exponent they seed the
-    elimination, since eliminating them row by row would store exactly
-    those rows; elsewhere they are inserted.
-    """
-    m = group.exponent
-    if is_prime(m):
-        return FieldEchelon.from_basis(m, basis, track)
-    ech = Echelon(m, basis.shape[1], track)
-    ech.extend(basis)
-    return ech
 
 
 def span_witness(ech, rows: np.ndarray, target_v: np.ndarray):
@@ -776,7 +765,7 @@ def span_witness(ech, rows: np.ndarray, target_v: np.ndarray):
 
 def subgroup_member(group: AbelianGroupSpec, gens, target, basis=None):
     """Membership of `target` in the subgroup of L^k generated by `gens`,
-    after the rows of `basis` when it is given (see ``seeded_echelon``).
+    after the rows of `basis` when it is given (see ``span_over``).
 
     Returns (True, coeffs) with integer coefficients, those of the basis
     rows first, satisfying sum(coeffs[i] * generator[i]) == target exactly,
@@ -789,7 +778,8 @@ def subgroup_member(group: AbelianGroupSpec, gens, target, basis=None):
     gen_v = group.embed_elements(element_rows(group, gens, len(target)))
     if basis is None:
         basis = np.zeros((0, len(target_v)), dtype=np.int64)
-    ech = seeded_echelon(group, basis, max(len(basis) + len(gen_v), 1))
+    ech = span_over(group.exponent, len(target_v),
+                    max(len(basis) + len(gen_v), 1), basis)
     ech.extend(gen_v)
     return span_witness(ech, np.vstack([basis, gen_v]), target_v)
 
@@ -904,16 +894,15 @@ class AffineSubpowerRep:
     # span of raw: a SplitSpan for squarefree m, else a Howell Echelon
     echelon: SplitSpan | Echelon | None = None
     tuples_materialized: int = 0
-    _tracked: Echelon | None = None
+    _tracked: Echelon | FieldEchelon | None = None
     _raw_rows: np.ndarray | None = None
 
-    def tracked_echelon(self) -> Echelon:
+    def tracked_echelon(self) -> Echelon | FieldEchelon:
         """Canonical echelon of the differences with raw-combination tracking."""
         if self._tracked is None:
-            ech = Echelon(self.group.exponent, len(self.base_flat),
-                          track=max(len(self.raw), 1))
-            for vec, _, _ in self.raw:
-                ech.insert(vec)
+            ech = span_over(self.group.exponent, len(self.base_flat),
+                            track=max(len(self.raw), 1))
+            ech.extend(self.raw_rows())
             ech.canonicalize()
             self._tracked = ech
         return self._tracked
@@ -995,7 +984,7 @@ def affine_span(alg: FiniteAlgebra, group: AbelianGroupSpec, gens,
 
     while queue:
         vec, plus, minus = queue.pop()
-        if not vec.any() or not rep.echelon.insert(vec):
+        if not vec.any() or not rep.echelon.extend(vec[None]):
             continue
         rep.raw.append((vec, plus, minus))
         rep.tuples_materialized += 1
@@ -1056,8 +1045,8 @@ def _reachable(add: list, zero: int, elems: list) -> dict:
     return combos
 
 
-def _fork_coefficients(group: AbelianGroupSpec, ech: Echelon,
-                       k: int) -> np.ndarray:
+def _fork_coefficients(group: AbelianGroupSpec,
+                       ech: Echelon | FieldEchelon, k: int) -> np.ndarray:
     """Row combinations of a canonical echelon for the per-coordinate forks.
 
     One matrix, a row of coefficients over ech.rows per combination: for
@@ -1065,8 +1054,8 @@ def _fork_coefficients(group: AbelianGroupSpec, ech: Echelon,
     by that value plus each nonzero fork reachable at i from the rows with
     pivot at or after i (these leave the earlier coordinates alone).
     """
-    nrows = len(ech.rows)
-    rows = np.asarray(ech.rows, dtype=np.int64).reshape(nrows, k * group.rank)
+    rows = ech.row_array()
+    nrows = len(rows)
     at = group.unembed_array(rows).T.tolist()    # at[i][r]: row r's i-th element
     add = group.add_table.tolist()
     zero = group.zero

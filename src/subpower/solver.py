@@ -18,14 +18,14 @@ Two paths:
   members' values are folded through power tables of the Mal'tsev steps,
   one lookup per difference; their circuits are built only for a returned
   witness.  The subgroup test starts from the clonoid image's canonical
-  basis, which for prime exp(L) reads the rows of each coordinate alone in
-  its plane from a per-pair table rather than eliminating them.  The
-  target is reduced against that basis first: when the image reaches it
-  from the fixed base, it is a member, and no l-part generator is built,
-  folded or eliminated.  Otherwise the l-part members are folded, through
-  the base fold's power tables, and only their differences outside the
-  span so far are inserted into the same echelon.  For prime exp(L) both
-  routes give the same witness (see ``solve_smp_wreath``).
+  basis, which reads the rows of each coordinate alone in its plane from a
+  per-pair table rather than eliminating them.  The target is reduced
+  against that basis first: when the image reaches it from the fixed base,
+  it is a member, and no l-part generator is built, folded or eliminated.
+  Otherwise the l-part members are folded, through the base fold's power
+  tables, and only their differences outside the span so far are inserted
+  into the same echelon.  For prime exp(L) both routes give the same
+  witness (see ``solve_smp_wreath``).
 * ``dispatch``: affine algebras go through elimination, coprime
   prime-quotient wreath products through the wreath path, and anything else
   falls back to the exhaustive oracle (opt-in).
@@ -41,9 +41,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affine import (AbelianGroupSpec, AffineSubpowerRep, FieldEchelon,
-                     affine_closure_comprep, affine_span, field_or_howell,
-                     is_prime, seeded_echelon, span_witness, verify_affine)
+from .affine import (AbelianGroupSpec, AffineSubpowerRep,
+                     affine_closure_comprep, affine_span, is_prime, span_over,
+                     span_witness, verify_affine)
 from .circuits import parse_sexpr, serialize_sexpr
 from .comprep import EnumeratedCompactRep, maltsev_table, thin_to_compact
 from .core import (AlgebraError, FiniteAlgebra, _check_tuples,
@@ -275,7 +275,7 @@ def _l_part_coeffs(rows: np.ndarray, e: int, p: int) -> list:
     one Mal'tsev step per unit of coefficient).
     """
     nraw = len(rows)
-    ech = field_or_howell(e, rows.shape[1], track=max(nraw, 1))
+    ech = span_over(e, rows.shape[1], track=max(nraw, 1))
     ech.extend(rows)
     combos = [c[:nraw] for c in ech.coeffs]
     if not combos:
@@ -348,7 +348,7 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
     nraw = len(rep.raw)
     k_ext = len(rep.base_flat) // s1
     chunks = rep.raw_rows().reshape(nraw, k_ext, s1)
-    u_ech = FieldEchelon(p, k_ext, track=max(nraw, 1))
+    u_ech = span_over(p, k_ext, track=max(nraw, 1))
     u_ech.extend(chunks[:, :, -1] // e)
     u_target = np.zeros(k_ext, dtype=np.int64)
     u_target[:k] = u_b - rep.base_flat.reshape(-1, s1)[:k, -1] // e
@@ -381,7 +381,8 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
     # a prime e; a Howell echelon may hold more rows than its generators,
     # but never more than its width
     room = nraw if is_prime(e) else k_ext * (s1 - 1)
-    ech = seeded_echelon(group, image.basis, max(n_image + room, 1))
+    ech = span_over(e, len(target_v), track=max(n_image + room, 1),
+                    basis=image.basis)
     ok, witness_coeffs = span_witness(ech, image.basis, target_v)
     if not ok:
         # generators of the whole Z_e part with u-part zero
@@ -500,7 +501,7 @@ def _solve_affine(alg, group, op_specs, inst, want_witness) -> SmpVerdict:
     inst_rows = _instance_rows(inst, alg.size)
     rep = affine_span(alg, group, inst_rows[:-1], op_specs=op_specs)
     diff = (group.embed_elements(inst_rows[-1]) - rep.base_flat) % group.exponent
-    member = rep.echelon.contains(diff)
+    member = bool(rep.echelon.contains_rows(diff[None])[0])
     stats = {"path": "affine", "k": inst.k, "n": inst.n,
              "tuples_materialized": rep.tuples_materialized}
     node = None

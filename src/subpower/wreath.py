@@ -22,9 +22,8 @@ import numpy as np
 
 from .circuits import Circuit
 from .core import (AlgebraError, ClosureCapExceeded, FiniteAlgebra, Operation,
-                   closure_with_circuits, verify_maltsev)
-from .affine import (AbelianGroupSpec, Echelon, FieldEchelon, _frozen,
-                     is_prime)
+                   closure_with_circuits, element_array, verify_maltsev)
+from .affine import AbelianGroupSpec, Echelon, _frozen, span_over
 
 
 class WreathSpecError(AlgebraError):
@@ -120,8 +119,10 @@ def build_wreath(spec: WreathSpec) -> FiniteAlgebra:
             raise WreathSpecError(f"missing hat table for {op.symbol}")
         if len(table) != p ** op.arity:
             raise WreathSpecError(f"hat table for {op.symbol} has wrong length")
-        if any(not 0 <= v < left.size for v in table):
-            raise WreathSpecError(f"hat table for {op.symbol} out of range")
+        try:
+            element_array(table, left.size, f"hat[{op.symbol}]")
+        except AlgebraError as err:
+            raise WreathSpecError(str(err)) from None
     msym = _maltsev_symbol(spec.maltsev)
     if msym is not None:
         mh = spec.hat[msym]
@@ -181,8 +182,9 @@ class ClonoidGenSet:
     def pair_bases(self) -> tuple:
         """The rows a coordinate alone in its plane adds to a clonoid image,
         by the coordinate's pair index x * p + y: for each pair, the
-        canonical GF(m) basis (m = exp(L), prime) of the embedded binary
-        column at that pair, zero-padded to an (s, s) block, and its rank.
+        canonical basis over Z_m (m = exp(L)) of the embedded binary column
+        at that pair, zero-padded to an (s, s) block (its rows have distinct
+        pivots), and its row count.
         """
         p, group = self.p, self.group
         s = group.rank
@@ -191,18 +193,13 @@ class ClonoidGenSet:
         bases = np.zeros((p * p, s, s), dtype=np.int64)
         ranks = np.zeros(p * p, dtype=np.int64)
         for pair in range(p * p):
-            rows = _reduced_rows(group.exponent, columns[:, pair])
+            ech = span_over(group.exponent, s)
+            ech.extend(columns[:, pair])
+            ech.canonicalize()
+            rows = ech.row_array()
             bases[pair, :len(rows)] = rows
             ranks[pair] = len(rows)
         return bases, ranks
-
-
-def _reduced_rows(q: int, mat: np.ndarray) -> np.ndarray:
-    """The canonical GF(q) basis of the row space of `mat`, by pivot."""
-    ech = FieldEchelon(q, mat.shape[1])
-    ech.extend(mat)
-    ech.canonicalize()
-    return ech.row_array()
 
 
 @lru_cache(maxsize=32)
@@ -286,11 +283,21 @@ def _affine_substitutions(p: int, arity: int) -> list:
     return sorted(set(subs))
 
 
-def _remap_embedded(row: np.ndarray, sub, rank: int) -> np.ndarray:
-    """Apply a table-position remap to an embedded (rank-chunked) vector."""
+def _remap_embedded(rows: np.ndarray, sub, rank: int) -> np.ndarray:
+    """Apply a table-position remap to embedded (rank-chunked) rows."""
     idx = np.repeat(np.asarray(sub, dtype=np.int64) * rank, rank) \
         + np.tile(np.arange(rank), len(sub))
-    return row[idx]
+    return rows[..., idx]
+
+
+def _close_under(ech: Echelon, subs, rank: int) -> None:
+    """Extend `ech` by its rows' images under every substitution, round by
+    round, until the span stops growing; being linear, they then keep it."""
+    grew = True
+    while grew:
+        rows = ech.row_array()
+        grew = ech.extend(np.concatenate(
+            [_remap_embedded(rows, sub, rank) for sub in subs]))
 
 
 def _table_diffs(spec: WreathSpec, tables, arity: int) -> np.ndarray:
@@ -330,49 +337,34 @@ def diff_clonoid_gens(spec: WreathSpec, cap: int = 3000) -> ClonoidGenSet:
     p = spec.p
 
     def enumerate_tables(arity, allow_truncate):
-        width = alg.size ** arity
-        projections = []
-        for j in range(arity):
-            block = alg.size ** (arity - 1 - j)
-            projections.append(tuple((i // block) % alg.size for i in range(width)))
+        idx = np.arange(alg.size ** arity)
+        projections = [tuple((idx // alg.size ** (arity - 1 - j) % alg.size)
+                             .tolist()) for j in range(arity)]
         tuples, _, _, truncated = closure_with_circuits(
             alg, projections, cap=cap, truncate=allow_truncate)
         return tuples, truncated
 
-    # unary part: exact
+    # Howell echelons for any modulus: on these few short rows a
+    # FieldEchelon's block set-up costs more than it saves.
+    # unary part: exact; its only substitution (arity one) is the identity
     s = group.rank
     unary_tables, _ = enumerate_tables(1, allow_truncate=False)
     u_ech = Echelon(m, p * s)
-    for row in group.embed_elements(_table_diffs(spec, unary_tables, 1)):
-        u_ech.insert(row)
-    for sub in _affine_substitutions(p, 1):
-        stable = False
-        while not stable:
-            stable = True
-            for row in list(u_ech.rows):
-                if u_ech.insert(_remap_embedded(row, sub, s)):
-                    stable = False
+    u_ech.extend(group.embed_elements(_table_diffs(spec, unary_tables, 1)))
     u_ech.canonicalize()
     unary_span = u_ech.span_size()
+    u_rows = u_ech.row_array()
 
     # binary part: exact when possible, certified bounded otherwise
     binary_tables, truncated = enumerate_tables(2, allow_truncate=True)
     b_ech = Echelon(m, p * p * s)
-    for row in group.embed_elements(_table_diffs(spec, binary_tables, 2)):
-        b_ech.insert(row)
-    for row in u_ech.rows:
-        # unary members reappear at arity two through composition with the
-        # first projection (g(x, y) = g(x)); seeding them helps a bounded
-        # run close
-        b_ech.insert(np.repeat(row.reshape(p, s), p, axis=0).ravel())
-    subs = _affine_substitutions(p, 2)
-    stable = False
-    while not stable:
-        stable = True
-        for sub in subs:
-            for row in list(b_ech.rows):
-                if b_ech.insert(_remap_embedded(row, sub, s)):
-                    stable = False
+    b_ech.extend(group.embed_elements(_table_diffs(spec, binary_tables, 2)))
+    # unary members reappear at arity two through composition with the
+    # first projection (g(x, y) = g(x)); seeding them helps a bounded run
+    # close
+    b_ech.extend(np.repeat(u_rows.reshape(-1, p, s), p, axis=1)
+                 .reshape(len(u_rows), p * p * s))
+    _close_under(b_ech, _affine_substitutions(p, 2), s)
     b_ech.canonicalize()
     binary_span = b_ech.span_size()
     if truncated:
@@ -386,18 +378,15 @@ def diff_clonoid_gens(spec: WreathSpec, cap: int = 3000) -> ClonoidGenSet:
     # split off the diagonal-vanishing part by head-block elimination
     head = p * s
     diagonal = np.arange(p) * (p + 1)
+    b_rows = b_ech.row_array()
     aug = Echelon(m, head + p * p * s)
-    for row in b_ech.rows:
-        aug.insert(np.concatenate([row.reshape(p * p, s)[diagonal].ravel(),
-                                   row]))
+    aug.extend(np.hstack([b_rows.reshape(-1, p * p, s)[:, diagonal]
+                          .reshape(len(b_rows), head), b_rows]))
     aug.canonicalize()
-    binary = []
-    for ridx in aug.tail_rows(head):
-        tail = np.asarray(aug.rows[ridx][head:])
-        if tail.any():
-            binary.append(group.unembed(tail))
-    unary = [group.unembed(row) for row in u_ech.rows]
-    unary = [t for t in unary if any(v != group.zero for v in t)]
+    # canonical rows are nonzero, and so is a tail row's tail
+    tails = aug.row_array()[aug.tail_rows(head), head:]
+    binary = list(map(tuple, group.unembed_array(tails).tolist()))
+    unary = list(map(tuple, group.unembed_array(u_rows).tolist()))
     return ClonoidGenSet(p=p, group=group, unary=unary, binary=binary,
                          exact=not truncated, unary_span=unary_span,
                          binary_span=binary_span)
@@ -550,9 +539,9 @@ def _group_rows(rows: np.ndarray):
 
 def _lone_image_basis(gens: ClonoidGenSet, k: int, coords: np.ndarray,
                       pairs: np.ndarray) -> np.ndarray:
-    """The canonical GF(m) basis, embedded and sorted by pivot, of the
-    binary emissions of ``clonoid_image_comprep`` (m = exp(L), prime) at
-    the coordinates `coords` that are each alone in their plane, with pair
+    """The canonical basis over Z_m (m = exp(L)), embedded and sorted by
+    pivot, of the binary emissions of ``clonoid_image_comprep`` at the
+    coordinates `coords` that are each alone in their plane, with pair
     indices x * p + y `pairs`.  Such an emission is supported on its one
     coordinate, so the basis is the union of the ``gens.pair_bases`` rows
     placed at each coordinate.
@@ -581,13 +570,12 @@ def clonoid_image_comprep(gens: ClonoidGenSet, u_columns) -> ClonoidImage:
     tuple per populated plane (planes in axis order), evaluated through the
     plane parameterization, and each unary generator contributes its
     diagonal-collapse image.  The generators are the canonical rows of the
-    span of these emissions.  When exp(L) is prime, the binary emissions
-    at coordinates alone in their plane are not eliminated: their basis is
-    read from a per-pair table (``_lone_image_basis``).  The binary
-    emissions of planes with several coordinates and the unary emissions
-    are then reduced against it in one product, and only those left over
-    are inserted.  Other exponents take the Howell echelon of all
-    emissions.
+    span of these emissions.  The binary emissions at coordinates alone in
+    their plane are not eliminated: their canonical basis is read from a
+    per-pair table (``_lone_image_basis``) and seeds the echelon.  The
+    binary emissions of planes with several coordinates and the unary
+    emissions then extend it in one block.  Canonical rows are unique, so
+    this gives the canonical rows of the span of all emissions.
     """
     u_columns = [tuple(u) for u in u_columns]
     n = len(u_columns)
@@ -625,23 +613,15 @@ def clonoid_image_comprep(gens: ClonoidGenSet, u_columns) -> ClonoidImage:
             is_diag, group.scale_table[diag_scale][unary[:, at]],
             group.scale_table[plane_scale][total][:, None])
 
-    width = k * group.rank
-    if is_prime(m):
-        counts = np.bincount(plane_of, minlength=len(planes))
-        lone = counts[plane_of] == 1
-        shared = counts > 1
-        shared_vecs = _binary_emissions(
-            int(shared.sum()), (np.cumsum(shared) - 1)[plane_of[~lone]],
-            coords[~lone], columns[:, ~lone], k, zero).reshape(-1, k)
-        ech = FieldEchelon.from_basis(m, _lone_image_basis(
-            gens, k, coords[lone], pairs[lone]))
-        ech.extend(group.embed_elements(np.vstack([shared_vecs, unary_vecs])))
-    else:
-        vecs = _binary_emissions(len(planes), plane_of, coords, columns, k,
-                                 zero)
-        ech = Echelon(m, width)
-        ech.extend(group.embed_elements(
-            np.vstack([vecs.reshape(-1, k), unary_vecs])))
+    counts = np.bincount(plane_of, minlength=len(planes))
+    lone = counts[plane_of] == 1
+    shared = counts > 1
+    shared_vecs = _binary_emissions(
+        int(shared.sum()), (np.cumsum(shared) - 1)[plane_of[~lone]],
+        coords[~lone], columns[:, ~lone], k, zero).reshape(-1, k)
+    ech = span_over(m, k * group.rank, basis=_lone_image_basis(
+        gens, k, coords[lone], pairs[lone]))
+    ech.extend(group.embed_elements(np.vstack([shared_vecs, unary_vecs])))
     ech.canonicalize()
     basis = ech.row_array()
     return ClonoidImage(group=group, k=k, basis=basis, planes=planes,

@@ -1,8 +1,9 @@
 """Pure-Python reference versions of the prefix walk, the fork builder,
 circuit splicing, the echelon, bank evaluation, the recursive s-expression
 reader and writer, the per-row clonoid image, the clonoid image by
-row-by-row elimination, the stepwise member fold, and the wreath solve
-that builds every l-part member before its subgroup test.
+row-by-row elimination, the difference clonoid by row-by-row elimination,
+the stepwise member fold, and the wreath solve that builds every l-part
+member before its subgroup test.
 
 These are the straightforward implementations the array code in
 ``subpower.comprep``, ``subpower.affine``, ``subpower.core`` and
@@ -19,11 +20,14 @@ import numpy as np
 
 from subpower import solver
 from subpower.affine import (AbelianGroupSpec, Echelon, FieldEchelon,
-                             field_or_howell, subgroup_member)
+                             span_over, subgroup_member)
 from subpower.circuits import Circuit, CircuitError, serialize_sexpr
 from subpower.comprep import maltsev_table
-from subpower.core import AlgebraError
-from subpower.wreath import Diagonal, Plane, _classify_rows, classify_row
+from subpower.core import (AlgebraError, ClosureCapExceeded,
+                           closure_with_circuits)
+from subpower.wreath import (ClonoidGenSet, Diagonal, Plane,
+                             _affine_substitutions, _classify_rows,
+                             _remap_embedded, _table_diffs, classify_row)
 
 
 def signature(tuples) -> set:
@@ -637,7 +641,7 @@ def clonoid_image_rowwise(gens, u_columns) -> ReferenceImage:
         for ai, vec in enumerate(vecs.tolist()):
             emitted.append((("unary", ai), tuple(vec)))
 
-    ech = field_or_howell(m, k * group.rank)
+    ech = span_over(m, k * group.rank)
     for row in group.embed_elements([vec for _, vec in emitted]):
         ech.extend(row[None])
     ech.canonicalize()
@@ -647,6 +651,82 @@ def clonoid_image_rowwise(gens, u_columns) -> ReferenceImage:
     return ReferenceImage(group=group, k=k, generators=generators,
                           emitted=emitted,
                           tuples_materialized=len(emitted) + len(generators))
+
+
+def diff_clonoid_gens_rowwise(spec, cap: int = 3000) -> ClonoidGenSet:
+    """``wreath.diff_clonoid_gens`` with one Howell insert per row: the
+    seeds one by one, the unary closure under its (identity) substitution,
+    and the binary closure substitution by substitution and row by row,
+    repeated until no insert grows the span."""
+    alg = spec.algebra
+    group = spec.left_group
+    m = group.exponent
+    p = spec.p
+
+    def enumerate_tables(arity, allow_truncate):
+        width = alg.size ** arity
+        projections = []
+        for j in range(arity):
+            block = alg.size ** (arity - 1 - j)
+            projections.append(tuple((i // block) % alg.size
+                                     for i in range(width)))
+        tuples, _, _, truncated = closure_with_circuits(
+            alg, projections, cap=cap, truncate=allow_truncate)
+        return tuples, truncated
+
+    s = group.rank
+    unary_tables, _ = enumerate_tables(1, allow_truncate=False)
+    u_ech = Echelon(m, p * s)
+    for row in group.embed_elements(_table_diffs(spec, unary_tables, 1)):
+        u_ech.insert(row)
+    for sub in _affine_substitutions(p, 1):
+        stable = False
+        while not stable:
+            stable = True
+            for row in list(u_ech.rows):
+                if u_ech.insert(_remap_embedded(row, sub, s)):
+                    stable = False
+    u_ech.canonicalize()
+    unary_span = u_ech.span_size()
+
+    binary_tables, truncated = enumerate_tables(2, allow_truncate=True)
+    b_ech = Echelon(m, p * p * s)
+    for row in group.embed_elements(_table_diffs(spec, binary_tables, 2)):
+        b_ech.insert(row)
+    for row in u_ech.rows:
+        b_ech.insert(np.repeat(row.reshape(p, s), p, axis=0).ravel())
+    subs = _affine_substitutions(p, 2)
+    stable = False
+    while not stable:
+        stable = True
+        for sub in subs:
+            for row in list(b_ech.rows):
+                if b_ech.insert(_remap_embedded(row, sub, s)):
+                    stable = False
+    b_ech.canonicalize()
+    binary_span = b_ech.span_size()
+    if truncated:
+        bound = unary_span * group.size ** (p * p - p)
+        if binary_span != bound:
+            raise ClosureCapExceeded(cap)
+
+    head = p * s
+    diagonal = np.arange(p) * (p + 1)
+    aug = Echelon(m, head + p * p * s)
+    for row in b_ech.rows:
+        aug.insert(np.concatenate([row.reshape(p * p, s)[diagonal].ravel(),
+                                   row]))
+    aug.canonicalize()
+    binary = []
+    for ridx in aug.tail_rows(head):
+        tail = np.asarray(aug.rows[ridx][head:])
+        if tail.any():
+            binary.append(group.unembed(tail))
+    unary = [group.unembed(row) for row in u_ech.rows]
+    unary = [t for t in unary if any(v != group.zero for v in t)]
+    return ClonoidGenSet(p=p, group=group, unary=unary, binary=binary,
+                         exact=not truncated, unary_span=unary_span,
+                         binary_span=binary_span)
 
 
 def fold_members_stepwise(table, leaves, coeffs):

@@ -99,6 +99,19 @@ def test_solve_refuses_a_float_entry(tmp_path, a6_file, capsys):
     assert "generators[0][1] = 1.7 is not an integer" in captured.err
 
 
+def test_solve_refuses_a_float_hat_entry(tmp_path, capsys):
+    d = wreath_to_dict(a6())
+    d["hat"]["m"][2] = 1.5
+    path = tmp_path / "a6_float_hat.json"
+    path.write_text(dump_json(d))
+    inst = write_instance(tmp_path, [(0, 1, 2), (3, 4, 5)], (0, 1, 2))
+    rc = main(["solve", "--algebra", str(path), "--instance", inst])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "hat[m][2] = 1.5 is not an integer" in captured.err
+
+
 def test_random_instance_deterministic(a6_file, capsys):
     rc = main(["random-instance", "--algebra", a6_file, "--k", "4",
                "--n", "3", "--seed", "11", "--member-bias", "1.0"])

@@ -1,7 +1,8 @@
 """The fully reduced GF(q) echelon and the factor-split span against the
 sequential Howell echelons: the same span, membership and canonical rows.
 The GF(q) echelon grows only by ``extend``; a one-row block is one step of
-sequential elimination."""
+sequential elimination.  Over a prime exponent ``tracked_echelon`` is a
+GF(q) echelon with the Howell one's canonical rows and coefficients."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 import reference_impl as ref
 from subpower.affine import (AbelianGroupSpec, Echelon, FieldEchelon,
-                             SplitSpan, prime_factors)
+                             SplitSpan, affine_span, prime_factors)
+from subpower.catalog import zmod_algebra, zmod_group_algebra
 from subpower.core import AlgebraError
 
 
@@ -78,6 +80,8 @@ def test_field_echelon_matches_reference(run):
     old.canonicalize()
     new.canonicalize()
     assert [r.tolist() for r in new.rows] == [r.tolist() for r in old.rows]
+    for start in range(width + 2):
+        assert new.tail_rows(start) == old.tail_rows(start)
     # sorting the rows keeps the span
     for t in targets:
         assert new.reduce(t)[0].tolist() == old.reduce(t)[0].tolist()
@@ -233,12 +237,17 @@ def test_split_span_matches_howell(run):
     group, k, gens, targets = run
     split, howell = SplitSpan(group, k), Echelon(group.exponent, k * group.rank)
     assert len(split.parts) == len(prime_factors(group.exponent))
+    width = k * group.rank
     for v in gens:
-        assert split.insert(v) == howell.insert(v)
-    for t in targets:
-        assert split.contains(t) == howell.contains(t)
-    rows = np.asarray(targets, dtype=np.int64).reshape(len(targets),
-                                                       k * group.rank)
+        assert split.extend([v]) == howell.extend([v])
+    rows = np.asarray(targets, dtype=np.int64).reshape(len(targets), width)
+    assert split.contains_rows(rows).tolist() == \
+        [howell.contains(t) for t in targets]
+    # a block grows the span iff one of its rows does, taken in order
+    block = np.asarray(gens[::-1], dtype=np.int64).reshape(len(gens), width)
+    split, howell = SplitSpan(group, k), Echelon(group.exponent, width)
+    assert split.extend(block) == howell.extend(block) == \
+        any(map(any, gens))
     assert split.contains_rows(rows).tolist() == \
         howell.contains_rows(rows).tolist()
 
@@ -248,3 +257,38 @@ def test_prime_factors():
     assert prime_factors(12) == [2, 3]
     assert prime_factors(30) == [2, 3, 5]
     assert prime_factors(49) == [7]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.booleans(), st.integers(1, 5),
+       st.data())
+def test_tracked_echelon_over_a_prime_matches_howell(m, full, k, data):
+    """Compact representations and affine witnesses read the canonical rows
+    and coefficients of ``tracked_echelon``, a FieldEchelon over a prime
+    exponent: they are those of sequential Howell elimination."""
+    alg, group = (zmod_group_algebra if full else zmod_algebra)(m)
+    gens = data.draw(st.lists(st.tuples(*[st.integers(0, m - 1)] * k),
+                              min_size=1, max_size=4))
+    rep = affine_span(alg, group, gens)
+    ech = rep.tracked_echelon()
+    assert isinstance(ech, FieldEchelon)
+    width = len(rep.base_flat)
+    reference = ref.ReferenceEchelon(m, width, max(len(rep.raw), 1))
+    for row in rep.raw_rows():
+        reference.insert(row)
+    reference.canonicalize()
+    assert [r.tolist() for r in ech.rows] == \
+        [r.tolist() for r in reference.rows]
+    assert [c.tolist() for c in ech.coeffs] == \
+        [c.tolist() for c in reference.coeffs]
+    for start in range(width + 2):
+        assert ech.tail_rows(start) == reference.tail_rows(start)
+    combo = data.draw(st.lists(st.integers(0, m - 1), min_size=len(rep.raw),
+                               max_size=len(rep.raw)))
+    member = np.asarray(combo, dtype=np.int64) @ rep.raw_rows() % m
+    for t in (member, data.draw(st.lists(st.integers(0, m - 1),
+                                         min_size=width, max_size=width))):
+        residue, coeffs = ech.reduce(t)
+        old_residue, old_coeffs = reference.reduce(t)
+        assert residue.tolist() == old_residue.tolist()
+        assert coeffs.tolist() == old_coeffs.tolist()

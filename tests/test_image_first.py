@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import reference_impl as ref
 from subpower import solver
-from subpower.affine import is_prime, seeded_echelon
+from subpower.affine import is_prime, span_over
 from subpower.catalog import a6, a6_shift, random_wreath, w15
 from subpower.instances import random_instance
 from subpower.solver import (SmpInstance, check_witness, solve_smp_wreath,
@@ -93,7 +93,8 @@ def test_image_first_matches_full_path(name, k, n, seed):
 
     # the member target with one l-part moved off the image span: the
     # full test decides it
-    span = seeded_echelon(group, image.basis, max(len(image.basis), 1))
+    span = span_over(group.exponent, k * group.rank,
+                     max(len(image.basis), 1), image.basis)
     l_target = np.asarray(member.target) // spec.p
     shifts = [(i, a) for i in range(k) for a in range(1, group.size)]
     rng.shuffle(shifts)
@@ -118,7 +119,7 @@ from subpower.catalog import a6
 from subpower.instances import random_instance
 from subpower.solver import SmpInstance, solve_smp_wreath
 
-seeded_echelon = solver.seeded_echelon
+span_over = solver.span_over
 
 
 class Lying:
@@ -133,7 +134,13 @@ class Lying:
         self.ech.extend(rows)
 
 
-solver.seeded_echelon = lambda *args: Lying(seeded_echelon(*args))
+def seeded_lies(*args, basis=None, **kwargs):
+    # the subgroup test's echelon is the one seeded with a basis
+    ech = span_over(*args, basis=basis, **kwargs)
+    return ech if basis is None else Lying(ech)
+
+
+solver.span_over = seeded_lies
 d = random_instance(a6(), 6, 3, 1.0, seed=0)
 solve_smp_wreath(a6(), SmpInstance(d["generators"], d["target"]))
 """

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import expand_subgroup
 from subpower.affine import AbelianGroupSpec
-from subpower.catalog import random_wreath, zmod_algebra
+from subpower.catalog import _hat_key, a6, random_wreath, zmod_algebra
 from subpower.circuits import parse_sexpr
 from subpower.core import eval_circuit, verify_maltsev
 from subpower.wreath import (ClonoidGenSet, Diagonal, Plane, WreathSpec,
@@ -56,11 +56,26 @@ def test_build_wreath_rejects_bad_hat():
         build_wreath(spec)
 
 
+def test_build_wreath_refuses_a_float_hat_entry():
+    # 1.5 would be truncated to the element 1, and the spec would keep it
+    spec = a6()
+    hat = {sym: list(table) for sym, table in spec.hat.items()}
+    hat["m"][_hat_key(0, 1, 0, 2)] = 1.5
+    bad = WreathSpec(spec.left, spec.left_group, spec.right, hat,
+                     spec.maltsev)
+    with pytest.raises(WreathSpecError,
+                       match=r"hat\[m\]\[2\] = 1.5 is not an integer"):
+        build_wreath(bad)
+    hat["m"][_hat_key(0, 1, 0, 2)] = 3
+    with pytest.raises(WreathSpecError, match=r"= 3 out of range 0\.\.2"):
+        build_wreath(WreathSpec(spec.left, spec.left_group, spec.right, hat,
+                                spec.maltsev))
+
+
 def test_wreath_spec_is_frozen():
     # a mutated spec would keep serving its cached algebra and context
     from dataclasses import FrozenInstanceError
 
-    from subpower.catalog import a6
     from subpower.solver import wreath_context
     spec = a6()
     wreath_context(spec)

@@ -1,11 +1,13 @@
 """The wreath path on prime-field elimination: verdicts against the
-exhaustive oracle, with and without GF(p) fix rows past k, the array
+exhaustive oracle, with and without GF(p) fix rows past k, the difference
+clonoid by block elimination against row-by-row elimination, the array
 clonoid image against the per-row one, the plane-wise image basis against
 row-by-row elimination, and the centrality that makes the context's
 commutator check redundant."""
 
 import math
 import random
+from dataclasses import fields
 from functools import cache
 
 import numpy as np
@@ -14,15 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_impl as ref
-from subpower.affine import AbelianGroupSpec, FieldEchelon, subgroup_member
+from subpower.affine import (AbelianGroupSpec, Echelon, FieldEchelon,
+                             subgroup_member)
 from subpower.catalog import (a6, a6_shift, a6_symmetric, random_wreath, w15,
                               zmod_group_algebra)
-from subpower.core import smp_oracle, verify_central
+from subpower.core import ClosureCapExceeded, smp_oracle, verify_central
 from subpower.instances import random_instance
 from subpower.solver import (SmpInstance, _companion_span, check_witness,
                              solve_smp_wreath, wreath_context)
-from subpower.wreath import (ClonoidGenSet, _group_rows,
-                             clonoid_image_comprep)
+from subpower.wreath import (ClonoidGenSet, _close_under, _group_rows,
+                             clonoid_image_comprep, diff_clonoid_gens)
 
 # (p, |L|) of random_wreath; L = Z_9 keeps the Howell l-part elimination
 SPECS = {"a6": a6, "w15": w15}
@@ -99,6 +102,45 @@ def test_no_member_for_fix_rows_past_k(name):
             verdicts.append(verdict.member)
     probes = verdicts[1::2]
     assert all(verdicts[::2]) and any(probes) and not all(probes)
+
+
+# two bounded runs, certified at the default cap as they stand and at
+# cap 50 only once closed under substitutions, and two refusals
+BOUNDED = ["random_wreath(3, 5, 2)", "random_wreath(5, 2, 1)"]
+CLONOID_SPECS = {
+    "a6": a6, "a6_shift": a6_shift, "a6_symmetric": a6_symmetric, "w15": w15,
+    BOUNDED[0]: lambda: random_wreath(3, 5, 2),
+    BOUNDED[1]: lambda: random_wreath(5, 2, 1),
+    "random_wreath(3, 4, 1)": lambda: random_wreath(3, 4, 1)}
+REFUSED = [("random_wreath(3, 4, 1)", 3000), ("a6_shift", 50)]
+
+
+@pytest.mark.parametrize("name, cap", [
+    (name, 3000) for name in sorted(CLONOID_SPECS)] + [
+    (BOUNDED[0], 50), (BOUNDED[1], 50), ("a6_shift", 50)])
+def test_diff_clonoid_gens_matches_rowwise(name, cap):
+    spec = CLONOID_SPECS[name]()
+    if (name, cap) in REFUSED:
+        for extract in (diff_clonoid_gens, ref.diff_clonoid_gens_rowwise):
+            with pytest.raises(ClosureCapExceeded):
+                extract(spec, cap=cap)
+        return
+    got = diff_clonoid_gens(spec, cap=cap)
+    want = ref.diff_clonoid_gens_rowwise(spec, cap=cap)
+    for f in fields(ClonoidGenSet):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert got.exact == (name not in BOUNDED)
+
+
+def test_closure_runs_until_the_span_stops_growing():
+    """The catalog closes in one round; a cyclic shift of the table
+    positions takes one round per position from a unit row."""
+    ech = Echelon(4, 8)
+    ech.extend([[1, 2, 0, 0, 0, 0, 0, 0]])
+    # position i takes the entry of position (i - 1) mod 4, rank 2
+    _close_under(ech, [(3, 0, 1, 2)], 2)
+    assert ech.span_size() == 4 ** 4
+    assert [r.tolist() for r in ech.rows][-1] == [0, 0, 0, 0, 0, 0, 1, 2]
 
 
 @settings(max_examples=150, deadline=None)
