@@ -195,7 +195,8 @@ def _cmd_bench(args) -> int:
                 for a, b in [cell.split(":")]]
     except ValueError:
         raise AlgebraError("--grid cells must look like k:n") from None
-    rows = bench(algebra, grid, args.seed, allow_oracle=args.allow_oracle)
+    rows = bench(algebra, grid, args.seed, allow_oracle=args.allow_oracle,
+                 cap=args.cap)
     fmt = "csv" if args.format == "csv" else args.format
     _emit(rows, fmt)
     return 0

@@ -51,8 +51,10 @@ def random_instance(algebra_input, k: int, n: int, member_bias: float,
             "target": list(target)}
 
 
-def bench(algebra_input, grid, seed: int, *, allow_oracle: bool = False) -> list:
-    """Solve one seeded instance per (k, n) cell; returns benchmark rows."""
+def bench(algebra_input, grid, seed: int, *, allow_oracle: bool = False,
+          cap: int = 1_000_000) -> list:
+    """Solve one seeded instance per (k, n) cell; returns benchmark rows.
+    `cap` bounds the oracle's closure, as in ``dispatch``."""
     rows = []
     for idx, (k, n) in enumerate(grid):
         inst_dict = random_instance(algebra_input, k, n, member_bias=0.5,
@@ -61,7 +63,7 @@ def bench(algebra_input, grid, seed: int, *, allow_oracle: bool = False) -> list
                            tuple(inst_dict["target"]))
         t0 = time.perf_counter()
         verdict = dispatch(algebra_input, inst, allow_oracle=allow_oracle,
-                           want_witness=False)
+                           cap=cap, want_witness=False)
         elapsed = 1000 * (time.perf_counter() - t0)
         rows.append({
             "k": k, "n": n,

@@ -12,20 +12,18 @@ Two paths:
   companion closure is run once per n and cached on the context; a solve
   evaluates only that closure's leaf nodes on its own k columns.
   The companion exponent splits by CRT as Z_exp(L) x GF(p), so the fix is
-  GF(p) elimination and the l-part is elimination mod exp(L).  The fix
+  GF(p) elimination and the l-part a subgroup test mod exp(L).  The fix
   rows with pivot past k give no members: ``solve_smp_wreath`` shows their
   l-differences already lie in the span the subgroup test uses.  The fixed
-  members' values are folded through power tables of the Mal'tsev steps,
-  one lookup per difference; their circuits are built only for a returned
-  witness.  The subgroup test starts from the clonoid image's canonical
-  basis, which reads the rows of each coordinate alone in its plane from a
-  per-pair table rather than eliminating them.  The target is reduced
-  against that basis first: when the image reaches it from the fixed base,
-  it is a member, and no l-part generator is built, folded or eliminated.
-  Otherwise the l-part members are folded, through the base fold's power
-  tables, and only their differences outside the span so far are inserted
-  into the same echelon.  For prime exp(L) both routes give the same
-  witness (see ``solve_smp_wreath``).
+  member is one Mal'tsev chain, walked by table lookups, and each l-part
+  generator takes p further steps of one raw difference; their circuits
+  are built only for a returned witness.  The subgroup test starts from
+  the clonoid image's canonical basis, which reads the rows of each
+  coordinate alone in its plane from a per-pair table rather than
+  eliminating them.  The target is reduced against that basis first: when
+  the image reaches it from the fixed member, it is a member, and no l-part
+  generator is built.  Otherwise the generators are walked, and only their
+  differences outside the span so far are inserted into the same echelon.
 * ``dispatch``: affine algebras go through elimination, coprime
   prime-quotient wreath products through the wreath path, and anything else
   falls back to the exhaustive oracle (opt-in).
@@ -205,101 +203,35 @@ def _leaf_values(alg, rep: AffineSubpowerRep, gen_rows: np.ndarray):
     return np.asarray([vals[node] for node in nodes])
 
 
-# entries of the power tables of one block of differences in _fold_members
-_FOLD_BLOCK_ENTRIES = 1 << 20
-
-
-def _fold_members(table: np.ndarray, leaves: np.ndarray, coeffs: np.ndarray,
-                  powers: dict | None = None) -> np.ndarray:
-    """Values of ``rep.member_node(c)`` for each row c of `coeffs` (entries
-    in 0..m-1), one row each, without building the circuits: `table` is the
-    Mal'tsev table and `leaves` the ``_leaf_values`` of the algebra.
-
-    The same steps as the chain: from the base, for each raw difference j
-    in order, c_j steps cur = m(plus_j, minus_j, cur).  Per coordinate a
-    step is a map of the algebra, so the c-th power of difference j's map
-    is tabulated for every c up to the largest coefficient, and each
-    difference is one lookup.  `powers` keeps the tables across the folds
-    of one solve: difference j maps to its (c + 1, k, size) table of
-    powers 0..c, and a fold that needs a higher power extends the table
-    from its last one, so no table is built twice.  New powers are built
-    for a block of differences at a time, at most ``_FOLD_BLOCK_ENTRIES``
-    entries unless one difference alone needs more; differences with no
-    coefficient above zero are skipped.
-    """
-    if powers is None:
-        powers = {}
-    size = len(table)
-    k = leaves.shape[1]
-    need = coeffs.max(axis=0, initial=0)
-    active = np.flatnonzero(need)
-    have = np.asarray([len(powers[j]) - 1 if j in powers else 0
-                       for j in active.tolist()], dtype=np.int64)
-    short = have < need[active]
-    todo, steps = active[short], (need[active] - have)[short]
-    # tables hold elements only: the smallest dtype that fits them
-    dtype = np.min_scalar_type(size - 1)
-    if len(todo):
-        block = max(1, _FOLD_BLOCK_ENTRIES // ((steps.max() + 1) * k * size))
-        for start in range(0, len(todo), block):
-            js = todo[start:start + block]
-            top = int(steps[start:start + block].max())
-            new = np.empty((len(js), top + 1, k, size), dtype=dtype)
-            new[:, 0] = np.arange(size)
-            for i, j in enumerate(js.tolist()):
-                if j in powers:
-                    new[i, 0] = powers[j][-1]
-            plus = leaves[1 + 2 * js][:, :, None]
-            minus = leaves[2 + 2 * js][:, :, None]
-            for c in range(1, top + 1):
-                new[:, c] = table[plus, minus, new[:, c - 1]]
-            for i, j in enumerate(js.tolist()):
-                powers[j] = (np.concatenate([powers[j], new[i, 1:]])
-                             if j in powers else new[i])
-    # flat index of (power c, coordinate i, value a) is (c * k + i) * size + a
-    coord_base = np.arange(k) * size
-    cur = np.tile(leaves[0], (len(coeffs), 1))
-    for j in active.tolist():
-        flat = powers[j].reshape(-1)
-        cur = flat[(coeffs[:, j, None] * k * size + coord_base) + cur]
-    return cur.astype(np.int64)
-
-
-def _l_part_coeffs(rows: np.ndarray, e: int, p: int) -> list:
-    """Z_m coefficient rows, m = e * p, generating the Z_e span of `rows`
-    with zero GF(p) part.
-
-    One tracked elimination mod e gives the combinations; each is lifted to
-    the Z_m vector that is 0 mod p and a unit multiple of it mod e, the
-    unit chosen for the smallest coefficient sum (a member circuit chains
-    one Mal'tsev step per unit of coefficient).
-    """
-    nraw = len(rows)
-    ech = span_over(e, rows.shape[1], track=max(nraw, 1))
-    ech.extend(rows)
-    combos = [c[:nraw] for c in ech.coeffs]
-    if not combos:
-        return []
-    combos = np.asarray(combos, dtype=np.int64)
-    units = np.asarray([u for u in range(1, e) if math.gcd(u, e) == 1],
-                       dtype=np.int64)
-    scaled = (units[:, None, None] * combos[None]) % e
-    best = scaled.sum(axis=2).argmin(axis=0)
-    return list(p * scaled[best, np.arange(len(combos))])
-
-
 def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
                      want_witness: bool = True) -> SmpVerdict:
     """Polynomial-time membership for the coprime prime-quotient class.
 
-    The GF(p) fix leaves the companion terms whose u-part agrees with the
-    target on the instance's u-rows u_1..u_k.  The subgroup test spans the
-    l-differences of the fixed t_0 plus the l-part generators (differences
-    zero mod p) and the clonoid image.  A term t_a whose u-part differs
-    from t_0's only past k (a fix row with pivot past k) adds nothing to
-    that span, so no member is folded for it.  Its u-difference
-    lam = t_a^U - t_0^U is affine, with linear part d, and vanishes on
-    every u_g.
+    The GF(p) fix gives the raw coefficients x0 of a companion term t_0
+    whose u-part agrees with the target on the instance's u-rows
+    u_1..u_k; its member is the Mal'tsev chain ``member_node`` builds:
+    from the base, x0_j steps cur = m(plus_j, minus_j, cur) for each raw
+    difference j in order.  The subgroup test spans the clonoid image and
+    the l-differences from t_0 of the l-part generators: for each raw
+    difference j, the member g_j that takes p further steps of difference
+    j after t_0.  With e = exp(L) and m = e * p, these span, together with
+    the image, what the members with coefficients x0 + c, c = 0 (mod p),
+    span, because gcd(p, e) = 1:
+    * p * Z_m = {c : c = 0 (mod p)}, so the vectors p * e_j generate every
+      coefficient vector that keeps x0's u-part that way.
+    * Members that share a u-part combine as x - y + z on their l-parts,
+      because hat_m(u, u, u) = 0.  So the l-differences from t_0 of the
+      members with t_0's u-part form a subgroup, and Mal'tsev
+      combinations of t_0 and the g_j give, for each such c, a member with
+      the companion of x0 + c.
+    * Two terms with the same companion differ by an element of the
+      clonoid image: g_j and the chain of x0 + p * e_j differ only in the
+      order of their steps.
+
+    A term t_a whose u-part differs from t_0's only past k (a fix row with
+    pivot past k) adds nothing to that span, so no member is built for it.
+    Its u-difference lam = t_a^U - t_0^U is affine, with linear part d,
+    and vanishes on every u_g.
     * r = a*t_a + (1 - a)*t_0, a Mal'tsev chain with a = 1 (mod e) and
       a = 0 (mod p), has r^L = t_a^L and r^U = t_0^U, so r - t_0 lies in
       the span of the l-part generators.
@@ -313,17 +245,21 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
       difference lies in the clonoid image.
 
     The subgroup test runs image first.  The l-difference w of the target
-    and the base is reduced against the image's echelon before any l-part
+    and t_0 is reduced against the image's echelon before any l-part
     generator exists.  A zero residue makes the target a member, with the
     base and image parts as its witness; a nonzero one decides nothing,
-    since the member differences enlarge the span, so the l-part members
-    are folded and their differences inserted.  For prime exp(L) the
-    witness is the one the full test gives.  The image basis is fully
-    reduced: row b_i has 1 at its pivot column c_i, and every other row 0
-    there.  So w, lying in its span, is sum_i w[c_i] b_i.  The full test
-    inserts only member differences outside the span so far, so its rows
-    are independent and w has one combination of them: 0 on every member
-    row, and w[c_i] on image row i.
+    since the generators' differences enlarge the span, so the generators
+    are built and their differences inserted.  For prime e the witness is
+    the one the full test gives.  The image basis is fully reduced: row
+    b_i has 1 at its pivot column c_i, and every other row 0 there.  So w,
+    lying in its span, is sum_i w[c_i] b_i.  The full test inserts only
+    member differences outside the span so far, so its rows are
+    independent and w has one combination of them: 0 on every member row,
+    and w[c_i] on image row i.
+
+    ``stats["decided_by"]`` names the stage that gave the verdict:
+    ``"quotient"`` (the GF(p) fix rejects), ``"image"`` (the image reaches
+    the target) or ``"full"`` (the test with the l-part generators).
     """
     t_start = time.perf_counter()
     ctx = wreath_context(spec)
@@ -347,26 +283,29 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
     e = group.exponent
     nraw = len(rep.raw)
     k_ext = len(rep.base_flat) // s1
-    chunks = rep.raw_rows().reshape(nraw, k_ext, s1)
+    u_rows = rep.raw_rows().reshape(nraw, k_ext, s1)[:, :, -1] // e
     u_ech = span_over(p, k_ext, track=max(nraw, 1))
-    u_ech.extend(chunks[:, :, -1] // e)
+    u_ech.extend(u_rows)
     u_target = np.zeros(k_ext, dtype=np.int64)
     u_target[:k] = u_b - rep.base_flat.reshape(-1, s1)[:k, -1] // e
     residue, coeffs = u_ech.reduce(u_target)
     stats = {"path": "wreath", "k": k, "n": n}
     if residue[:k].any():
-        stats["tuples_materialized"] = tuples_materialized
-        stats["elapsed_ms"] = 1000 * (time.perf_counter() - t_start)
+        stats.update(decided_by="quotient",
+                     tuples_materialized=tuples_materialized,
+                     elapsed_ms=1000 * (time.perf_counter() - t_start))
         return SmpVerdict(False, None, stats)
     x0_coeffs = coeffs[:nraw]
     alg = spec.algebra
     table = maltsev_table(alg)
     leaves = _leaf_values(alg, rep, gen_rows)
-    powers = {}
-    # the fixed members' values on the original tuples inside the product,
-    # the base's first
-    member_coeffs = x0_coeffs[None]
-    members = _fold_members(table, leaves, member_coeffs, powers)
+    plus, minus = leaves[1::2], leaves[2::2]
+    # t_0 on the original tuples inside the product, step by step
+    base = leaves[0]
+    for j, c in enumerate(x0_coeffs.tolist()):
+        for _ in range(c):
+            base = table[plus[j], minus[j], base]
+    members = base[None]
     tuples_materialized += 1
 
     image = clonoid_image_comprep(ctx.gens, (gen_rows % p).tolist())
@@ -374,29 +313,23 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
 
     # the image's canonical rows seed the test; a target they reach is
     # decided before any l-part generator is built
-    neg_base = group.neg_table[members[0] // p]
+    neg_base = group.neg_table[base // p]
     target_v = group.embed_elements(group.add_table[l_b, neg_base])
     n_image = len(image.basis)
-    # room for the l-part generators: at most one per raw difference over
-    # a prime e; a Howell echelon may hold more rows than its generators,
-    # but never more than its width
-    room = nraw if is_prime(e) else k_ext * (s1 - 1)
-    ech = span_over(e, len(target_v), track=max(n_image + room, 1),
+    ech = span_over(e, len(target_v), track=max(n_image + nraw, 1),
                     basis=image.basis)
     ok, witness_coeffs = span_witness(ech, image.basis, target_v)
+    stats["decided_by"] = "image" if ok else "full"
     if not ok:
-        # generators of the whole Z_e part with u-part zero
-        l_coeffs = _l_part_coeffs(
-            chunks[:, :, :-1].reshape(nraw, k_ext * (s1 - 1)) % e, e, p)
-        tuples_materialized += len(l_coeffs)
-        others = (x0_coeffs + np.asarray(l_coeffs, dtype=np.int64)
-                  .reshape(len(l_coeffs), nraw)) % m
-        folded = _fold_members(table, leaves, others, powers)
-        tuples_materialized += len(folded)
-        member_coeffs = np.vstack([member_coeffs, others])
-        members = np.vstack([members, folded])
+        # the l-part generators: p further steps of each difference
+        l_gens = np.tile(base, (nraw, 1))
+        for _ in range(p):
+            l_gens = table[plus, minus, l_gens]
+        # each generator, and its l-difference
+        tuples_materialized += 2 * nraw
+        members = np.vstack([members, l_gens])
         # differences already in the span are not inserted
-        diffs_v = group.embed_elements(group.add_table[folded // p, neg_base])
+        diffs_v = group.embed_elements(group.add_table[l_gens // p, neg_base])
         ech.extend(diffs_v)
         ok, witness_coeffs = span_witness(
             ech, np.vstack([image.basis, diffs_v]), target_v)
@@ -411,15 +344,13 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
         return SmpVerdict(False, None, stats)
     witness = None
     if want_witness:
-        # circuits only for the base and the members the witness uses, in
-        # member order; with a one-gate Mal'tsev term, gate ids rise along
-        # each chain, so the extracted circuits are those that building
-        # every member's chain would give
+        # circuits only for t_0 and the generators the witness uses
         values = members.tolist()
-        base_node = rep.member_node(member_coeffs[0])
-        used = [(j, rep.member_node(member_coeffs[j]))
-                for j in range(1, len(members))
-                if witness_coeffs[n_image + j - 1] % m]
+        base_node = rep.member_node(x0_coeffs)
+        gen_coeffs = witness_coeffs[n_image:]
+        used = [(j, c, rep.bank.chain(alg.maltsev, base_node,
+                                      [rep.raw[j][1:]] * p, 2))
+                for j, c in enumerate(gen_coeffs) if c % m]
         # only the image rows the witness uses are unembedded
         rows = [j for j in range(n_image) if witness_coeffs[j] % m]
         witness = {
@@ -427,9 +358,9 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
             "base": {"value": values[0],
                      "circuit": serialize_sexpr(rep.bank.extract(base_node))},
             "members": [
-                {"coeff": witness_coeffs[n_image + j - 1], "value": values[j],
+                {"coeff": c, "value": values[1 + j],
                  "circuit": serialize_sexpr(rep.bank.extract(node))}
-                for j, node in used],
+                for j, c, node in used],
             "clonoid": [
                 {"coeff": witness_coeffs[j], "value": value}
                 for j, value in zip(rows, group.unembed_array(

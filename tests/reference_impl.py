@@ -2,8 +2,9 @@
 circuit splicing, the echelon, bank evaluation, the recursive s-expression
 reader and writer, the per-row clonoid image, the clonoid image by
 row-by-row elimination, the difference clonoid by row-by-row elimination,
-the stepwise member fold, and the wreath solve that builds every l-part
-member before its subgroup test.
+the stepwise member fold, the elimination generator set of the wreath
+l-part test, and the wreath solve that builds every l-part generator
+before its subgroup test.
 
 These are the straightforward implementations the array code in
 ``subpower.comprep``, ``subpower.affine``, ``subpower.core`` and
@@ -730,9 +731,10 @@ def diff_clonoid_gens_rowwise(spec, cap: int = 3000) -> ClonoidGenSet:
 
 
 def fold_members_stepwise(table, leaves, coeffs):
-    """``solver._fold_members`` one Mal'tsev step at a time: from the base,
-    for each raw difference j in order, c_j steps cur = m(plus_j, minus_j,
-    cur), on the rows whose coefficient is still above the step count."""
+    """Values of ``rep.member_node(c)`` for each row c of `coeffs`, one
+    Mal'tsev step at a time: from the base, for each raw difference j in
+    order, c_j steps cur = m(plus_j, minus_j, cur), on the rows whose
+    coefficient is still above the step count."""
     cur = np.tile(leaves[0], (len(coeffs), 1))
     for plus, minus, col in zip(leaves[1::2], leaves[2::2], coeffs.T):
         for step in range(col.max(initial=0)):
@@ -741,11 +743,37 @@ def fold_members_stepwise(table, leaves, coeffs):
     return cur
 
 
-def solve_smp_wreath_full(spec, inst):
+def l_part_coeffs(rows: np.ndarray, e: int, p: int) -> list:
+    """The elimination generator set: Z_m coefficient rows, m = e * p,
+    generating the Z_e span of `rows` with zero GF(p) part.
+
+    One tracked elimination mod e gives the combinations; each is lifted to
+    the Z_m vector that is 0 mod p and a unit multiple of it mod e, the
+    unit chosen for the smallest coefficient sum (a member circuit chains
+    one Mal'tsev step per unit of coefficient).
+    """
+    nraw = len(rows)
+    ech = span_over(e, rows.shape[1], track=max(nraw, 1))
+    ech.extend(rows)
+    combos = [c[:nraw] for c in ech.coeffs]
+    if not combos:
+        return []
+    combos = np.asarray(combos, dtype=np.int64)
+    units = np.asarray([u for u in range(1, e) if math.gcd(u, e) == 1],
+                       dtype=np.int64)
+    scaled = (units[:, None, None] * combos[None]) % e
+    best = scaled.sum(axis=2).argmin(axis=0)
+    return list(p * scaled[best, np.arange(len(combos))])
+
+
+def solve_smp_wreath_full(spec, inst, elimination=False):
     """``solver.solve_smp_wreath`` with the subgroup test run once, after
-    the l-part generators and every member are folded: the image rows
-    first, then all member differences.  Returns (member, witness) with
-    the witness built as the solver builds it."""
+    every l-part generator is built: the image rows first, then all member
+    differences.  The generators are the solver's (p further steps of each
+    raw difference after the fixed member x0) or, with `elimination`, the
+    members x0 + c for the rows c of ``l_part_coeffs``, each the chain
+    ``member_node`` builds.  Returns (member, witness) with the witness
+    built as the solver builds it."""
     ctx = solver.wreath_context(spec)
     group = spec.left_group
     comp_group = spec.companion_group
@@ -769,38 +797,52 @@ def solve_smp_wreath_full(spec, inst):
     if residue[:k].any():
         return False, None
     x0_coeffs = coeffs[:nraw]
-    l_coeffs = solver._l_part_coeffs(
-        chunks[:, :, :-1].reshape(nraw, k_ext * (s1 - 1)) % e, e, p)
-    member_coeffs = np.asarray(
-        [x0_coeffs] + [(x0_coeffs + lc) % m for lc in l_coeffs],
-        dtype=np.int64).reshape(1 + len(l_coeffs), nraw)
     alg = spec.algebra
-    members = solver._fold_members(
-        maltsev_table(alg), solver._leaf_values(alg, rep, gen_rows),
-        member_coeffs)
-    assert not (members % p != u_b).any()
+    table = maltsev_table(alg)
+    leaves = solver._leaf_values(alg, rep, gen_rows)
+    base = fold_members_stepwise(table, leaves, x0_coeffs[None])[0]
+    base_node = rep.member_node(x0_coeffs)
+    if elimination:
+        l_coeffs = l_part_coeffs(
+            chunks[:, :, :-1].reshape(nraw, k_ext * (s1 - 1)) % e, e, p)
+        gen_coeffs = np.asarray(
+            [(x0_coeffs + lc) % m for lc in l_coeffs],
+            dtype=np.int64).reshape(len(l_coeffs), nraw)
+        gens = fold_members_stepwise(table, leaves, gen_coeffs)
+
+        def gen_node(j):
+            return rep.member_node(gen_coeffs[j])
+    else:
+        gens = []
+        for plus, minus in zip(leaves[1::2], leaves[2::2]):
+            cur = base
+            for _ in range(p):
+                cur = table[plus, minus, cur]
+            gens.append(cur)
+        gens = np.asarray(gens, dtype=np.int64).reshape(nraw, k)
+
+        def gen_node(j):
+            return rep.bank.chain(alg.maltsev, base_node,
+                                  [rep.raw[j][1:]] * p, 2)
+    assert not (np.vstack([base, gens]) % p != u_b).any()
     image = solver.clonoid_image_comprep(ctx.gens, (gen_rows % p).tolist())
-    l_members = members // p
-    neg_base = group.neg_table[l_members[0]]
+    neg_base = group.neg_table[base // p]
     n_image = len(image.generators)
     ok, witness_coeffs = subgroup_member(
-        group, group.add_table[l_members[1:], neg_base],
+        group, group.add_table[gens // p, neg_base],
         group.add_table[l_b, neg_base], basis=image.basis)
     if not ok:
         return False, None
-    values = members.tolist()
-    base_node = rep.member_node(member_coeffs[0])
-    used = [(j, rep.member_node(member_coeffs[j]))
-            for j in range(1, len(members))
-            if witness_coeffs[n_image + j - 1] % m]
+    used = [(j, c, gen_node(j))
+            for j, c in enumerate(witness_coeffs[n_image:]) if c % m]
     return True, {
         "path": "wreath",
-        "base": {"value": values[0],
+        "base": {"value": base.tolist(),
                  "circuit": serialize_sexpr(rep.bank.extract(base_node))},
         "members": [
-            {"coeff": witness_coeffs[n_image + j - 1], "value": values[j],
+            {"coeff": c, "value": gens[j].tolist(),
              "circuit": serialize_sexpr(rep.bank.extract(node))}
-            for j, node in used],
+            for j, c, node in used],
         "clonoid": [
             {"coeff": witness_coeffs[j],
              "value": list(image.generators[j])}

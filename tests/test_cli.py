@@ -196,6 +196,23 @@ def test_bench_csv(a6_file, capsys):
     assert len(out) == 3
 
 
+def test_bench_cap_reaches_the_oracle(tmp_path, capsys):
+    """``--cap`` bounds the oracle under ``bench`` as it does under
+    ``solve``: on a6's product algebra, outside the polynomial classes."""
+    path = tmp_path / "a6_algebra.json"
+    path.write_text(dump_json(algebra_to_dict(a6().algebra)))
+    inst = write_instance(tmp_path, [(0, 1, 2), (3, 4, 5)], (0, 1, 2))
+    with pytest.warns(UserWarning):
+        assert main(["solve", "--algebra", str(path), "--instance", inst,
+                     "--allow-oracle", "--cap", "5"]) == 3
+    assert "cap" in capsys.readouterr().err
+    with pytest.warns(UserWarning):
+        assert main(["bench", "--algebra", str(path), "--grid", "3:2",
+                     "--allow-oracle", "--cap", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cap" in captured.err
+
+
 def test_missing_file_exit2(capsys):
     rc = main(["verify", "--algebra", "/nonexistent/path.json"])
     assert rc == 2

@@ -3,34 +3,33 @@
 clonoid image reaches from the base is decided without the l-part
 generators, and one the image misses takes the full test, with the same
 verdicts, the same witnesses when exp(L) is prime, and accepted witnesses
-always; and the witness self-check that ``python -O`` keeps."""
+always; the elimination generator set against the solver's p-step
+generators; and the witness self-check that ``python -O`` keeps."""
 
 import os
 import random
 import subprocess
 import sys
 from functools import cache
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_impl as ref
-from subpower import solver
 from subpower.affine import is_prime, span_over
 from subpower.catalog import a6, a6_shift, random_wreath, w15
 from subpower.instances import random_instance
-from subpower.solver import (SmpInstance, check_witness, solve_smp_wreath,
-                             wreath_context)
+from subpower.solver import (SmpInstance, SmpVerdict, check_witness,
+                             solve_smp_wreath, wreath_context)
 from subpower.wreath import clonoid_image_comprep
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# L = Z_9 in random_wreath(2, 9, 3) keeps a Howell exponent in the mix
-SPECS = {"a6": a6, "a6_shift": a6_shift, "w15": w15,
-         "random_wreath(3, 2, 1)": lambda: random_wreath(3, 2, 1),
-         "random_wreath(2, 9, 3)": lambda: random_wreath(2, 9, 3)}
+# L = Z_9, Z_4 and Z_15 keep Howell exponents in the mix
+SPECS = {"a6": a6, "a6_shift": a6_shift, "w15": w15}
+SPECS.update({f"random_wreath{args}": (lambda args=args: random_wreath(*args))
+              for args in [(3, 2, 1), (2, 9, 3), (5, 4, 2), (2, 15, 1)]})
 
 
 @cache
@@ -46,12 +45,8 @@ def _with_l(spec, target, l_values) -> tuple:
 
 
 def _solve_both(spec, inst):
-    """The solver's verdict, whether it built the l-part generators, and
-    the full path's (member, witness)."""
-    with mock.patch.object(solver, "_l_part_coeffs",
-                           wraps=solver._l_part_coeffs) as l_part:
-        verdict = solve_smp_wreath(spec, inst)
-    return verdict, l_part.call_count, ref.solve_smp_wreath_full(spec, inst)
+    """The solver's verdict and the full path's (member, witness)."""
+    return solve_smp_wreath(spec, inst), ref.solve_smp_wreath_full(spec, inst)
 
 
 def _agree(spec, inst, verdict, full) -> None:
@@ -86,8 +81,8 @@ def test_image_first_matches_full_path(name, k, n, seed):
         % group.exponent)
     inst = SmpInstance(member.generators,
                        _with_l(spec, member.target, reached))
-    verdict, l_part_calls, full = _solve_both(spec, inst)
-    assert verdict.member and l_part_calls == 0
+    verdict, full = _solve_both(spec, inst)
+    assert verdict.member and verdict.stats["decided_by"] == "image"
     assert verdict.witness["members"] == []
     _agree(spec, inst, verdict, full)
 
@@ -105,10 +100,37 @@ def test_image_first_matches_full_path(name, k, n, seed):
         if span.reduce(group.embed_elements(diff))[0].any():
             inst = SmpInstance(member.generators,
                                _with_l(spec, member.target, moved))
-            verdict, l_part_calls, full = _solve_both(spec, inst)
-            assert l_part_calls == 1
+            verdict, full = _solve_both(spec, inst)
+            assert verdict.stats["decided_by"] == "full"
             _agree(spec, inst, verdict, full)
             break
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(SPECS)), k=st.integers(1, 10),
+       n=st.integers(1, 5), seed=st.integers(0, 10_000),
+       kind=st.sampled_from(["member", "shifted", "uniform"]))
+def test_elimination_generators_give_the_solvers_verdicts(name, k, n, seed,
+                                                          kind):
+    """The elimination generator set (a tracked elimination mod exp(L),
+    lifted to Z_m) spans, with the clonoid image, what the solver's p-step
+    generators span: the same verdicts, and both witnesses accepted."""
+    spec = spec_named(name)
+    d = random_instance(spec, k, n, 0.0 if kind == "uniform" else 1.0,
+                        seed=seed)
+    target = list(d["target"])
+    if kind == "shifted":
+        # the l-part of one coordinate moved: the quotient fix still passes
+        i = seed % k
+        l, u = spec.split(target[i])
+        target[i] = spec.pair(spec.left_group.add(l, 1), u)
+    inst = SmpInstance(d["generators"], target)
+    verdict = solve_smp_wreath(spec, inst)
+    member, witness = ref.solve_smp_wreath_full(spec, inst, elimination=True)
+    assert verdict.member == member
+    if member:
+        assert check_witness(spec, inst, verdict)
+        assert check_witness(spec, inst, SmpVerdict(True, witness))
 
 
 # a solve whose subgroup test hands out wrong coefficients for a target in

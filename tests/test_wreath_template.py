@@ -1,14 +1,14 @@
-"""The wreath path's per-arity companion closure and numeric member fold:
-the cached padding closure against a fresh ``affine_span`` on the extended
-rows, the fold against the member circuits and the stepwise fold, warm
-contexts that never grow, circuits built only for a returned witness, a
-warm member solve that its clonoid image decides alone, and the open
-forged-witness gap of ``check_witness``."""
+"""The wreath path's per-arity companion closure and its Mal'tsev-chain
+walk: the cached padding closure against a fresh ``affine_span`` on the
+extended rows, the chain walk against the member circuits, constant
+generators with no raw differences, warm contexts that never grow,
+circuits built only for a returned witness, a warm member solve that its
+clonoid image decides alone, and the open forged-witness gap of
+``check_witness``."""
 
 import random
 import sys
 from functools import cache
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,13 +20,13 @@ from subpower import solver
 from subpower.affine import (AffineSubpowerRep, FieldEchelon, affine_span,
                              verify_affine)
 from subpower.catalog import a6, random_wreath, w15
+from subpower.circuits import CircuitBank
 from subpower.comprep import maltsev_table
 from subpower.core import eval_nodes
 from subpower.instances import random_instance
 from subpower.solver import (SmpInstance, SmpVerdict, WreathContext,
-                             _companion_span, _extended_rows, _fold_members,
-                             _leaf_values, check_witness, solve_smp_wreath,
-                             wreath_context)
+                             _companion_span, _extended_rows, _leaf_values,
+                             check_witness, solve_smp_wreath, wreath_context)
 
 SPECS = {"a6": a6, "w15": w15}
 SPECS.update({f"random_wreath{args}": (lambda args=args: random_wreath(*args))
@@ -74,14 +74,16 @@ def test_cached_closure_equals_fresh_span(name, k, n, seed):
     assert got.bank.gates == want.bank.gates
     assert got.tuples_materialized == want.tuples_materialized
 
-    # the fold against the member circuits, for random coefficient rows
+    # the chain walk by table lookups against the member circuits, for
+    # random coefficient rows
     m = spec.companion_group.exponent
     rows = rng.randint(1, 4)
     coeffs = np.asarray([[rng.randrange(m) for _ in got.raw]
                          for _ in range(rows)],
                         dtype=np.int64).reshape(rows, len(got.raw))
-    folded = _fold_members(maltsev_table(spec.algebra),
-                           _leaf_values(spec.algebra, got, gen_rows), coeffs)
+    folded = ref.fold_members_stepwise(
+        maltsev_table(spec.algebra),
+        _leaf_values(spec.algebra, got, gen_rows), coeffs)
     nodes = [got.member_node(c) for c in coeffs]
     vals = eval_nodes(spec.algebra, got.bank, nodes, list(gen_rows))
     assert folded.tolist() == [vals[node].tolist() for node in nodes]
@@ -94,52 +96,22 @@ def test_constant_generators_leave_no_raw_differences():
     assert rep.raw == [] and rep.raw_rows().shape == (0, len(rep.base_flat))
     alg = ctx.spec.algebra
     leaves = _leaf_values(alg, rep, np.full((1, 3), zero, dtype=np.int64))
-    folded = _fold_members(maltsev_table(alg), leaves,
-                           np.zeros((2, 0), dtype=np.int64))
+    folded = ref.fold_members_stepwise(maltsev_table(alg), leaves,
+                                       np.zeros((2, 0), dtype=np.int64))
     assert folded.tolist() == [[zero] * 3] * 2
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_fold_matches_stepwise(data):
-    """Power tables against one Mal'tsev step at a time, on any table,
-    with all-zero coefficient columns, no differences or no rows, and
-    blocks of one difference, of a few, or of all; and the rows split
-    between two folds that share a table cache, the second keeping or
-    extending each table the first built."""
-    size = data.draw(st.integers(1, 5))
-    element = st.integers(0, size - 1)
-    table = np.asarray(data.draw(st.lists(
-        element, min_size=size ** 3, max_size=size ** 3)),
-        dtype=np.int64).reshape(size, size, size)
-    k = data.draw(st.integers(1, 5))
-    nraw = data.draw(st.integers(0, 5))
-    nrows = data.draw(st.integers(0, 4))
-    m = data.draw(st.integers(1, 7))
-    leaves = np.asarray(data.draw(st.lists(
-        st.lists(element, min_size=k, max_size=k),
-        min_size=1 + 2 * nraw, max_size=1 + 2 * nraw)), dtype=np.int64)
-    coeffs = np.asarray(data.draw(st.lists(
-        st.integers(0, m - 1), min_size=nrows * nraw,
-        max_size=nrows * nraw)), dtype=np.int64).reshape(nrows, nraw)
-    zero = data.draw(st.lists(st.booleans(), min_size=nraw, max_size=nraw))
-    coeffs[:, np.asarray(zero, dtype=bool)] = 0
-    block = data.draw(st.sampled_from([1, 2 * k * size, 1 << 20]))
-    split = data.draw(st.integers(0, nrows))
-    powers = {}
-    with mock.patch.object(solver, "_FOLD_BLOCK_ENTRIES", block):
-        got = _fold_members(table, leaves, coeffs)
-        first = _fold_members(table, leaves, coeffs[:split], powers)
-        built = dict(powers)
-        second = _fold_members(table, leaves, coeffs[split:], powers)
-    want = ref.fold_members_stepwise(table, leaves, coeffs)
-    assert got.shape == (nrows, k)
-    assert got.tolist() == want.tolist()
-    assert np.vstack([first, second]).tolist() == want.tolist()
-    for j, tab in built.items():
-        assert powers[j] is tab or (
-            len(powers[j]) > len(tab)
-            and np.array_equal(powers[j][:len(tab)], tab))
+    # the solve walks no step: its member is the base, and with no l-part
+    # generator the full test is the image alone
+    spec = ctx.spec
+    gens = ((zero,) * 3,)
+    verdict = solve_smp_wreath(spec, SmpInstance(gens, (zero,) * 3))
+    assert verdict.member and check_witness(
+        spec, SmpInstance(gens, (zero,) * 3), verdict)
+    assert verdict.witness["base"]["value"] == [zero] * 3
+    l, u = spec.split(zero)
+    moved = SmpInstance(gens, (spec.pair(spec.left_group.add(l, 1), u),)
+                        + (zero,) * 2)
+    verdict = solve_smp_wreath(spec, moved)
+    assert not verdict.member and verdict.stats["decided_by"] == "full"
 
 
 @pytest.fixture()
@@ -174,54 +146,57 @@ def test_warm_context_template_never_grows(member_node_calls):
     assert members and member_node_calls
 
 
-def test_circuits_only_for_a_returned_witness(member_node_calls):
+def test_circuits_only_for_a_returned_witness(member_node_calls,
+                                             monkeypatch):
+    chains = []
+    chain = CircuitBank.chain
+
+    def counted(self, *args):
+        chains.append(1)
+        return chain(self, *args)
+
+    monkeypatch.setattr(CircuitBank, "chain", counted)
     spec = a6()
     inst = _instance(spec, 6, 3, 0)
     verdict = solve_smp_wreath(spec, inst, want_witness=False)
     assert verdict.member and verdict.witness is None
-    assert member_node_calls == []
+    assert member_node_calls == [] and chains == []
     verdict = solve_smp_wreath(spec, inst)
     assert check_witness(spec, inst, verdict)
-    # the base, then each member with a nonzero coefficient; this instance
-    # uses some
+    # one member_node, for the base; then one chain of p steps on it for
+    # each l-part generator with a nonzero coefficient; this instance uses
+    # some
+    assert verdict.stats["decided_by"] == "full"
     assert verdict.witness["members"]
-    assert len(member_node_calls) == 1 + len(verdict.witness["members"])
+    assert member_node_calls == [1]
+    assert len(chains) == 1 + len(verdict.witness["members"])
     member_node_calls.clear()
+    chains.clear()
     target = list(inst.target)
     l, u = spec.split(target[0])
     target[0] = spec.pair(spec.left_group.add(l, 1), u)
     moved = SmpInstance(inst.generators, target)
     assert not solve_smp_wreath(spec, moved).member
-    assert member_node_calls == []
+    assert member_node_calls == [] and chains == []
 
 
 def test_warm_solve_skips_image_and_spanned_differences(monkeypatch):
     """On a warm a6 context at k=60, n=20, every member target's l-part
     lies in the span of the clonoid image, which is assembled plane by
-    plane with no insert: the solve builds no l-part generator, folds the
-    base alone, and extends the subgroup test's echelon by nothing.  The
+    plane with no insert: the image decides, so the solve builds no l-part
+    generator and extends the subgroup test's echelon by nothing.  The
     quotient fix eliminates its rows as one ``FieldEchelon.extend`` call."""
     spec = a6()
     group = spec.left_group
     assert solve_smp_wreath(spec, _instance(spec, 60, 20, 900)).member
-    extends, folds, l_parts, tests = [], [], [], []
+    extends, tests = [], []
     extend = FieldEchelon.extend
 
     def counted(self, rows):
         extends.append((self, sys._getframe(1).f_code.co_name))
         return extend(self, rows)
 
-    def recorded(log, fn):
-        def wrapper(*args, **kwargs):
-            log.append(args)
-            return fn(*args, **kwargs)
-        return wrapper
-
     monkeypatch.setattr(FieldEchelon, "extend", counted)
-    monkeypatch.setattr(solver, "_fold_members",
-                        recorded(folds, solver._fold_members))
-    monkeypatch.setattr(solver, "_l_part_coeffs",
-                        recorded(l_parts, solver._l_part_coeffs))
     span_over = solver.span_over
 
     def kept(*args, **kwargs):
@@ -233,14 +208,12 @@ def test_warm_solve_skips_image_and_spanned_differences(monkeypatch):
     monkeypatch.setattr(solver, "span_over", kept)
     for seed in range(901, 905):
         inst = _instance(spec, 60, 20, seed)
-        for log in (extends, folds, l_parts, tests):
+        for log in (extends, tests):
             log.clear()
         verdict = solve_smp_wreath(spec, inst)
         assert verdict.member and check_witness(spec, inst, verdict)
+        assert verdict.stats["decided_by"] == "image"
         assert verdict.witness["members"] == []
-        assert not l_parts
-        ((_, _, coeffs, _),) = folds
-        assert coeffs.shape[0] == 1
         (ech,) = tests
         assert ech.m == group.exponent
         assert not [1 for owner, _ in extends if owner is ech]
