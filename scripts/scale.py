@@ -1,4 +1,4 @@
-"""One seeded a6 solve at a given size, for scale measurements.
+"""One seeded a6 or Z_M solve at a given size, for scale measurements.
 
 The instance is ``random_instance(a6(), k, n, 1.0, seed)``: uniform
 generators and a target that is a random term's value on them, so a
@@ -10,16 +10,22 @@ element.  Every term gives equal values at i and j, so the target is
 not reached, though its quotient components are.  The wreath context is
 built first, untimed; then one ``solve_smp_wreath`` call with its
 witness is timed and the witness is checked with ``check_witness``.
+With ``--affine M`` the algebra is ``zmod_group_algebra(M)`` instead, the
+instance ``random_instance`` of it with the same arguments, a member, and
+the timed call is ``dispatch`` with its witness: the affine path, whose
+check of the operations (``verify_affine``) is part of the timed solve.
 One JSON line goes to stdout:
 
 * ``wall_s``: wall seconds of the solve, witness included;
 * ``peak_rss_mb``: the process's peak resident set after the solve;
 * ``tuples_materialized``: from the verdict's stats;
 * ``witness_bytes``: length of the witness as compact JSON;
-* ``witness_ok``: the ``check_witness`` result (false with no witness).
+* ``witness_ok``: the ``check_witness`` result (false with no witness);
+* ``affine``: M, or null for a6.
 
     python3 scripts/scale.py --k 1600 --n 80 --seed 7
     python3 scripts/scale.py --probe --k 1600 --n 80 --seed 7
+    python3 scripts/scale.py --affine 12 --k 800 --n 80 --seed 7
 
 Exits 0 when the verdict is a member with an accepted witness, or with
 ``--probe`` a non-member; else 1.  Run from the root of a checkout;
@@ -40,11 +46,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if os.path.join(ROOT, "src") not in sys.path:
     sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from subpower.catalog import a6  # noqa: E402
+from subpower.catalog import a6, zmod_group_algebra  # noqa: E402
 from subpower.instances import random_instance  # noqa: E402
 from subpower.serialize import dump_json  # noqa: E402
 from subpower.solver import (SmpInstance, check_witness,  # noqa: E402
-                             solve_smp_wreath, wreath_context)
+                             dispatch, solve_smp_wreath, wreath_context)
 
 
 def l_shifted_probe(spec, gens: list, target: list, seed: int):
@@ -67,18 +73,29 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--probe", action="store_true",
                         help="solve the l-shifted probe, a non-member")
+    parser.add_argument("--affine", type=int, metavar="M",
+                        help="solve a member over Z_M with the group "
+                             "signature, through dispatch")
     args = parser.parse_args(argv)
     if args.probe and args.k < 2:
         parser.error("--probe needs --k of at least 2")
-    spec = a6()
+    if args.probe and args.affine is not None:
+        parser.error("--probe applies to a6 only")
+    if args.affine is not None and args.affine < 2:
+        parser.error("--affine needs M of at least 2")
+    spec = a6() if args.affine is None else zmod_group_algebra(args.affine)
     d = random_instance(spec, args.k, args.n, 1.0, seed=args.seed)
     gens, target = d["generators"], d["target"]
     if args.probe:
         gens, target = l_shifted_probe(spec, gens, target, args.seed)
     inst = SmpInstance(gens, target)
-    wreath_context(spec)
+    if args.affine is None:
+        wreath_context(spec)
+        solve = solve_smp_wreath
+    else:
+        solve = dispatch
     start = time.perf_counter()
-    verdict = solve_smp_wreath(spec, inst)
+    verdict = solve(spec, inst)
     wall = time.perf_counter() - start
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     witness_ok = verdict.member and check_witness(spec, inst, verdict)
@@ -90,7 +107,7 @@ def main(argv=None) -> int:
         "tuples_materialized": verdict.stats["tuples_materialized"],
         "witness_bytes": (len(dump_json(verdict.witness))
                           if verdict.witness is not None else 0),
-        "witness_ok": witness_ok}))
+        "witness_ok": witness_ok, "affine": args.affine}))
     ok = not verdict.member if args.probe else witness_ok
     return 0 if ok else 1
 

@@ -814,10 +814,32 @@ class AffineOpSpec:
     arity: int
     matrices: tuple          # one (s x s) integer matrix per argument
     constant: tuple          # residue vector
+    scalars: tuple           # per argument, ``endo_scalar`` of its matrix
 
     def scalar(self, i: int) -> int | None:
-        mat = self.matrices[i]
-        return int(mat[0][0]) if len(mat) == 1 else None
+        """The c in 0..m-1 with M_i(x) = c * x for every x, m the exponent,
+        or None: M_i is c * I row by row modulo each cyclic order.  Such an
+        image stays in every Z_m-span holding x, so ``affine_span`` never
+        tests it."""
+        return self.scalars[i]
+
+
+def endo_scalar(group: AbelianGroupSpec, mat) -> int | None:
+    """The c in 0..m-1 with mat = c * I modulo the order of each row's cyclic
+    factor, if there is one (the orders' lcm is m, so it is unique).
+
+    Plain Python on the few entries: ``verify_affine`` calls it once per
+    argument, inside every cold set-up."""
+    orders = group.orders
+    s = len(orders)
+    if s == 1:                  # every endomorphism of Z_m is scalar
+        return mat[0][0] % orders[0]
+    # c = mat[0][0] modulo the first order
+    for c in range(mat[0][0] % orders[0], group.exponent, orders[0]):
+        if all((mat[j][i] - c * (i == j)) % orders[j] == 0
+               for j in range(s) for i in range(s)):
+            return c
+    return None
 
 
 def verify_affine(alg: FiniteAlgebra, group: AbelianGroupSpec):
@@ -858,8 +880,9 @@ def verify_affine(alg: FiniteAlgebra, group: AbelianGroupSpec):
         if len(bad):
             raise NotAffineError(op.symbol, tuple(bad[0].tolist()),
                                  "affine form does not reproduce the table")
-        specs.append(AffineOpSpec(op.symbol, r, tuple(mats),
-                                  tuple(res[const].tolist())))
+        specs.append(AffineOpSpec(
+            op.symbol, r, tuple(mats), tuple(res[const].tolist()),
+            tuple(endo_scalar(group, mat) for mat in mats)))
     return specs
 
 
@@ -940,7 +963,9 @@ def affine_span(alg: FiniteAlgebra, group: AbelianGroupSpec, gens,
     A^k (or one int array, a row per tuple).  The difference set starts
     from gens[j] - gens[0] and closes under the per-argument endomorphisms
     of every operation together with the constant shifts
-    f(base..base) - base.
+    f(base..base) - base.  Each new difference's images are tested against
+    the span only under the non-scalar endomorphisms: a scalar one maps it
+    to c * vec, which the span already holds (``AffineOpSpec.scalar``).
     """
     if not len(gens):
         raise AlgebraError("affine closure needs at least one generator")
@@ -976,8 +1001,10 @@ def affine_span(alg: FiniteAlgebra, group: AbelianGroupSpec, gens,
         val = group.embed_elements([table[x * diagonal]
                                     for x in gens[0].tolist()])
         queue.append(((val - rep.base_flat) % m, node, rep.base_node))
-    # every (operation, argument) endomorphism, in operation-major order
-    slots = [(spec, i) for spec in op_specs for i in range(spec.arity)]
+    # the non-scalar (operation, argument) endomorphisms, in operation-major
+    # order: a scalar image c * vec is in the span as soon as vec is
+    slots = [(spec, i) for spec in op_specs for i in range(spec.arity)
+             if spec.scalar(i) is None]
     endos = np.asarray([spec.matrices[i] for spec, i in slots],
                        dtype=np.int64).reshape(len(slots), group.rank,
                                                group.rank)
@@ -988,6 +1015,8 @@ def affine_span(alg: FiniteAlgebra, group: AbelianGroupSpec, gens,
             continue
         rep.raw.append((vec, plus, minus))
         rep.tuples_materialized += 1
+        if not slots:
+            continue
         images = endo_images(group, endos, vec)
         # all images are tested against the span as it stands now
         for (spec, i), img, known in zip(

@@ -257,16 +257,6 @@ def _companion_keys(spec: WreathSpec, tables, arity: int) -> np.ndarray:
     return group.add_table[tables // p, group.neg_table[shift]] * p + tables % p
 
 
-def _hat_of_table(spec: WreathSpec, table, arity: int) -> tuple:
-    """The u-shift of a term table: its L-part at arguments with l-part zero."""
-    return tuple(_hats(spec, [table], arity)[0].tolist())
-
-
-def _companion_key(spec: WreathSpec, table, arity: int) -> tuple:
-    """The direct-product behaviour of a term table (bucketing key)."""
-    return tuple(_companion_keys(spec, [table], arity)[0].tolist())
-
-
 def _affine_substitutions(p: int, arity: int) -> list:
     """Index remaps of Z_p^arity induced by coefficient rows summing to 1."""
     rows = [a for a in product(range(p), repeat=arity) if sum(a) % p == 1]
@@ -420,13 +410,6 @@ def plane_axes(p: int, n: int) -> list:
         if nz and nz[0] == 1:
             axes.append(full)
     return axes
-
-
-def plane_points(p: int, c) -> list:
-    """The parameterized plane {x(1 - c) + y c}, minus nothing."""
-    n = len(c)
-    return [tuple((x * (1 - ci) + y * ci) % p for ci in c)
-            for x in range(p) for y in range(p)]
 
 
 def classify_row(w, p: int):

@@ -1,8 +1,22 @@
+import importlib.util
+import os
+
 import pytest
 
 from subpower.catalog import a6, a6_shift, w15, zmod_algebra, zmod_group_algebra
 from subpower.comprep import EnumeratedCompactRep, thin_to_compact
 from subpower.core import closure_with_circuits
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def golden_module():
+    """``scripts/golden.py``, loaded as a module."""
+    path = os.path.join(ROOT, "scripts", "golden.py")
+    spec = importlib.util.spec_from_file_location("golden", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def pytest_runtest_logreport(report):

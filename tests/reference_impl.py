@@ -3,8 +3,11 @@ circuit splicing, the echelon, bank evaluation, the recursive s-expression
 reader and writer, the per-row clonoid image, the clonoid image by
 row-by-row elimination, the difference clonoid by row-by-row elimination,
 the stepwise member fold, the elimination generator set of the wreath
-l-part test, and the wreath solve that builds every l-part generator
-before its subgroup test.
+l-part test, the wreath solve that builds every l-part generator before
+its subgroup test, and the affine closure that tests the image of every
+new difference under every endomorphism, scalar ones included.  The
+plane points and the per-table u-shift and companion key, which only the
+tests use, live here too.
 
 These are the straightforward implementations the array code in
 ``subpower.comprep``, ``subpower.affine``, ``subpower.core`` and
@@ -20,15 +23,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from subpower import solver
-from subpower.affine import (AbelianGroupSpec, Echelon, FieldEchelon,
-                             span_over, subgroup_member)
-from subpower.circuits import Circuit, CircuitError, serialize_sexpr
+from subpower.affine import (AbelianGroupSpec, AffineSubpowerRep, Echelon,
+                             FieldEchelon, SplitSpan, endo_images,
+                             prime_factors, span_over, subgroup_member,
+                             verify_affine)
+from subpower.circuits import (Circuit, CircuitBank, CircuitError,
+                               serialize_sexpr)
 from subpower.comprep import maltsev_table
 from subpower.core import (AlgebraError, ClosureCapExceeded,
                            closure_with_circuits)
 from subpower.wreath import (ClonoidGenSet, Diagonal, Plane,
                              _affine_substitutions, _classify_rows,
-                             _remap_embedded, _table_diffs, classify_row)
+                             _companion_keys, _hats, _remap_embedded,
+                             _table_diffs, classify_row)
 
 
 def signature(tuples) -> set:
@@ -848,3 +855,72 @@ def solve_smp_wreath_full(spec, inst, elimination=False):
              "value": list(image.generators[j])}
             for j in range(n_image) if witness_coeffs[j] % m],
     }
+
+
+def affine_span_every_image(alg, group: AbelianGroupSpec, gens,
+                            op_specs=None) -> AffineSubpowerRep:
+    """``affine.affine_span`` testing the image of each new difference under
+    every (operation, argument) endomorphism against the span, the scalar
+    ones included."""
+    gens = group.check_elements(gens)
+    n, k = gens.shape
+    if op_specs is None:
+        op_specs = verify_affine(alg, group)
+    bank = CircuitBank(n)
+    m = group.exponent
+    flats = group.embed_elements(gens)
+    rep = AffineSubpowerRep(
+        alg=alg, group=group, k=k, generators=tuple(map(tuple, gens.tolist())),
+        base_flat=flats[0], base_node=bank.var(1), bank=bank)
+    if math.prod(prime_factors(m)) == m:
+        rep.echelon = SplitSpan(group, k)
+    else:
+        rep.echelon = Echelon(m, k * group.rank)
+    rep.tuples_materialized = n
+    queue = [((flats[j] - rep.base_flat) % m, bank.var(j + 1), bank.var(1))
+             for j in range(1, n)]
+    for spec in op_specs:
+        node = bank.app(spec.symbol, (rep.base_node,) * spec.arity)
+        diagonal = sum(alg.size ** j for j in range(spec.arity))
+        table = alg.op(spec.symbol).table
+        val = group.embed_elements([table[x * diagonal]
+                                    for x in gens[0].tolist()])
+        queue.append(((val - rep.base_flat) % m, node, rep.base_node))
+    slots = [(spec, i) for spec in op_specs for i in range(spec.arity)]
+    endos = np.asarray([spec.matrices[i] for spec, i in slots],
+                       dtype=np.int64).reshape(len(slots), group.rank,
+                                               group.rank)
+    while queue:
+        vec, plus, minus = queue.pop()
+        if not vec.any() or not rep.echelon.extend(vec[None]):
+            continue
+        rep.raw.append((vec, plus, minus))
+        rep.tuples_materialized += 1
+        images = endo_images(group, endos, vec)
+        for (spec, i), img, known in zip(
+                slots, images, rep.echelon.contains_rows(images)):
+            if known:
+                continue
+            up = [rep.base_node] * spec.arity
+            down = [rep.base_node] * spec.arity
+            up[i] = plus
+            down[i] = minus
+            queue.append((img, bank.app(spec.symbol, tuple(up)),
+                          bank.app(spec.symbol, tuple(down))))
+    return rep
+
+
+def plane_points(p: int, c) -> list:
+    """The parameterized plane {x(1 - c) + y c}, minus nothing."""
+    return [tuple((x * (1 - ci) + y * ci) % p for ci in c)
+            for x in range(p) for y in range(p)]
+
+
+def _hat_of_table(spec, table, arity: int) -> tuple:
+    """The u-shift of a term table: its L-part at arguments with l-part zero."""
+    return tuple(_hats(spec, [table], arity)[0].tolist())
+
+
+def _companion_key(spec, table, arity: int) -> tuple:
+    """The direct-product behaviour of a term table (bucketing key)."""
+    return tuple(_companion_keys(spec, [table], arity)[0].tolist())

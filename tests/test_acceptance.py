@@ -15,6 +15,7 @@ from itertools import product
 import pytest
 
 from conftest import expand_subgroup, oracle_rep
+from reference_impl import _companion_key, _hat_of_table, plane_points
 from subpower.affine import affine_span, span_members, verify_affine
 from subpower.catalog import a6, a6_shift, w15, zmod_algebra
 from subpower.comprep import fix_value, signature
@@ -23,8 +24,7 @@ from subpower.core import (ClosureCapExceeded, clone_enumerate, smp_oracle,
 from subpower.instances import random_instance
 from subpower.solver import SmpInstance, check_witness, solve_smp_wreath
 from subpower.wreath import (Plane, classify_row, clonoid_image_comprep,
-                             diff_clonoid_gens, plane_axes, plane_count,
-                             plane_points, _companion_key, _hat_of_table)
+                             diff_clonoid_gens, plane_axes, plane_count)
 
 PASS = "ACCEPTANCE {num} ({name}): PASS ({detail})"
 

@@ -1,33 +1,21 @@
 """Affine verdicts by one tracked reduction, checked against the Mal'tsev
 chain over the compact representation and against the exhaustive oracle."""
 
-import importlib.util
-import os
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import golden_module
 from subpower.affine import affine_closure_comprep
 from subpower.catalog import zmod_group_algebra
 from subpower.comprep import maltsev_chain_member
 from subpower.core import ClosureCapExceeded, smp_oracle
 from subpower.solver import SmpInstance, check_witness, dispatch
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ORACLE_CAP = 20_000
 
-
-def _z2_z4_algebra():
-    """Z_2 x Z_4 with zero 5, from the golden corpus."""
-    path = os.path.join(ROOT, "scripts", "golden.py")
-    spec = importlib.util.spec_from_file_location("golden", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod.z2_z4_algebra()
-
-
 ALGEBRAS = {f"Z_{m}": zmod_group_algebra(m) for m in (2, 4, 6, 12)}
-ALGEBRAS["Z_2 x Z_4, zero 5"] = _z2_z4_algebra()
+# Z_2 x Z_4 with zero 5, from the golden corpus
+ALGEBRAS["Z_2 x Z_4, zero 5"] = golden_module().z2_z4_algebra()
 
 
 @st.composite

@@ -1,22 +1,12 @@
 """Solver outputs on the seeded golden corpus stay byte-identical."""
 
-import importlib.util
 import json
-import os
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def _golden_module():
-    path = os.path.join(ROOT, "scripts", "golden.py")
-    spec = importlib.util.spec_from_file_location("golden", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+from conftest import golden_module
 
 
 def test_golden_outputs_unchanged():
-    golden = _golden_module()
+    golden = golden_module()
     with open(golden.GOLDEN) as fh:
         want = fh.read().splitlines()
     got = golden.render().splitlines()
@@ -27,7 +17,7 @@ def test_golden_outputs_unchanged():
 
 def test_check_names_exactly_the_doctored_field(tmp_path, monkeypatch,
                                                 capsys):
-    golden = _golden_module()
+    golden = golden_module()
     with open(golden.GOLDEN) as fh:
         text = fh.read()
     # the rendered corpus equals the golden file (test above); reuse it
@@ -52,7 +42,7 @@ def test_check_names_exactly_the_doctored_field(tmp_path, monkeypatch,
 
 
 def test_field_diffs_paths():
-    golden = _golden_module()
+    golden = golden_module()
     want = {"a": [1, {"b": 2}], "c": True, "d": 0}
     assert golden._field_diffs(want, want) == []
     got = {"a": [1, {"b": 3}], "c": 1, "e": 0}

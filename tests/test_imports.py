@@ -45,8 +45,7 @@ def test_no_unused_imports(name):
 
 # defined in src/subpower with no reference in src/, scripts/, perfbench/
 # or demos/, and not exported: only tests use them
-UNREFERENCED = {"kernel_partition", "plane_points", "_hat_of_table",
-                "_companion_key", "WreathSpec.l_part", "wreath_to_dict",
+UNREFERENCED = {"kernel_partition", "WreathSpec.l_part", "wreath_to_dict",
                 "comprep_from_dict"}
 
 

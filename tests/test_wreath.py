@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from conftest import expand_subgroup
+from reference_impl import plane_points
 from subpower.affine import AbelianGroupSpec
 from subpower.catalog import _hat_key, a6, random_wreath, zmod_algebra
 from subpower.circuits import parse_sexpr
@@ -11,8 +12,7 @@ from subpower.core import eval_circuit, verify_maltsev
 from subpower.wreath import (ClonoidGenSet, Diagonal, Plane, WreathSpec,
                              WreathSpecError, build_wreath, classify_row,
                              clonoid_image_comprep, companion_eval,
-                             diff_clonoid_gens, plane_axes, plane_count,
-                             plane_points)
+                             diff_clonoid_gens, plane_axes, plane_count)
 
 
 def test_build_wreath_zero_hat_is_direct_product(a6_spec):
