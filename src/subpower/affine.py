@@ -34,8 +34,10 @@ the rows with later pivots generate exactly the subgroup elements
 vanishing on that prefix, which makes kernels, signatures and membership
 witnesses exact.  Canonical rows are unique either way: the reduced
 echelon form over a field, the Howell normal form over Z_m (Howell 1986;
-Storjohann & Mulders, ESA 1998).  One constructor, ``span_over``, picks
-the class by the modulus; no caller chooses it.
+Storjohann & Mulders, ESA 1998), so the class cannot move an output.
+One constructor, ``span_over``, picks it by the modulus, for the affine
+closure, the subgroup test and every wreath echelon alike; no caller
+chooses it.
 
 The affine closure of generator tuples under a verified affine algebra is
 kept in base-plus-differences form.  Every inserted difference remembers a
@@ -257,18 +259,6 @@ def _egcd(a: int, b: int):
 
 def is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
-
-
-def prime_factors(n: int) -> list:
-    """The distinct prime factors of n, ascending."""
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    return out + [n] if n > 1 else out
 
 
 def _unit_scale(a: int, m: int) -> int:
@@ -713,39 +703,6 @@ def span_over(m: int, width: int, track: int | None = None, basis=None):
     return ech
 
 
-class SplitSpan:
-    """Span of embedded L^k vectors over Z_m, m squarefree, kept as one
-    FieldEchelon per prime factor q of m (Z_m is the product of the GF(q)).
-
-    A vector lies in the span iff it does modulo every q, and the span grows
-    iff it grows modulo some q.  Modulo q only the coordinates of cyclic
-    factors of order divisible by q can be nonzero, so each echelon keeps
-    just those columns.
-    """
-
-    def __init__(self, group: AbelianGroupSpec, k: int):
-        self.m = group.exponent
-        self.width = k * group.rank
-        self.parts = []
-        for q in prime_factors(self.m):
-            cols = np.flatnonzero(np.tile(group.mods % q == 0, k))
-            self.parts.append((cols, FieldEchelon(q, len(cols))))
-
-    def extend(self, rows) -> bool:
-        """Add the rows of a matrix as generators; True if the span grew."""
-        w = np.asarray(rows, dtype=np.int64).reshape(len(rows), self.width)
-        # a list, not a generator: every prime part takes the rows
-        return any([ech.extend(w[:, cols]) for cols, ech in self.parts])
-
-    def contains_rows(self, rows) -> np.ndarray:
-        """Whether each row of a matrix lies in the span, as booleans."""
-        w = np.asarray(rows, dtype=np.int64).reshape(len(rows), self.width)
-        known = np.ones(len(w), dtype=bool)
-        for cols, ech in self.parts:
-            known &= ech.contains_rows(w[:, cols])
-        return known
-
-
 def span_witness(ech, rows: np.ndarray, target_v: np.ndarray):
     """Whether the embedded `target_v` lies in the span of the tracked
     echelon `ech`, built from the rows of `rows` in order.
@@ -914,8 +871,7 @@ class AffineSubpowerRep:
     base_node: int
     bank: CircuitBank
     raw: list = field(default_factory=list)   # (flat_vec, plus_node, minus_node)
-    # span of raw: a SplitSpan for squarefree m, else a Howell Echelon
-    echelon: SplitSpan | Echelon | None = None
+    echelon: Echelon | FieldEchelon | None = None   # span of raw
     tuples_materialized: int = 0
     _tracked: Echelon | FieldEchelon | None = None
     _raw_rows: np.ndarray | None = None
@@ -977,16 +933,12 @@ def affine_span(alg: FiniteAlgebra, group: AbelianGroupSpec, gens,
         op_specs = verify_affine(alg, group)
     bank = CircuitBank(n)
     m = group.exponent
-    width = k * group.rank
     flats = group.embed_elements(gens)
 
     rep = AffineSubpowerRep(
         alg=alg, group=group, k=k, generators=tuple(map(tuple, gens.tolist())),
         base_flat=flats[0], base_node=bank.var(1), bank=bank)
-    if math.prod(prime_factors(m)) == m:       # squarefree
-        rep.echelon = SplitSpan(group, k)
-    else:
-        rep.echelon = Echelon(m, width)
+    rep.echelon = span_over(m, k * group.rank)
     rep.tuples_materialized = n
 
     queue: list[tuple[np.ndarray, int, int]] = []

@@ -10,7 +10,8 @@ Two paths:
   components and a subgroup test against the difference-clonoid image.
   These padding rows depend on the generator count n alone, so their
   companion closure is run once per n and cached on the context; a solve
-  evaluates only that closure's leaf nodes on its own k columns.
+  evaluates that closure's leaf nodes on its own k columns once, in the
+  wreath algebra, whose u-parts are the companion's.
   The companion exponent splits by CRT as Z_exp(L) x GF(p), so the fix is
   GF(p) elimination and the l-part a subgroup test mod exp(L).  The fix
   rows with pivot past k give no members: ``solve_smp_wreath`` shows their
@@ -35,7 +36,7 @@ import math
 import numbers
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -156,43 +157,6 @@ def _extended_rows(spec: WreathSpec, gens: np.ndarray) -> np.ndarray:
                       single.reshape(n, -1)])
 
 
-def _companion_span(ctx: WreathContext,
-                    gen_rows: np.ndarray) -> AffineSubpowerRep:
-    """``affine_span`` of the companion on ``_extended_rows(spec, gen_rows)``,
-    from the closure of the padding columns alone, cached per n.
-
-    A difference t(g) - s(g) of companion terms is affine in g, so its first
-    k columns are a linear function of its padding columns (the zero and
-    single-nonzero assignments pin t - s down).  The padding closure
-    therefore makes the same insert and containment decisions, and has the
-    same raw differences, nodes and gates; the first k columns are the
-    values of its base and plus/minus nodes on the generators.  The result
-    carries no echelon, and a copy of the template's bank, so the circuits
-    a witness adds never grow the cached template.
-    """
-    spec = ctx.spec
-    comp, group = spec.companion, spec.companion_group
-    n, k = gen_rows.shape
-    template = ctx.padding_spans.get(n)
-    if template is None:
-        padding = _extended_rows(spec, np.empty((n, 0), dtype=np.int64))
-        template = ctx.padding_spans[n] = affine_span(
-            comp, group, padding, op_specs=ctx.comp_specs)
-    head = group.embed_elements(_leaf_values(comp, template, gen_rows))
-    raw_rows = np.hstack([(head[1::2] - head[2::2]) % group.exponent,
-                          template.raw_rows()])
-    return AffineSubpowerRep(
-        alg=comp, group=group, k=k + template.k,
-        generators=tuple(g + t for g, t in zip(
-            map(tuple, gen_rows.tolist()), template.generators)),
-        base_flat=np.concatenate([head[0], template.base_flat]),
-        base_node=template.base_node, bank=template.bank.copy(),
-        raw=[(row, plus, minus)
-             for row, (_, plus, minus) in zip(raw_rows, template.raw)],
-        tuples_materialized=template.tuples_materialized,
-        _raw_rows=raw_rows)
-
-
 def _leaf_values(alg, rep: AffineSubpowerRep, gen_rows: np.ndarray):
     """Values in `alg` on the generators of the base node, then of each raw
     difference's plus and minus node: a (1 + 2 * len(rep.raw), k) array."""
@@ -206,6 +170,20 @@ def _leaf_values(alg, rep: AffineSubpowerRep, gen_rows: np.ndarray):
 def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
                      want_witness: bool = True) -> SmpVerdict:
     """Polynomial-time membership for the coprime prime-quotient class.
+
+    The companion closure on the extended rows (``_extended_rows``) is
+    never built.  A difference t(g) - s(g) of companion terms is affine in
+    g, so its first k columns are a linear function of its padding columns
+    (the zero and single-nonzero assignments pin t - s down).  The closure
+    of the padding columns alone, cached per n in ``ctx.padding_spans``,
+    therefore makes the same insert and containment decisions, and has the
+    same raw differences, nodes and gates; the first k columns are the
+    values of its base and plus/minus nodes on the generators.  Those are
+    evaluated once, in the wreath algebra.  ``build_wreath`` takes every
+    u-part from the right algebra, so a wreath term and its companion
+    share their u-parts, and the fix reads them as the values mod p.  A
+    witness's circuits go on a copy of the template's bank, so the cached
+    template never grows.
 
     The GF(p) fix gives the raw coefficients x0 of a companion term t_0
     whose u-part agrees with the target on the instance's u-rows
@@ -274,20 +252,30 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
     gen_rows, target = inst_rows[:-1], inst_rows[-1]
     l_b, u_b = np.divmod(target, p)
 
-    rep = _companion_span(ctx, gen_rows)
-    tuples_materialized = rep.tuples_materialized
+    template = ctx.padding_spans.get(n)
+    if template is None:
+        padding = _extended_rows(spec, np.empty((n, 0), dtype=np.int64))
+        template = ctx.padding_spans[n] = affine_span(
+            spec.companion, comp_group, padding, op_specs=ctx.comp_specs)
+    tuples_materialized = template.tuples_materialized
+    alg = spec.algebra
+    leaves = _leaf_values(alg, template, gen_rows)
+    plus, minus = leaves[1::2], leaves[2::2]
 
-    # Z_m splits by CRT as Z_e x GF(p), e = exp(L): in every embedded
-    # coordinate the last entry is the u-part times e, the others lie in
-    # the l-part
+    # the GF(p) fix on the u-parts: the instance's k columns, then the
+    # padding columns.  Z_m splits by CRT as Z_e x GF(p), e = exp(L): in
+    # every embedded padding coordinate the last entry is the u-part
+    # times e
     e = group.exponent
-    nraw = len(rep.raw)
-    k_ext = len(rep.base_flat) // s1
-    u_rows = rep.raw_rows().reshape(nraw, k_ext, s1)[:, :, -1] // e
+    nraw = len(template.raw)
+    k_ext = k + template.k
+    u_rows = np.hstack([
+        (plus - minus) % p,
+        template.raw_rows().reshape(nraw, template.k, s1)[:, :, -1] // e])
     u_ech = span_over(p, k_ext, track=max(nraw, 1))
     u_ech.extend(u_rows)
     u_target = np.zeros(k_ext, dtype=np.int64)
-    u_target[:k] = u_b - rep.base_flat.reshape(-1, s1)[:k, -1] // e
+    u_target[:k] = u_b - leaves[0] % p
     residue, coeffs = u_ech.reduce(u_target)
     stats = {"path": "wreath", "k": k, "n": n}
     if residue[:k].any():
@@ -296,10 +284,7 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
                      elapsed_ms=1000 * (time.perf_counter() - t_start))
         return SmpVerdict(False, None, stats)
     x0_coeffs = coeffs[:nraw]
-    alg = spec.algebra
     table = maltsev_table(alg)
-    leaves = _leaf_values(alg, rep, gen_rows)
-    plus, minus = leaves[1::2], leaves[2::2]
     # t_0 on the original tuples inside the product, step by step
     base = leaves[0]
     for j, c in enumerate(x0_coeffs.tolist()):
@@ -346,6 +331,8 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
     if want_witness:
         # circuits only for t_0 and the generators the witness uses
         values = members.tolist()
+        # on a copy of the template's bank: the cached template never grows
+        rep = replace(template, bank=template.bank.copy())
         base_node = rep.member_node(x0_coeffs)
         gen_coeffs = witness_coeffs[n_image:]
         used = [(j, c, rep.bank.chain(alg.maltsev, base_node,

@@ -23,7 +23,7 @@ import numpy as np
 from .circuits import Circuit
 from .core import (AlgebraError, ClosureCapExceeded, FiniteAlgebra, Operation,
                    closure_with_circuits, element_array, verify_maltsev)
-from .affine import AbelianGroupSpec, Echelon, _frozen, span_over
+from .affine import AbelianGroupSpec, Echelon, FieldEchelon, _frozen, span_over
 
 
 class WreathSpecError(AlgebraError):
@@ -280,7 +280,7 @@ def _remap_embedded(rows: np.ndarray, sub, rank: int) -> np.ndarray:
     return rows[..., idx]
 
 
-def _close_under(ech: Echelon, subs, rank: int) -> None:
+def _close_under(ech: Echelon | FieldEchelon, subs, rank: int) -> None:
     """Extend `ech` by its rows' images under every substitution, round by
     round, until the span stops growing; being linear, they then keep it."""
     grew = True
@@ -334,12 +334,10 @@ def diff_clonoid_gens(spec: WreathSpec, cap: int = 3000) -> ClonoidGenSet:
             alg, projections, cap=cap, truncate=allow_truncate)
         return tuples, truncated
 
-    # Howell echelons for any modulus: on these few short rows a
-    # FieldEchelon's block set-up costs more than it saves.
     # unary part: exact; its only substitution (arity one) is the identity
     s = group.rank
     unary_tables, _ = enumerate_tables(1, allow_truncate=False)
-    u_ech = Echelon(m, p * s)
+    u_ech = span_over(m, p * s)
     u_ech.extend(group.embed_elements(_table_diffs(spec, unary_tables, 1)))
     u_ech.canonicalize()
     unary_span = u_ech.span_size()
@@ -347,7 +345,7 @@ def diff_clonoid_gens(spec: WreathSpec, cap: int = 3000) -> ClonoidGenSet:
 
     # binary part: exact when possible, certified bounded otherwise
     binary_tables, truncated = enumerate_tables(2, allow_truncate=True)
-    b_ech = Echelon(m, p * p * s)
+    b_ech = span_over(m, p * p * s)
     b_ech.extend(group.embed_elements(_table_diffs(spec, binary_tables, 2)))
     # unary members reappear at arity two through composition with the
     # first projection (g(x, y) = g(x)); seeding them helps a bounded run
@@ -369,7 +367,7 @@ def diff_clonoid_gens(spec: WreathSpec, cap: int = 3000) -> ClonoidGenSet:
     head = p * s
     diagonal = np.arange(p) * (p + 1)
     b_rows = b_ech.row_array()
-    aug = Echelon(m, head + p * p * s)
+    aug = span_over(m, head + p * p * s)
     aug.extend(np.hstack([b_rows.reshape(-1, p * p, s)[:, diagonal]
                           .reshape(len(b_rows), head), b_rows]))
     aug.canonicalize()

@@ -24,9 +24,8 @@ import numpy as np
 
 from subpower import solver
 from subpower.affine import (AbelianGroupSpec, AffineSubpowerRep, Echelon,
-                             FieldEchelon, SplitSpan, endo_images,
-                             prime_factors, span_over, subgroup_member,
-                             verify_affine)
+                             FieldEchelon, affine_span, endo_images,
+                             span_over, subgroup_member, verify_affine)
 from subpower.circuits import (Circuit, CircuitBank, CircuitError,
                                serialize_sexpr)
 from subpower.comprep import maltsev_table
@@ -779,8 +778,10 @@ def solve_smp_wreath_full(spec, inst, elimination=False):
     differences.  The generators are the solver's (p further steps of each
     raw difference after the fixed member x0) or, with `elimination`, the
     members x0 + c for the rows c of ``l_part_coeffs``, each the chain
-    ``member_node`` builds.  Returns (member, witness) with the witness
-    built as the solver builds it."""
+    ``member_node`` builds.  The companion closure is a fresh
+    ``affine_span`` on the extended rows, not the solver's cached padding
+    closure.  Returns (member, witness) with the witness built as the
+    solver builds it."""
     ctx = solver.wreath_context(spec)
     group = spec.left_group
     comp_group = spec.companion_group
@@ -791,7 +792,9 @@ def solve_smp_wreath_full(spec, inst, elimination=False):
     gen_rows = np.asarray(inst.generators, dtype=np.int64)
     target = np.asarray(inst.target, dtype=np.int64)
     l_b, u_b = np.divmod(target, p)
-    rep = solver._companion_span(ctx, gen_rows)
+    rep = affine_span(spec.companion, comp_group,
+                      solver._extended_rows(spec, gen_rows),
+                      op_specs=ctx.comp_specs)
     e = group.exponent
     nraw = len(rep.raw)
     k_ext = len(rep.base_flat) // s1
@@ -872,10 +875,7 @@ def affine_span_every_image(alg, group: AbelianGroupSpec, gens,
     rep = AffineSubpowerRep(
         alg=alg, group=group, k=k, generators=tuple(map(tuple, gens.tolist())),
         base_flat=flats[0], base_node=bank.var(1), bank=bank)
-    if math.prod(prime_factors(m)) == m:
-        rep.echelon = SplitSpan(group, k)
-    else:
-        rep.echelon = Echelon(m, k * group.rank)
+    rep.echelon = span_over(m, k * group.rank)
     rep.tuples_materialized = n
     queue = [((flats[j] - rep.base_flat) % m, bank.var(j + 1), bank.var(1))
              for j in range(1, n)]

@@ -65,7 +65,7 @@ SCALAR_MOD_ORDERS = {
 ALGEBRAS = {f"Z_{m}": (lambda m=m: zmod_group_algebra(m)) for m in (12, 9, 6)}
 ALGEBRAS["Z_2 x Z_4, zero 5"] = _z2_z4_algebra
 ALGEBRAS.update(SCALAR_MOD_ORDERS)
-# a non-scalar map over a squarefree exponent, whose span is a SplitSpan
+# a non-scalar map over a prime exponent, whose span is a FieldEchelon
 ALGEBRAS["Z_2 x Z_2, shear"] = lambda: residue_algebra((2, 2), [
     ("s", 1, lambda x: (x[0] + x[1], x[1]))])
 COMPANIONS = {"a6": a6, "w15": w15}

@@ -1,6 +1,6 @@
-"""The fully reduced GF(q) echelon and the factor-split span against the
-sequential Howell echelons: the same span, membership and canonical rows.
-The GF(q) echelon grows only by ``extend``; a one-row block is one step of
+"""The fully reduced GF(q) echelon against the sequential Howell
+echelons: the same span, membership and canonical rows.  The GF(q)
+echelon grows only by ``extend``; a one-row block is one step of
 sequential elimination.  Over a prime exponent ``tracked_echelon`` is a
 GF(q) echelon with the Howell one's canonical rows and coefficients."""
 
@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_impl as ref
-from subpower.affine import (AbelianGroupSpec, Echelon, FieldEchelon,
-                             SplitSpan, affine_span, prime_factors)
+from subpower.affine import Echelon, FieldEchelon, affine_span
 from subpower.catalog import zmod_algebra, zmod_group_algebra
 from subpower.core import AlgebraError
 
@@ -212,51 +211,6 @@ def test_from_basis_and_extend_reject_bad_input():
     with pytest.raises(AlgebraError):
         ech.extend([[1, 0], [0, 1]])
     assert FieldEchelon.from_basis(3, np.zeros((0, 2), np.int64)).rows == []
-
-
-GROUPS = [(6,), (10,), (15,), (30,), (2, 3), (2, 5), (3, 5), (6, 5), (2, 15)]
-
-
-@st.composite
-def split_runs(draw):
-    group = AbelianGroupSpec(draw(st.sampled_from(GROUPS)))
-    k = draw(st.integers(1, 6))
-    m = group.exponent
-    fresh = st.lists(st.integers(0, group.size - 1), min_size=k, max_size=k)\
-        .map(lambda t: group.embed_elements(t).tolist())
-    gens = _vectors(draw, fresh,
-                    lambda u, v, c: [(c * a + b) % m for a, b in zip(u, v)],
-                    draw(st.integers(0, 10)))
-    targets = draw(st.lists(fresh, max_size=3)) + gens[-2:]
-    return group, k, gens, targets
-
-
-@settings(max_examples=300, deadline=None)
-@given(split_runs())
-def test_split_span_matches_howell(run):
-    group, k, gens, targets = run
-    split, howell = SplitSpan(group, k), Echelon(group.exponent, k * group.rank)
-    assert len(split.parts) == len(prime_factors(group.exponent))
-    width = k * group.rank
-    for v in gens:
-        assert split.extend([v]) == howell.extend([v])
-    rows = np.asarray(targets, dtype=np.int64).reshape(len(targets), width)
-    assert split.contains_rows(rows).tolist() == \
-        [howell.contains(t) for t in targets]
-    # a block grows the span iff one of its rows does, taken in order
-    block = np.asarray(gens[::-1], dtype=np.int64).reshape(len(gens), width)
-    split, howell = SplitSpan(group, k), Echelon(group.exponent, width)
-    assert split.extend(block) == howell.extend(block) == \
-        any(map(any, gens))
-    assert split.contains_rows(rows).tolist() == \
-        howell.contains_rows(rows).tolist()
-
-
-def test_prime_factors():
-    assert prime_factors(1) == []
-    assert prime_factors(12) == [2, 3]
-    assert prime_factors(30) == [2, 3, 5]
-    assert prime_factors(49) == [7]
 
 
 @settings(max_examples=60, deadline=None)

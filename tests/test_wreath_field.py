@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 
 import reference_impl as ref
 from subpower.affine import (AbelianGroupSpec, Echelon, FieldEchelon,
-                             subgroup_member)
+                             affine_span, subgroup_member)
 from subpower.catalog import (a6, a6_shift, a6_symmetric, random_wreath, w15,
                               zmod_group_algebra)
 from subpower.core import ClosureCapExceeded, smp_oracle, verify_central
 from subpower.instances import random_instance
-from subpower.solver import (SmpInstance, _companion_span, check_witness,
+from subpower.solver import (SmpInstance, _extended_rows, check_witness,
                              solve_smp_wreath, wreath_context)
 from subpower.wreath import (ClonoidGenSet, _close_under, _group_rows,
                              clonoid_image_comprep, diff_clonoid_gens)
@@ -56,8 +56,8 @@ def test_wreath_verdicts_match_oracle(name, k, n, bias, seed):
 
 def _fix_has_rows_past(spec, gens, k: int) -> bool:
     """Does the GF(p) fix of the instance have a row with pivot past k?"""
-    rep = _companion_span(wreath_context(spec),
-                          np.asarray(gens, dtype=np.int64))
+    rep = affine_span(spec.companion, spec.companion_group,
+                      _extended_rows(spec, np.asarray(gens, dtype=np.int64)))
     u_rows = rep.raw_rows().reshape(len(rep.raw), -1,
                                     spec.companion_group.rank)[:, :, -1]
     ech = FieldEchelon(spec.p, u_rows.shape[1])

@@ -1,8 +1,9 @@
 """The wreath path's per-arity companion closure and its Mal'tsev-chain
 walk: the cached padding closure against a fresh ``affine_span`` on the
 extended rows, the chain walk against the member circuits, constant
-generators with no raw differences, warm contexts that never grow,
-circuits built only for a returned witness, a warm member solve that its
+generators with no raw differences, warm contexts that never grow, one
+evaluation of the closure per solve, circuits built only for a returned
+witness, a warm member solve that its
 clonoid image decides alone, and the open forged-witness gap of
 ``check_witness``."""
 
@@ -24,9 +25,9 @@ from subpower.circuits import CircuitBank
 from subpower.comprep import maltsev_table
 from subpower.core import eval_nodes
 from subpower.instances import random_instance
-from subpower.solver import (SmpInstance, SmpVerdict, WreathContext,
-                             _companion_span, _extended_rows, _leaf_values,
-                             check_witness, solve_smp_wreath, wreath_context)
+from subpower.solver import (SmpInstance, SmpVerdict, _extended_rows,
+                             _leaf_values, check_witness, solve_smp_wreath,
+                             wreath_context)
 
 SPECS = {"a6": a6, "w15": w15}
 SPECS.update({f"random_wreath{args}": (lambda args=args: random_wreath(*args))
@@ -35,12 +36,17 @@ SPECS.update({f"random_wreath{args}": (lambda args=args: random_wreath(*args))
 
 
 @cache
-def span_context(name: str) -> WreathContext:
-    """A context holding just what ``_companion_span`` reads (the clonoid
-    generators are not needed, and w15's take seconds to extract)."""
+def companion_specs(name: str):
+    """The spec and its companion's operation specs (the clonoid generators
+    are not needed, and w15's take seconds to extract)."""
     spec = SPECS[name]()
-    return WreathContext(spec=spec, comp_specs=verify_affine(
-        spec.companion, spec.companion_group), gens=None)
+    return spec, verify_affine(spec.companion, spec.companion_group)
+
+
+def _companion_closure(spec, comp_specs, gen_rows: np.ndarray):
+    """A fresh ``affine_span`` of the companion on the extended rows."""
+    return affine_span(spec.companion, spec.companion_group,
+                       _extended_rows(spec, gen_rows), op_specs=comp_specs)
 
 
 def _instance(spec, k: int, n: int, seed: int, bias: float = 1.0):
@@ -52,56 +58,65 @@ def _instance(spec, k: int, n: int, seed: int, bias: float = 1.0):
 @given(name=st.sampled_from(sorted(SPECS)), k=st.integers(1, 12),
        n=st.integers(1, 6), seed=st.integers(0, 10_000))
 def test_cached_closure_equals_fresh_span(name, k, n, seed):
-    ctx = span_context(name)
-    spec = ctx.spec
+    """The padding closure, as the solve caches it, makes the decisions of
+    the closure on the extended rows; the values of its leaf nodes on the
+    generators are the first k columns, and the wreath algebra's values
+    share their u-parts with the companion's."""
+    spec, comp_specs = companion_specs(name)
+    comp, group = spec.companion, spec.companion_group
     rng = random.Random(seed)
     # constant generators (one value everywhere) often leave no differences
     gen_rows = np.asarray(
         [[rng.randrange(spec.size)] * k if rng.random() < 0.2 else
          [rng.randrange(spec.size) for _ in range(k)] for _ in range(n)],
         dtype=np.int64)
-    got = _companion_span(ctx, gen_rows)
-    want = affine_span(spec.companion, spec.companion_group,
-                       _extended_rows(spec, gen_rows),
-                       op_specs=ctx.comp_specs)
-    assert got.k == want.k and got.generators == want.generators
-    assert np.array_equal(got.base_flat, want.base_flat)
+    got = _companion_closure(spec, comp_specs,
+                             np.empty((n, 0), dtype=np.int64))
+    want = _companion_closure(spec, comp_specs, gen_rows)
+    head = k * group.rank
+    assert want.k == k + got.k
+    assert np.array_equal(want.base_flat[head:], got.base_flat)
     assert got.base_node == want.base_node
-    assert len(got.raw) == len(want.raw)
-    for (gv, gp, gm), (wv, wp, wm) in zip(got.raw, want.raw):
-        assert np.array_equal(gv, wv) and (gp, gm) == (wp, wm)
-    assert np.array_equal(got.raw_rows(), want.raw_rows())
+    assert [(gp, gm) for _, gp, gm in got.raw] == \
+        [(wp, wm) for _, wp, wm in want.raw]
+    assert np.array_equal(want.raw_rows()[:, head:], got.raw_rows())
     assert got.bank.gates == want.bank.gates
     assert got.tuples_materialized == want.tuples_materialized
+    comp_leaves = _leaf_values(comp, got, gen_rows)
+    flat = group.embed_elements(comp_leaves).reshape(len(comp_leaves), head)
+    assert np.array_equal(flat[0], want.base_flat[:head])
+    assert np.array_equal((flat[1::2] - flat[2::2]) % group.exponent,
+                          want.raw_rows()[:, :head])
+    leaves = _leaf_values(spec.algebra, got, gen_rows)
+    assert np.array_equal(leaves % spec.p, comp_leaves % spec.p)
 
     # the chain walk by table lookups against the member circuits, for
     # random coefficient rows
-    m = spec.companion_group.exponent
+    m = group.exponent
     rows = rng.randint(1, 4)
     coeffs = np.asarray([[rng.randrange(m) for _ in got.raw]
                          for _ in range(rows)],
                         dtype=np.int64).reshape(rows, len(got.raw))
-    folded = ref.fold_members_stepwise(
-        maltsev_table(spec.algebra),
-        _leaf_values(spec.algebra, got, gen_rows), coeffs)
+    folded = ref.fold_members_stepwise(maltsev_table(spec.algebra), leaves,
+                                       coeffs)
     nodes = [got.member_node(c) for c in coeffs]
     vals = eval_nodes(spec.algebra, got.bank, nodes, list(gen_rows))
     assert folded.tolist() == [vals[node].tolist() for node in nodes]
 
 
 def test_constant_generators_leave_no_raw_differences():
-    ctx = span_context("a6")
-    zero = ctx.spec.zero
-    rep = _companion_span(ctx, np.full((1, 3), zero, dtype=np.int64))
+    spec, comp_specs = companion_specs("a6")
+    zero = spec.zero
+    gen_rows = np.full((1, 3), zero, dtype=np.int64)
+    rep = _companion_closure(spec, comp_specs, gen_rows)
     assert rep.raw == [] and rep.raw_rows().shape == (0, len(rep.base_flat))
-    alg = ctx.spec.algebra
-    leaves = _leaf_values(alg, rep, np.full((1, 3), zero, dtype=np.int64))
+    alg = spec.algebra
+    leaves = _leaf_values(alg, rep, gen_rows)
     folded = ref.fold_members_stepwise(maltsev_table(alg), leaves,
                                        np.zeros((2, 0), dtype=np.int64))
     assert folded.tolist() == [[zero] * 3] * 2
     # the solve walks no step: its member is the base, and with no l-part
     # generator the full test is the image alone
-    spec = ctx.spec
     gens = ((zero,) * 3,)
     verdict = solve_smp_wreath(spec, SmpInstance(gens, (zero,) * 3))
     assert verdict.member and check_witness(
@@ -144,6 +159,42 @@ def test_warm_context_template_never_grows(member_node_calls):
         assert list(ctx.padding_spans) == [3]
     # witnesses were built on the solves' own banks
     assert members and member_node_calls
+    # the cache holds the padding closure
+    fresh = _companion_closure(spec, ctx.comp_specs,
+                               np.empty((3, 0), dtype=np.int64))
+    assert template.bank.gates == fresh.bank.gates
+    assert np.array_equal(template.raw_rows(), fresh.raw_rows())
+    assert [r[1:] for r in template.raw] == [r[1:] for r in fresh.raw]
+
+
+def test_warm_solve_evaluates_the_closure_once(monkeypatch):
+    """A warm a6 solve evaluates the cached closure's leaf nodes once, in
+    the wreath algebra, whichever stage decides it."""
+    spec = a6()
+    calls = []
+    original = solver.eval_nodes
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    solve_smp_wreath(spec, _instance(spec, 12, 4, 0))    # warms the context
+    monkeypatch.setattr(solver, "eval_nodes", counted)
+    stages = set()
+    for seed in range(6):
+        inst = _instance(spec, 12, 4, seed)
+        target = list(inst.target)
+        l, u = spec.split(target[0])
+        probes = [inst, SmpInstance(inst.generators, [
+            spec.pair(spec.left_group.add(l, 1), u)] + target[1:]),
+                  SmpInstance(inst.generators, [
+            spec.pair(l, (u + 1) % spec.p)] + target[1:])]
+        for probe in probes:
+            calls.clear()
+            verdict = solve_smp_wreath(spec, probe)
+            assert calls == [spec.algebra]
+            stages.add(verdict.stats["decided_by"])
+    assert stages == {"quotient", "image", "full"}
 
 
 def test_circuits_only_for_a_returned_witness(member_node_calls,
