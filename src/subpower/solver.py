@@ -310,8 +310,7 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
         l_gens = np.tile(base, (nraw, 1))
         for _ in range(p):
             l_gens = table[plus, minus, l_gens]
-        # each generator, and its l-difference
-        tuples_materialized += 2 * nraw
+        tuples_materialized += nraw
         members = np.vstack([members, l_gens])
         # differences already in the span are not inserted
         diffs_v = group.embed_elements(group.add_table[l_gens // p, neg_base])
