@@ -59,7 +59,7 @@ from functools import cached_property
 import numpy as np
 
 from .circuits import CircuitBank
-from .core import AlgebraError, FiniteAlgebra, element_array
+from .core import AlgebraError, FiniteAlgebra, element_array, integer
 
 
 class NotAffineError(AlgebraError):
@@ -82,10 +82,12 @@ class AbelianGroupSpec:
     zero: int = 0
 
     def __post_init__(self):
-        if not self.orders or any(m < 1 for m in self.orders):
+        orders = tuple(integer(m, f"cyclic_orders[{i}]")
+                       for i, m in enumerate(self.orders))
+        if not orders or any(m < 1 for m in orders):
             raise AlgebraError("cyclic orders must be positive")
-        orders = tuple(int(m) for m in self.orders)
         object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "zero", integer(self.zero, "zero"))
         size = math.prod(orders)
         if not 0 <= self.zero < size:
             raise AlgebraError("zero element out of range")

@@ -111,6 +111,21 @@ class FiniteAlgebra:
         return f"FiniteAlgebra(|A|={self.size}, ops=[{syms}])"
 
 
+def is_int(value) -> bool:
+    """An integer, numpy's included; a bool is not one."""
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
+
+
+def integer(value, name: str) -> int:
+    """`value` as an int.  Anything but an integer, such as a bool, a float
+    like 3.0 or a string, is refused, not converted: AlgebraError names
+    the field as ``name = value``."""
+    if not is_int(value):
+        raise AlgebraError(f"{name} = {value!r} is not an integer")
+    return int(value)
+
+
 def element_array(entries, size: int, name: str = "elements") -> np.ndarray:
     """`entries` (a tuple, or rows of equal-length tuples) as an int64
     array, every entry an integer in 0..size-1.

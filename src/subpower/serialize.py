@@ -10,7 +10,7 @@ import json
 from .affine import AbelianGroupSpec
 from .circuits import parse_sexpr, serialize_sexpr
 from .comprep import EnumeratedCompactRep
-from .core import AlgebraError, FiniteAlgebra, Operation
+from .core import AlgebraError, FiniteAlgebra, Operation, integer
 from .solver import SmpInstance, SmpVerdict
 from .wreath import WreathSpec
 
@@ -29,16 +29,16 @@ def algebra_to_dict(alg: FiniteAlgebra, group: AbelianGroupSpec | None = None) -
 
 def algebra_from_dict(d: dict):
     try:
-        ops = [Operation(o["symbol"], int(o["arity"]), tuple(o["table"]))
-               for o in d["ops"]]
-        alg = FiniteAlgebra(int(d["domain_size"]), ops,
+        ops = [Operation(o["symbol"], integer(o["arity"], "arity"),
+                         tuple(o["table"])) for o in d["ops"]]
+        alg = FiniteAlgebra(integer(d["domain_size"], "domain_size"), ops,
                             parse_sexpr(d["maltsev"], arity=3))
     except KeyError as e:
         raise AlgebraError(f"algebra object is missing field {e}") from None
     group = None
     if "group" in d:
         group = AbelianGroupSpec(tuple(d["group"]["cyclic_orders"]),
-                                 zero=int(d["group"].get("zero", 0)))
+                                 zero=d["group"].get("zero", 0))
         if group.size != alg.size:
             raise AlgebraError("group size differs from algebra domain")
     return alg, group
@@ -59,7 +59,7 @@ def wreath_from_dict(d: dict) -> WreathSpec:
     if left_group is None:
         raise AlgebraError("wreath spec requires a group on the L part")
     right, _ = algebra_from_dict(d["U"])
-    zero = int(d.get("zero", left_group.zero))
+    zero = integer(d.get("zero", left_group.zero), "zero")
     if zero != left_group.zero:
         raise AlgebraError("wreath zero disagrees with the L group zero")
     hat = {sym: tuple(table) for sym, table in d["hat"].items()}
@@ -80,7 +80,7 @@ def instance_to_dict(inst: SmpInstance) -> dict:
 def instance_from_dict(d: dict) -> SmpInstance:
     inst = SmpInstance(tuple(tuple(g) for g in d["generators"]),
                        tuple(d["target"]))
-    if "k" in d and int(d["k"]) != inst.k:
+    if "k" in d and integer(d["k"], "k") != inst.k:
         raise AlgebraError("declared k disagrees with tuple lengths")
     return inst
 

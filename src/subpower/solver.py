@@ -33,7 +33,6 @@ Two paths:
 from __future__ import annotations
 
 import math
-import numbers
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -47,7 +46,7 @@ from .circuits import parse_sexpr, serialize_sexpr
 from .comprep import EnumeratedCompactRep, maltsev_table, thin_to_compact
 from .core import (AlgebraError, FiniteAlgebra, _check_tuples,
                    _circuit_values, element_array, eval_circuit, eval_nodes,
-                   smp_oracle)
+                   is_int, smp_oracle)
 from .wreath import (ClonoidGenSet, WreathSpec, clonoid_image_comprep,
                      diff_clonoid_gens)
 
@@ -469,11 +468,6 @@ def compute_comprep(algebra_input, generators, *, allow_oracle: bool = False,
     return thin_to_compact(rep)
 
 
-def _is_int(value) -> bool:
-    return type(value) is int or (isinstance(value, numbers.Integral)
-                                  and not isinstance(value, bool))
-
-
 def _witness_row(values, k: int, size: int) -> tuple:
     """A witness value: a list of k integers in 0..size-1."""
     if not isinstance(values, (list, tuple)) or len(values) != k:
@@ -483,13 +477,13 @@ def _witness_row(values, k: int, size: int) -> tuple:
         if not (0 <= min(values) and max(values) < size):
             raise AlgebraError("malformed witness value")
         return tuple(values)
-    if not all(_is_int(v) and 0 <= v < size for v in values):
+    if not all(is_int(v) and 0 <= v < size for v in values):
         raise AlgebraError("malformed witness value")
     return tuple(int(v) for v in values)
 
 
 def _witness_coeff(value) -> int:
-    if not _is_int(value):
+    if not is_int(value):
         raise AlgebraError("witness coefficient is not an integer")
     return int(value)
 

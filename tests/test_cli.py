@@ -112,6 +112,52 @@ def test_solve_refuses_a_float_hat_entry(tmp_path, capsys):
     assert "hat[m][2] = 1.5 is not an integer" in captured.err
 
 
+def _set_domain_size(d, value):
+    d["domain_size"] = value
+
+
+def _set_order(d, value):
+    d["group"]["cyclic_orders"] = [value]
+
+
+def _set_zero(d, value):
+    d["group"]["zero"] = value
+
+
+def _set_arity(d, value):
+    d["ops"][0]["arity"] = value
+
+
+@pytest.mark.parametrize("command, edit, value, field", [
+    ("verify", _set_domain_size, 3.9, "domain_size = 3.9"),
+    ("verify", _set_order, 3.5, "cyclic_orders[0] = 3.5"),
+    ("verify", _set_zero, 1.7, "zero = 1.7"),
+    ("verify", _set_arity, 2.6, "arity = 2.6"),
+    ("verify", _set_domain_size, "3", "domain_size = '3'"),
+    ("solve", None, 2.5, "k = 2.5"),
+], ids=["domain_size", "cyclic_orders", "zero", "arity", "domain_size_str",
+        "k"])
+def test_loaders_refuse_a_non_integer_field(tmp_path, capsys, command, edit,
+                                            value, field):
+    """Each of these used to load truncated (or converted) and pass."""
+    from subpower.catalog import zmod_group_algebra
+    d = algebra_to_dict(*zmod_group_algebra(3))
+    if edit is not None:
+        edit(d, value)
+    path = tmp_path / "z3.json"
+    path.write_text(dump_json(d))
+    argv = [command, "--algebra", str(path)]
+    if command == "solve":
+        inst = tmp_path / "inst.json"
+        inst.write_text(dump_json({"k": value, "generators": [[0, 1]],
+                                   "target": [0, 1]}))
+        argv += ["--instance", str(inst)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{field} is not an integer" in captured.err
+
+
 def test_random_instance_deterministic(a6_file, capsys):
     rc = main(["random-instance", "--algebra", a6_file, "--k", "4",
                "--n", "3", "--seed", "11", "--member-bias", "1.0"])
