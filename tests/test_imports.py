@@ -1,7 +1,8 @@
 """No module of the package imports a name it never uses (``__init__``
-re-exports its imports, so it is left out), and every function, class and
+re-exports its imports, so it is left out), every function, class and
 method it defines is referenced in ``src/``, ``scripts/``, ``perfbench/``
-or ``demos/``, or is exported.  Small ``ast`` and regex passes, since
+or ``demos/``, or is exported, and only ``span_over`` makes an echelon, so
+no caller chooses its class.  Small ``ast`` and regex passes, since
 pyflakes is not a dependency."""
 
 import ast
@@ -95,3 +96,50 @@ def test_every_definition_has_a_caller_or_is_exported():
                for path in sorted((root / folder).rglob("*.py"))]
     assert unreferenced(package, callers, set(subpower.__all__)) \
         == UNREFERENCED
+
+
+# the only functions that may make an echelon: span_over picks the class
+# by the modulus, and from_basis is the seeded constructor it calls
+ECHELON_MAKERS = {"span_over", "FieldEchelon.from_basis"}
+
+
+def echelon_calls(source: str) -> list:
+    """(enclosing function, call) of every ``Echelon(...)``,
+    ``FieldEchelon(...)`` or ``from_basis(...)`` call, the function as a
+    dotted path such as ``Class.method``, or "" at module level."""
+    found = []
+
+    def visit(node, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = (func.id if isinstance(func, ast.Name) else
+                        func.attr if isinstance(func, ast.Attribute) else None)
+                if name in ("Echelon", "FieldEchelon", "from_basis"):
+                    found.append((scope, name))
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_the_scan_finds_echelon_calls():
+    module = ("E = Echelon(2, 3)\n\n\nclass A:\n    def f(self):\n"
+              "        return affine.FieldEchelon(3, 1)\n\n\n"
+              "def span_over(m):\n    def g():\n"
+              "        return FieldEchelon.from_basis(m, [])\n"
+              "    return g(), Echelon(m, 1), EchelonLike(m)\n")
+    assert echelon_calls(module) == [
+        ("", "Echelon"), ("A.f", "FieldEchelon"),
+        ("span_over.g", "from_basis"), ("span_over", "Echelon")]
+
+
+def test_every_echelon_is_made_by_span_over():
+    calls = [(path.name, scope, name) for path in sorted(SRC.glob("*.py"))
+             for scope, name in echelon_calls(path.read_text())]
+    assert calls, "the scan found no echelon constructor at all"
+    assert [c for c in calls if c[1] not in ECHELON_MAKERS] == []
