@@ -7,7 +7,8 @@ algebra to the u-parts.  The difference clonoid collects the functions
 u-vector -> L by which two terms with the same direct-product behaviour may
 differ; its unary part and diagonal-vanishing binary part generate
 everything, and images of tuples under the generated function family reduce
-to plain subgroup generators of L^k.
+to plain subgroup generators of L^k.  Every echelon here, like every
+echelon of the package, is made by ``affine.span_over``.
 """
 
 from __future__ import annotations
