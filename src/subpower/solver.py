@@ -46,7 +46,7 @@ from .circuits import parse_sexpr, serialize_sexpr
 from .comprep import EnumeratedCompactRep, maltsev_table, thin_to_compact
 from .core import (AlgebraError, FiniteAlgebra, _check_tuples,
                    _circuit_values, element_array, eval_circuit, eval_nodes,
-                   is_int, smp_oracle)
+                   integer, is_int, smp_oracle)
 from .wreath import (ClonoidGenSet, WreathSpec, clonoid_image_comprep,
                      diff_clonoid_gens)
 
@@ -482,12 +482,6 @@ def _witness_row(values, k: int, size: int) -> tuple:
     return tuple(int(v) for v in values)
 
 
-def _witness_coeff(value) -> int:
-    if not is_int(value):
-        raise AlgebraError("witness coefficient is not an integer")
-    return int(value)
-
-
 def check_witness(algebra_input, inst: SmpInstance,
                   verdict: SmpVerdict) -> bool:
     """Re-derive the target from a verdict's witness, numerically.
@@ -532,11 +526,11 @@ def _rederive(algebra_input, inst: SmpInstance, w: dict) -> bool:
         base_l = group.embed_elements(base // p)
         acc = base_l.copy()
         for part in w["members"]:
-            coeff = _witness_coeff(part["coeff"]) % m
+            coeff = integer(part["coeff"], "coeff") % m
             acc += coeff * (group.embed_elements(member(part) // p) - base_l)
         clonoid = w["clonoid"]
         if clonoid:
-            coeffs = [_witness_coeff(part["coeff"]) % m for part in clonoid]
+            coeffs = [integer(part["coeff"], "coeff") % m for part in clonoid]
             values = [_witness_row(part["value"], k, group.size)
                       for part in clonoid]
             acc += np.asarray(coeffs) @ group.embed_elements(values)
