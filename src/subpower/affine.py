@@ -39,6 +39,12 @@ One constructor, ``span_over``, picks it by the modulus, for the affine
 closure, the subgroup test and every wreath echelon alike; no caller
 chooses it.
 
+One cache rule: a derived value is a ``functools.cached_property`` of
+the frozen object it derives from (a plain-value helper keeps an
+``lru_cache``).  So ``verify_affine`` checks an algebra over a group once
+and keeps the forms on the algebra, keyed by the group, for every later
+``affine_span``, ``dispatch`` and ``compute_comprep``.
+
 The affine closure of generator tuples under a verified affine algebra is
 kept in base-plus-differences form.  Every inserted difference remembers a
 pair of member circuits realizing it, so arbitrary members can be issued
@@ -59,7 +65,7 @@ from functools import cached_property
 import numpy as np
 
 from .circuits import CircuitBank
-from .core import AlgebraError, FiniteAlgebra, element_array, integer
+from .core import AlgebraError, FiniteAlgebra, _frozen, element_array, integer
 
 
 class NotAffineError(AlgebraError):
@@ -67,11 +73,6 @@ class NotAffineError(AlgebraError):
         super().__init__(f"{message}: {symbol} at {inputs}")
         self.symbol = symbol
         self.inputs = inputs
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True)
@@ -801,14 +802,20 @@ def endo_scalar(group: AbelianGroupSpec, mat) -> int | None:
     return None
 
 
-def verify_affine(alg: FiniteAlgebra, group: AbelianGroupSpec):
-    """Extract per-argument endomorphisms and constants for every operation.
+def verify_affine(alg: FiniteAlgebra, group: AbelianGroupSpec) -> tuple:
+    """Extract per-argument endomorphisms and constants for every operation,
+    one ``AffineOpSpec`` each, in operation order.
 
     Each argument map x -> f(0..x..0) - f(0..0) is checked for additivity
     on all pairs, then the affine form on the whole table, both as array
     comparisons.  Raises NotAffineError at the first operation and input
-    (in table order) where a check fails.
+    (in table order) where a check fails.  The checks run once per algebra
+    and group: the result is kept on the frozen `alg`, keyed by the frozen
+    `group`.  A failure is not kept, and raises again on every call.
     """
+    known = alg._affine_forms.get(group)
+    if known is not None:
+        return known
     if group.size != alg.size:
         raise AlgebraError("group size differs from algebra domain")
     size, zero = group.size, group.zero
@@ -819,7 +826,7 @@ def verify_affine(alg: FiniteAlgebra, group: AbelianGroupSpec):
     specs = []
     for op in alg.ops:
         r = op.arity
-        table = np.asarray(op.table, dtype=np.int64).reshape((size,) * r)
+        table = alg.table(op.symbol).reshape((size,) * r)
         const = int(table[(zero,) * r])
         mats = []
         predicted = np.asarray(const)
@@ -842,6 +849,7 @@ def verify_affine(alg: FiniteAlgebra, group: AbelianGroupSpec):
         specs.append(AffineOpSpec(
             op.symbol, r, tuple(mats), tuple(res[const].tolist()),
             tuple(endo_scalar(group, mat) for mat in mats)))
+    alg._affine_forms[group] = specs = tuple(specs)
     return specs
 
 
@@ -862,7 +870,9 @@ class AffineSubpowerRep:
     """Coset form base + <differences> of an affine subpower, with circuits.
 
     Every retained difference carries a pair of member circuits (plus,
-    minus) whose values differ by exactly that vector.
+    minus) whose values differ by exactly that vector.  ``raw`` is complete
+    when ``affine_span`` returns it; ``raw_rows`` and ``tracked_echelon``
+    are derived from it on first read and kept.
     """
 
     alg: FiniteAlgebra
@@ -875,26 +885,23 @@ class AffineSubpowerRep:
     raw: list = field(default_factory=list)   # (flat_vec, plus_node, minus_node)
     echelon: Echelon | FieldEchelon | None = None   # span of raw
     tuples_materialized: int = 0
-    _tracked: Echelon | FieldEchelon | None = None
-    _raw_rows: np.ndarray | None = None
 
+    @cached_property
     def tracked_echelon(self) -> Echelon | FieldEchelon:
         """Canonical echelon of the differences with raw-combination tracking."""
-        if self._tracked is None:
-            ech = span_over(self.group.exponent, len(self.base_flat),
-                            track=max(len(self.raw), 1))
-            ech.extend(self.raw_rows())
-            ech.canonicalize()
-            self._tracked = ech
-        return self._tracked
+        ech = span_over(self.group.exponent, len(self.base_flat),
+                        track=max(len(self.raw), 1))
+        ech.extend(self.raw_rows)
+        ech.canonicalize()
+        return ech
 
+    @cached_property
     def raw_rows(self) -> np.ndarray:
-        """The raw difference vectors as one (len(raw), width) matrix."""
-        if self._raw_rows is None:
-            self._raw_rows = np.asarray(
-                [vec for vec, _, _ in self.raw],
-                dtype=np.int64).reshape(len(self.raw), len(self.base_flat))
-        return self._raw_rows
+        """The raw difference vectors as one read-only (len(raw), width)
+        matrix."""
+        return _frozen(np.asarray(
+            [vec for vec, _, _ in self.raw],
+            dtype=np.int64).reshape(len(self.raw), len(self.base_flat)))
 
     def member_node(self, raw_coeffs) -> int:
         """Circuit for base + sum coeff_j * raw_j via Mal'tsev chaining:
@@ -910,11 +917,11 @@ class AffineSubpowerRep:
         """Embedded base + sum coeff_j * raw_j (a row per coefficient row)."""
         m = self.group.exponent
         coeffs = np.asarray(raw_coeffs, dtype=np.int64) % m
-        return (self.base_flat + coeffs @ self.raw_rows()) % m
+        return (self.base_flat + coeffs @ self.raw_rows) % m
 
 
-def affine_span(alg: FiniteAlgebra, group: AbelianGroupSpec, gens,
-                op_specs=None) -> AffineSubpowerRep:
+def affine_span(alg: FiniteAlgebra, group: AbelianGroupSpec,
+                gens) -> AffineSubpowerRep:
     """Fixpoint base-plus-differences form of Sg(gens) for affine `alg`.
 
     `group` is the abelian group on single coordinates; gens are tuples in
@@ -931,8 +938,7 @@ def affine_span(alg: FiniteAlgebra, group: AbelianGroupSpec, gens,
     if gens.ndim != 2:
         raise AlgebraError("generators must be tuples of equal length")
     n, k = gens.shape
-    if op_specs is None:
-        op_specs = verify_affine(alg, group)
+    specs = verify_affine(alg, group)
     bank = CircuitBank(n)
     m = group.exponent
     flats = group.embed_elements(gens)
@@ -947,7 +953,7 @@ def affine_span(alg: FiniteAlgebra, group: AbelianGroupSpec, gens,
     for j in range(1, n):
         queue.append(((flats[j] - rep.base_flat) % m,
                       bank.var(j + 1), bank.var(1)))
-    for spec in op_specs:
+    for spec in specs:
         node = bank.app(spec.symbol, (rep.base_node,) * spec.arity)
         # f(x, ..., x) sits at index x * (size^(r-1) + ... + 1) of the table
         diagonal = sum(alg.size ** j for j in range(spec.arity))
@@ -957,7 +963,7 @@ def affine_span(alg: FiniteAlgebra, group: AbelianGroupSpec, gens,
         queue.append(((val - rep.base_flat) % m, node, rep.base_node))
     # the non-scalar (operation, argument) endomorphisms, in operation-major
     # order: a scalar image c * vec is in the span as soon as vec is
-    slots = [(spec, i) for spec in op_specs for i in range(spec.arity)
+    slots = [(spec, i) for spec in specs for i in range(spec.arity)
              if spec.scalar(i) is None]
     endos = np.asarray([spec.matrices[i] for spec, i in slots],
                        dtype=np.int64).reshape(len(slots), group.rank,
@@ -1074,7 +1080,7 @@ def coset_compact_rep(rep: AffineSubpowerRep):
     from .comprep import EnumeratedCompactRep
 
     m = rep.group.exponent
-    ech = rep.tracked_echelon()
+    ech = rep.tracked_echelon
     nraw = len(rep.raw)
     coeffs = np.asarray([c[:nraw] for c in ech.coeffs],
                         dtype=np.int64).reshape(len(ech.rows), nraw)
@@ -1089,8 +1095,6 @@ def coset_compact_rep(rep: AffineSubpowerRep):
         rep.bank)
 
 
-def affine_closure_comprep(alg: FiniteAlgebra, group: AbelianGroupSpec, gens,
-                           op_specs=None):
+def affine_closure_comprep(alg: FiniteAlgebra, group: AbelianGroupSpec, gens):
     """Enumerated compact representation of Sg(gens) for an affine algebra."""
-    rep = affine_span(alg, group, gens, op_specs=op_specs)
-    return coset_compact_rep(rep)
+    return coset_compact_rep(affine_span(alg, group, gens))

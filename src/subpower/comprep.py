@@ -9,7 +9,8 @@ the original generators that re-evaluates to it.
 Signatures, fork witnesses and thinning all come from one vectorized prefix
 walk over the stably sorted tuple array (``_fork_index``): it maps each
 signature triple to its witness pair, and thinning keeps the union of the
-witness pairs.
+witness pairs.  Chains and Fix-Value fold with the frozen algebra's
+``maltsev_table``, tabulated once and kept on it.
 """
 
 from __future__ import annotations
@@ -75,24 +76,9 @@ def signature(tuples) -> set:
     return set(_fork_index(tuples))
 
 
-def maltsev_table(alg: FiniteAlgebra) -> np.ndarray:
-    """The designated Mal'tsev circuit tabulated as an (n, n, n) array."""
-    cached = alg.__dict__.get("_maltsev_table")
-    if cached is not None:
-        return cached
-    n = alg.size
-    grid = np.indices((n, n, n)).reshape(3, -1)
-    bank = CircuitBank(3)
-    node = bank.splice(alg.maltsev, [bank.var(1), bank.var(2), bank.var(3)])
-    vals = eval_nodes(alg, bank, [node], list(grid))[node]
-    table = vals.reshape(n, n, n)
-    alg.__dict__["_maltsev_table"] = table
-    return table
-
-
 def maltsev_fold(alg: FiniteAlgebra, x, y, z) -> tuple:
     """Coordinate-wise application of the Mal'tsev operation."""
-    tab = maltsev_table(alg)
+    tab = alg.maltsev_table
     return tuple(int(v) for v in
                  tab[np.asarray(x), np.asarray(y), np.asarray(z)])
 

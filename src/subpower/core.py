@@ -9,13 +9,21 @@ applied through deduplicated partial applications: the unary map
 vector instead of once per pair (a, b), which keeps desk-scale closures fast
 without changing the result.  One key set (``_KeySet``) records the rows
 seen, and one per ternary symbol its partial maps.
+
+Algebras and operations are frozen, with tables held as tuples and
+read-only arrays, so a value derived from an algebra is kept on it as a
+``functools.cached_property`` (``maltsev_table``, and the affine forms
+``affine.verify_affine`` has checked): it cannot go stale, and is freed
+with the algebra.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import cached_property
 from itertools import product
+from types import MappingProxyType
 
 import numpy as np
 
@@ -34,6 +42,11 @@ class ClosureCapExceeded(RuntimeError):
     def __init__(self, cap: int):
         super().__init__(f"closure exceeded cap of {cap} tuples")
         self.cap = cap
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -57,31 +70,40 @@ class Operation:
                                "whitespace or a parenthesis")
         if self.arity < 0:
             raise AlgebraError(f"{self.symbol}: negative arity")
+        object.__setattr__(self, "table", tuple(self.table))
 
 
+@dataclass(frozen=True, eq=False)
 class FiniteAlgebra:
-    """An algebra on {0..size-1} given by flat row-major operation tables."""
+    """An algebra on {0..size-1} given by flat row-major operation tables,
+    frozen: ``op_by_symbol`` is read-only, and so are the int16 arrays that
+    ``table`` hands to evaluation and closure."""
 
-    def __init__(self, size: int, ops, maltsev: Circuit, check: bool = True):
-        if size < 1:
+    size: int
+    ops: tuple
+    maltsev: Circuit
+    check: InitVar[bool] = True
+
+    def __post_init__(self, check: bool):
+        if self.size < 1:
             raise AlgebraError("domain must be non-empty")
-        self.size = size
-        self.ops = tuple(ops)
-        self.maltsev = maltsev
-        self.op_by_symbol = {}
-        self._np_tables = {}
-        for op in self.ops:
-            if op.symbol in self.op_by_symbol:
+        ops = tuple(self.ops)
+        tables = {}
+        for op in ops:
+            if op.symbol in tables:
                 raise AlgebraError(f"duplicate operation symbol {op.symbol!r}")
-            if len(op.table) != size ** op.arity:
+            if len(op.table) != self.size ** op.arity:
                 raise AlgebraError(
                     f"{op.symbol}: table has {len(op.table)} entries, "
-                    f"expected {size ** op.arity}")
-            self._np_tables[op.symbol] = element_array(
-                op.table, size, f"{op.symbol} table").astype(np.int16)
-            self.op_by_symbol[op.symbol] = op
+                    f"expected {self.size ** op.arity}")
+            tables[op.symbol] = _frozen(element_array(
+                op.table, self.size, f"{op.symbol} table").astype(np.int16))
+        object.__setattr__(self, "ops", ops)
+        object.__setattr__(self, "op_by_symbol",
+                           MappingProxyType({op.symbol: op for op in ops}))
+        object.__setattr__(self, "_np_tables", tables)
         if check:
-            pair = maltsev_counterexample(self, maltsev)
+            pair = maltsev_counterexample(self, self.maltsev)
             if pair is not None:
                 raise AlgebraError(
                     "designated Mal'tsev circuit fails m(y,x,x)=m(x,x,y)=y "
@@ -97,14 +119,34 @@ class FiniteAlgebra:
         self.op(symbol)
         return self._np_tables[symbol]
 
-    def apply(self, symbol: str, args: tuple[int, ...]) -> int:
-        op = self.op(symbol)
-        if len(args) != op.arity:
-            raise AlgebraError(f"{symbol}: expected {op.arity} arguments")
-        idx = 0
-        for a in args:
-            idx = idx * self.size + a
-        return op.table[idx]
+    def apply(self, symbol: str, args) -> int:
+        """The value of `symbol` at `args`: AlgebraError unless they are
+        `arity` integers in 0..size-1 (``element_array``)."""
+        arity = self.op(symbol).arity
+        idx = element_array(args, self.size, f"{symbol} arguments")
+        if idx.shape != (arity,):
+            raise AlgebraError(f"{symbol}: expected {arity} arguments")
+        flat = 0
+        for a in idx.tolist():
+            flat = flat * self.size + a
+        return int(self._np_tables[symbol][flat])
+
+    @cached_property
+    def maltsev_table(self) -> np.ndarray:
+        """The designated Mal'tsev circuit tabulated as a read-only
+        (size, size, size) array."""
+        n = self.size
+        grid = np.indices((n, n, n)).reshape(3, -1)
+        bank = CircuitBank(3)
+        node = bank.splice(self.maltsev, [bank.var(1), bank.var(2), bank.var(3)])
+        vals = eval_nodes(self, bank, [node], list(grid))[node]
+        return _frozen(vals.reshape(n, n, n))
+
+    @cached_property
+    def _affine_forms(self) -> dict:
+        """AbelianGroupSpec -> the operations' affine forms over it, each
+        entered by ``affine.verify_affine`` once its checks have passed."""
+        return {}
 
     def __repr__(self):
         syms = ",".join(f"{op.symbol}/{op.arity}" for op in self.ops)

@@ -1,6 +1,8 @@
 """JSON schemas for algebras, wreath specs, instances, and representations.
 
 All artifacts round-trip: parse(dump(x)) reproduces x field for field.
+A loader refuses a missing field, or one of the wrong JSON type, with an
+AlgebraError that names it.
 """
 
 from __future__ import annotations
@@ -27,18 +29,40 @@ def algebra_to_dict(alg: FiniteAlgebra, group: AbelianGroupSpec | None = None) -
     return d
 
 
-def algebra_from_dict(d: dict):
-    try:
-        ops = [Operation(o["symbol"], integer(o["arity"], "arity"),
-                         tuple(o["table"])) for o in d["ops"]]
-        alg = FiniteAlgebra(integer(d["domain_size"], "domain_size"), ops,
-                            parse_sexpr(d["maltsev"], arity=3))
-    except KeyError as e:
-        raise AlgebraError(f"algebra object is missing field {e}") from None
+def _typed(value, kind: type, name: str):
+    """`value`, refused with AlgebraError, which names it as `name`, unless
+    it is of the JSON type `kind`."""
+    if not isinstance(value, kind):
+        raise AlgebraError(f"{name} = {value!r:.60} is not a {kind.__name__}")
+    return value
+
+
+def _field(d, name: str, where: str, kind: type | None = None):
+    """``d[name]``, refused with AlgebraError unless `d`, the object named
+    `where`, holds the field, of the JSON type `kind` when one is given."""
+    _typed(d, dict, where)
+    if name not in d:
+        raise AlgebraError(f"{where} is missing field {name!r}")
+    value = d[name]
+    return value if kind is None else _typed(value, kind, f"{where}.{name}")
+
+
+def algebra_from_dict(d: dict, where: str = "algebra"):
+    ops = []
+    for i, o in enumerate(_field(d, "ops", where, list)):
+        at = f"{where}.ops[{i}]"
+        ops.append(Operation(_field(o, "symbol", at),
+                             integer(_field(o, "arity", at), "arity"),
+                             tuple(_field(o, "table", at, list))))
+    alg = FiniteAlgebra(integer(_field(d, "domain_size", where), "domain_size"),
+                        ops, parse_sexpr(_field(d, "maltsev", where, str),
+                                         arity=3))
     group = None
     if "group" in d:
-        group = AbelianGroupSpec(tuple(d["group"]["cyclic_orders"]),
-                                 zero=d["group"].get("zero", 0))
+        g = _field(d, "group", where, dict)
+        group = AbelianGroupSpec(
+            tuple(_field(g, "cyclic_orders", f"{where}.group", list)),
+            zero=g.get("zero", 0))
         if group.size != alg.size:
             raise AlgebraError("group size differs from algebra domain")
     return alg, group
@@ -55,16 +79,18 @@ def wreath_to_dict(spec: WreathSpec) -> dict:
 
 
 def wreath_from_dict(d: dict) -> WreathSpec:
-    left, left_group = algebra_from_dict(d["L"])
+    where = "wreath spec"
+    left, left_group = algebra_from_dict(_field(d, "L", where), "L")
     if left_group is None:
         raise AlgebraError("wreath spec requires a group on the L part")
-    right, _ = algebra_from_dict(d["U"])
+    right, _ = algebra_from_dict(_field(d, "U", where), "U")
     zero = integer(d.get("zero", left_group.zero), "zero")
     if zero != left_group.zero:
         raise AlgebraError("wreath zero disagrees with the L group zero")
-    hat = {sym: tuple(table) for sym, table in d["hat"].items()}
-    maltsev = parse_sexpr(d["maltsev"], arity=3) if "maltsev" in d \
-        else left.maltsev
+    hat = {sym: _typed(table, list, f"hat[{sym}]")
+           for sym, table in _field(d, "hat", where, dict).items()}
+    maltsev = parse_sexpr(_field(d, "maltsev", where, str), arity=3) \
+        if "maltsev" in d else left.maltsev
     spec = WreathSpec(left=left, left_group=left_group, right=right,
                       hat=hat, maltsev=maltsev)
     spec.algebra  # assemble now so invalid specs fail at load time
@@ -78,8 +104,11 @@ def instance_to_dict(inst: SmpInstance) -> dict:
 
 
 def instance_from_dict(d: dict) -> SmpInstance:
-    inst = SmpInstance(tuple(tuple(g) for g in d["generators"]),
-                       tuple(d["target"]))
+    gens = _field(d, "generators", "instance", list)
+    inst = SmpInstance(
+        tuple(tuple(_typed(g, list, f"instance.generators[{i}]"))
+              for i, g in enumerate(gens)),
+        tuple(_field(d, "target", "instance", list)))
     if "k" in d and integer(d["k"], "k") != inst.k:
         raise AlgebraError("declared k disagrees with tuple lengths")
     return inst
@@ -117,7 +146,7 @@ def load_algebra_input(path: str):
     """Read an algebra file; returns a WreathSpec or (algebra, group)."""
     with open(path) as fh:
         d = json.load(fh)
-    if "hat" in d:
+    if isinstance(d, dict) and "hat" in d:
         return wreath_from_dict(d)
     return algebra_from_dict(d)
 

@@ -43,7 +43,7 @@ from .affine import (AbelianGroupSpec, AffineSubpowerRep,
                      affine_closure_comprep, affine_span, is_prime, span_over,
                      span_witness, verify_affine)
 from .circuits import parse_sexpr, serialize_sexpr
-from .comprep import EnumeratedCompactRep, maltsev_table, thin_to_compact
+from .comprep import EnumeratedCompactRep, thin_to_compact
 from .core import (AlgebraError, FiniteAlgebra, _check_tuples,
                    _circuit_values, element_array, eval_circuit, eval_nodes,
                    integer, is_int, smp_oracle)
@@ -104,8 +104,6 @@ def _instance_rows(inst: SmpInstance, size: int) -> np.ndarray:
 
 @dataclass
 class WreathContext:
-    spec: WreathSpec
-    comp_specs: list
     gens: ClonoidGenSet
     # n -> the companion's affine_span on the padding columns of
     # _extended_rows, which depend on n alone; filled by the solves
@@ -125,16 +123,17 @@ def validate_prime_quotient_class(spec: WreathSpec) -> None:
 
 
 def wreath_context(spec: WreathSpec) -> WreathContext:
-    ctx = spec.__dict__.get("_solver_context")
-    if ctx is None:
-        validate_prime_quotient_class(spec)
-        # every companion operation is affine, so the companion is abelian
-        # and central: no separate commutator check is needed
-        comp_specs = verify_affine(spec.companion, spec.companion_group)
-        gens = diff_clonoid_gens(spec)
-        ctx = WreathContext(spec=spec, comp_specs=comp_specs, gens=gens)
-        spec.__dict__["_solver_context"] = ctx
-    return ctx
+    """The context of `spec`, built once and kept on it
+    (``WreathSpec.solver_context``)."""
+    return spec.solver_context
+
+
+def _build_context(spec: WreathSpec) -> WreathContext:
+    validate_prime_quotient_class(spec)
+    # every companion operation is affine, so the companion is abelian and
+    # central: no separate commutator check is needed
+    verify_affine(spec.companion, spec.companion_group)
+    return WreathContext(gens=diff_clonoid_gens(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +254,7 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
     if template is None:
         padding = _extended_rows(spec, np.empty((n, 0), dtype=np.int64))
         template = ctx.padding_spans[n] = affine_span(
-            spec.companion, comp_group, padding, op_specs=ctx.comp_specs)
+            spec.companion, comp_group, padding)
     tuples_materialized = template.tuples_materialized
     alg = spec.algebra
     leaves = _leaf_values(alg, template, gen_rows)
@@ -270,7 +269,7 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
     k_ext = k + template.k
     u_rows = np.hstack([
         (plus - minus) % p,
-        template.raw_rows().reshape(nraw, template.k, s1)[:, :, -1] // e])
+        template.raw_rows.reshape(nraw, template.k, s1)[:, :, -1] // e])
     u_ech = span_over(p, k_ext, track=max(nraw, 1))
     u_ech.extend(u_rows)
     u_target = np.zeros(k_ext, dtype=np.int64)
@@ -283,7 +282,7 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
                      elapsed_ms=1000 * (time.perf_counter() - t_start))
         return SmpVerdict(False, None, stats)
     x0_coeffs = coeffs[:nraw]
-    table = maltsev_table(alg)
+    table = alg.maltsev_table
     # t_0 on the original tuples inside the product, step by step
     base = leaves[0]
     for j, c in enumerate(x0_coeffs.tolist()):
@@ -372,13 +371,8 @@ def dispatch(algebra_input, inst: SmpInstance, *, allow_oracle: bool = False,
                     "exponential fallback") from err
             algebra_input = algebra_input.algebra
     alg, group = _as_algebra_group(algebra_input)
-    if group is not None:
-        try:
-            op_specs = verify_affine(alg, group)
-        except AlgebraError:
-            op_specs = None
-        if op_specs is not None:
-            return _solve_affine(alg, group, op_specs, inst, want_witness)
+    if _is_affine(alg, group):
+        return _solve_affine(alg, group, inst, want_witness)
     if not allow_oracle:
         raise UnsupportedAlgebraError(
             "algebra is outside the supported classes; "
@@ -391,6 +385,17 @@ def dispatch(algebra_input, inst: SmpInstance, *, allow_oracle: bool = False,
     stats = {"path": "oracle", "k": inst.k, "n": inst.n,
              "elapsed_ms": 1000 * (time.perf_counter() - t_start)}
     return SmpVerdict(member, None, stats)
+
+
+def _is_affine(alg: FiniteAlgebra, group: AbelianGroupSpec | None) -> bool:
+    """Does ``verify_affine`` accept `alg` over `group` (None: no group)?"""
+    if group is None:
+        return False
+    try:
+        verify_affine(alg, group)
+    except AlgebraError:
+        return False
+    return True
 
 
 def _as_algebra_group(algebra_input):
@@ -408,21 +413,21 @@ def underlying_algebra(algebra_input) -> FiniteAlgebra:
     return _as_algebra_group(algebra_input)[0]
 
 
-def _solve_affine(alg, group, op_specs, inst, want_witness) -> SmpVerdict:
+def _solve_affine(alg, group, inst, want_witness) -> SmpVerdict:
     """Decide whether target - base lies in the span of the differences;
     for a returned witness, one tracked reduction gives its raw
     coefficients and the witness is one Mal'tsev chain over the raw
     differences."""
     t_start = time.perf_counter()
     inst_rows = _instance_rows(inst, alg.size)
-    rep = affine_span(alg, group, inst_rows[:-1], op_specs=op_specs)
+    rep = affine_span(alg, group, inst_rows[:-1])
     diff = (group.embed_elements(inst_rows[-1]) - rep.base_flat) % group.exponent
     member = bool(rep.echelon.contains_rows(diff[None])[0])
     stats = {"path": "affine", "k": inst.k, "n": inst.n,
              "tuples_materialized": rep.tuples_materialized}
     node = None
     if member and want_witness:
-        _, coeffs = rep.tracked_echelon().reduce(diff)
+        _, coeffs = rep.tracked_echelon.reduce(diff)
         node = rep.member_node(coeffs[:len(rep.raw)])
     stats["elapsed_ms"] = 1000 * (time.perf_counter() - t_start)
     witness = None
@@ -450,14 +455,8 @@ def compute_comprep(algebra_input, generators, *, allow_oracle: bool = False,
                 "(--allow-oracle)")
         algebra_input = algebra_input.algebra
     alg, group = _as_algebra_group(algebra_input)
-    if group is not None:
-        try:
-            op_specs = verify_affine(alg, group)
-        except AlgebraError:
-            op_specs = None
-        if op_specs is not None:
-            return affine_closure_comprep(alg, group, generators,
-                                          op_specs=op_specs)
+    if _is_affine(alg, group):
+        return affine_closure_comprep(alg, group, generators)
     if not allow_oracle:
         raise UnsupportedAlgebraError(
             "no polynomial representation path for this algebra; "

@@ -14,7 +14,7 @@ echelon of the package, is made by ``affine.span_over``.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from types import MappingProxyType
@@ -23,8 +23,9 @@ import numpy as np
 
 from .circuits import Circuit
 from .core import (AlgebraError, ClosureCapExceeded, FiniteAlgebra, Operation,
-                   closure_with_circuits, element_array, verify_maltsev)
-from .affine import AbelianGroupSpec, Echelon, FieldEchelon, _frozen, span_over
+                   _frozen, closure_with_circuits, element_array,
+                   verify_maltsev)
+from .affine import AbelianGroupSpec, Echelon, FieldEchelon, span_over
 
 
 class WreathSpecError(AlgebraError):
@@ -35,8 +36,9 @@ class WreathSpecError(AlgebraError):
 class WreathSpec:
     """Affine left part, prime-order right part, and hat shift tables.
 
-    Frozen, and ``hat`` is copied into a read-only mapping of tuples, so
-    the algebra and solver context cached on a spec cannot go stale.
+    Frozen, over frozen algebras, and ``hat`` is copied into a read-only
+    mapping of tuples, so the algebra and solver context cached on a spec
+    cannot go stale.
     """
 
     left: FiniteAlgebra
@@ -82,6 +84,13 @@ class WreathSpec:
         return build_wreath(flat)
 
     @cached_property
+    def solver_context(self):
+        """``solver.wreath_context``: checked and built on first read, and
+        kept; a build that raises is not kept."""
+        from .solver import _build_context
+        return _build_context(self)
+
+    @cached_property
     def companion_group(self) -> AbelianGroupSpec:
         return AbelianGroupSpec(self.left_group.orders + (self.p,),
                                 zero=self.zero)
@@ -111,6 +120,10 @@ def build_wreath(spec: WreathSpec) -> FiniteAlgebra:
         raise WreathSpecError("left and right parts disagree on the language")
     zero_l = group.zero
     p = right.size
+    unknown = sorted(set(spec.hat) - set(left.op_by_symbol))
+    if unknown:
+        raise WreathSpecError(
+            f"hat table for {unknown[0]!r}, which is not in the language")
     for op in left.ops:
         if left.apply(op.symbol, (zero_l,) * op.arity) != zero_l:
             raise WreathSpecError(
@@ -160,19 +173,25 @@ def companion_eval(spec: WreathSpec, circuit: Circuit, args) -> tuple:
 # ---------------------------------------------------------------------------
 # difference clonoid extraction
 
-@dataclass
+@dataclass(frozen=True)
 class ClonoidGenSet:
-    """Generators of the difference clonoid: unary plus diagonal-zero binary."""
+    """Generators of the difference clonoid: unary plus diagonal-zero binary.
+
+    Frozen, with the tables held as tuples, so ``pair_bases`` cannot go
+    stale."""
 
     p: int
     group: AbelianGroupSpec                  # the left group
-    unary: list = field(default_factory=list)    # tables Z_p -> L
-    binary: list = field(default_factory=list)   # tables Z_p^2 -> L
+    unary: tuple = ()             # tables Z_p -> L
+    binary: tuple = ()            # tables Z_p^2 -> L
     exact: bool = True            # full enumeration vs certified bounded run
     unary_span: int = 1
     binary_span: int = 1
 
     def __post_init__(self):
+        for name in ("unary", "binary"):
+            object.__setattr__(self, name,
+                               tuple(map(tuple, getattr(self, name))))
         zero = self.group.zero
         for g in self.binary:
             for x in range(self.p):
@@ -185,7 +204,7 @@ class ClonoidGenSet:
         by the coordinate's pair index x * p + y: for each pair, the
         canonical basis over Z_m (m = exp(L)) of the embedded binary column
         at that pair, zero-padded to an (s, s) block (its rows have distinct
-        pivots), and its row count.
+        pivots), and its row count, as read-only arrays.
         """
         p, group = self.p, self.group
         s = group.rank
@@ -200,7 +219,7 @@ class ClonoidGenSet:
             rows = ech.row_array()
             bases[pair, :len(rows)] = rows
             ranks[pair] = len(rows)
-        return bases, ranks
+        return _frozen(bases), _frozen(ranks)
 
 
 @lru_cache(maxsize=32)
@@ -374,8 +393,8 @@ def diff_clonoid_gens(spec: WreathSpec, cap: int = 3000) -> ClonoidGenSet:
     aug.canonicalize()
     # canonical rows are nonzero, and so is a tail row's tail
     tails = aug.row_array()[aug.tail_rows(head), head:]
-    binary = list(map(tuple, group.unembed_array(tails).tolist()))
-    unary = list(map(tuple, group.unembed_array(u_rows).tolist()))
+    binary = group.unembed_array(tails).tolist()
+    unary = group.unembed_array(u_rows).tolist()
     return ClonoidGenSet(p=p, group=group, unary=unary, binary=binary,
                          exact=not truncated, unary_span=unary_span,
                          binary_span=binary_span)

@@ -28,7 +28,6 @@ from subpower.affine import (AbelianGroupSpec, AffineSubpowerRep, Echelon,
                              span_over, subgroup_member, verify_affine)
 from subpower.circuits import (Circuit, CircuitBank, CircuitError,
                                serialize_sexpr)
-from subpower.comprep import maltsev_table
 from subpower.core import (AlgebraError, ClosureCapExceeded,
                            closure_with_circuits)
 from subpower.wreath import (ClonoidGenSet, Diagonal, Plane,
@@ -163,7 +162,7 @@ def coset_compact_entries(rep) -> list:
     """The (tuple, node) entries of coset_compact_rep, one combination at a
     time; issues member circuits in rep's bank."""
     m = rep.group.exponent
-    ech = rep.tracked_echelon()
+    ech = rep.tracked_echelon
     nraw = len(rep.raw)
     coeffs = np.asarray([c[:nraw] for c in ech.coeffs],
                         dtype=np.int64).reshape(len(ech.rows), nraw)
@@ -793,12 +792,11 @@ def solve_smp_wreath_full(spec, inst, elimination=False):
     target = np.asarray(inst.target, dtype=np.int64)
     l_b, u_b = np.divmod(target, p)
     rep = affine_span(spec.companion, comp_group,
-                      solver._extended_rows(spec, gen_rows),
-                      op_specs=ctx.comp_specs)
+                      solver._extended_rows(spec, gen_rows))
     e = group.exponent
     nraw = len(rep.raw)
     k_ext = len(rep.base_flat) // s1
-    chunks = rep.raw_rows().reshape(nraw, k_ext, s1)
+    chunks = rep.raw_rows.reshape(nraw, k_ext, s1)
     u_ech = FieldEchelon(p, k_ext, track=max(nraw, 1))
     u_ech.extend(chunks[:, :, -1] // e)
     u_target = np.zeros(k_ext, dtype=np.int64)
@@ -808,7 +806,7 @@ def solve_smp_wreath_full(spec, inst, elimination=False):
         return False, None
     x0_coeffs = coeffs[:nraw]
     alg = spec.algebra
-    table = maltsev_table(alg)
+    table = alg.maltsev_table
     leaves = solver._leaf_values(alg, rep, gen_rows)
     base = fold_members_stepwise(table, leaves, x0_coeffs[None])[0]
     base_node = rep.member_node(x0_coeffs)
@@ -860,15 +858,14 @@ def solve_smp_wreath_full(spec, inst, elimination=False):
     }
 
 
-def affine_span_every_image(alg, group: AbelianGroupSpec, gens,
-                            op_specs=None) -> AffineSubpowerRep:
+def affine_span_every_image(alg, group: AbelianGroupSpec,
+                            gens) -> AffineSubpowerRep:
     """``affine.affine_span`` testing the image of each new difference under
     every (operation, argument) endomorphism against the span, the scalar
     ones included."""
     gens = group.check_elements(gens)
     n, k = gens.shape
-    if op_specs is None:
-        op_specs = verify_affine(alg, group)
+    op_specs = verify_affine(alg, group)
     bank = CircuitBank(n)
     m = group.exponent
     flats = group.embed_elements(gens)

@@ -158,6 +158,81 @@ def test_loaders_refuse_a_non_integer_field(tmp_path, capsys, command, edit,
     assert f"{field} is not an integer" in captured.err
 
 
+def _without(d, name):
+    return {key: value for key, value in d.items() if key != name}
+
+
+# (command, file, edit, what the error names): each used to end in a
+# TypeError, KeyError or AttributeError traceback, and the stray hat symbol
+# was ignored, so ``verify`` reported the file as valid
+BAD_SHAPES = {
+    "cyclic_orders_number": (
+        "verify", "algebra",
+        lambda d: {**d, "group": {**d["group"], "cyclic_orders": 3}},
+        "algebra.group.cyclic_orders = 3 is not a list"),
+    "table_number": (
+        "verify", "algebra",
+        lambda d: {**d, "ops": [{**d["ops"][0], "table": 5}] + d["ops"][1:]},
+        "algebra.ops[0].table = 5 is not a list"),
+    "ops_number": ("verify", "algebra", lambda d: {**d, "ops": 5},
+                   "algebra.ops = 5 is not a list"),
+    "group_list": ("verify", "algebra", lambda d: {**d, "group": [3]},
+                   "algebra.group = [3] is not a dict"),
+    "group_without_orders": (
+        "verify", "algebra", lambda d: {**d, "group": {"zero": 0}},
+        "algebra.group is missing field 'cyclic_orders'"),
+    "maltsev_number": ("verify", "algebra", lambda d: {**d, "maltsev": 5},
+                       "algebra.maltsev = 5 is not a str"),
+    "generators_number": ("solve", "instance",
+                          lambda d: {**d, "generators": 5},
+                          "instance.generators = 5 is not a list"),
+    "generator_number": ("solve", "instance",
+                         lambda d: {**d, "generators": [5]},
+                         "instance.generators[0] = 5 is not a list"),
+    "target_number": ("solve", "instance", lambda d: {**d, "target": 3},
+                      "instance.target = 3 is not a list"),
+    "target_missing": ("solve", "instance", lambda d: _without(d, "target"),
+                       "instance is missing field 'target'"),
+    "instance_list": ("solve", "instance", lambda d: [d],
+                      "instance = [{"),
+    "hat_number": ("verify", "wreath", lambda d: {**d, "hat": 5},
+                   "wreath spec.hat = 5 is not a dict"),
+    "L_missing": ("verify", "wreath", lambda d: _without(d, "L"),
+                  "wreath spec is missing field 'L'"),
+    "hat_table_number": ("solve", "wreath", lambda d: {**d, "hat": {"m": 5}},
+                         "hat[m] = 5 is not a list"),
+    "hat_symbol_unknown": (
+        "verify", "wreath",
+        lambda d: {**d, "hat": {**d["hat"], "q": [0] * 8}},
+        "hat table for 'q', which is not in the language"),
+}
+
+
+@pytest.mark.parametrize("command, kind, edit, field",
+                         BAD_SHAPES.values(), ids=BAD_SHAPES.keys())
+def test_loaders_refuse_a_badly_shaped_field(tmp_path, capsys, command, kind,
+                                             edit, field):
+    from subpower.catalog import zmod_group_algebra
+    algebra = (wreath_to_dict(a6()) if kind == "wreath"
+               else algebra_to_dict(*zmod_group_algebra(3)))
+    inst = {"k": 2, "generators": [[0, 1]], "target": [0, 1]}
+    if kind == "instance":
+        inst = edit(inst)
+    else:
+        algebra = edit(algebra)
+    path = tmp_path / "algebra.json"
+    path.write_text(dump_json(algebra))
+    argv = [command, "--algebra", str(path)]
+    if command == "solve":
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(dump_json(inst))
+        argv += ["--instance", str(inst_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert field in captured.err
+
+
 def test_random_instance_deterministic(a6_file, capsys):
     rc = main(["random-instance", "--algebra", a6_file, "--k", "4",
                "--n", "3", "--seed", "11", "--member-bias", "1.0"])

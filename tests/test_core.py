@@ -182,6 +182,21 @@ def test_clone_enumerate_projections_and_circuits(a6_spec):
         assert eval_circuit(alg, circuit, domain) == table
 
 
+@pytest.mark.parametrize("args, fault", [
+    ((0, 3, 0), "m arguments[1] = 3 out of range 0..2"),
+    ((-1, 0, 0), "m arguments[0] = -1 out of range 0..2"),
+    ((1.5, 0, 0), "m arguments[0] = 1.5 is not an integer"),
+    ((0, 0), "m: expected 3 arguments"),
+])
+def test_apply_checks_its_arguments(args, fault):
+    """The first two used to read another entry of the table, the third to
+    raise TypeError."""
+    alg, _ = zmod_group_algebra(3)
+    with pytest.raises(AlgebraError, match=re.escape(fault)):
+        alg.apply("m", args)
+    assert alg.apply("m", (1, 0, 0)) == 1 and alg.apply("zero", ()) == 0
+
+
 def test_verify_maltsev_examples(a6_spec):
     alg, _ = zmod_algebra(3)
     assert verify_maltsev(alg)

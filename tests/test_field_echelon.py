@@ -224,11 +224,11 @@ def test_tracked_echelon_over_a_prime_matches_howell(m, full, k, data):
     gens = data.draw(st.lists(st.tuples(*[st.integers(0, m - 1)] * k),
                               min_size=1, max_size=4))
     rep = affine_span(alg, group, gens)
-    ech = rep.tracked_echelon()
+    ech = rep.tracked_echelon
     assert isinstance(ech, FieldEchelon)
     width = len(rep.base_flat)
     reference = ref.ReferenceEchelon(m, width, max(len(rep.raw), 1))
-    for row in rep.raw_rows():
+    for row in rep.raw_rows:
         reference.insert(row)
     reference.canonicalize()
     assert [r.tolist() for r in ech.rows] == \
@@ -239,7 +239,7 @@ def test_tracked_echelon_over_a_prime_matches_howell(m, full, k, data):
         assert ech.tail_rows(start) == reference.tail_rows(start)
     combo = data.draw(st.lists(st.integers(0, m - 1), min_size=len(rep.raw),
                                max_size=len(rep.raw)))
-    member = np.asarray(combo, dtype=np.int64) @ rep.raw_rows() % m
+    member = np.asarray(combo, dtype=np.int64) @ rep.raw_rows % m
     for t in (member, data.draw(st.lists(st.integers(0, m - 1),
                                          min_size=width, max_size=width))):
         residue, coeffs = ech.reduce(t)

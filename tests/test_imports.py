@@ -1,9 +1,10 @@
 """No module of the package imports a name it never uses (``__init__``
 re-exports its imports, so it is left out), every function, class and
 method it defines is referenced in ``src/``, ``scripts/``, ``perfbench/``
-or ``demos/``, or is exported, and only ``span_over`` makes an echelon, so
-no caller chooses its class.  Small ``ast`` and regex passes, since
-pyflakes is not a dependency."""
+or ``demos/``, or is exported, only ``span_over`` makes an echelon, so
+no caller chooses its class, and no code reaches into an object's
+``__dict__``: a derived value is a ``functools.cached_property``.  Small
+``ast`` and regex passes, since pyflakes is not a dependency."""
 
 import ast
 import re
@@ -143,3 +144,25 @@ def test_every_echelon_is_made_by_span_over():
              for scope, name in echelon_calls(path.read_text())]
     assert calls, "the scan found no echelon constructor at all"
     assert [c for c in calls if c[1] not in ECHELON_MAKERS] == []
+
+
+def dict_accesses(source: str) -> list:
+    """Line numbers of every ``__dict__`` in the code: an attribute, such
+    as ``obj.__dict__``, or a bare name."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if (isinstance(node, ast.Attribute) and node.attr == "__dict__")
+            or (isinstance(node, ast.Name) and node.id == "__dict__")]
+
+
+def test_the_scan_finds_dict_accesses():
+    module = ('"""Mentions __dict__ in a docstring."""\n'
+              "x = spec.__dict__.get('a')\n"
+              "def f(self):\n    self.__dict__['b'] = 1\n"
+              "    return type(self).__dict__, __dict__\n")
+    assert sorted(dict_accesses(module)) == [2, 4, 5, 5]
+
+
+def test_no_code_touches_dict():
+    found = [(path.name, line) for path in sorted(SRC.glob("*.py"))
+             for line in dict_accesses(path.read_text())]
+    assert found == []

@@ -123,17 +123,31 @@ def test_diff_clonoid_zero_hat_empty(a6_spec):
     flat = WreathSpec(left=left, left_group=left_group, right=right,
                       hat={"m": (0,) * 8}, maltsev=parse_sexpr("(m x1 x2 x3)"))
     gens = diff_clonoid_gens(flat)
-    assert gens.unary == [] and gens.binary == []
+    assert gens.unary == () and gens.binary == ()
 
 
 def test_diff_clonoid_a6(a6_spec):
     gens = diff_clonoid_gens(a6_spec)
     assert gens.exact
-    assert gens.unary == []
+    assert gens.unary == ()
     assert len(gens.binary) == 1
     g = gens.binary[0]
     assert g[0 * 2 + 1] != 0
     assert all(g[x * 2 + x] == 0 for x in range(2))
+
+
+def test_clonoid_generators_are_frozen(a6_spec):
+    """``pair_bases`` is kept on the generator set, so the set and the
+    bases refuse writes."""
+    gens = diff_clonoid_gens(a6_spec)
+    bases, ranks = gens.pair_bases
+    with pytest.raises(AttributeError):
+        gens.binary.append((0, 1, 2, 0))
+    with pytest.raises(AttributeError):
+        gens.binary = ()
+    with pytest.raises(ValueError):
+        bases[0, 0, 0] = 1
+    assert len(gens.binary) == 1 and gens.pair_bases[0] is bases
 
 
 def test_diff_clonoid_shifted_unary(a6e_spec):

@@ -58,7 +58,7 @@ def _fix_has_rows_past(spec, gens, k: int) -> bool:
     """Does the GF(p) fix of the instance have a row with pivot past k?"""
     rep = affine_span(spec.companion, spec.companion_group,
                       _extended_rows(spec, np.asarray(gens, dtype=np.int64)))
-    u_rows = rep.raw_rows().reshape(len(rep.raw), -1,
+    u_rows = rep.raw_rows.reshape(len(rep.raw), -1,
                                     spec.companion_group.rank)[:, :, -1]
     ech = FieldEchelon(spec.p, u_rows.shape[1])
     ech.extend(u_rows // spec.left_group.exponent)

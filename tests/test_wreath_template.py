@@ -18,11 +18,9 @@ from hypothesis import strategies as st
 
 import reference_impl as ref
 from subpower import solver
-from subpower.affine import (AffineSubpowerRep, FieldEchelon, affine_span,
-                             verify_affine)
+from subpower.affine import AffineSubpowerRep, FieldEchelon, affine_span
 from subpower.catalog import a6, random_wreath, w15
 from subpower.circuits import CircuitBank
-from subpower.comprep import maltsev_table
 from subpower.core import eval_nodes
 from subpower.instances import random_instance
 from subpower.solver import (SmpInstance, SmpVerdict, _extended_rows,
@@ -36,17 +34,17 @@ SPECS.update({f"random_wreath{args}": (lambda args=args: random_wreath(*args))
 
 
 @cache
-def companion_specs(name: str):
-    """The spec and its companion's operation specs (the clonoid generators
-    are not needed, and w15's take seconds to extract)."""
-    spec = SPECS[name]()
-    return spec, verify_affine(spec.companion, spec.companion_group)
+def companion_spec(name: str):
+    """The spec, whose companion keeps its verified affine form across
+    examples (the clonoid generators are not needed, and w15's take
+    seconds to extract)."""
+    return SPECS[name]()
 
 
-def _companion_closure(spec, comp_specs, gen_rows: np.ndarray):
+def _companion_closure(spec, gen_rows: np.ndarray):
     """A fresh ``affine_span`` of the companion on the extended rows."""
     return affine_span(spec.companion, spec.companion_group,
-                       _extended_rows(spec, gen_rows), op_specs=comp_specs)
+                       _extended_rows(spec, gen_rows))
 
 
 def _instance(spec, k: int, n: int, seed: int, bias: float = 1.0):
@@ -62,7 +60,7 @@ def test_cached_closure_equals_fresh_span(name, k, n, seed):
     the closure on the extended rows; the values of its leaf nodes on the
     generators are the first k columns, and the wreath algebra's values
     share their u-parts with the companion's."""
-    spec, comp_specs = companion_specs(name)
+    spec = companion_spec(name)
     comp, group = spec.companion, spec.companion_group
     rng = random.Random(seed)
     # constant generators (one value everywhere) often leave no differences
@@ -70,23 +68,22 @@ def test_cached_closure_equals_fresh_span(name, k, n, seed):
         [[rng.randrange(spec.size)] * k if rng.random() < 0.2 else
          [rng.randrange(spec.size) for _ in range(k)] for _ in range(n)],
         dtype=np.int64)
-    got = _companion_closure(spec, comp_specs,
-                             np.empty((n, 0), dtype=np.int64))
-    want = _companion_closure(spec, comp_specs, gen_rows)
+    got = _companion_closure(spec, np.empty((n, 0), dtype=np.int64))
+    want = _companion_closure(spec, gen_rows)
     head = k * group.rank
     assert want.k == k + got.k
     assert np.array_equal(want.base_flat[head:], got.base_flat)
     assert got.base_node == want.base_node
     assert [(gp, gm) for _, gp, gm in got.raw] == \
         [(wp, wm) for _, wp, wm in want.raw]
-    assert np.array_equal(want.raw_rows()[:, head:], got.raw_rows())
+    assert np.array_equal(want.raw_rows[:, head:], got.raw_rows)
     assert got.bank.gates == want.bank.gates
     assert got.tuples_materialized == want.tuples_materialized
     comp_leaves = _leaf_values(comp, got, gen_rows)
     flat = group.embed_elements(comp_leaves).reshape(len(comp_leaves), head)
     assert np.array_equal(flat[0], want.base_flat[:head])
     assert np.array_equal((flat[1::2] - flat[2::2]) % group.exponent,
-                          want.raw_rows()[:, :head])
+                          want.raw_rows[:, :head])
     leaves = _leaf_values(spec.algebra, got, gen_rows)
     assert np.array_equal(leaves % spec.p, comp_leaves % spec.p)
 
@@ -97,7 +94,7 @@ def test_cached_closure_equals_fresh_span(name, k, n, seed):
     coeffs = np.asarray([[rng.randrange(m) for _ in got.raw]
                          for _ in range(rows)],
                         dtype=np.int64).reshape(rows, len(got.raw))
-    folded = ref.fold_members_stepwise(maltsev_table(spec.algebra), leaves,
+    folded = ref.fold_members_stepwise(spec.algebra.maltsev_table, leaves,
                                        coeffs)
     nodes = [got.member_node(c) for c in coeffs]
     vals = eval_nodes(spec.algebra, got.bank, nodes, list(gen_rows))
@@ -105,14 +102,14 @@ def test_cached_closure_equals_fresh_span(name, k, n, seed):
 
 
 def test_constant_generators_leave_no_raw_differences():
-    spec, comp_specs = companion_specs("a6")
+    spec = companion_spec("a6")
     zero = spec.zero
     gen_rows = np.full((1, 3), zero, dtype=np.int64)
-    rep = _companion_closure(spec, comp_specs, gen_rows)
-    assert rep.raw == [] and rep.raw_rows().shape == (0, len(rep.base_flat))
+    rep = _companion_closure(spec, gen_rows)
+    assert rep.raw == [] and rep.raw_rows.shape == (0, len(rep.base_flat))
     alg = spec.algebra
     leaves = _leaf_values(alg, rep, gen_rows)
-    folded = ref.fold_members_stepwise(maltsev_table(alg), leaves,
+    folded = ref.fold_members_stepwise(alg.maltsev_table, leaves,
                                        np.zeros((2, 0), dtype=np.int64))
     assert folded.tolist() == [[zero] * 3] * 2
     # the solve walks no step: its member is the base, and with no l-part
@@ -160,10 +157,9 @@ def test_warm_context_template_never_grows(member_node_calls):
     # witnesses were built on the solves' own banks
     assert members and member_node_calls
     # the cache holds the padding closure
-    fresh = _companion_closure(spec, ctx.comp_specs,
-                               np.empty((3, 0), dtype=np.int64))
+    fresh = _companion_closure(spec, np.empty((3, 0), dtype=np.int64))
     assert template.bank.gates == fresh.bank.gates
-    assert np.array_equal(template.raw_rows(), fresh.raw_rows())
+    assert np.array_equal(template.raw_rows, fresh.raw_rows)
     assert [r[1:] for r in template.raw] == [r[1:] for r in fresh.raw]
 
 
