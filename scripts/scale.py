@@ -14,6 +14,8 @@ With ``--affine M`` the algebra is ``zmod_group_algebra(M)`` instead, the
 instance ``random_instance`` of it with the same arguments, a member, and
 the timed call is ``dispatch`` with its witness: the affine path, whose
 check of the operations (``verify_affine``) is part of the timed solve.
+With ``--affine M --probe`` coordinate i is copied to coordinate j in the
+same way and 1 is added to the target at j, a non-member of Z_M.
 One JSON line goes to stdout:
 
 * ``wall_s``: wall seconds of the solve, witness included;
@@ -26,6 +28,7 @@ One JSON line goes to stdout:
     python3 scripts/scale.py --k 1600 --n 80 --seed 7
     python3 scripts/scale.py --probe --k 1600 --n 80 --seed 7
     python3 scripts/scale.py --affine 12 --k 800 --n 80 --seed 7
+    python3 scripts/scale.py --affine 12 --probe --k 800 --n 80 --seed 7
 
 Exits 0 when the verdict is a member with an accepted witness, or with
 ``--probe`` a non-member; else 1.  Run from the root of a checkout;
@@ -53,16 +56,21 @@ from subpower.solver import (SmpInstance, check_witness,  # noqa: E402
                              dispatch, solve_smp_wreath, wreath_context)
 
 
-def l_shifted_probe(spec, gens: list, target: list, seed: int):
+def shifted_probe(spec, gens: list, target: list, seed: int):
     """Copy coordinate i to coordinate j in every generator and the target,
-    then shift the target's l-part at j: a non-member (see above)."""
+    then shift the target at j: its l-part for a6, itself by 1 for Z_M.
+    A non-member (see above)."""
     rng = random.Random(seed)
     i, j = rng.sample(range(len(target)), 2)
     gens = [g[:j] + [g[i]] + g[j + 1:] for g in gens]
     target = target[:j] + [target[i]] + target[j + 1:]
-    l, u = spec.split(target[j])
-    shift = rng.randrange(1, spec.left.size)
-    target[j] = spec.pair(spec.left_group.add(l, shift), u)
+    if isinstance(spec, tuple):
+        _, group = spec
+        target[j] = group.add(target[j], group.elem([1]))
+    else:
+        l, u = spec.split(target[j])
+        shift = rng.randrange(1, spec.left.size)
+        target[j] = spec.pair(spec.left_group.add(l, shift), u)
     return gens, target
 
 
@@ -72,22 +80,20 @@ def main(argv=None) -> int:
     parser.add_argument("--n", type=int, default=80)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--probe", action="store_true",
-                        help="solve the l-shifted probe, a non-member")
+                        help="solve the shifted probe, a non-member")
     parser.add_argument("--affine", type=int, metavar="M",
-                        help="solve a member over Z_M with the group "
-                             "signature, through dispatch")
+                        help="solve over Z_M with the group signature, "
+                             "through dispatch")
     args = parser.parse_args(argv)
     if args.probe and args.k < 2:
         parser.error("--probe needs --k of at least 2")
-    if args.probe and args.affine is not None:
-        parser.error("--probe applies to a6 only")
     if args.affine is not None and args.affine < 2:
         parser.error("--affine needs M of at least 2")
     spec = a6() if args.affine is None else zmod_group_algebra(args.affine)
     d = random_instance(spec, args.k, args.n, 1.0, seed=args.seed)
     gens, target = d["generators"], d["target"]
     if args.probe:
-        gens, target = l_shifted_probe(spec, gens, target, args.seed)
+        gens, target = shifted_probe(spec, gens, target, args.seed)
     inst = SmpInstance(gens, target)
     if args.affine is None:
         wreath_context(spec)

@@ -264,6 +264,18 @@ def is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
+def prime_length(n: int) -> int:
+    """The number of prime factors of n counted with multiplicity: the
+    composition length of a group of order n."""
+    count, d = 0, 2
+    while d * d <= n:
+        while n % d == 0:
+            n //= d
+            count += 1
+        d += 1
+    return count + (n > 1)
+
+
 def _unit_scale(a: int, m: int) -> int:
     """A unit u mod m with u*a == gcd(a, m) mod m."""
     d = math.gcd(a, m)
@@ -305,11 +317,16 @@ class Echelon:
         self._div: list[tuple[int, int, int]] = []
         self._order: list[int] | None = None  # sorted pivot columns
 
-    def _vector(self, v) -> np.ndarray:
-        w = np.asarray(v, dtype=np.int64)
-        if w.shape != (self.width,):
+    def _vector(self, v, extra: int = 0) -> np.ndarray:
+        """v mod m as a new array, followed by `extra` zeros."""
+        v = np.asarray(v, dtype=np.int64)
+        if v.shape != (self.width,):
             raise AlgebraError("vector width mismatch")
-        return w % self.m
+        if not extra:
+            return v % self.m
+        w = np.zeros(self.width + extra, dtype=np.int64)
+        np.remainder(v, self.m, out=w[:self.width])
+        return w
 
     def _set_row(self, ridx: int, col: int, aug: np.ndarray) -> None:
         m, width = self.m, self.width
@@ -337,12 +354,11 @@ class Echelon:
     def insert(self, v) -> bool:
         """Add a generator; returns True when the span grew."""
         m, width = self.m, self.width
-        w = self._vector(v)
+        w = self._vector(v, self.track or 0)
         if self.track is not None:
             # followed by the unit coefficient row of its generator slot
             if self._gen_count >= self.track:
                 raise AlgebraError("more generators than the tracking width")
-            w = np.concatenate([w, np.zeros(self.track, dtype=np.int64)])
             w[width + self._gen_count] = 1
         self._gen_count += 1
         pivots, augs, divs = self.pivots, self._aug, self._div
@@ -365,7 +381,8 @@ class Echelon:
                 d, mp, inv = divs[ridx]
                 b = int(w[col])
                 if b % d == 0:
-                    w = w - (b // d) * inv % mp * p
+                    # w is not stored yet: a stored row is never written
+                    np.subtract(w, (b // d) * inv % mp * p, out=w)
                     np.remainder(w, m, out=w)
                 else:
                     a = int(p[col])
@@ -408,12 +425,11 @@ class Echelon:
 
     def reduce(self, v) -> tuple[np.ndarray, np.ndarray | None]:
         """Residue of v modulo the span, plus combination coefficients."""
-        w = self._vector(v)
+        w = self._vector(v, self.track or 0)
         if self.track is None:
             return self._eliminate(w, self.rows, strict=False), None
         # the coefficient part accumulates minus the combination
-        w = self._eliminate(np.concatenate([w, np.zeros(self.track, np.int64)]),
-                            self._aug, strict=False)
+        w = self._eliminate(w, self._aug, strict=False)
         return w[:self.width], (-w[self.width:]) % self.m
 
     def contains(self, v) -> bool:
@@ -450,6 +466,15 @@ class Echelon:
         for ridx, (col, row) in enumerate(zip(order, aug)):
             self._set_row(ridx, col, row)
         self.pivots = {c: i for i, c in enumerate(order)}
+
+    def trim_tracking(self, track: int) -> None:
+        """Keep the first `track` coefficient columns, those of the
+        generators so far: a later slot has written nothing."""
+        if self._gen_count > track:
+            raise AlgebraError("more generators than the tracking width")
+        self.track = track
+        self._aug = [aug[:self.width + track] for aug in self._aug]
+        self.coeffs = [aug[self.width:] for aug in self._aug]
 
     def row_array(self) -> np.ndarray:
         """The rows as one (rank, width) array."""
@@ -678,6 +703,15 @@ class FieldEchelon:
         self._cols[:] = self._cols[order]
         self._free = None
 
+    def trim_tracking(self, track: int) -> None:
+        """Keep the first `track` coefficient columns, those of the
+        generators so far: a later slot has written nothing."""
+        if self._gen_count > track:
+            raise AlgebraError("more generators than the tracking width")
+        self.track = track
+        self._buf = self._buf[:, :self.width + track].copy()
+        self._free = None
+
     def row_array(self) -> np.ndarray:
         """The rows as one (rank, width) array, a copy."""
         return self._aug[:, :self.width].copy()
@@ -871,8 +905,10 @@ class AffineSubpowerRep:
 
     Every retained difference carries a pair of member circuits (plus,
     minus) whose values differ by exactly that vector.  ``raw`` is complete
-    when ``affine_span`` returns it; ``raw_rows`` and ``tracked_echelon``
-    are derived from it on first read and kept.
+    when ``affine_span`` returns it, and so is ``echelon``, the span of
+    ``raw`` eliminated once and tracked from the start: raw difference j
+    in generator slot j.  ``raw_rows`` and ``tracked_echelon`` are derived
+    from them on first read and kept.
     """
 
     alg: FiniteAlgebra
@@ -883,15 +919,18 @@ class AffineSubpowerRep:
     base_node: int
     bank: CircuitBank
     raw: list = field(default_factory=list)   # (flat_vec, plus_node, minus_node)
-    echelon: Echelon | FieldEchelon | None = None   # span of raw
+    echelon: Echelon | FieldEchelon | None = None   # tracked span of raw
     tuples_materialized: int = 0
 
     @cached_property
     def tracked_echelon(self) -> Echelon | FieldEchelon:
-        """Canonical echelon of the differences with raw-combination tracking."""
-        ech = span_over(self.group.exponent, len(self.base_flat),
-                        track=max(len(self.raw), 1))
-        ech.extend(self.raw_rows)
+        """Canonical echelon of the differences with raw-combination
+        tracking: ``echelon`` itself, its tracking trimmed to the raw slots,
+        canonicalized, with no second elimination.  A vector that did not
+        grow the span wrote nothing into a stored row, so these are the
+        rows and coefficients of eliminating ``raw_rows`` alone, in order."""
+        ech = self.echelon
+        ech.trim_tracking(max(len(self.raw), 1))
         ech.canonicalize()
         return ech
 
@@ -931,6 +970,14 @@ def affine_span(alg: FiniteAlgebra, group: AbelianGroupSpec,
     f(base..base) - base.  Each new difference's images are tested against
     the span only under the non-scalar endomorphisms: a scalar one maps it
     to c * vec, which the span already holds (``AffineOpSpec.scalar``).
+
+    The span is tracked from the start.  A vector that does not grow it
+    writes nothing into a stored row and gives its generator slot back,
+    so raw difference j holds slot j.  Without a non-scalar map the queue
+    never grows, and its n - 1 + len(ops) vectors bound the slots; else
+    each raw difference strictly enlarges a subgroup of L^k, so there are
+    at most k * Omega(|L|) of them (``prime_length``), plus the slot of
+    one vector under test.
     """
     if not len(gens):
         raise AlgebraError("affine closure needs at least one generator")
@@ -946,21 +993,18 @@ def affine_span(alg: FiniteAlgebra, group: AbelianGroupSpec,
     rep = AffineSubpowerRep(
         alg=alg, group=group, k=k, generators=tuple(map(tuple, gens.tolist())),
         base_flat=flats[0], base_node=bank.var(1), bank=bank)
-    rep.echelon = span_over(m, k * group.rank)
     rep.tuples_materialized = n
 
-    queue: list[tuple[np.ndarray, int, int]] = []
-    for j in range(1, n):
-        queue.append(((flats[j] - rep.base_flat) % m,
-                      bank.var(j + 1), bank.var(1)))
+    base = rep.base_flat
+    queue: list[tuple[np.ndarray, int, int]] = [
+        (vec, bank.var(j + 2), bank.var(1))
+        for j, vec in enumerate((flats[1:] - base) % m)]
     for spec in specs:
         node = bank.app(spec.symbol, (rep.base_node,) * spec.arity)
         # f(x, ..., x) sits at index x * (size^(r-1) + ... + 1) of the table
         diagonal = sum(alg.size ** j for j in range(spec.arity))
-        table = alg.op(spec.symbol).table
-        val = group.embed_elements([table[x * diagonal]
-                                    for x in gens[0].tolist()])
-        queue.append(((val - rep.base_flat) % m, node, rep.base_node))
+        val = group.embedded[alg.table(spec.symbol)[gens[0] * diagonal]]
+        queue.append(((val.reshape(-1) - base) % m, node, rep.base_node))
     # the non-scalar (operation, argument) endomorphisms, in operation-major
     # order: a scalar image c * vec is in the span as soon as vec is
     slots = [(spec, i) for spec in specs for i in range(spec.arity)
@@ -968,10 +1012,19 @@ def affine_span(alg: FiniteAlgebra, group: AbelianGroupSpec,
     endos = np.asarray([spec.matrices[i] for spec, i in slots],
                        dtype=np.int64).reshape(len(slots), group.rank,
                                                group.rank)
+    track = k * prime_length(group.size) + 1
+    if not slots:
+        track = min(track, len(queue))
+    ech = rep.echelon = span_over(m, k * group.rank, max(track, 1))
 
     while queue:
         vec, plus, minus = queue.pop()
-        if not vec.any() or not rep.echelon.extend(vec[None]):
+        if not vec.any():
+            continue
+        if not ech.extend(vec[None]):
+            # it wrote nothing into a stored row: give its slot back, so
+            # that raw difference j keeps slot j
+            ech._gen_count -= 1
             continue
         rep.raw.append((vec, plus, minus))
         rep.tuples_materialized += 1
@@ -980,7 +1033,7 @@ def affine_span(alg: FiniteAlgebra, group: AbelianGroupSpec,
         images = endo_images(group, endos, vec)
         # all images are tested against the span as it stands now
         for (spec, i), img, known in zip(
-                slots, images, rep.echelon.contains_rows(images)):
+                slots, images, ech.contains_rows(images)):
             if known:
                 continue
             up = [rep.base_node] * spec.arity

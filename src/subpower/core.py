@@ -12,7 +12,8 @@ seen, and one per ternary symbol its partial maps.
 
 Algebras and operations are frozen, with tables held as tuples and
 read-only arrays, so a value derived from an algebra is kept on it as a
-``functools.cached_property`` (``maltsev_table``, and the affine forms
+``functools.cached_property`` (``maltsev_table``, the ternary
+operations' ``_partial_maps``, and the affine forms
 ``affine.verify_affine`` has checked): it cannot go stale, and is freed
 with the algebra.
 """
@@ -141,6 +142,21 @@ class FiniteAlgebra:
         node = bank.splice(self.maltsev, [bank.var(1), bank.var(2), bank.var(3)])
         vals = eval_nodes(self, bank, [node], list(grid))[node]
         return _frozen(vals.reshape(n, n, n))
+
+    @cached_property
+    def _partial_maps(self) -> MappingProxyType:
+        """Per ternary symbol, read-only: the index of the map
+        z -> f(a, b, z) of each pair (a, b), at a * size + b, and the
+        distinct maps, one row each."""
+        q = self.size
+        maps = {}
+        for op in self.ops:
+            if op.arity == 3:
+                cube = self._np_tables[op.symbol].reshape(q * q, q)
+                umaps, fid = np.unique(cube, axis=0, return_inverse=True)
+                maps[op.symbol] = (_frozen(fid.astype(np.int64)),
+                                   _frozen(umaps))
+        return MappingProxyType(maps)
 
     @cached_property
     def _affine_forms(self) -> dict:
@@ -471,13 +487,9 @@ class _Closure:
         # pair (a, b), the distinct maps, and the key set of the registered
         # per-coordinate map vectors; map_vecs, map_rep and map_done hold
         # each vector, its rows (a, b) and how many rows it has been applied to
-        self.tern: dict[str, tuple] = {}
-        for op in alg.ops:
-            if op.arity == 3:
-                cube = np.asarray(op.table, dtype=np.int16).reshape(q * q, q)
-                umaps, fid = np.unique(cube, axis=0, return_inverse=True)
-                self.tern[op.symbol] = (fid.astype(np.int64), umaps,
-                                        _KeySet(len(umaps), self.k))
+        self.tern: dict[str, tuple] = {
+            symbol: (fid, umaps, _KeySet(len(umaps), self.k))
+            for symbol, (fid, umaps) in alg._partial_maps.items()}
         self.map_vecs: dict[str, list[np.ndarray]] = {s: [] for s in self.tern}
         self.map_rep: dict[str, list[tuple[int, int]]] = {s: [] for s in self.tern}
         self.map_done: dict[str, list[int]] = {s: [] for s in self.tern}

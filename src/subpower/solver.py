@@ -414,8 +414,9 @@ def underlying_algebra(algebra_input) -> FiniteAlgebra:
 
 
 def _solve_affine(alg, group, inst, want_witness) -> SmpVerdict:
-    """Decide whether target - base lies in the span of the differences;
-    for a returned witness, one tracked reduction gives its raw
+    """Decide whether target - base lies in the span of the differences,
+    which ``affine_span`` eliminates once, tracked from the start; for a
+    returned witness, one reduction by that span gives its raw
     coefficients and the witness is one Mal'tsev chain over the raw
     differences."""
     t_start = time.perf_counter()

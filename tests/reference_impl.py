@@ -25,7 +25,8 @@ import numpy as np
 from subpower import solver
 from subpower.affine import (AbelianGroupSpec, AffineSubpowerRep, Echelon,
                              FieldEchelon, affine_span, endo_images,
-                             span_over, subgroup_member, verify_affine)
+                             prime_length, span_over, subgroup_member,
+                             verify_affine)
 from subpower.circuits import (Circuit, CircuitBank, CircuitError,
                                serialize_sexpr)
 from subpower.core import (AlgebraError, ClosureCapExceeded,
@@ -862,7 +863,10 @@ def affine_span_every_image(alg, group: AbelianGroupSpec,
                             gens) -> AffineSubpowerRep:
     """``affine.affine_span`` testing the image of each new difference under
     every (operation, argument) endomorphism against the span, the scalar
-    ones included."""
+    ones included.  Its span is tracked from the start in the same way:
+    a vector that does not grow it gives its generator slot back, and the
+    k * Omega(|L|) raw differences a subgroup chain of L^k allows, plus the
+    vector under test, bound the slots."""
     gens = group.check_elements(gens)
     n, k = gens.shape
     op_specs = verify_affine(alg, group)
@@ -872,7 +876,8 @@ def affine_span_every_image(alg, group: AbelianGroupSpec,
     rep = AffineSubpowerRep(
         alg=alg, group=group, k=k, generators=tuple(map(tuple, gens.tolist())),
         base_flat=flats[0], base_node=bank.var(1), bank=bank)
-    rep.echelon = span_over(m, k * group.rank)
+    rep.echelon = span_over(m, k * group.rank,
+                            k * prime_length(group.size) + 1)
     rep.tuples_materialized = n
     queue = [((flats[j] - rep.base_flat) % m, bank.var(j + 1), bank.var(1))
              for j in range(1, n)]
@@ -889,7 +894,10 @@ def affine_span_every_image(alg, group: AbelianGroupSpec,
                                                group.rank)
     while queue:
         vec, plus, minus = queue.pop()
-        if not vec.any() or not rep.echelon.extend(vec[None]):
+        if not vec.any():
+            continue
+        if not rep.echelon.extend(vec[None]):
+            rep.echelon._gen_count -= 1
             continue
         rep.raw.append((vec, plus, minus))
         rep.tuples_materialized += 1

@@ -1,8 +1,8 @@
 """Frozen algebras and the values kept on them: an algebra, its operations
-and its tables refuse writes, so ``maltsev_table``, the affine forms of
-``verify_affine`` and a spec's solver context cannot go stale; the affine
-checks run once per algebra and group; and a context is freed with its
-spec."""
+and its tables refuse writes, so ``maltsev_table``, the closure's partial
+maps, the affine forms of ``verify_affine`` and a spec's solver context
+cannot go stale; the affine checks run once per algebra and group; and a
+context is freed with its spec."""
 
 import gc
 import weakref
@@ -10,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
-from subpower import affine
+from subpower import affine, core
 from subpower.affine import AbelianGroupSpec, verify_affine
 from subpower.catalog import a6, zmod_group_algebra
 from subpower.circuits import parse_sexpr
@@ -54,6 +54,22 @@ def test_maltsev_table_cannot_go_stale():
     with pytest.raises(ValueError):
         table[1, 2, 0] = 0
     assert alg.maltsev_table is table and table[1, 2, 0] == 2
+
+
+def test_closures_share_the_partial_maps_kept_on_the_algebra():
+    alg, _ = zmod_group_algebra(4)
+    maps = alg._partial_maps
+    fid, umaps = maps["m"]
+    # m(a, b, z) = a - b + z: one map z -> z + c for each c
+    assert list(maps) == ["m"] and len(fid) == 16 and umaps.shape == (4, 4)
+    for track in (False, True):
+        closure = core._Closure(alg, [(0, 1), (1, 3)], 100, track)
+        assert closure.tern["m"][0] is fid and closure.tern["m"][1] is umaps
+    with pytest.raises(ValueError):
+        umaps[0, 0] = 1
+    with pytest.raises(TypeError):
+        maps["m"] = (fid, umaps)
+    assert alg._partial_maps is maps
 
 
 def test_wreath_parts_refuse_assignment():

@@ -1,6 +1,6 @@
 """``scripts/scale.py``: one seeded a6 solve, a member or with ``--probe``
-an l-shifted non-member, or with ``--affine M`` a Z_M member, reported as
-JSON."""
+an l-shifted non-member, or with ``--affine M`` a Z_M member or with
+``--probe`` a shifted Z_M non-member, reported as JSON."""
 
 import json
 import os
@@ -43,3 +43,10 @@ def test_scale_affine_member_at_k_100():
     assert result["probe"] is False and result["affine"] == 12
     assert result["member"] is True and result["witness_ok"] is True
     assert result["witness_bytes"] > 0
+
+
+def test_scale_affine_probe_at_k_100():
+    result = _scale("--affine", "12", "--probe")
+    assert result["probe"] is True and result["affine"] == 12
+    assert result["member"] is False and result["witness_ok"] is False
+    assert result["witness_bytes"] == 0
