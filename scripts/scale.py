@@ -23,6 +23,12 @@ One JSON line goes to stdout:
 * ``tuples_materialized``: from the verdict's stats;
 * ``witness_bytes``: length of the witness as compact JSON;
 * ``witness_ok``: the ``check_witness`` result (false with no witness);
+* ``clonoid_parts``, ``member_parts``: the wreath witness's clonoid and
+  member parts (0 with no witness, and on the affine path);
+* ``serialize_s``: wall seconds of writing the verdict as compact JSON
+  (``verdict_to_dict`` and ``dump_json``);
+* ``check_s``: wall seconds of the ``check_witness`` call (0 with no
+  witness);
 * ``affine``: M, or null for a6.
 
     python3 scripts/scale.py --k 1600 --n 80 --seed 7
@@ -51,7 +57,7 @@ if os.path.join(ROOT, "src") not in sys.path:
 
 from subpower.catalog import a6, zmod_group_algebra  # noqa: E402
 from subpower.instances import random_instance  # noqa: E402
-from subpower.serialize import dump_json  # noqa: E402
+from subpower.serialize import dump_json, verdict_to_dict  # noqa: E402
 from subpower.solver import (SmpInstance, check_witness,  # noqa: E402
                              dispatch, solve_smp_wreath, wreath_context)
 
@@ -104,7 +110,13 @@ def main(argv=None) -> int:
     verdict = solve(spec, inst)
     wall = time.perf_counter() - start
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    start = time.perf_counter()
+    dump_json(verdict_to_dict(verdict))
+    serialize_s = time.perf_counter() - start
+    start = time.perf_counter()
     witness_ok = verdict.member and check_witness(spec, inst, verdict)
+    check_s = time.perf_counter() - start
+    witness = verdict.witness or {}
     print(json.dumps({
         "k": args.k, "n": args.n, "seed": args.seed, "probe": args.probe,
         "member": verdict.member,
@@ -113,7 +125,12 @@ def main(argv=None) -> int:
         "tuples_materialized": verdict.stats["tuples_materialized"],
         "witness_bytes": (len(dump_json(verdict.witness))
                           if verdict.witness is not None else 0),
-        "witness_ok": witness_ok, "affine": args.affine}))
+        "witness_ok": witness_ok,
+        "clonoid_parts": len(witness.get("clonoid", ())),
+        "member_parts": len(witness.get("members", ())),
+        "serialize_s": round(serialize_s, 4),
+        "check_s": round(check_s, 4) if verdict.member else 0,
+        "affine": args.affine}))
     ok = not verdict.member if args.probe else witness_ok
     return 0 if ok else 1
 

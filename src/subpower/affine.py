@@ -298,7 +298,12 @@ class Echelon:
     step is one fused update; ``rows`` and ``coeffs`` are lists of views
     into the augmented rows.  A stored array is never written after it is
     made (a replaced or canonicalized row is a new array), so row lists
-    handed out stay valid while more vectors are inserted.
+    handed out stay valid while more vectors are inserted.  The tracked
+    coefficient rows depend on the order of elimination when the inserted
+    rows are not Z_m-free: the raw differences of the golden
+    ``z2_z4_zero5`` compact representation (seed 65), eliminated in
+    reverse order, give the same canonical rows but change 6 of its 8
+    circuits.
     """
 
     def __init__(self, m: int, width: int, track: int | None = None):

@@ -19,12 +19,14 @@ Two paths:
   member is one Mal'tsev chain, walked by table lookups, and each l-part
   generator takes p further steps of one raw difference; their circuits
   are built only for a returned witness.  The subgroup test starts from
-  the clonoid image's canonical basis, which reads the rows of each
-  coordinate alone in its plane from a per-pair table rather than
-  eliminating them.  The target is reduced against that basis first: when
-  the image reaches it from the fixed member, it is a member, and no l-part
-  generator is built.  Otherwise the generators are walked, and only their
-  differences outside the span so far are inserted into the same echelon.
+  the clonoid image, held by plane: the rows of each coordinate alone in
+  its plane come from a per-pair table, and each plane with several
+  coordinates is eliminated on its own columns.  The target is reduced
+  against the image block by block first: when the image reaches it from
+  the fixed member, it is a member, and no l-part generator is built.
+  Otherwise the generators are walked and their differences reduced the
+  same way, and a dense echelon runs only on the residues and the rows of
+  the planes they touch.
 * ``dispatch``: affine algebras go through elimination, coprime
   prime-quotient wreath products through the wreath path, and anything else
   falls back to the exhaustive oracle (opt-in).
@@ -157,12 +159,15 @@ def _extended_rows(spec: WreathSpec, gens: np.ndarray) -> np.ndarray:
 
 def _leaf_values(alg, rep: AffineSubpowerRep, gen_rows: np.ndarray):
     """Values in `alg` on the generators of the base node, then of each raw
-    difference's plus and minus node: a (1 + 2 * len(rep.raw), k) array."""
+    difference's plus and minus node: a (1 + 2 * len(rep.raw), k) array of
+    the narrowest signed integer type that holds the elements, so that the
+    differences of two rows fit too."""
     nodes = [rep.base_node]
     for _, plus, minus in rep.raw:
         nodes += [plus, minus]
     vals = eval_nodes(alg, rep.bank, nodes, list(gen_rows))
-    return np.asarray([vals[node] for node in nodes])
+    return np.asarray([vals[node] for node in nodes],
+                      dtype=np.min_scalar_type(-alg.size))
 
 
 def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
@@ -220,18 +225,36 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
       hat_{t_a}(u_g) - hat_r(u_g) = l(t_a(g)) - l(r(g)), so that
       difference lies in the clonoid image.
 
-    The subgroup test runs image first.  The l-difference w of the target
-    and t_0 is reduced against the image's echelon before any l-part
-    generator exists.  A zero residue makes the target a member, with the
-    base and image parts as its witness; a nonzero one decides nothing,
-    since the generators' differences enlarge the span, so the generators
-    are built and their differences inserted.  For prime e the witness is
-    the one the full test gives.  The image basis is fully reduced: row
-    b_i has 1 at its pivot column c_i, and every other row 0 there.  So w,
-    lying in its span, is sum_i w[c_i] b_i.  The full test inserts only
-    member differences outside the span so far, so its rows are
-    independent and w has one combination of them: 0 on every member row,
-    and w[c_i] on image row i.
+    The subgroup test runs image first, on the image held by plane
+    (``ClonoidImage``): a direct sum of canonical blocks on disjoint
+    columns, one per plane and one dense block for the unary emissions.
+    The l-difference w of the target and t_0 is reduced against it block
+    by block, one gather and one batched product per row slot, before any
+    l-part generator exists; a block's Howell reduction is exact, so the
+    residue is zero exactly when w lies in the image.  A zero residue
+    makes the target a member, with the base and image parts as its
+    witness.  A nonzero one decides nothing, since the generators'
+    differences enlarge the span, so the generators are built and their
+    differences reduced the same way.  If every difference residue is
+    zero, the differences lie in the image and the target is not a member.
+    Otherwise a tracked echelon runs on the residues only, after the rows
+    of the blocks that some residue touches: w lies in the image plus the
+    differences exactly when its residue lies in that span, because a
+    block no residue touches takes no part in a combination of them (its
+    columns are zero in every residue and in every other block).  The
+    coefficients of the differences, taken from that echelon, leave x = w
+    minus their combination in the image, and the clonoid parts are x's
+    coefficients on the image's canonical rows; only the rows with a
+    nonzero coefficient are built.
+
+    For prime e the witness is the one a dense test gives: the image's
+    canonical rows, then the member differences outside the span so far.
+    Those rows are independent, so w has one combination of them.  The
+    residues over GF(e) are a linear projection with kernel the image, so
+    the differences that grow the span are the same in both tests, and
+    their coefficients are unique.  The image's canonical rows are fully
+    reduced, row b_i 1 at its pivot column c_i and every other row 0
+    there, so x = sum_i x[c_i] b_i.
 
     ``stats["decided_by"]`` names the stage that gave the verdict:
     ``"quotient"`` (the GF(p) fix rejects), ``"image"`` (the image reaches
@@ -275,6 +298,8 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
     u_target = np.zeros(k_ext, dtype=np.int64)
     u_target[:k] = u_b - leaves[0] % p
     residue, coeffs = u_ech.reduce(u_target)
+    # released, so that what follows allocates beside less
+    del u_ech, u_rows
     stats = {"path": "wreath", "k": k, "n": n}
     if residue[:k].any():
         stats.update(decided_by="quotient",
@@ -291,33 +316,37 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
     members = base[None]
     tuples_materialized += 1
 
-    image = clonoid_image_comprep(ctx.gens, (gen_rows % p).tolist())
+    image = clonoid_image_comprep(ctx.gens, gen_rows)
     tuples_materialized += image.tuples_materialized
 
-    # the image's canonical rows seed the test; a target they reach is
-    # decided before any l-part generator is built
+    # the target's l-difference modulo the image; a target the image
+    # reaches is decided before any l-part generator is built
     neg_base = group.neg_table[base // p]
     target_v = group.embed_elements(group.add_table[l_b, neg_base])
-    n_image = len(image.basis)
-    ech = span_over(e, len(target_v), track=max(n_image + nraw, 1),
-                    basis=image.basis)
-    ok, witness_coeffs = span_witness(ech, image.basis, target_v)
+    residue = image.residues(target_v[None])
+    ok = not residue.any()
     stats["decided_by"] = "image" if ok else "full"
+    gen_coeffs = np.zeros(nraw, dtype=np.int64)
     if not ok:
         # the l-part generators: p further steps of each difference
-        l_gens = np.tile(base, (nraw, 1))
+        members = np.tile(base, (1 + nraw, 1))
         for _ in range(p):
-            l_gens = table[plus, minus, l_gens]
+            members[1:] = table[plus, minus, members[1:]]
         tuples_materialized += nraw
-        members = np.vstack([members, l_gens])
-        # differences already in the span are not inserted
-        diffs_v = group.embed_elements(group.add_table[l_gens // p, neg_base])
-        ech.extend(diffs_v)
-        ok, witness_coeffs = span_witness(
-            ech, np.vstack([image.basis, diffs_v]), target_v)
-    # the echelon is the largest array of a solve; the witness needs none
-    # of it
-    del ech
+        diffs_v = group.embed_elements(
+            group.add_table[members[1:] // p, neg_base])
+        diff_residues = image.residues(diffs_v)
+        # differences inside the image leave its span as it is, and the
+        # target is outside it
+        if diff_residues.any():
+            rows = np.vstack([image.touched_rows(np.vstack(
+                [residue, diff_residues])), diff_residues])
+            ech = span_over(e, len(target_v), track=len(rows))
+            ech.extend(rows)
+            ok, combo = span_witness(ech, rows, residue[0])
+        if ok:
+            gen_coeffs = np.asarray(combo[len(rows) - nraw:], dtype=np.int64)
+            target_v = (target_v - gen_coeffs @ diffs_v) % e
     if (members % p != u_b).any():
         raise AssertionError("fixed member has wrong quotient components")
     stats["tuples_materialized"] = tuples_materialized
@@ -331,12 +360,9 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
         # on a copy of the template's bank: the cached template never grows
         rep = replace(template, bank=template.bank.copy())
         base_node = rep.member_node(x0_coeffs)
-        gen_coeffs = witness_coeffs[n_image:]
         used = [(j, c, rep.bank.chain(alg.maltsev, base_node,
                                       [rep.raw[j][1:]] * p, 2))
-                for j, c in enumerate(gen_coeffs) if c % m]
-        # only the image rows the witness uses are unembedded
-        rows = [j for j in range(n_image) if witness_coeffs[j] % m]
+                for j, c in enumerate(gen_coeffs.tolist()) if c]
         witness = {
             "path": "wreath",
             "base": {"value": values[0],
@@ -345,12 +371,26 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
                 {"coeff": c, "value": values[1 + j],
                  "circuit": serialize_sexpr(rep.bank.extract(node))}
                 for j, c, node in used],
-            "clonoid": [
-                {"coeff": witness_coeffs[j], "value": value}
-                for j, value in zip(rows, group.unembed_array(
-                    image.basis[rows]).tolist())],
+            "clonoid": _clonoid_parts(image, target_v),
         }
     return SmpVerdict(True, witness, stats)
+
+
+def _clonoid_parts(image, x: np.ndarray) -> list:
+    """The witness parts of `x`, an element of the clonoid image: the
+    canonical rows with a nonzero coefficient, in pivot order, with their
+    coefficients.  Only those rows are built, and they are checked to give
+    `x`."""
+    group = image.group
+    residue, coeffs = image.coefficients(x)
+    used = np.flatnonzero(coeffs)
+    coeffs = coeffs[used]
+    rows = image.canonical_rows(used)
+    if residue.any() or not np.array_equal(coeffs @ rows % group.exponent,
+                                           x):
+        raise AssertionError("witness verification failed")
+    return [{"coeff": c, "value": value} for c, value in
+            zip(coeffs.tolist(), group.unembed_array(rows).tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,12 @@ algebra to the u-parts.  The difference clonoid collects the functions
 u-vector -> L by which two terms with the same direct-product behaviour may
 differ; its unary part and diagonal-vanishing binary part generate
 everything, and images of tuples under the generated function family reduce
-to plain subgroup generators of L^k.  Every echelon here, like every
-echelon of the package, is made by ``affine.span_over``.
+to plain subgroup generators of L^k.  A binary emission is supported on the
+coordinates of one plane of Z_p^n, so a clonoid image is held by plane
+(``ClonoidImage``): a direct sum of small canonical blocks on disjoint
+columns, which a vector is reduced against block by block, with no dense
+k x k array.  Every echelon here, like every echelon of the package, is
+made by ``affine.span_over``.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -452,41 +457,189 @@ def classify_row(w, p: int):
 # ---------------------------------------------------------------------------
 # clonoid images
 
-def _binary_emissions(planes: int, plane_of: np.ndarray,
-                      coords: np.ndarray, columns: np.ndarray, k: int,
-                      zero: int) -> np.ndarray:
-    """The (planes, binary generators, k) binary emissions: generator b's
-    emission on plane plane_of[i] holds columns[b, i] at coordinate
-    coords[i], and zero off its plane's coordinates."""
-    vecs = np.full((planes, len(columns), k), zero, dtype=np.int64)
-    vecs[plane_of, :, coords] = columns.T
-    return vecs
+class _Blocks(NamedTuple):
+    """Blocks of a clonoid image with the same number of columns c, G of
+    them: block g lies on the embedded columns cols[g] and holds the
+    canonical rows over Z_m (m = exp(L)) of its part of the image,
+    rows[g], zero-padded to R rows and sorted by pivot.  Row r has its
+    pivot at position pivots[g, r] of the flattened (G * c) block columns,
+    with entry divs[g, r]; a padding row is zero, with its pivot at the
+    block's first column and entry 1, and real[g, r] is False.  `unit`
+    says that every pivot entry is 1, as over a prime."""
+
+    cols: np.ndarray      # (G, c)
+    rows: np.ndarray      # (G, R, c)
+    pivots: np.ndarray    # (G, R)
+    divs: np.ndarray      # (G, R)
+    real: np.ndarray      # (G, R)
+    unit: bool
+
+
+def _blocks(cols: np.ndarray, rows: np.ndarray) -> _Blocks:
+    nblocks, nrows, c = rows.shape
+    nonzero = rows != 0
+    pivots = nonzero.argmax(axis=2) + c * np.arange(nblocks)[:, None]
+    real = nonzero.any(axis=2)
+    entries = rows.reshape(nblocks, nrows * c)[
+        np.arange(nblocks)[:, None], pivots % c + c * np.arange(nrows)]
+    divs = np.where(real, entries, 1)
+    return _Blocks(cols, rows, pivots, divs, real, bool((divs == 1).all()))
+
+
+def _reduce_blocks(blocks, vectors, m: int, coefficients: bool = False):
+    """The rows of `vectors` (embedded, entries in 0..m-1) reduced block by
+    block, and, with `coefficients`, the coefficient each real block row
+    took, blocks in order and rows in (g, r) order.  Blocks lie on disjoint
+    columns, so each is reduced on its own: one gather, then for each row
+    slot r the Howell step of ``Echelon.reduce`` (subtract q times row r
+    when its pivot entry d divides the vector's entry there, q = entry /
+    d), for all blocks at once, and the reduction mod m once at the end.
+    Canonical rows with pivot entry 1 are zero at the block's other
+    pivots, so there q is the vector's own entry.
+    """
+    vectors = np.array(vectors, dtype=np.int64)
+    coeffs = [np.zeros((len(vectors), 0), dtype=np.int64)]
+    for block in blocks:
+        cols = block.cols.ravel()
+        w = vectors[:, cols]
+        blocked = w.reshape(len(w), *block.cols.shape)
+        qs = []
+        for r in range(block.rows.shape[1]):
+            entry = w[:, block.pivots[:, r]] % m
+            if not block.unit:
+                d = block.divs[:, r]
+                entry = entry // d * (entry % d == 0)
+            blocked -= entry[:, :, None] * block.rows[:, r]
+            qs.append(entry)
+        vectors[:, cols] = w
+        if coefficients and qs:
+            coeffs.append(np.stack(qs, axis=2)[:, block.real])
+    np.remainder(vectors, m, out=vectors)
+    return vectors, np.concatenate(coeffs, axis=1)
+
+
+def _placed(block: _Blocks, g: np.ndarray, r: np.ndarray,
+            width: int) -> np.ndarray:
+    """Rows r of blocks g, each as an embedded row of the given width."""
+    out = np.zeros((len(g), width), dtype=np.int64)
+    out[np.arange(len(g))[:, None], block.cols[g]] = block.rows[g, r]
+    return out
+
+
+def _plane_rows(group: AbelianGroupSpec, columns: np.ndarray) -> np.ndarray:
+    """The canonical rows over Z_m of each plane's binary emissions, as a
+    (planes, R, z * s) array zero-padded to the largest row count R, where
+    `columns` is (binary generators, planes, z): the emissions' values at
+    the plane's z coordinates."""
+    nb, planes, z = columns.shape
+    width = z * group.rank
+    emitted = group.embedded[columns].reshape(nb, planes, width)
+    bases = []
+    for g in range(planes):
+        ech = span_over(group.exponent, width)
+        ech.extend(emitted[:, g])
+        ech.canonicalize()
+        bases.append(ech.row_array())
+    rows = np.zeros((planes, max(map(len, bases), default=0), width),
+                    dtype=np.int64)
+    for g, basis in enumerate(bases):
+        rows[g, :len(basis)] = basis
+    return rows
 
 
 @dataclass
 class ClonoidImage:
-    """Subgroup of L^k generated by clonoid images of fixed u-columns.
+    """Subgroup of L^k generated by clonoid images of fixed u-columns, held
+    by plane.
 
-    The solver reads ``basis``; the tuple lists ``generators`` and
-    ``emitted`` are built from the arrays on first read.  The binary
-    emissions are kept sparse: off-diagonal coordinate coords[i] lies on
-    plane plane_of[i] and takes columns[b, i] in binary generator b's
-    emission.
+    The image is the direct sum of blocks on disjoint columns: one per
+    plane, holding the canonical rows of its binary emissions, and one
+    dense block for the unary emissions with the planes they reach (see
+    ``clonoid_image_comprep``).  Blocks with the same number of columns
+    are stacked, so ``residues`` and ``coefficients`` take one gather and
+    one batched product per row slot.  The canonical rows of a direct sum
+    on disjoint columns are the union of its summands' canonical rows: so
+    ``rank`` and ``tuples_materialized`` are counted from the blocks, and
+    ``basis``, sorted by pivot, and ``generators``, its tuples, are
+    assembled on first read, as are the raw emissions ``emitted``.  The
+    solver builds only the rows it needs (``canonical_rows``,
+    ``touched_rows``).  The binary emissions are kept sparse: off-diagonal
+    coordinate coords[i] lies on plane plane_of[i] and takes columns[b, i]
+    in binary generator b's emission.
     """
 
     group: AbelianGroupSpec
     k: int
-    basis: np.ndarray        # canonical echelon generators, embedded
+    blocks: tuple            # of _Blocks
     planes: np.ndarray       # populated plane axes, in lexicographic order
     plane_of: np.ndarray
     coords: np.ndarray
     columns: np.ndarray      # (binary generators, off-diagonal coordinates)
     unary_vecs: np.ndarray   # (unary generators, k) emissions
 
+    @cached_property
+    def _order(self) -> np.ndarray:
+        """The real block rows, in block order, sorted by pivot column."""
+        pivots = [np.zeros(0, dtype=np.int64)] + [
+            b.cols.ravel()[b.pivots[b.real]] for b in self.blocks]
+        return np.argsort(np.concatenate(pivots), kind="stable")
+
+    @property
+    def rank(self) -> int:
+        """The number of canonical rows."""
+        return sum(int(np.count_nonzero(b.real)) for b in self.blocks)
+
     @property
     def tuples_materialized(self) -> int:
         return (len(self.planes) * len(self.columns) + len(self.unary_vecs)
-                + len(self.basis))
+                + self.rank)
+
+    def residues(self, vectors) -> np.ndarray:
+        """The residues of the rows of `vectors` (embedded) modulo the
+        image: zero exactly on the rows that lie in it."""
+        return _reduce_blocks(self.blocks, vectors, self.group.exponent)[0]
+
+    def coefficients(self, vector) -> tuple[np.ndarray, np.ndarray]:
+        """The residue of the embedded `vector` modulo the image, and its
+        coefficients on the canonical rows in pivot order: a vector in the
+        image is its coefficients times ``basis``."""
+        residues, coeffs = _reduce_blocks(
+            self.blocks, np.asarray(vector)[None], self.group.exponent,
+            coefficients=True)
+        return residues[0], coeffs[0, self._order]
+
+    def canonical_rows(self, positions) -> np.ndarray:
+        """The canonical rows at `positions` of the pivot order, embedded:
+        rows of ``basis`` built without the others."""
+        src = self._order[np.asarray(positions, dtype=np.intp)]
+        width = self.k * self.group.rank
+        out = np.zeros((len(src), width), dtype=np.int64)
+        start = 0
+        for b in self.blocks:
+            g, r = b.real.nonzero()
+            mine = np.flatnonzero((src >= start) & (src < start + len(g)))
+            at = src[mine] - start
+            out[mine] = _placed(b, g[at], r[at], width)
+            start += len(g)
+        return out
+
+    def touched_rows(self, residues: np.ndarray) -> np.ndarray:
+        """The canonical rows, embedded, of every block on whose columns
+        some row of `residues` is nonzero."""
+        nonzero = residues.any(axis=0)
+        width = self.k * self.group.rank
+        placed = [np.zeros((0, width), dtype=np.int64)]
+        for b in self.blocks:
+            hit = nonzero[b.cols].any(axis=1)
+            if hit.any():
+                placed.append(_placed(b, *np.nonzero(b.real & hit[:, None]),
+                                      width))
+        return np.vstack(placed)
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """The canonical echelon generators, embedded, sorted by pivot."""
+        return self.canonical_rows(np.arange(self.rank))
 
     @cached_property
     def generators(self) -> list:
@@ -498,8 +651,9 @@ class ClonoidImage:
     def emitted(self) -> list:
         """The raw emissions as (tag, tuple): each binary generator's per
         plane, planes in order, then each unary generator's."""
-        vecs = _binary_emissions(len(self.planes), self.plane_of, self.coords,
-                                 self.columns, self.k, self.group.zero)
+        vecs = np.full((len(self.planes), len(self.columns), self.k),
+                       self.group.zero, dtype=np.int64)
+        vecs[self.plane_of, :, self.coords] = self.columns.T
         emitted = []
         for axis, block in zip(self.planes.tolist(), vecs.tolist()):
             emitted += [(("binary", bi, tuple(axis)), tuple(vec))
@@ -525,69 +679,58 @@ def _classify_rows(rows: np.ndarray, p: int):
 
 
 def _group_rows(rows: np.ndarray):
-    """The distinct rows of a 2-D array in lexicographic order, and the
-    index of each row among them, as ``np.unique(rows, axis=0,
-    return_inverse=True)`` gives them: one lexsort and its run
-    boundaries."""
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
+    """The distinct rows of a 2-D array of non-negative integers in
+    lexicographic order, and the index of each row among them, as
+    ``np.unique(rows, axis=0, return_inverse=True)`` gives them: one sort
+    of the rows as byte strings, each entry big-endian in the fewest bytes
+    that hold the largest, so that byte order is lexicographic order, and
+    its run boundaries."""
+    dtype = np.min_scalar_type(rows.max(initial=0)).newbyteorder(">")
+    keys = np.ascontiguousarray(rows, dtype=dtype).view(
+        np.dtype((np.void, rows.shape[1] * dtype.itemsize))).ravel()
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
     new = np.ones(len(rows), dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    new[1:] = ordered[1:] != ordered[:-1]
     inverse = np.empty(len(rows), dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
-    return ordered[new], inverse
-
-
-def _lone_image_basis(gens: ClonoidGenSet, k: int, coords: np.ndarray,
-                      pairs: np.ndarray) -> np.ndarray:
-    """The canonical basis over Z_m (m = exp(L)), embedded and sorted by
-    pivot, of the binary emissions of ``clonoid_image_comprep`` at the
-    coordinates `coords` that are each alone in their plane, with pair
-    indices x * p + y `pairs`.  Such an emission is supported on its one
-    coordinate, so the basis is the union of the ``gens.pair_bases`` rows
-    placed at each coordinate.
-    """
-    s = gens.group.rank
-    bases, ranks = gens.pair_bases
-    reps = ranks[pairs]
-    coord = np.repeat(coords, reps)
-    slot = np.arange(len(coord)) - np.repeat(np.cumsum(reps) - reps, reps)
-    pair = np.repeat(pairs, reps)
-    # a row's pivot: its coordinate's first column plus the pivot of its
-    # pair basis row
-    order = np.argsort(coord * s + (bases != 0).argmax(axis=2)[pair, slot],
-                       kind="stable")
-    coord, slot, pair = coord[order], slot[order], pair[order]
-    rows = np.zeros((len(coord), k * s), dtype=np.int64)
-    rows[np.arange(len(coord))[:, None], coord[:, None] * s + np.arange(s)] = \
-        bases[pair, slot]
-    return rows
+    return rows[order[new]], inverse
 
 
 def clonoid_image_comprep(gens: ClonoidGenSet, u_columns) -> ClonoidImage:
-    """Generators of {f(u_1..u_n) : f generated by `gens`} inside L^k.
+    """Generators of {f(u_1..u_n) : f generated by `gens`} inside L^k, held
+    by plane.
 
-    Rows are classified into planes; each binary generator contributes one
-    tuple per populated plane (planes in axis order), evaluated through the
-    plane parameterization, and each unary generator contributes its
-    diagonal-collapse image.  The generators are the canonical rows of the
-    span of these emissions.  The binary emissions at coordinates alone in
-    their plane are not eliminated: their canonical basis is read from a
-    per-pair table (``_lone_image_basis``) and seeds the echelon.  The
-    binary emissions of planes with several coordinates and the unary
-    emissions then extend it in one block.  Canonical rows are unique, so
-    this gives the canonical rows of the span of all emissions.
+    `u_columns` is n columns of k u-values: a list, or an (n, k) integer
+    array.  Rows are classified into planes; each binary generator
+    contributes one tuple per populated plane (planes in axis order),
+    evaluated through the plane parameterization, and each unary generator
+    contributes its diagonal-collapse image.  A binary emission is
+    supported on its plane's coordinates, so the binary part of the image
+    is the direct sum of one block per plane:
+    * a coordinate alone in its plane takes its rows from the per-pair
+      table ``gens.pair_bases``, by its pair index x * p + y, with no
+      elimination;
+    * a plane with several coordinates is eliminated through ``span_over``
+      on its own columns, and the planes of one size are stacked.
+    The unary emissions are reduced by these blocks.  The planes their
+    residues reach leave the plane blocks, and their rows and the
+    residues make one dense block, eliminated once; no other block meets
+    its columns.  So the image is the direct sum of the remaining plane
+    blocks and the dense block, and its canonical rows are theirs.
     """
-    u_columns = [tuple(u) for u in u_columns]
-    n = len(u_columns)
-    if n < 1:
-        raise AlgebraError("at least one u-column is required")
+    rows = np.asarray(u_columns, dtype=np.int64)
+    if len(rows) < 1 or rows.ndim != 2:
+        raise AlgebraError("at least one u-column is required, and each "
+                           "must be a sequence of k u-values")
     group = gens.group
     p = gens.p
     m = group.exponent
+    s = group.rank
     zero = group.zero
-    k = len(u_columns[0])
-    rows = np.asarray(u_columns, dtype=np.int64).reshape(n, k).T % p
+    n = len(rows)
+    rows = (rows % p).T
+    k = len(rows)
 
     binary = np.asarray(gens.binary, dtype=np.int64).reshape(-1, p * p)
     if n >= 2:
@@ -614,17 +757,36 @@ def clonoid_image_comprep(gens: ClonoidGenSet, u_columns) -> ClonoidImage:
             is_diag, group.scale_table[diag_scale][unary[:, at]],
             group.scale_table[plane_scale][total][:, None])
 
+    # the coordinates of each plane, plane by plane, ascending
     counts = np.bincount(plane_of, minlength=len(planes))
-    lone = counts[plane_of] == 1
-    shared = counts > 1
-    shared_vecs = _binary_emissions(
-        int(shared.sum()), (np.cumsum(shared) - 1)[plane_of[~lone]],
-        coords[~lone], columns[:, ~lone], k, zero).reshape(-1, k)
-    ech = span_over(m, k * group.rank, basis=_lone_image_basis(
-        gens, k, coords[lone], pairs[lone]))
-    ech.extend(group.embed_elements(np.vstack([shared_vecs, unary_vecs])))
-    ech.canonicalize()
-    basis = ech.row_array()
-    return ClonoidImage(group=group, k=k, basis=basis, planes=planes,
-                        plane_of=plane_of, coords=coords, columns=columns,
-                        unary_vecs=unary_vecs)
+    by_plane = np.argsort(plane_of, kind="stable")
+    starts = np.cumsum(counts) - counts
+    blocks = []
+    for z in np.flatnonzero(np.bincount(counts)).tolist():
+        at = by_plane[starts[counts == z][:, None] + np.arange(z)]
+        cols = (coords[at][:, :, None] * s + np.arange(s)).reshape(len(at),
+                                                                   z * s)
+        if z == 1:
+            plane_rows = gens.pair_bases[0][pairs[at[:, 0]]]
+        else:
+            plane_rows = _plane_rows(group, columns[:, at])
+        blocks.append(_blocks(cols, plane_rows))
+    if len(unary_vecs):
+        residues = _reduce_blocks(blocks, group.embed_elements(unary_vecs),
+                                  m)[0]
+        nonzero = residues.any(axis=0)
+        dense = [residues]
+        for i, b in enumerate(blocks):
+            hit = nonzero[b.cols].any(axis=1)
+            dense.append(_placed(b, *np.nonzero(b.real & hit[:, None]),
+                                 k * s))
+            blocks[i] = _blocks(b.cols[~hit], b.rows[~hit])
+        ech = span_over(m, k * s)
+        ech.extend(np.vstack(dense))
+        ech.canonicalize()
+        dense = ech.row_array()
+        if len(dense):
+            support = np.flatnonzero(dense.any(axis=0))
+            blocks.append(_blocks(support[None], dense[None][:, :, support]))
+    return ClonoidImage(group, k, tuple(blocks), planes, plane_of, coords,
+                        columns, unary_vecs)

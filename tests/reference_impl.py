@@ -33,8 +33,8 @@ from subpower.core import (AlgebraError, ClosureCapExceeded,
                            closure_with_circuits)
 from subpower.wreath import (ClonoidGenSet, Diagonal, Plane,
                              _affine_substitutions, _classify_rows,
-                             _companion_keys, _hats, _remap_embedded,
-                             _table_diffs, classify_row)
+                             _companion_keys, _group_rows, _hats,
+                             _remap_embedded, _table_diffs, classify_row)
 
 
 def signature(tuples) -> set:
@@ -543,6 +543,12 @@ class ReferenceImage:
     emitted: list
     tuples_materialized: int
 
+    @property
+    def basis(self) -> np.ndarray:
+        """The canonical rows, embedded, sorted by pivot."""
+        return self.group.embed_elements(np.asarray(
+            self.generators, dtype=np.int64).reshape(-1, self.k))
+
 
 def clonoid_image_per_row(gens, u_columns) -> ReferenceImage:
     """``clonoid_image_comprep`` with one ``classify_row`` call per row and
@@ -655,6 +661,91 @@ def clonoid_image_rowwise(gens, u_columns) -> ReferenceImage:
     rows = ech.rows
     generators = [tuple(row) for row in group.unembed_array(
         np.asarray(rows)).tolist()] if rows else []
+    return ReferenceImage(group=group, k=k, generators=generators,
+                          emitted=emitted,
+                          tuples_materialized=len(emitted) + len(generators))
+
+
+def _lone_image_basis(gens, k: int, coords: np.ndarray,
+                      pairs: np.ndarray) -> np.ndarray:
+    """The canonical basis over Z_m (m = exp(L)), embedded and sorted by
+    pivot, of the binary emissions at the coordinates `coords` that are
+    each alone in their plane, with pair indices x * p + y `pairs`: the
+    union of the ``gens.pair_bases`` rows placed at each coordinate."""
+    s = gens.group.rank
+    bases, ranks = gens.pair_bases
+    reps = ranks[pairs]
+    coord = np.repeat(coords, reps)
+    slot = np.arange(len(coord)) - np.repeat(np.cumsum(reps) - reps, reps)
+    pair = np.repeat(pairs, reps)
+    order = np.argsort(coord * s + (bases != 0).argmax(axis=2)[pair, slot],
+                       kind="stable")
+    coord, slot, pair = coord[order], slot[order], pair[order]
+    rows = np.zeros((len(coord), k * s), dtype=np.int64)
+    rows[np.arange(len(coord))[:, None], coord[:, None] * s + np.arange(s)] = \
+        bases[pair, slot]
+    return rows
+
+
+def clonoid_image_dense(gens, u_columns) -> ReferenceImage:
+    """``clonoid_image_comprep`` as one dense echelon over the whole width
+    k * s: the rows of the coordinates alone in their plane, read from
+    ``gens.pair_bases``, seed it, and the binary emissions of the planes
+    with several coordinates and the unary emissions extend it in one
+    block; canonical rows are unique, so these are the image's."""
+    u_columns = [tuple(u) for u in u_columns]
+    n = len(u_columns)
+    if n < 1:
+        raise AlgebraError("at least one u-column is required")
+    group = gens.group
+    p = gens.p
+    m = group.exponent
+    zero = group.zero
+    k = len(u_columns[0])
+    rows = np.asarray(u_columns, dtype=np.int64).reshape(n, k).T % p
+
+    binary = np.asarray(gens.binary, dtype=np.int64).reshape(-1, p * p)
+    if n >= 2:
+        is_diag, first, y, axes = _classify_rows(rows, p)
+        coords = np.flatnonzero(~is_diag)
+        planes, plane_of = _group_rows(axes[coords])
+        pairs = first[coords] * p + y[coords]
+        columns = binary[:, pairs]
+    else:
+        is_diag, first = np.ones(k, dtype=bool), rows[:, 0]
+        planes = np.zeros((0, n), dtype=np.int64)
+        plane_of = coords = pairs = np.zeros(0, dtype=np.int64)
+        columns = np.zeros((len(binary), 0), dtype=np.int64)
+    emitted = []
+    vecs = np.full((len(planes), len(binary), k), zero, dtype=np.int64)
+    vecs[plane_of, :, coords] = columns.T
+    for axis, block in zip(planes.tolist(), vecs.tolist()):
+        emitted += [(("binary", bi, tuple(axis)), tuple(vec))
+                    for bi, vec in enumerate(block)]
+    unary = np.asarray(gens.unary, dtype=np.int64).reshape(-1, p)
+    unary_vecs = np.zeros((0, k), dtype=np.int64)
+    if len(unary):
+        diag_scale = pow(p, n - 1, m) if n >= 2 else 1
+        plane_scale = pow(p, n - 2, m) if n >= 2 else 0
+        total = np.full(len(unary), zero, dtype=np.int64)
+        for v in range(p):
+            total = group.add_table[total, unary[:, v]]
+        at = np.where(is_diag, first, 0)
+        unary_vecs = np.where(
+            is_diag, group.scale_table[diag_scale][unary[:, at]],
+            group.scale_table[plane_scale][total][:, None])
+        emitted += [(("unary", ai), tuple(vec))
+                    for ai, vec in enumerate(unary_vecs.tolist())]
+
+    counts = np.bincount(plane_of, minlength=len(planes))
+    lone = counts[plane_of] == 1
+    shared = vecs[counts > 1].reshape(-1, k)
+    ech = span_over(m, k * group.rank, basis=_lone_image_basis(
+        gens, k, coords[lone], pairs[lone]))
+    ech.extend(group.embed_elements(np.vstack([shared, unary_vecs])))
+    ech.canonicalize()
+    generators = [tuple(row) for row in
+                  group.unembed_array(ech.row_array()).tolist()]
     return ReferenceImage(group=group, k=k, generators=generators,
                           emitted=emitted,
                           tuples_materialized=len(emitted) + len(generators))
@@ -780,8 +871,9 @@ def solve_smp_wreath_full(spec, inst, elimination=False):
     members x0 + c for the rows c of ``l_part_coeffs``, each the chain
     ``member_node`` builds.  The companion closure is a fresh
     ``affine_span`` on the extended rows, not the solver's cached padding
-    closure.  Returns (member, witness) with the witness built as the
-    solver builds it."""
+    closure, and the clonoid image is the dense one of
+    ``clonoid_image_dense``.  Returns (member, witness) with the witness
+    built as the solver builds it."""
     ctx = solver.wreath_context(spec)
     group = spec.left_group
     comp_group = spec.companion_group
@@ -834,7 +926,7 @@ def solve_smp_wreath_full(spec, inst, elimination=False):
             return rep.bank.chain(alg.maltsev, base_node,
                                   [rep.raw[j][1:]] * p, 2)
     assert not (np.vstack([base, gens]) % p != u_b).any()
-    image = solver.clonoid_image_comprep(ctx.gens, (gen_rows % p).tolist())
+    image = clonoid_image_dense(ctx.gens, (gen_rows % p).tolist())
     neg_base = group.neg_table[base // p]
     n_image = len(image.generators)
     ok, witness_coeffs = subgroup_member(

@@ -133,36 +133,23 @@ def test_elimination_generators_give_the_solvers_verdicts(name, k, n, seed,
         assert check_witness(spec, inst, SmpVerdict(True, witness))
 
 
-# a solve whose subgroup test hands out wrong coefficients for a target in
+# a solve whose clonoid image hands out wrong coefficients for a target in
 # its span
-LYING_ECHELON = """
-from subpower import solver
+LYING_IMAGE = """
 from subpower.catalog import a6
 from subpower.instances import random_instance
 from subpower.solver import SmpInstance, solve_smp_wreath
+from subpower.wreath import ClonoidImage
 
-span_over = solver.span_over
-
-
-class Lying:
-    def __init__(self, ech):
-        self.ech, self.m = ech, ech.m
-
-    def reduce(self, v):
-        residue, coeffs = self.ech.reduce(v)
-        return residue, (coeffs + 1) % self.m
-
-    def extend(self, rows):
-        self.ech.extend(rows)
+honest = ClonoidImage.coefficients
 
 
-def seeded_lies(*args, basis=None, **kwargs):
-    # the subgroup test's echelon is the one seeded with a basis
-    ech = span_over(*args, basis=basis, **kwargs)
-    return ech if basis is None else Lying(ech)
+def lying(self, vector):
+    residue, coeffs = honest(self, vector)
+    return residue, (coeffs + 1) % self.group.exponent
 
 
-solver.span_over = seeded_lies
+ClonoidImage.coefficients = lying
 d = random_instance(a6(), 6, 3, 1.0, seed=0)
 solve_smp_wreath(a6(), SmpInstance(d["generators"], d["target"]))
 """
@@ -172,7 +159,7 @@ def test_witness_self_check_survives_optimize():
     """The check that the coefficients reproduce the target is a raise, not
     an ``assert``, so it holds under ``python -O`` too."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run([sys.executable, "-O", "-c", LYING_ECHELON],
+    proc = subprocess.run([sys.executable, "-O", "-c", LYING_IMAGE],
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode != 0

@@ -21,6 +21,10 @@ def _scale(*flags) -> dict:
     assert result["k"] == 100 and result["n"] == 20 and result["seed"] == 7
     assert result["wall_s"] > 0 and result["peak_rss_mb"] > 0
     assert result["tuples_materialized"] > 0
+    assert result["serialize_s"] >= 0 and result["check_s"] >= 0
+    if not result["member"]:
+        assert result["clonoid_parts"] == result["member_parts"] == 0
+        assert result["check_s"] == 0
     return result
 
 
@@ -29,6 +33,9 @@ def test_scale_member_at_k_100():
     assert result["probe"] is False and result["affine"] is None
     assert result["member"] is True and result["witness_ok"] is True
     assert result["witness_bytes"] > 0
+    # decided by the clonoid image: its rows make the witness
+    assert result["clonoid_parts"] > 0 and result["member_parts"] == 0
+    assert result["check_s"] > 0
 
 
 def test_scale_l_shifted_probe_at_k_100():
@@ -43,6 +50,8 @@ def test_scale_affine_member_at_k_100():
     assert result["probe"] is False and result["affine"] == 12
     assert result["member"] is True and result["witness_ok"] is True
     assert result["witness_bytes"] > 0
+    # an affine witness is one circuit, with no parts
+    assert result["clonoid_parts"] == result["member_parts"] == 0
 
 
 def test_scale_affine_probe_at_k_100():

@@ -230,13 +230,14 @@ def test_circuits_only_for_a_returned_witness(member_node_calls,
 def test_warm_solve_skips_image_and_spanned_differences(monkeypatch):
     """On a warm a6 context at k=60, n=20, every member target's l-part
     lies in the span of the clonoid image, which is assembled plane by
-    plane with no insert: the image decides, so the solve builds no l-part
-    generator and extends the subgroup test's echelon by nothing.  The
-    quotient fix eliminates its rows as one ``FieldEchelon.extend`` call."""
+    plane with no elimination, since every coordinate is alone in its
+    plane: the image decides by one block-wise reduction, so the solve
+    builds no l-part generator and makes no echelon for the subgroup
+    test.  The quotient fix eliminates its rows as one
+    ``FieldEchelon.extend`` call, the solve's only echelon."""
     spec = a6()
-    group = spec.left_group
     assert solve_smp_wreath(spec, _instance(spec, 60, 20, 900)).member
-    extends, tests = [], []
+    extends, made = [], []
     extend = FieldEchelon.extend
 
     def counted(self, rows):
@@ -247,27 +248,23 @@ def test_warm_solve_skips_image_and_spanned_differences(monkeypatch):
     span_over = solver.span_over
 
     def kept(*args, **kwargs):
-        ech = span_over(*args, **kwargs)
-        if kwargs.get("basis") is not None:     # the subgroup test's
-            tests.append(ech)
-        return ech
+        made.append(span_over(*args, **kwargs))
+        return made[-1]
 
     monkeypatch.setattr(solver, "span_over", kept)
     for seed in range(901, 905):
         inst = _instance(spec, 60, 20, seed)
-        for log in (extends, tests):
+        for log in (extends, made):
             log.clear()
         verdict = solve_smp_wreath(spec, inst)
         assert verdict.member and check_witness(spec, inst, verdict)
         assert verdict.stats["decided_by"] == "image"
         assert verdict.witness["members"] == []
-        (ech,) = tests
-        assert ech.m == group.exponent
-        assert not [1 for owner, _ in extends if owner is ech]
-        # the quotient fix is the solve's only elimination of its own
-        (fix,) = [owner for owner, caller in extends
-                  if caller == "solve_smp_wreath"]
+        # the quotient fix is the solve's only elimination
+        (fix,) = made
         assert fix.m == spec.p
+        assert [(owner, caller) for owner, caller in extends] \
+            == [(fix, "solve_smp_wreath")]
 
 
 @pytest.mark.xfail(strict=True, reason="check_witness takes clonoid parts on "
