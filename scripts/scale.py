@@ -7,9 +7,12 @@ that only the subgroup test rejects: two coordinates i != j drawn from
 the seed, coordinate j of every generator and of the target is set to
 coordinate i, and the target's l-part at j is shifted by a nonzero
 element.  Every term gives equal values at i and j, so the target is
-not reached, though its quotient components are.  The wreath context is
-built first, untimed; then one ``solve_smp_wreath`` call with its
-witness is timed and the witness is checked with ``check_witness``.
+not reached, though its quotient components are.  With ``--quotient``
+coordinate i is copied to coordinate j in the same way and the target's
+u-part at j is changed instead: a non-member that the GF(p) quotient fix
+rejects, since every term's u-parts agree at i and j.  The wreath
+context is built first, untimed; then one ``solve_smp_wreath`` call with
+its witness is timed and the witness is checked with ``check_witness``.
 With ``--affine M`` the algebra is ``zmod_group_algebra(M)`` instead, the
 instance ``random_instance`` of it with the same arguments, a member, and
 the timed call is ``dispatch`` with its witness: the affine path, whose
@@ -29,16 +32,20 @@ One JSON line goes to stdout:
   (``verdict_to_dict`` and ``dump_json``);
 * ``check_s``: wall seconds of the ``check_witness`` call (0 with no
   witness);
+* ``decided_by``: the stage that gave a wreath verdict (``quotient``,
+  ``image`` or ``full``, see ``solve_smp_wreath``), null on the affine
+  path;
 * ``affine``: M, or null for a6.
 
     python3 scripts/scale.py --k 1600 --n 80 --seed 7
     python3 scripts/scale.py --probe --k 1600 --n 80 --seed 7
+    python3 scripts/scale.py --quotient --k 1600 --n 80 --seed 7
     python3 scripts/scale.py --affine 12 --k 800 --n 80 --seed 7
     python3 scripts/scale.py --affine 12 --probe --k 800 --n 80 --seed 7
 
 Exits 0 when the verdict is a member with an accepted witness, or with
-``--probe`` a non-member; else 1.  Run from the root of a checkout;
-``src/`` is put on the import path.
+``--probe`` or ``--quotient`` a non-member; else 1.  Run from the root
+of a checkout; ``src/`` is put on the import path.
 """
 
 from __future__ import annotations
@@ -62,10 +69,11 @@ from subpower.solver import (SmpInstance, check_witness,  # noqa: E402
                              dispatch, solve_smp_wreath, wreath_context)
 
 
-def shifted_probe(spec, gens: list, target: list, seed: int):
+def shifted_probe(spec, gens: list, target: list, seed: int,
+                  quotient: bool = False):
     """Copy coordinate i to coordinate j in every generator and the target,
-    then shift the target at j: its l-part for a6, itself by 1 for Z_M.
-    A non-member (see above)."""
+    then shift the target at j: its l-part for a6 (its u-part with
+    `quotient`), itself by 1 for Z_M.  A non-member (see above)."""
     rng = random.Random(seed)
     i, j = rng.sample(range(len(target)), 2)
     gens = [g[:j] + [g[i]] + g[j + 1:] for g in gens]
@@ -73,6 +81,9 @@ def shifted_probe(spec, gens: list, target: list, seed: int):
     if isinstance(spec, tuple):
         _, group = spec
         target[j] = group.add(target[j], group.elem([1]))
+    elif quotient:
+        l, u = spec.split(target[j])
+        target[j] = spec.pair(l, (u + rng.randrange(1, spec.p)) % spec.p)
     else:
         l, u = spec.split(target[j])
         shift = rng.randrange(1, spec.left.size)
@@ -85,21 +96,28 @@ def main(argv=None) -> int:
     parser.add_argument("--k", type=int, default=1600)
     parser.add_argument("--n", type=int, default=80)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--probe", action="store_true",
-                        help="solve the shifted probe, a non-member")
+    shift = parser.add_mutually_exclusive_group()
+    shift.add_argument("--probe", action="store_true",
+                       help="solve the shifted probe, a non-member")
+    shift.add_argument("--quotient", action="store_true",
+                       help="solve the u-shifted non-member that the "
+                            "quotient fix rejects")
     parser.add_argument("--affine", type=int, metavar="M",
                         help="solve over Z_M with the group signature, "
                              "through dispatch")
     args = parser.parse_args(argv)
-    if args.probe and args.k < 2:
-        parser.error("--probe needs --k of at least 2")
+    if (args.probe or args.quotient) and args.k < 2:
+        parser.error("--probe and --quotient need --k of at least 2")
     if args.affine is not None and args.affine < 2:
         parser.error("--affine needs M of at least 2")
+    if args.affine is not None and args.quotient:
+        parser.error("--quotient needs the a6 wreath product, not --affine")
     spec = a6() if args.affine is None else zmod_group_algebra(args.affine)
     d = random_instance(spec, args.k, args.n, 1.0, seed=args.seed)
     gens, target = d["generators"], d["target"]
-    if args.probe:
-        gens, target = shifted_probe(spec, gens, target, args.seed)
+    if args.probe or args.quotient:
+        gens, target = shifted_probe(spec, gens, target, args.seed,
+                                     args.quotient)
     inst = SmpInstance(gens, target)
     if args.affine is None:
         wreath_context(spec)
@@ -119,7 +137,9 @@ def main(argv=None) -> int:
     witness = verdict.witness or {}
     print(json.dumps({
         "k": args.k, "n": args.n, "seed": args.seed, "probe": args.probe,
+        "quotient": args.quotient,
         "member": verdict.member,
+        "decided_by": verdict.stats.get("decided_by"),
         "wall_s": round(wall, 4),
         "peak_rss_mb": round(peak, 1),
         "tuples_materialized": verdict.stats["tuples_materialized"],
@@ -131,7 +151,7 @@ def main(argv=None) -> int:
         "serialize_s": round(serialize_s, 4),
         "check_s": round(check_s, 4) if verdict.member else 0,
         "affine": args.affine}))
-    ok = not verdict.member if args.probe else witness_ok
+    ok = not verdict.member if args.probe or args.quotient else witness_ok
     return 0 if ok else 1
 
 

@@ -27,7 +27,8 @@ reduction is one product.  Its span grows only by ``extend``, which
 eliminates a whole block of rows at once, Gauss-Jordan with deferred
 reduction mod q (Dumas, Giorgi & Pernet, ACM TOMS 2008), and leaves the
 echelon of sequential elimination, row by row.  Its products stay exact
-in int64 because every ``FieldEchelon`` has width * (q - 1)^2 + q < 2^63.
+in int64 because every ``FieldEchelon`` has width * (q - 1)^2 + q < 2^63,
+and its pivot loop runs in the narrowest integer type that bound allows.
 Over other moduli ``Echelon`` keeps a Howell-style form over Z_m: the
 Howell completion (annihilator rows) guarantees that, for every prefix,
 the rows with later pivots generate exactly the subgroup elements
@@ -511,58 +512,41 @@ class FieldEchelon:
     reduction mod q, and leaves the echelon of sequential elimination: the
     rows taken one by one, in order, each reduced against the rows kept so
     far and, when its residue is nonzero, scaled to pivot entry 1, cleared
-    from the kept rows and appended.  Products are exact in int64 because
-    the constructor requires width * (q - 1)^2 + q < 2^63: a product sums
+    from the kept rows and appended.  With tracking, ``extend`` can also
+    report the coefficient rows of the generators that did not grow the
+    span: each is zero on the width, so together they span the
+    combinations of the block's generators that vanish.
+
+    The constructor requires width * (q - 1)^2 + q < 2^63: a product sums
     at most `width` terms below (q - 1)^2 each, and a block entry takes at
-    most `width` unreduced updates.  Rows keep their elimination order
-    until ``canonicalize`` sorts them by pivot; over a prime modulus these
-    are the canonical rows of ``Echelon.canonicalize``.  The augmented rows
-    live in one buffer with spare capacity that ``extend`` updates in
-    place, so ``rows`` and ``coeffs`` hand out copies.
+    most `width` unreduced updates.  Products run in int64; the pivot loop
+    of ``extend`` runs in the narrowest signed integer type that holds
+    every entry it can reach, of magnitude below that bound (int16 when
+    the bound is at most 2^15, int32 at most 2^31), since a narrow type's
+    row updates cost less.  Rows keep their elimination order until
+    ``canonicalize`` sorts them by pivot; over a prime modulus these are
+    the canonical rows of ``Echelon.canonicalize``.  The augmented rows
+    live in one int64 buffer with spare capacity that ``extend`` updates
+    in place, so ``rows`` and ``coeffs`` hand out copies.
     """
 
     def __init__(self, q: int, width: int, track: int | None = None):
         if not is_prime(q):
             raise AlgebraError(f"modulus {q} is not prime")
-        if width * (q - 1) ** 2 + q >= 2 ** 63:
+        bound = width * (q - 1) ** 2 + q
+        if bound >= 2 ** 63:
             raise AlgebraError(
                 f"width {width} and modulus {q} break the int64 bound "
                 "width * (q - 1)^2 + q < 2^63 of exact elimination")
         self.m = q
         self.width = width
         self.track = track
+        self._loop_type = np.min_scalar_type(-bound)
         self._buf = np.zeros((0, width + (track or 0)), dtype=np.int64)
         self._colbuf = np.zeros(width, dtype=np.intp)
         self._cols = self._colbuf[:0]          # pivot column of each row
         self._free = None      # non-pivot columns, the basis on them
         self._gen_count = 0
-
-    @classmethod
-    def from_basis(cls, q: int, basis, track: int | None = None):
-        """The echelon that sequential elimination of the rows of `basis`
-        leaves, when `basis` is fully reduced over GF(q) (every row has
-        pivot entry 1 and every pivot column is zero in the other rows):
-        the same rows in the same order, each with the unit coefficient row
-        of its generator slot."""
-        basis = np.asarray(basis, dtype=np.int64)
-        r, width = basis.shape
-        ech = cls(q, width, track)
-        cols = (basis != 0).argmax(axis=1) if r else np.zeros(0, np.intp)
-        # each row's pivot entry is 1 and the only nonzero of its column
-        if r and (basis.min() < 0 or basis.max() >= q
-                  or (basis[np.arange(r), cols] != 1).any()
-                  or (np.count_nonzero(basis, axis=0)[cols] != 1).any()):
-            raise AlgebraError("rows are not a fully reduced basis")
-        if track is not None and r > track:
-            raise AlgebraError("more generators than the tracking width")
-        ech._buf = np.zeros((r, width + (track or 0)), dtype=np.int64)
-        ech._buf[:, :width] = basis
-        if track is not None:
-            ech._buf[np.arange(r), width + np.arange(r)] = 1
-        ech._colbuf[:r] = cols
-        ech._cols = ech._colbuf[:r]
-        ech._gen_count = r
-        return ech
 
     _vector = Echelon._vector
 
@@ -585,11 +569,15 @@ class FieldEchelon:
         return {int(c): i for i, c in enumerate(self._cols)}
 
     def reduce(self, v) -> tuple[np.ndarray, np.ndarray | None]:
-        """Residue of v modulo the span, plus combination coefficients."""
-        residue, c = self._residues(self._vector(v)[None])
+        """Residue of v modulo the span, plus combination coefficients:
+        one product of v's pivot entries with the augmented rows."""
+        w = self._vector(v)
+        out = w[self._cols] @ self._aug
+        out[:self.width] = w - out[:self.width]
+        out %= self.m
         if self.track is None:
-            return residue[0], None
-        return residue[0], (c[0] @ self._aug[:, self.width:]) % self.m
+            return out, None
+        return out[:self.width], out[self.width:]
 
     def _residues(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Residues of the rows of `w` (entries in 0..q-1) modulo the span,
@@ -618,20 +606,27 @@ class FieldEchelon:
         w = np.asarray(rows, dtype=np.int64) % self.m
         return ~self._residues(w)[0].any(axis=1)
 
-    def extend(self, rows) -> bool:
+    def extend(self, rows, kernel: bool = False):
         """Add the rows of a matrix as generators, in order, in one block;
-        returns True when the span grew.
+        returns True when the span grew.  With `kernel` (tracked echelons
+        only) it returns instead the coefficient rows of the generators
+        that did not grow the span, in generator order, as one (count,
+        track) int64 array: row j has 1 at its generator's slot and
+        combines it with earlier generators to zero.
 
         One product reduces the block against the basis; only the rows left
-        nonzero get a coefficient part, their unit generator slot minus one
-        product.  Gauss-Jordan over those rows, in order, reduces just the
-        pivot row and the pivot column mod q at each step before one rank-1
-        update of the block, and the block once at the end: an entry grows
-        by at most (q - 1)^2 a step, and a block takes at most `width`
-        pivots, which the constructor's bound keeps inside int64.  Then one
-        product clears the new pivot columns from the old rows: each new
-        row is 1 on its own pivot and 0 on the others, so this subtracts
-        what clearing them one at a time would.
+        nonzero (every row, with `kernel`) are eliminated, each with a
+        coefficient part, its unit generator slot minus one product.
+        Gauss-Jordan over those rows, in order, reduces just the pivot row
+        and the pivot column mod q at each step before one rank-1 update of
+        the block, and the block once at the end: an entry grows by at most
+        (q - 1)^2 a step, and a block takes at most `width` pivots, which
+        the constructor's bound keeps inside the loop's integer type.  A
+        row left zero keeps its coefficient part from then on, since its
+        pivot-column entries are zero.  Then one product clears the new
+        pivot columns from the old rows: each new row is 1 on its own pivot
+        and 0 on the others, so this subtracts what clearing them one at a
+        time would.
 
         This leaves the echelon of sequential elimination, row by row (see
         the class docstring): the same rows in the same order, pivots,
@@ -647,21 +642,27 @@ class FieldEchelon:
             rows = np.asarray(rows, dtype=np.int64).reshape(len(rows), width)
         except ValueError:
             raise AlgebraError("vector width mismatch") from None
+        if kernel and self.track is None:
+            raise AlgebraError("a kernel needs a tracked echelon")
         rows = rows % q
         start = self._gen_count
+        track = self.track or 0
         if self.track is not None and start + len(rows) > self.track:
             raise AlgebraError("more generators than the tracking width")
         self._gen_count = start + len(rows)
-        residue, c = self._residues(rows)
-        live = residue.any(axis=1).nonzero()[0]
-        if not len(live):
-            return False
         aug = self._aug
-        block = residue[live]
-        if self.track is not None:
-            coeff = -(c[live] @ aug[:, width:])
-            coeff[np.arange(len(live)), start + live] += 1
-            block = np.hstack([block, coeff % q])
+        if len(aug):
+            rows, c = self._residues(rows)
+        live = (np.arange(len(rows)) if kernel
+                else rows.any(axis=1).nonzero()[0])
+        if not len(live):
+            return np.zeros((0, track), dtype=np.int64) if kernel else False
+        block = np.zeros((len(live), width + track), dtype=self._loop_type)
+        block[:, :width] = rows[live]
+        if track:
+            if len(aug):
+                block[:, width:] = -(c[live] @ aug[:, width:]) % q
+            block[np.arange(len(live)), width + start + live] += 1
         kept, cols = [], []                    # pivot rows of the block
         # a lone row updates no other row, and stays reduced
         several = len(block) > 1
@@ -680,13 +681,20 @@ class FieldEchelon:
                 block -= np.multiply.outer(f, row)
             kept.append(i)
             cols.append(col)
+        if kernel:
+            dead = np.ones(len(block), dtype=bool)
+            dead[kept] = False
+            null = (block[dead, width:] % q).astype(np.int64)
+            if not kept:
+                return null
         if several:
             block = block[kept] % q
-        hits = aug[:, cols]
-        hit = hits.any(axis=1).nonzero()[0]
-        if len(hit):
-            aug[hit] = (aug[hit] - hits[hit] @ block) % q
         r = len(aug)
+        if r:
+            hits = aug[:, cols]
+            hit = hits.any(axis=1).nonzero()[0]
+            if len(hit):
+                aug[hit] = (aug[hit] - hits[hit] @ block) % q
         if r + len(block) > len(self._buf):
             # the rank is at most the width
             grown = np.empty((min(max(2 * r, r + len(block), 16), width),
@@ -697,7 +705,7 @@ class FieldEchelon:
         self._colbuf[r:r + len(block)] = cols
         self._cols = self._colbuf[:r + len(block)]
         self._free = None
-        return True
+        return null if kernel else True
 
     def canonicalize(self) -> None:
         """Sort the rows by pivot column."""
@@ -730,19 +738,11 @@ class FieldEchelon:
         return order[self._cols[order] >= start_col].tolist()
 
 
-def span_over(m: int, width: int, track: int | None = None, basis=None):
-    """A FieldEchelon when m is prime, else a Howell Echelon, holding the
-    canonical rows `basis` (such as ``ClonoidImage.basis``), if given, each
-    in its own generator slot: they seed a FieldEchelon, which eliminating
-    them row by row would leave as they are, and are inserted otherwise."""
+def span_over(m: int, width: int, track: int | None = None):
+    """A FieldEchelon when m is prime, else a Howell Echelon."""
     if is_prime(m):
-        if basis is None:
-            return FieldEchelon(m, width, track)
-        return FieldEchelon.from_basis(m, basis, track)
-    ech = Echelon(m, width, track)
-    if basis is not None:
-        ech.extend(basis)
-    return ech
+        return FieldEchelon(m, width, track)
+    return Echelon(m, width, track)
 
 
 def span_witness(ech, rows: np.ndarray, target_v: np.ndarray):
@@ -762,25 +762,20 @@ def span_witness(ech, rows: np.ndarray, target_v: np.ndarray):
     return True, [int(c) for c in coeffs]
 
 
-def subgroup_member(group: AbelianGroupSpec, gens, target, basis=None):
-    """Membership of `target` in the subgroup of L^k generated by `gens`,
-    after the rows of `basis` when it is given (see ``span_over``).
+def subgroup_member(group: AbelianGroupSpec, gens, target):
+    """Membership of `target` in the subgroup of L^k generated by `gens`.
 
-    Returns (True, coeffs) with integer coefficients, those of the basis
-    rows first, satisfying sum(coeffs[i] * generator[i]) == target exactly,
-    or (False, None).
+    Returns (True, coeffs) with integer coefficients satisfying
+    sum(coeffs[i] * generator[i]) == target exactly, or (False, None).
     """
     target = group.check_elements(target)
     if target.ndim != 1:
         raise AlgebraError("the target must be a single tuple")
     target_v = group.embed_elements(target)
     gen_v = group.embed_elements(element_rows(group, gens, len(target)))
-    if basis is None:
-        basis = np.zeros((0, len(target_v)), dtype=np.int64)
-    ech = span_over(group.exponent, len(target_v),
-                    max(len(basis) + len(gen_v), 1), basis)
+    ech = span_over(group.exponent, len(target_v), max(len(gen_v), 1))
     ech.extend(gen_v)
-    return span_witness(ech, np.vstack([basis, gen_v]), target_v)
+    return span_witness(ech, gen_v, target_v)
 
 
 def affine_member(group: AbelianGroupSpec, points, target):

@@ -14,6 +14,10 @@ Two paths:
   wreath algebra, whose u-parts are the companion's.
   The companion exponent splits by CRT as Z_exp(L) x GF(p), so the fix is
   GF(p) elimination and the l-part a subgroup test mod exp(L).  The fix
+  runs on the instance's k columns; the padding columns enter only when
+  some u-difference does not grow that span, to clear x0 on the padding
+  pivots as an elimination of all the columns would, so that x0, the
+  verdict and the witness are that elimination's.  That elimination's
   rows with pivot past k give no members: ``solve_smp_wreath`` shows their
   l-differences already lie in the span the subgroup test uses.  The fixed
   member is one Mal'tsev chain, walked by table lookups, and each l-part
@@ -192,12 +196,35 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
     whose u-part agrees with the target on the instance's u-rows
     u_1..u_k; its member is the Mal'tsev chain ``member_node`` builds:
     from the base, x0_j steps cur = m(plus_j, minus_j, cur) for each raw
-    difference j in order.  The subgroup test spans the clonoid image and
-    the l-differences from t_0 of the l-part generators: for each raw
-    difference j, the member g_j that takes p further steps of difference
-    j after t_0.  With e = exp(L) and m = e * p, these span, together with
-    the image, what the members with coefficients x0 + c, c = 0 (mod p),
-    span, because gcd(p, e) = 1:
+    difference j in order.
+
+    The fix (``_quotient_fix``) eliminates the u-differences on the k
+    instance columns only, and gives what one elimination of the extended
+    rows, on the instance and padding columns together, gives:
+    * The same verdict.  That elimination reads the residue on the first
+      k columns; its rows with pivot past k are zero there, and its other
+      rows, cut to the k columns, are the reduced echelon basis of the
+      u-differences on them.
+    * The same x0.  Sequential elimination's coefficients are unique once
+      the rows that grow the span are fixed: the full x0 is the one
+      combination of the differences that grow the full span with the
+      target's k columns and zeros on the padding pivots.  The k-column
+      x0 agrees on the k columns and uses only the differences that grow
+      the k-column span, a subset.  Each difference that does not grow it
+      has a kernel row, its slot combined with earlier differences to
+      zero on the k columns.  Eliminated in order, the kernel rows'
+      padding images grow exactly at the differences that grow the full
+      span and not the k-column one, and their pivots are the full
+      elimination's pivots past k; subtracting the combination of kernel
+      rows that clears x0 on those pivots gives the full x0.  When every
+      difference grows the span, the padding columns are never read.
+
+    The subgroup test spans the clonoid image and the l-differences from
+    t_0 of the l-part generators: for each raw difference j, the member
+    g_j that takes p further steps of difference j after t_0.  With
+    e = exp(L) and m = e * p, these span, together with the image, what
+    the members with coefficients x0 + c, c = 0 (mod p), span, because
+    gcd(p, e) = 1:
     * p * Z_m = {c : c = 0 (mod p)}, so the vectors p * e_j generate every
       coefficient vector that keeps x0's u-part that way.
     * Members that share a u-part combine as x - y + z on their l-parts,
@@ -266,9 +293,8 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
     group = spec.left_group
     comp_group = spec.companion_group
     p = spec.p
-    m = comp_group.exponent
+    e = group.exponent
     k, n = inst.k, inst.n
-    s1 = comp_group.rank
 
     gen_rows, target = inst_rows[:-1], inst_rows[-1]
     l_b, u_b = np.divmod(target, p)
@@ -283,30 +309,15 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
     leaves = _leaf_values(alg, template, gen_rows)
     plus, minus = leaves[1::2], leaves[2::2]
 
-    # the GF(p) fix on the u-parts: the instance's k columns, then the
-    # padding columns.  Z_m splits by CRT as Z_e x GF(p), e = exp(L): in
-    # every embedded padding coordinate the last entry is the u-part
-    # times e
-    e = group.exponent
-    nraw = len(template.raw)
-    k_ext = k + template.k
-    u_rows = np.hstack([
-        (plus - minus) % p,
-        template.raw_rows.reshape(nraw, template.k, s1)[:, :, -1] // e])
-    u_ech = span_over(p, k_ext, track=max(nraw, 1))
-    u_ech.extend(u_rows)
-    u_target = np.zeros(k_ext, dtype=np.int64)
-    u_target[:k] = u_b - leaves[0] % p
-    residue, coeffs = u_ech.reduce(u_target)
-    # released, so that what follows allocates beside less
-    del u_ech, u_rows
+    x0_coeffs = _quotient_fix(template, (plus - minus) % p,
+                              u_b - leaves[0] % p, p)
     stats = {"path": "wreath", "k": k, "n": n}
-    if residue[:k].any():
+    if x0_coeffs is None:
         stats.update(decided_by="quotient",
                      tuples_materialized=tuples_materialized,
                      elapsed_ms=1000 * (time.perf_counter() - t_start))
         return SmpVerdict(False, None, stats)
-    x0_coeffs = coeffs[:nraw]
+    nraw = len(template.raw)
     table = alg.maltsev_table
     # t_0 on the original tuples inside the product, step by step
     base = leaves[0]
@@ -374,6 +385,39 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
             "clonoid": _clonoid_parts(image, target_v),
         }
     return SmpVerdict(True, witness, stats)
+
+
+def _quotient_fix(template: AffineSubpowerRep, u_diffs: np.ndarray,
+                  u_target: np.ndarray, p: int) -> np.ndarray | None:
+    """The raw coefficients x0 of the GF(p) fix, or None when no companion
+    term reaches the target's u-part (see ``solve_smp_wreath``).
+
+    `u_diffs` holds the u-parts mod p of the raw differences of `template`
+    on the instance's k columns, one row each, and `u_target` the target's
+    u-part minus the base's.  One tracked elimination of `u_diffs`
+    decides, and its combination for `u_target` is x0 unless a difference
+    did not grow the span; then a second tracked elimination, of the
+    kernel rows' images on the padding u-columns, gives the combination
+    of kernel rows that clears x0 on the padding pivots.
+    """
+    nraw = len(u_diffs)
+    ech = span_over(p, u_diffs.shape[1], track=max(nraw, 1))
+    kernel = ech.extend(u_diffs, kernel=True)[:, :nraw]
+    residue, x0 = ech.reduce(u_target)
+    if residue.any():
+        return None
+    x0 = x0[:nraw]
+    if len(kernel):
+        # Z_m splits by CRT as Z_e x GF(p), e = exp(L): in every embedded
+        # padding coordinate the last entry is the u-part times e
+        comp = template.group
+        pad = template.raw_rows.reshape(nraw, template.k, comp.rank)[
+            :, :, -1] // (comp.exponent // p)
+        pad_ech = span_over(p, template.k, track=len(kernel))
+        pad_ech.extend(kernel @ pad % p)
+        _, y = pad_ech.reduce(x0 @ pad % p)
+        x0 = (x0 - y @ kernel) % p
+    return x0
 
 
 def _clonoid_parts(image, x: np.ndarray) -> list:

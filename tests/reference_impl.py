@@ -3,8 +3,9 @@ circuit splicing, the echelon, bank evaluation, the recursive s-expression
 reader and writer, the per-row clonoid image, the clonoid image by
 row-by-row elimination, the difference clonoid by row-by-row elimination,
 the stepwise member fold, the elimination generator set of the wreath
-l-part test, the wreath solve that builds every l-part generator before
-its subgroup test, and the affine closure that tests the image of every
+l-part test, the quotient fix on the instance and padding columns at
+once, the wreath solve that builds every l-part generator before its
+subgroup test, and the affine closure that tests the image of every
 new difference under every endomorphism, scalar ones included.  The
 plane points and the per-table u-shift and companion key, which only the
 tests use, live here too.
@@ -740,8 +741,9 @@ def clonoid_image_dense(gens, u_columns) -> ReferenceImage:
     counts = np.bincount(plane_of, minlength=len(planes))
     lone = counts[plane_of] == 1
     shared = vecs[counts > 1].reshape(-1, k)
-    ech = span_over(m, k * group.rank, basis=_lone_image_basis(
-        gens, k, coords[lone], pairs[lone]))
+    ech = span_over(m, k * group.rank)
+    # canonical rows first: sequential elimination leaves them as they are
+    ech.extend(_lone_image_basis(gens, k, coords[lone], pairs[lone]))
     ech.extend(group.embed_elements(np.vstack([shared, unary_vecs])))
     ech.canonicalize()
     generators = [tuple(row) for row in
@@ -863,6 +865,28 @@ def l_part_coeffs(rows: np.ndarray, e: int, p: int) -> list:
     return list(p * scaled[best, np.arange(len(combos))])
 
 
+def quotient_fix_full(template, u_diffs, u_target, p):
+    """``solver._quotient_fix`` as one tracked elimination of the
+    u-differences on the instance columns and the padding columns of
+    `template` together, whose combination for the target, zero on the
+    padding, gives x0; None when its residue on the instance columns is
+    not zero."""
+    nraw, k = u_diffs.shape
+    comp = template.group
+    e = comp.exponent // p
+    u_rows = np.hstack([
+        u_diffs,
+        template.raw_rows.reshape(nraw, template.k, comp.rank)[:, :, -1] // e])
+    u_ech = span_over(p, k + template.k, track=max(nraw, 1))
+    u_ech.extend(u_rows)
+    full_target = np.zeros(k + template.k, dtype=np.int64)
+    full_target[:k] = u_target
+    residue, coeffs = u_ech.reduce(full_target)
+    if residue[:k].any():
+        return None
+    return coeffs[:nraw]
+
+
 def solve_smp_wreath_full(spec, inst, elimination=False):
     """``solver.solve_smp_wreath`` with the subgroup test run once, after
     every l-part generator is built: the image rows first, then all member
@@ -930,8 +954,9 @@ def solve_smp_wreath_full(spec, inst, elimination=False):
     neg_base = group.neg_table[base // p]
     n_image = len(image.generators)
     ok, witness_coeffs = subgroup_member(
-        group, group.add_table[gens // p, neg_base],
-        group.add_table[l_b, neg_base], basis=image.basis)
+        group, list(image.generators)
+        + group.add_table[gens // p, neg_base].tolist(),
+        group.add_table[l_b, neg_base])
     if not ok:
         return False, None
     used = [(j, c, gen_node(j))

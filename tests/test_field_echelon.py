@@ -139,9 +139,10 @@ def seeded_runs(draw):
 @settings(max_examples=300, deadline=None)
 @given(seeded_runs())
 def test_seeded_extend_matches_inserts(run):
-    """A seeded echelon extended by two blocks against one-row blocks in
-    sequence (the same state), and against the reference's sequential
-    Howell inserts (the same canonical rows)."""
+    """An echelon seeded with canonical rows by one block, then extended by
+    two blocks, against one-row blocks in sequence (the same state), and
+    against the reference's sequential Howell inserts (the same canonical
+    rows)."""
     q, width, tracked, seeds, rows, split = run
     canon = FieldEchelon(q, width)
     for v in seeds:
@@ -155,7 +156,10 @@ def test_seeded_extend_matches_inserts(run):
     old = FieldEchelon(q, width, track)
     for v in gens:
         old.extend(v[None])
-    new = FieldEchelon.from_basis(q, basis, track)
+    new = FieldEchelon(q, width, track)
+    new.extend(basis)
+    # the canonical rows stay as they are, each in its own generator slot
+    assert [r.tolist() for r in new.rows] == basis.tolist()
     # two blocks: the second starts past the first's generator slots
     new.extend(rows[:split])
     new.extend(rows[split:])
@@ -181,36 +185,72 @@ def test_seeded_extend_matches_inserts(run):
         [r.tolist() for r in reference.rows]
 
 
+@settings(max_examples=300, deadline=None)
+@given(seeded_runs())
+def test_extend_reports_the_kernel(run):
+    """With `kernel`, two blocks leave the state of one-row blocks, and
+    return, for each generator that did not grow the span, in order, a
+    coefficient row with 1 at its slot and 0 past it that combines the
+    generators to zero: a basis of the combinations that vanish."""
+    q, width, _, seeds, rows, split = run
+    gens = np.asarray(seeds + rows, dtype=np.int64).reshape(
+        len(seeds) + len(rows), width)
+    cut = len(seeds) + split
+    track = max(len(gens), 1)
+    old = FieldEchelon(q, width, track)
+    grew = [old.extend(v[None]) for v in gens]
+    new = FieldEchelon(q, width, track)
+    first = new.extend(gens[:cut], kernel=True)
+    second = new.extend(gens[cut:], kernel=True)
+    assert np.array_equal(new._aug, old._aug)
+    assert new._cols.tolist() == old._cols.tolist()
+    assert new._gen_count == old._gen_count
+    kernel = np.vstack([first, second])
+    assert kernel.shape == (grew.count(False), track)
+    assert kernel.dtype == np.int64
+    assert kernel.min(initial=0) >= 0 and kernel.max(initial=0) < q
+    for row, j in zip(kernel, [j for j, g in enumerate(grew) if not g]):
+        assert row[j] == 1 and not row[j + 1:].any()
+        assert not (row[:len(gens)] @ gens % q).any()
+
+
 def test_field_echelon_keeps_products_inside_int64():
     # width * (q - 1)^2 + q must stay below 2^63
     with pytest.raises(AlgebraError, match="2\\^63"):
         FieldEchelon(2**31 - 1, 4)
-    with pytest.raises(AlgebraError, match="2\\^63"):
-        FieldEchelon.from_basis(2**31 - 1, np.zeros((0, 4), np.int64))
     big = FieldEchelon(65521, 10**6)
     assert big.span_size() == 1
-    # the largest entries a block can hold, eliminated exactly
-    q = 65521
-    rows = np.full((3, 3), q - 1, dtype=np.int64)
-    rows[1, 0] = rows[2, 1] = 1
-    old, new = FieldEchelon(q, 3, 3), FieldEchelon(q, 3, 3)
-    for v in rows:
-        old.extend(v[None])
-    new.extend(rows)
-    assert np.array_equal(new._aug, old._aug)
+    # the largest entries a block can hold, eliminated exactly, in the
+    # loop types int32 and int64
+    for q, loop_type in ((251, np.int32), (65521, np.int64)):
+        rows = np.full((3, 3), q - 1, dtype=np.int64)
+        rows[1, 0] = rows[2, 1] = 1
+        old, new = FieldEchelon(q, 3, 3), FieldEchelon(q, 3, 3)
+        assert new._loop_type == loop_type
+        for v in rows:
+            old.extend(v[None])
+        new.extend(rows)
+        assert np.array_equal(new._aug, old._aug)
 
 
-def test_from_basis_and_extend_reject_bad_input():
-    for bad in ([[2, 0]], [[1, 1], [0, 1]], [[1, 0], [1, 0]], [[0, 0]],
-                [[1, -1]], [[1, 3]]):
-        with pytest.raises(AlgebraError):
-            FieldEchelon.from_basis(3, bad)
-    with pytest.raises(AlgebraError):
-        FieldEchelon.from_basis(3, [[1, 0], [0, 1]], track=1)
-    ech = FieldEchelon.from_basis(3, [[1, 0]], track=2)
+def test_pivot_loop_runs_in_the_narrowest_type():
+    """The loop type holds width * (q - 1)^2 + q and no narrower type
+    does."""
+    for q, width, loop_type in ((2, 126, np.int8), (2, 127, np.int16),
+                                (3, 60, np.int16), (3, 8191, np.int16),
+                                (3, 8192, np.int32), (7, 800, np.int16),
+                                (65521, 1, np.int64)):
+        assert FieldEchelon(q, width)._loop_type == loop_type
+
+
+def test_extend_rejects_more_generators_than_slots():
+    ech = FieldEchelon(3, 2, track=2)
+    ech.extend([[1, 0]])
     with pytest.raises(AlgebraError):
         ech.extend([[1, 0], [0, 1]])
-    assert FieldEchelon.from_basis(3, np.zeros((0, 2), np.int64)).rows == []
+    # a kernel is read from the coefficient rows
+    with pytest.raises(AlgebraError):
+        FieldEchelon(3, 2).extend([[1, 0]], kernel=True)
 
 
 @settings(max_examples=60, deadline=None)

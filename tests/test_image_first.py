@@ -88,8 +88,8 @@ def test_image_first_matches_full_path(name, k, n, seed):
 
     # the member target with one l-part moved off the image span: the
     # full test decides it
-    span = span_over(group.exponent, k * group.rank,
-                     max(len(image.basis), 1), image.basis)
+    span = span_over(group.exponent, k * group.rank)
+    span.extend(image.basis)
     l_target = np.asarray(member.target) // spec.p
     shifts = [(i, a) for i in range(k) for a in range(1, group.size)]
     rng.shuffle(shifts)

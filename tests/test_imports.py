@@ -99,15 +99,15 @@ def test_every_definition_has_a_caller_or_is_exported():
         == UNREFERENCED
 
 
-# the only functions that may make an echelon: span_over picks the class
-# by the modulus, and from_basis is the seeded constructor it calls
-ECHELON_MAKERS = {"span_over", "FieldEchelon.from_basis"}
+# the only function that may make an echelon: span_over picks the class
+# by the modulus
+ECHELON_MAKERS = {"span_over"}
 
 
 def echelon_calls(source: str) -> list:
-    """(enclosing function, call) of every ``Echelon(...)``,
-    ``FieldEchelon(...)`` or ``from_basis(...)`` call, the function as a
-    dotted path such as ``Class.method``, or "" at module level."""
+    """(enclosing function, call) of every ``Echelon(...)`` or
+    ``FieldEchelon(...)`` call, the function as a dotted path such as
+    ``Class.method``, or "" at module level."""
     found = []
 
     def visit(node, scope: str) -> None:
@@ -120,7 +120,7 @@ def echelon_calls(source: str) -> list:
                 func = child.func
                 name = (func.id if isinstance(func, ast.Name) else
                         func.attr if isinstance(func, ast.Attribute) else None)
-                if name in ("Echelon", "FieldEchelon", "from_basis"):
+                if name in ("Echelon", "FieldEchelon"):
                     found.append((scope, name))
             visit(child, inner)
 
@@ -132,11 +132,11 @@ def test_the_scan_finds_echelon_calls():
     module = ("E = Echelon(2, 3)\n\n\nclass A:\n    def f(self):\n"
               "        return affine.FieldEchelon(3, 1)\n\n\n"
               "def span_over(m):\n    def g():\n"
-              "        return FieldEchelon.from_basis(m, [])\n"
+              "        return FieldEchelon(m, 2)\n"
               "    return g(), Echelon(m, 1), EchelonLike(m)\n")
     assert echelon_calls(module) == [
         ("", "Echelon"), ("A.f", "FieldEchelon"),
-        ("span_over.g", "from_basis"), ("span_over", "Echelon")]
+        ("span_over.g", "FieldEchelon"), ("span_over", "Echelon")]
 
 
 def test_every_echelon_is_made_by_span_over():

@@ -1,6 +1,7 @@
-"""``scripts/scale.py``: one seeded a6 solve, a member or with ``--probe``
-an l-shifted non-member, or with ``--affine M`` a Z_M member or with
-``--probe`` a shifted Z_M non-member, reported as JSON."""
+"""``scripts/scale.py``: one seeded a6 solve, a member, with ``--probe``
+an l-shifted non-member or with ``--quotient`` a u-shifted one, or with
+``--affine M`` a Z_M member or with ``--probe`` a shifted Z_M
+non-member, reported as JSON."""
 
 import json
 import os
@@ -31,7 +32,9 @@ def _scale(*flags) -> dict:
 def test_scale_member_at_k_100():
     result = _scale()
     assert result["probe"] is False and result["affine"] is None
+    assert result["quotient"] is False
     assert result["member"] is True and result["witness_ok"] is True
+    assert result["decided_by"] == "image"
     assert result["witness_bytes"] > 0
     # decided by the clonoid image: its rows make the witness
     assert result["clonoid_parts"] > 0 and result["member_parts"] == 0
@@ -43,12 +46,23 @@ def test_scale_l_shifted_probe_at_k_100():
     assert result["probe"] is True
     assert result["member"] is False and result["witness_ok"] is False
     assert result["witness_bytes"] == 0
+    # its u-parts are a member's: the l-part test rejects it
+    assert result["decided_by"] == "full"
+
+
+def test_scale_quotient_probe_at_k_100():
+    result = _scale("--quotient")
+    assert result["quotient"] is True and result["probe"] is False
+    assert result["member"] is False and result["witness_ok"] is False
+    assert result["witness_bytes"] == 0
+    assert result["decided_by"] == "quotient"
 
 
 def test_scale_affine_member_at_k_100():
     result = _scale("--affine", "12")
     assert result["probe"] is False and result["affine"] == 12
     assert result["member"] is True and result["witness_ok"] is True
+    assert result["decided_by"] is None
     assert result["witness_bytes"] > 0
     # an affine witness is one circuit, with no parts
     assert result["clonoid_parts"] == result["member_parts"] == 0

@@ -233,16 +233,18 @@ def test_warm_solve_skips_image_and_spanned_differences(monkeypatch):
     plane with no elimination, since every coordinate is alone in its
     plane: the image decides by one block-wise reduction, so the solve
     builds no l-part generator and makes no echelon for the subgroup
-    test.  The quotient fix eliminates its rows as one
-    ``FieldEchelon.extend`` call, the solve's only echelon."""
+    test.  The quotient fix eliminates the u-differences as one
+    ``FieldEchelon.extend`` call on the instance's k columns, the solve's
+    only echelon: their 19 rows are independent there, so the padding
+    columns take no elimination."""
     spec = a6()
     assert solve_smp_wreath(spec, _instance(spec, 60, 20, 900)).member
     extends, made = [], []
     extend = FieldEchelon.extend
 
-    def counted(self, rows):
-        extends.append((self, sys._getframe(1).f_code.co_name))
-        return extend(self, rows)
+    def counted(self, rows, **kwargs):
+        extends.append((self, sys._getframe(1).f_code.co_name, len(rows)))
+        return extend(self, rows, **kwargs)
 
     monkeypatch.setattr(FieldEchelon, "extend", counted)
     span_over = solver.span_over
@@ -260,11 +262,10 @@ def test_warm_solve_skips_image_and_spanned_differences(monkeypatch):
         assert verdict.member and check_witness(spec, inst, verdict)
         assert verdict.stats["decided_by"] == "image"
         assert verdict.witness["members"] == []
-        # the quotient fix is the solve's only elimination
+        # the quotient fix is the solve's only elimination, on k columns
         (fix,) = made
-        assert fix.m == spec.p
-        assert [(owner, caller) for owner, caller in extends] \
-            == [(fix, "solve_smp_wreath")]
+        assert fix.m == spec.p and fix.width == inst.k
+        assert extends == [(fix, "_quotient_fix", 19)]
 
 
 @pytest.mark.xfail(strict=True, reason="check_witness takes clonoid parts on "
