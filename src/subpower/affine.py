@@ -38,7 +38,10 @@ echelon form over a field, the Howell normal form over Z_m (Howell 1986;
 Storjohann & Mulders, ESA 1998), so the class cannot move an output.
 One constructor, ``span_over``, picks it by the modulus, for the affine
 closure, the subgroup test and every wreath echelon alike; no caller
-chooses it.
+chooses it.  An affine closure with scalar maps only keeps its span as a
+``LiftedSpan`` when its differences are Z_m-free (``lift_span``): one
+``FieldEchelon`` per prime p | m, and p-adic lifting over Z_{p^e} in
+place of a Howell elimination.
 
 One cache rule: a derived value is a ``functools.cached_property`` of
 the frozen object it derives from (a plain-value helper keeps an
@@ -61,7 +64,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -265,16 +268,25 @@ def is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
+@lru_cache(maxsize=64)
+def prime_powers(n: int) -> tuple[tuple[int, int], ...]:
+    """The prime factorization of n as (p, e) pairs, p ascending."""
+    out, d = [], 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    return tuple(out + [(n, 1)] * (n > 1))
+
+
 def prime_length(n: int) -> int:
     """The number of prime factors of n counted with multiplicity: the
     composition length of a group of order n."""
-    count, d = 0, 2
-    while d * d <= n:
-        while n % d == 0:
-            n //= d
-            count += 1
-        d += 1
-    return count + (n > 1)
+    return sum(e for _, e in prime_powers(n))
 
 
 def _unit_scale(a: int, m: int) -> int:
@@ -294,17 +306,22 @@ class Echelon:
 
     Elimination is sequential, one pivot at a time.  Over a prime modulus
     ``span_over`` gives a ``FieldEchelon`` instead, one product per
-    reduction, with the same canonical rows and tracked coefficients.  Each
-    row is stored augmented with its coefficient row, so one elimination
-    step is one fused update; ``rows`` and ``coeffs`` are lists of views
-    into the augmented rows.  A stored array is never written after it is
-    made (a replaced or canonicalized row is a new array), so row lists
-    handed out stay valid while more vectors are inserted.  The tracked
-    coefficient rows depend on the order of elimination when the inserted
-    rows are not Z_m-free: the raw differences of the golden
-    ``z2_z4_zero5`` compact representation (seed 65), eliminated in
-    reverse order, give the same canonical rows but change 6 of its 8
-    circuits.
+    reduction, with the same canonical rows and tracked coefficients.  The
+    affine solve makes one only where ``lift_span`` cannot lift: with a
+    non-scalar map, or with raw differences that are not Z_m-free.  A
+    compact representation of a lifted span makes one for its canonical
+    rows (``AffineSubpowerRep.tracked_echelon``).
+
+    Each row is stored augmented with its coefficient row, so one
+    elimination step is one fused update; ``rows`` and ``coeffs`` are
+    lists of views into the augmented rows.  A stored array is never
+    written after it is made (a replaced or canonicalized row is a new
+    array), so row lists handed out stay valid while more vectors are
+    inserted.  The tracked coefficient rows depend on the order of
+    elimination when the inserted rows are not Z_m-free: the raw
+    differences of the golden ``z2_z4_zero5`` compact representation
+    (seed 65), eliminated in reverse order, give the same canonical rows
+    but change 6 of its 8 circuits.
     """
 
     def __init__(self, m: int, width: int, track: int | None = None):
@@ -473,13 +490,15 @@ class Echelon:
             self._set_row(ridx, col, row)
         self.pivots = {c: i for i, c in enumerate(order)}
 
-    def trim_tracking(self, track: int) -> None:
-        """Keep the first `track` coefficient columns, those of the
-        generators so far: a later slot has written nothing."""
-        if self._gen_count > track:
-            raise AlgebraError("more generators than the tracking width")
-        self.track = track
-        self._aug = [aug[:self.width + track] for aug in self._aug]
+    def trim_tracking(self, slots) -> None:
+        """Keep the coefficient columns of the generator `slots`, in order,
+        as slots 0, 1, ...: every other slot has written nothing into a
+        stored row."""
+        cols = np.concatenate((np.arange(self.width),
+                               self.width + np.asarray(slots, dtype=int)))
+        self.track = len(slots)
+        self._aug = [aug[cols] for aug in self._aug]
+        self.rows = [aug[:self.width] for aug in self._aug]
         self.coeffs = [aug[self.width:] for aug in self._aug]
 
     def row_array(self) -> np.ndarray:
@@ -548,8 +567,6 @@ class FieldEchelon:
         self._free = None      # non-pivot columns, the basis on them
         self._gen_count = 0
 
-    _vector = Echelon._vector
-
     @property
     def _aug(self) -> np.ndarray:
         return self._buf[:len(self._cols)]
@@ -569,15 +586,19 @@ class FieldEchelon:
         return {int(c): i for i, c in enumerate(self._cols)}
 
     def reduce(self, v) -> tuple[np.ndarray, np.ndarray | None]:
-        """Residue of v modulo the span, plus combination coefficients:
-        one product of v's pivot entries with the augmented rows."""
-        w = self._vector(v)
-        out = w[self._cols] @ self._aug
-        out[:self.width] = w - out[:self.width]
+        """Residue of v (or of each row of a matrix) modulo the span, plus
+        combination coefficients: one product of the pivot entries with
+        the augmented rows."""
+        w = np.asarray(v, dtype=np.int64)
+        if w.shape[-1:] != (self.width,):
+            raise AlgebraError("vector width mismatch")
+        w = w % self.m
+        out = w[..., self._cols] @ self._aug
+        out[..., :self.width] = w - out[..., :self.width]
         out %= self.m
         if self.track is None:
             return out, None
-        return out[:self.width], out[self.width:]
+        return out[..., :self.width], out[..., self.width:]
 
     def _residues(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Residues of the rows of `w` (entries in 0..q-1) modulo the span,
@@ -716,13 +737,14 @@ class FieldEchelon:
         self._cols[:] = self._cols[order]
         self._free = None
 
-    def trim_tracking(self, track: int) -> None:
-        """Keep the first `track` coefficient columns, those of the
-        generators so far: a later slot has written nothing."""
-        if self._gen_count > track:
-            raise AlgebraError("more generators than the tracking width")
-        self.track = track
-        self._buf = self._buf[:, :self.width + track].copy()
+    def trim_tracking(self, slots) -> None:
+        """Keep the coefficient columns of the generator `slots`, in order,
+        as slots 0, 1, ...: every other slot has written nothing into a
+        stored row."""
+        cols = np.concatenate((np.arange(self.width),
+                               self.width + np.asarray(slots, dtype=int)))
+        self.track = len(slots)
+        self._buf = self._buf[:, cols]
         self._free = None
 
     def row_array(self) -> np.ndarray:
@@ -739,10 +761,110 @@ class FieldEchelon:
 
 
 def span_over(m: int, width: int, track: int | None = None):
-    """A FieldEchelon when m is prime, else a Howell Echelon."""
+    """A FieldEchelon when m is prime, else a Howell Echelon.  The lifted
+    span of ``lift_span`` takes one through here for each prime p | m, so a
+    composite m makes a Howell Echelon only where a caller asks for one
+    over Z_m itself."""
     if is_prime(m):
         return FieldEchelon(m, width, track)
     return Echelon(m, width, track)
+
+
+def _lift(ech: FieldEchelon, e: int, rows: np.ndarray, w: np.ndarray):
+    """Coefficients c with c @ rows == w mod p^e, p = ech.m, a row of c per
+    row of w; or None when w is outside the span of `rows` over Z_{p^e}.
+
+    `ech` is the fully reduced echelon of `rows` mod p, tracked by row, and
+    the rows are independent mod p.  Digit t of c is one ``reduce`` of the
+    residual mod p (unique, by independence); the residual minus its
+    combination is divisible by p, and the quotient is the next residual.
+    """
+    p = ech.m
+    q = p ** e
+    w = w % q
+    c = 0
+    for t in range(e):
+        residue, digit = ech.reduce(w)
+        if residue.any():
+            return None
+        c = c + p ** t * digit
+        if t + 1 < e:
+            w = (w - digit @ rows) % q // p
+    return c
+
+
+class LiftedSpan:
+    """The span over Z_m of rows independent mod every prime p | m, so
+    Z_m-free: every member has one coefficient vector.  It is found prime
+    by prime, lifted digit by digit over Z_{p^e} (``_lift``) with a tracked
+    ``FieldEchelon`` of the rows mod p, and joined by the Chinese remainder
+    theorem.  ``growers`` holds the index of each row among the vectors
+    that ``lift_span`` eliminated."""
+
+    def __init__(self, m: int, vecs: np.ndarray, growers: np.ndarray,
+                 echelons: list):
+        self.m = m
+        self.rows = vecs[growers]
+        self.growers = growers
+        self.echelons = echelons
+        self._parts = []
+        for (p, e), ech in zip(prime_powers(m), echelons):
+            rest = m // p ** e
+            self._parts.append((e, ech, rest * pow(rest, -1, p ** e)))
+
+    def coefficients(self, v) -> np.ndarray | None:
+        """The c, one entry per row, with c @ rows == v (mod m), or None
+        when v is outside the span."""
+        total = 0
+        for e, ech, weight in self._parts:
+            c = _lift(ech, e, self.rows, v)
+            if c is None:
+                return None
+            total = total + weight * c
+        return total % self.m
+
+
+def lift_span(m: int, vecs: np.ndarray) -> LiftedSpan | None:
+    """The span over Z_m of the rows of `vecs`, taken in order, as a
+    ``LiftedSpan`` of the rows that grow it, when those are Z_m-free; else
+    None.
+
+    A row grows the span when it lies outside the span of the rows before
+    it.  Mod each prime p | m one tracked ``FieldEchelon.extend`` of the
+    whole block, with ``kernel``, finds the rows that do not grow the span
+    mod p: the last nonzero entry of a kernel row is its own slot.  When
+    every p gives the same growers, they are independent mod every p, so
+    Z_m-free.  Then, by induction over the rows, the span of the rows
+    before a non-grower is the span of the growers before it, in which
+    coefficients are unique: it lies there when its lift over each
+    Z_{p^e} has support on earlier growers only.  Growers that differ by
+    p, or a lift that fails or reaches a later grower, give None: a row
+    grows the span over Z_m there without growing it mod some p, so the
+    growers over Z_m are not free.  The tracking of each echelon is then
+    compacted to the growers' slots.
+    """
+    n, width = vecs.shape
+    powers = prime_powers(m)
+    echelons, growers = [], None
+    for p, _ in powers:
+        ech = span_over(p, width, n)
+        kernel = ech.extend(vecs, kernel=True)
+        grows = np.ones(n, dtype=bool)
+        grows[n - 1 - np.argmax(kernel[:, ::-1] != 0, axis=1)] = False
+        if growers is not None and (grows != growers).any():
+            return None
+        growers = grows
+        echelons.append(ech)
+    dead = np.flatnonzero(~growers)
+    for (_, e), ech in zip(powers, echelons):
+        if e > 1 and len(dead):
+            c = _lift(ech, e, vecs, vecs[dead])
+            if c is None or c[np.arange(n) >= dead[:, None]].any():
+                return None
+    growers = np.flatnonzero(growers)
+    for ech in echelons:
+        ech.trim_tracking(growers)
+    return LiftedSpan(m, vecs, growers, echelons)
 
 
 def span_witness(ech, rows: np.ndarray, target_v: np.ndarray):
@@ -905,10 +1027,11 @@ class AffineSubpowerRep:
 
     Every retained difference carries a pair of member circuits (plus,
     minus) whose values differ by exactly that vector.  ``raw`` is complete
-    when ``affine_span`` returns it, and so is ``echelon``, the span of
-    ``raw`` eliminated once and tracked from the start: raw difference j
-    in generator slot j.  ``raw_rows`` and ``tracked_echelon`` are derived
-    from them on first read and kept.
+    when ``affine_span`` returns it, and so is its span: ``lifted``, when
+    the raw differences are Z_m-free and were found by ``lift_span``, else
+    ``echelon``, the span of ``raw`` eliminated once, in order, and tracked
+    from the start: raw difference j in generator slot j.  ``raw_rows``
+    and ``tracked_echelon`` are derived from them on first read and kept.
     """
 
     alg: FiniteAlgebra
@@ -920,19 +1043,46 @@ class AffineSubpowerRep:
     bank: CircuitBank
     raw: list = field(default_factory=list)   # (flat_vec, plus_node, minus_node)
     echelon: Echelon | FieldEchelon | None = None   # tracked span of raw
+    lifted: LiftedSpan | None = None                 # or its lifted span
     tuples_materialized: int = 0
 
     @cached_property
     def tracked_echelon(self) -> Echelon | FieldEchelon:
         """Canonical echelon of the differences with raw-combination
-        tracking: ``echelon`` itself, its tracking trimmed to the raw slots,
-        canonicalized, with no second elimination.  A vector that did not
-        grow the span wrote nothing into a stored row, so these are the
-        rows and coefficients of eliminating ``raw_rows`` alone, in order."""
-        ech = self.echelon
-        ech.trim_tracking(max(len(self.raw), 1))
+        tracking: the rows and coefficients of eliminating ``raw_rows``
+        alone, in order, for compact representations and Fix-Value.
+
+        * Without a lifted span it is ``echelon`` itself, its tracking
+          trimmed to the raw slots.  A vector that did not grow the span
+          wrote nothing into a stored row.
+        * A lifted span over a prime m holds one ``FieldEchelon``, its
+          tracking already compacted to the raw slots.  Its ``extend``
+          leaves the echelon of sequential elimination, in which the
+          non-growers wrote nothing either.
+        * A lifted span over a composite m holds no echelon over Z_m, so
+          ``raw_rows`` are eliminated once, one by one.
+        """
+        m = self.group.exponent
+        if self.lifted is None:
+            ech = self.echelon
+            ech.trim_tracking(range(max(len(self.raw), 1)))
+        elif is_prime(m):
+            ech = self.lifted.echelons[0]
+        else:
+            ech = span_over(m, len(self.base_flat), len(self.raw))
+            ech.extend(self.raw_rows)
         ech.canonicalize()
         return ech
+
+    def raw_coefficients(self, diff) -> np.ndarray | None:
+        """The raw coefficients c with c @ raw_rows == diff (mod m), or None
+        when diff is outside the span.  Over Z_m-free raw differences they
+        are unique: the lifted span finds them without an echelon over
+        Z_m.  Else they are the reduction by ``tracked_echelon``."""
+        if self.lifted is not None:
+            return self.lifted.coefficients(diff)
+        residue, coeffs = self.tracked_echelon.reduce(diff)
+        return None if residue.any() else coeffs[:len(self.raw)]
 
     @cached_property
     def raw_rows(self) -> np.ndarray:
@@ -971,13 +1121,22 @@ def affine_span(alg: FiniteAlgebra, group: AbelianGroupSpec,
     the span only under the non-scalar endomorphisms: a scalar one maps it
     to c * vec, which the span already holds (``AffineOpSpec.scalar``).
 
-    The span is tracked from the start.  A vector that does not grow it
+    Without a non-scalar map, which covers every catalog affine algebra
+    and every wreath companion, the queue never grows.  Its nonzero
+    vectors, in pop order, are then eliminated as one block per prime
+    p | m (``lift_span``), and when the raw differences come out Z_m-free
+    they are the vectors that grow the span, in that order, and ``lifted``
+    holds their span.  Otherwise, with a non-scalar map or differences
+    that are not free, the vectors are eliminated one at a time, in pop
+    order, into ``echelon``: the same raw differences, bank and queue.
+
+    That span is tracked from the start.  A vector that does not grow it
     writes nothing into a stored row and gives its generator slot back,
-    so raw difference j holds slot j.  Without a non-scalar map the queue
-    never grows, and its n - 1 + len(ops) vectors bound the slots; else
-    each raw difference strictly enlarges a subgroup of L^k, so there are
-    at most k * Omega(|L|) of them (``prime_length``), plus the slot of
-    one vector under test.
+    so raw difference j holds slot j.  Without a non-scalar map the
+    queue's n - 1 + len(ops) vectors bound the slots; else each raw
+    difference strictly enlarges a subgroup of L^k, so there are at most
+    k * Omega(|L|) of them (``prime_length``), plus the slot of one vector
+    under test.
     """
     if not len(gens):
         raise AlgebraError("affine closure needs at least one generator")
@@ -1014,6 +1173,16 @@ def affine_span(alg: FiniteAlgebra, group: AbelianGroupSpec,
                                                group.rank)
     track = k * prime_length(group.size) + 1
     if not slots:
+        order = queue[::-1]                     # pop order
+        vecs = np.asarray([v for v, _, _ in order])
+        live = np.flatnonzero(vecs.any(axis=1))
+        vecs = vecs[live]
+        if len(live):
+            rep.lifted = lift_span(m, vecs)
+        if rep.lifted is not None:
+            rep.raw = [order[j] for j in live[rep.lifted.growers]]
+            rep.tuples_materialized += len(rep.raw)
+            return rep
         track = min(track, len(queue))
     ech = rep.echelon = span_over(m, k * group.rank, max(track, 1))
 

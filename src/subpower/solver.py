@@ -498,22 +498,26 @@ def underlying_algebra(algebra_input) -> FiniteAlgebra:
 
 
 def _solve_affine(alg, group, inst, want_witness) -> SmpVerdict:
-    """Decide whether target - base lies in the span of the differences,
-    which ``affine_span`` eliminates once, tracked from the start; for a
-    returned witness, one reduction by that span gives its raw
-    coefficients and the witness is one Mal'tsev chain over the raw
-    differences."""
+    """Decide whether target - base lies in the span of the differences
+    that ``affine_span`` finds, by their raw coefficients
+    (``AffineSubpowerRep.raw_coefficients``); the witness is one Mal'tsev
+    chain over the raw differences with those coefficients.  On a lifted
+    span, the case of every algebra without a non-scalar map whose raw
+    differences are Z_m-free, deciding and the coefficients are one lift
+    over each Z_{p^e}, p^e || m, and no echelon over Z_m is made.  The
+    coefficients are unique there, so they are those of a reduction by
+    the canonical echelon of the raw differences."""
     t_start = time.perf_counter()
     inst_rows = _instance_rows(inst, alg.size)
     rep = affine_span(alg, group, inst_rows[:-1])
     diff = (group.embed_elements(inst_rows[-1]) - rep.base_flat) % group.exponent
-    member = bool(rep.echelon.contains_rows(diff[None])[0])
+    coeffs = rep.raw_coefficients(diff)
+    member = coeffs is not None
     stats = {"path": "affine", "k": inst.k, "n": inst.n,
              "tuples_materialized": rep.tuples_materialized}
     node = None
     if member and want_witness:
-        _, coeffs = rep.tracked_echelon.reduce(diff)
-        node = rep.member_node(coeffs[:len(rep.raw)])
+        node = rep.member_node(coeffs)
     stats["elapsed_ms"] = 1000 * (time.perf_counter() - t_start)
     witness = None
     if node is not None:

@@ -5,8 +5,9 @@ row-by-row elimination, the difference clonoid by row-by-row elimination,
 the stepwise member fold, the elimination generator set of the wreath
 l-part test, the quotient fix on the instance and padding columns at
 once, the wreath solve that builds every l-part generator before its
-subgroup test, and the affine closure that tests the image of every
-new difference under every endomorphism, scalar ones included.  The
+subgroup test, the affine closure that eliminates its queue one vector
+at a time (optionally testing the image of every new difference under
+every endomorphism, scalar ones included) and the affine solve on it.  The
 plane points and the per-table u-shift and companion key, which only the
 tests use, live here too.
 
@@ -976,14 +977,16 @@ def solve_smp_wreath_full(spec, inst, elimination=False):
     }
 
 
-def affine_span_every_image(alg, group: AbelianGroupSpec,
-                            gens) -> AffineSubpowerRep:
-    """``affine.affine_span`` testing the image of each new difference under
-    every (operation, argument) endomorphism against the span, the scalar
-    ones included.  Its span is tracked from the start in the same way:
-    a vector that does not grow it gives its generator slot back, and the
-    k * Omega(|L|) raw differences a subgroup chain of L^k allows, plus the
-    vector under test, bound the slots."""
+def affine_span_sequential(alg, group: AbelianGroupSpec, gens,
+                           every_image: bool = False) -> AffineSubpowerRep:
+    """``affine.affine_span`` with every queued vector eliminated one at a
+    time, in pop order, into one echelon over Z_m tracked from the start,
+    and no lifted span.  A vector that does not grow the span gives its
+    generator slot back, so raw difference j holds slot j.  With
+    `every_image` the image of each new difference under every (operation,
+    argument) endomorphism is tested against the span, the scalar ones
+    included; the k * Omega(|L|) raw differences a subgroup chain of L^k
+    allows, plus the vector under test, then bound the slots."""
     gens = group.check_elements(gens)
     n, k = gens.shape
     op_specs = verify_affine(alg, group)
@@ -993,8 +996,6 @@ def affine_span_every_image(alg, group: AbelianGroupSpec,
     rep = AffineSubpowerRep(
         alg=alg, group=group, k=k, generators=tuple(map(tuple, gens.tolist())),
         base_flat=flats[0], base_node=bank.var(1), bank=bank)
-    rep.echelon = span_over(m, k * group.rank,
-                            k * prime_length(group.size) + 1)
     rep.tuples_materialized = n
     queue = [((flats[j] - rep.base_flat) % m, bank.var(j + 1), bank.var(1))
              for j in range(1, n)]
@@ -1005,10 +1006,15 @@ def affine_span_every_image(alg, group: AbelianGroupSpec,
         val = group.embed_elements([table[x * diagonal]
                                     for x in gens[0].tolist()])
         queue.append(((val - rep.base_flat) % m, node, rep.base_node))
-    slots = [(spec, i) for spec in op_specs for i in range(spec.arity)]
+    slots = [(spec, i) for spec in op_specs for i in range(spec.arity)
+             if every_image or spec.scalar(i) is None]
     endos = np.asarray([spec.matrices[i] for spec, i in slots],
                        dtype=np.int64).reshape(len(slots), group.rank,
                                                group.rank)
+    track = k * prime_length(group.size) + 1
+    if not slots:
+        track = min(track, len(queue))
+    rep.echelon = span_over(m, k * group.rank, max(track, 1))
     while queue:
         vec, plus, minus = queue.pop()
         if not vec.any():
@@ -1030,6 +1036,37 @@ def affine_span_every_image(alg, group: AbelianGroupSpec,
             queue.append((img, bank.app(spec.symbol, tuple(up)),
                           bank.app(spec.symbol, tuple(down))))
     return rep
+
+
+def affine_span_every_image(alg, group: AbelianGroupSpec,
+                            gens) -> AffineSubpowerRep:
+    """``affine_span_sequential`` testing every image, scalar ones
+    included."""
+    return affine_span_sequential(alg, group, gens, every_image=True)
+
+
+def solve_affine_sequential(alg, group: AbelianGroupSpec, inst,
+                            want_witness: bool = True):
+    """The affine solve on ``affine_span_sequential``: membership by the
+    span as eliminated, and for a witness the raw coefficients of one
+    reduction by its canonical form, trimmed to the raw slots.  Returns
+    (member, witness, stats without ``elapsed_ms``)."""
+    rows = group.check_elements([*inst.generators, inst.target])
+    rep = affine_span_sequential(alg, group, rows[:-1])
+    diff = (group.embed_elements(rows[-1]) - rep.base_flat) % group.exponent
+    member = bool(rep.echelon.contains_rows(diff[None])[0])
+    stats = {"path": "affine", "k": inst.k, "n": inst.n,
+             "tuples_materialized": rep.tuples_materialized}
+    witness = None
+    if member and want_witness:
+        ech = rep.echelon
+        ech.trim_tracking(range(max(len(rep.raw), 1)))
+        ech.canonicalize()
+        _, coeffs = ech.reduce(diff)
+        node = rep.member_node(coeffs[:len(rep.raw)])
+        witness = {"path": "affine",
+                   "circuit": serialize_sexpr(rep.bank.extract(node))}
+    return member, witness, stats
 
 
 def plane_points(p: int, c) -> list:

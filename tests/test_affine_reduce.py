@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import reference_impl as ref
 from conftest import golden_module
 from subpower.affine import (Echelon, FieldEchelon, affine_closure_comprep,
-                             affine_span)
+                             affine_span, is_prime)
 from subpower.catalog import zmod_group_algebra
 from subpower.comprep import maltsev_chain_member
 from subpower.core import ClosureCapExceeded, smp_oracle
@@ -83,15 +83,23 @@ def test_reduction_agrees_with_chain_and_oracle(case):
 @given(name=st.sampled_from(sorted(SPANS)), k=st.integers(1, 5),
        data=st.data())
 def test_tracked_span_is_the_two_pass_echelon(name, k, data):
-    """``tracked_echelon`` reads the closure span itself: its canonical
-    rows, coefficients, tail rows and reductions are those of a second,
-    sequential elimination of the raw differences alone."""
+    """``tracked_echelon``'s canonical rows, coefficients, tail rows and
+    reductions are those of a second, sequential elimination of the raw
+    differences alone.  It is the closure span itself when that is one
+    echelon: the sequential span, or over a prime the lifted span's
+    ``FieldEchelon``; over a composite exponent a lifted span holds none,
+    and a Howell echelon is made on this first read."""
     alg, group = SPANS[name]
     row = st.tuples(*[st.integers(0, alg.size - 1)] * k)
     gens = data.draw(st.lists(row, min_size=1, max_size=4))
     rep = affine_span(alg, group, gens)
     ech = rep.tracked_echelon
-    assert ech is rep.echelon
+    if rep.lifted is None:
+        assert ech is rep.echelon
+    elif is_prime(group.exponent):
+        assert rep.echelon is None and ech is rep.lifted.echelons[0]
+    else:
+        assert rep.echelon is None and isinstance(ech, Echelon)
     m, width = group.exponent, len(rep.base_flat)
     reference = ref.ReferenceEchelon(m, width, max(len(rep.raw), 1))
     for vec in rep.raw_rows:
@@ -126,9 +134,9 @@ def _counting_eliminations():
         counts["rows"] += 1
         return insert(self, v)
 
-    def counted_extend(self, rows):
+    def counted_extend(self, rows, kernel=False):
         counts["rows"] += len(rows)
-        return extend(self, rows)
+        return extend(self, rows, kernel=kernel)
 
     with mock.patch.object(Echelon, "insert", counted_insert), \
             mock.patch.object(FieldEchelon, "extend", counted_extend):
@@ -138,8 +146,9 @@ def _counting_eliminations():
 @pytest.mark.parametrize("name", sorted(SPANS))
 def test_a_witness_costs_no_second_elimination(name):
     """A member solve with its witness eliminates exactly the vectors of
-    the solve without one: reading ``tracked_echelon`` eliminates
-    nothing."""
+    the solve without one.  Reading ``tracked_echelon`` then eliminates
+    nothing over a prime exponent or on the sequential span, and the raw
+    differences once over a composite exponent whose span was lifted."""
     alg, group = SPANS[name]
     rng = random.Random(5)
     for _ in range(4):
@@ -156,4 +165,6 @@ def test_a_witness_costs_no_second_elimination(name):
         rep = affine_span(alg, group, gens)
         with _counting_eliminations() as counts:
             rep.tracked_echelon
-        assert counts["rows"] == 0
+        composite = not is_prime(group.exponent)
+        lifted = rep.lifted is not None
+        assert counts["rows"] == (len(rep.raw) if composite and lifted else 0)

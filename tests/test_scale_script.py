@@ -1,12 +1,15 @@
 """``scripts/scale.py``: one seeded a6 solve, a member, with ``--probe``
 an l-shifted non-member or with ``--quotient`` a u-shifted one, or with
 ``--affine M`` a Z_M member or with ``--probe`` a shifted Z_M
-non-member, reported as JSON."""
+non-member, reported as JSON.  M = 7 and 12 take one prime and two; 30
+takes three, and 9 a second digit of the p-adic lift."""
 
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -71,5 +74,23 @@ def test_scale_affine_member_at_k_100():
 def test_scale_affine_probe_at_k_100():
     result = _scale("--affine", "12", "--probe")
     assert result["probe"] is True and result["affine"] == 12
+    assert result["member"] is False and result["witness_ok"] is False
+    assert result["witness_bytes"] == 0
+
+
+@pytest.mark.parametrize("m", [30, 9])
+def test_scale_lifted_affine_member_at_k_100(m):
+    """Z_30 lifts over three primes, Z_9 by a second 3-adic digit."""
+    result = _scale("--affine", str(m))
+    assert result["probe"] is False and result["affine"] == m
+    assert result["member"] is True and result["witness_ok"] is True
+    assert result["witness_bytes"] > 0
+    assert result["clonoid_parts"] == result["member_parts"] == 0
+
+
+@pytest.mark.parametrize("m", [30, 9])
+def test_scale_lifted_affine_probe_at_k_100(m):
+    result = _scale("--affine", str(m), "--probe")
+    assert result["probe"] is True and result["affine"] == m
     assert result["member"] is False and result["witness_ok"] is False
     assert result["witness_bytes"] == 0
