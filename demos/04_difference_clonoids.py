@@ -30,7 +30,8 @@ for name, wspec in (("a6", spec), ("a6+unary-shift", a6_shift()),
     gens = diff_clonoid_gens(wspec)
     print(f"\n{name}: unary generators {gens.unary}")
     print(f"{'':>{len(name)}}  binary generators {gens.binary}")
-    print(f"{'':>{len(name)}}  full enumeration: {gens.exact}")
+    print(f"{'':>{len(name)}}  exact (no cap, |companions|^arity "
+          f"compositions): {gens.exact}")
 
 # --- plane geometry of quotient rows ------------------------------------------
 p = 3

@@ -37,11 +37,19 @@ One JSON line goes to stdout:
   path;
 * ``affine``: M, or null for a6.
 
+With ``--context SPEC`` nothing is solved: SPEC is ``a6``, ``w15`` or
+``random_wreath:P:L:SEED``, built fresh, and the line holds its cold
+``wreath_context`` build instead (the wreath algebra, the affine checks
+and the difference clonoid): ``context``, ``wall_s``, ``peak_rss_mb``
+and the clonoid's ``unary`` and ``binary`` generator counts.  Exits 0,
+or 2 when SPEC names none of these or its context does not build.
+
     python3 scripts/scale.py --k 1600 --n 80 --seed 7
     python3 scripts/scale.py --probe --k 1600 --n 80 --seed 7
     python3 scripts/scale.py --quotient --k 1600 --n 80 --seed 7
     python3 scripts/scale.py --affine 12 --k 800 --n 80 --seed 7
     python3 scripts/scale.py --affine 12 --probe --k 800 --n 80 --seed 7
+    python3 scripts/scale.py --context random_wreath:5:4:2
 
 Exits 0 when the verdict is a member with an accepted witness, or with
 ``--probe`` or ``--quotient`` a non-member; else 1.  Run from the root
@@ -62,7 +70,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if os.path.join(ROOT, "src") not in sys.path:
     sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from subpower.catalog import a6, zmod_group_algebra  # noqa: E402
+from subpower.catalog import (a6, random_wreath, w15,  # noqa: E402
+                              zmod_group_algebra)
+from subpower.core import AlgebraError  # noqa: E402
 from subpower.instances import random_instance  # noqa: E402
 from subpower.serialize import dump_json, verdict_to_dict  # noqa: E402
 from subpower.solver import (SmpInstance, check_witness,  # noqa: E402
@@ -91,6 +101,28 @@ def shifted_probe(spec, gens: list, target: list, seed: int,
     return gens, target
 
 
+def context_spec(name: str):
+    """The wreath product named by a ``--context`` argument."""
+    if name in ("a6", "w15"):
+        return {"a6": a6, "w15": w15}[name]()
+    kind, *args = name.split(":")
+    if kind != "random_wreath" or len(args) != 3 \
+            or not all(a.isdigit() for a in args):
+        raise AlgebraError("expected a6, w15 or random_wreath:P:L:SEED")
+    return random_wreath(*map(int, args))
+
+
+def context_build(name: str) -> dict:
+    spec = context_spec(name)
+    start = time.perf_counter()
+    gens = wreath_context(spec).gens
+    wall = time.perf_counter() - start
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return {"context": name, "wall_s": round(wall, 4),
+            "peak_rss_mb": round(peak, 1), "unary": len(gens.unary),
+            "binary": len(gens.binary)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--k", type=int, default=1600)
@@ -105,7 +137,19 @@ def main(argv=None) -> int:
     parser.add_argument("--affine", type=int, metavar="M",
                         help="solve over Z_M with the group signature, "
                              "through dispatch")
+    parser.add_argument("--context", metavar="SPEC",
+                        help="time the cold wreath_context build of a6, "
+                             "w15 or random_wreath:P:L:SEED instead")
     args = parser.parse_args(argv)
+    if args.context is not None:
+        if args.probe or args.quotient or args.affine is not None:
+            parser.error("--context solves nothing: it takes no --probe, "
+                         "--quotient or --affine")
+        try:
+            print(json.dumps(context_build(args.context)))
+        except AlgebraError as err:
+            parser.error(f"--context {args.context}: {err}")
+        return 0
     if (args.probe or args.quotient) and args.k < 2:
         parser.error("--probe and --quotient need --k of at least 2")
     if args.affine is not None and args.affine < 2:

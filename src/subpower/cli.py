@@ -30,12 +30,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="subpower membership for finite Mal'tsev algebras")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, instance=True):
+    def common(p, instance=True, cap=True):
         p.add_argument("--algebra", required=True, help="algebra file (JSON)")
         if instance:
             p.add_argument("--instance", required=True, help="instance file")
-        p.add_argument("--cap", type=int, default=1_000_000,
-                       help="closure size cap for exhaustive fallbacks")
+        if cap:
+            p.add_argument("--cap", type=int, default=1_000_000,
+                           help="closure size cap for exhaustive fallbacks")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("solve", help="decide membership (polynomial paths)")
@@ -62,13 +63,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diff-clonoid",
                        help="difference clonoid generators of a wreath product")
-    common(p, instance=False)
+    common(p, instance=False, cap=False)
 
     p = sub.add_parser("verify", help="validate an algebra file's invariants")
-    common(p, instance=False)
+    common(p, instance=False, cap=False)
 
     p = sub.add_parser("random-instance", help="emit a seeded random instance")
-    common(p, instance=False)
+    common(p, instance=False, cap=False)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--member-bias", type=float, default=0.5)
@@ -151,7 +152,7 @@ def _cmd_diff_clonoid(args) -> int:
     algebra = load_algebra_input(args.algebra)
     if not isinstance(algebra, WreathSpec):
         raise AlgebraError("diff-clonoid requires a wreath product file")
-    gens = diff_clonoid_gens(algebra, cap=args.cap)
+    gens = diff_clonoid_gens(algebra)
     _emit({"p": gens.p,
            "unary": [list(t) for t in gens.unary],
            "binary": [list(t) for t in gens.binary],
@@ -193,8 +194,7 @@ def _cmd_bench(args) -> int:
         raise AlgebraError("--grid cells must look like k:n") from None
     rows = bench(algebra, grid, args.seed, allow_oracle=args.allow_oracle,
                  cap=args.cap)
-    fmt = "csv" if args.format == "csv" else args.format
-    _emit(rows, fmt)
+    _emit(rows, args.format)
     return 0
 
 

@@ -4,10 +4,13 @@ A wreath product acts on pairs (l, u), encoded as the dense index
 l * |U| + u.  Every operation applies the left (affine) algebra to the
 l-parts, shifted by a hat table evaluated on the u-parts, and the right
 algebra to the u-parts.  The difference clonoid collects the functions
-u-vector -> L by which two terms with the same direct-product behaviour may
-differ; its unary part and diagonal-vanishing binary part generate
-everything, and images of tuples under the generated function family reduce
-to plain subgroup generators of L^k.  A binary emission is supported on the
+u-vector -> L by which two terms with the same direct-product behaviour
+(the same companion) may differ; its unary part and diagonal-vanishing
+binary part generate everything, and images of tuples under the generated
+function family reduce to plain subgroup generators of L^k.  Extraction
+is exact, with no cap: one closure over the companions of each arity, at
+a cost of |companions|^arity compositions per operation
+(``diff_clonoid_gens``).  A binary emission is supported on the
 coordinates of one plane of Z_p^n, so a clonoid image is held by plane
 (``ClonoidImage``): a direct sum of small canonical blocks on disjoint
 columns, which a vector is reduced against block by block, with no dense
@@ -27,10 +30,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuits import Circuit
-from .core import (AlgebraError, ClosureCapExceeded, FiniteAlgebra, Operation,
-                   _frozen, closure_with_circuits, element_array,
-                   verify_maltsev)
-from .affine import AbelianGroupSpec, Echelon, FieldEchelon, span_over
+from .core import (AlgebraError, FiniteAlgebra, Operation, _frozen,
+                   element_array, verify_maltsev)
+from .affine import (AbelianGroupSpec, Echelon, FieldEchelon, endo_images,
+                     span_over, verify_affine)
 
 
 class WreathSpecError(AlgebraError):
@@ -183,13 +186,15 @@ class ClonoidGenSet:
     """Generators of the difference clonoid: unary plus diagonal-zero binary.
 
     Frozen, with the tables held as tuples, so ``pair_bases`` cannot go
-    stale."""
+    stale.  ``exact`` is always true: ``diff_clonoid_gens`` is exact, with
+    no cap, at a cost of |companions|^arity compositions; the field is
+    kept for the ``exact_enumeration`` of the JSON output."""
 
     p: int
     group: AbelianGroupSpec                  # the left group
     unary: tuple = ()             # tables Z_p -> L
     binary: tuple = ()            # tables Z_p^2 -> L
-    exact: bool = True            # full enumeration vs certified bounded run
+    exact: bool = True
     unary_span: int = 1
     binary_span: int = 1
 
@@ -208,23 +213,12 @@ class ClonoidGenSet:
         """The rows a coordinate alone in its plane adds to a clonoid image,
         by the coordinate's pair index x * p + y: for each pair, the
         canonical basis over Z_m (m = exp(L)) of the embedded binary column
-        at that pair, zero-padded to an (s, s) block (its rows have distinct
-        pivots), and its row count, as read-only arrays.
+        at that pair, zero-padded to the largest row count (its rows have
+        distinct pivots), and its row count, as read-only arrays.
         """
-        p, group = self.p, self.group
-        s = group.rank
-        columns = group.embedded[np.asarray(self.binary, dtype=np.int64)
-                                 .reshape(-1, p * p)]
-        bases = np.zeros((p * p, s, s), dtype=np.int64)
-        ranks = np.zeros(p * p, dtype=np.int64)
-        for pair in range(p * p):
-            ech = span_over(group.exponent, s)
-            ech.extend(columns[:, pair])
-            ech.canonicalize()
-            rows = ech.row_array()
-            bases[pair, :len(rows)] = rows
-            ranks[pair] = len(rows)
-        return _frozen(bases), _frozen(ranks)
+        bases = _plane_rows(self.group, np.asarray(
+            self.binary, dtype=np.int64).reshape(-1, self.p ** 2, 1))
+        return _frozen(bases), _frozen((bases != 0).any(axis=2).sum(axis=1))
 
 
 @lru_cache(maxsize=32)
@@ -247,146 +241,110 @@ def _split_positions(l_size: int, p: int, arity: int):
     return _frozen(l_idx), _frozen(u_idx)
 
 
-@lru_cache(maxsize=32)
-def _hat_positions(l_size: int, p: int, zero_l: int, arity: int):
-    """Positions of a product table whose arguments all have l-part zero,
-    in the order of their u-arguments."""
-    size = l_size * p
-    us = np.arange(p ** arity, dtype=np.int64)
-    pos = np.zeros_like(us)
-    for j in range(arity):
-        pos = pos * size + zero_l * p + (us // p ** (arity - 1 - j)) % p
-    return _frozen(pos)
+def _held_positions(spec: WreathSpec, n: int) -> np.ndarray:
+    """The p^n + n * s arguments, as rows of n pairs, that fix an n-ary
+    term's companion and hat: each u in Z_p^n with every l-part zero, where
+    the L-part is the hat; then, per argument j and unit element e_i of L,
+    (e_i, 0) at j and the zero pair elsewhere, where it is M_j e_i plus the
+    hat at u = 0, M_j the term's linear l-map in argument j."""
+    p, group, zero = spec.p, spec.left_group, spec.zero
+    us = np.arange(p ** n)[:, None] // p ** np.arange(n)[::-1] % p
+    unit = np.full((n, group.rank, n), zero)
+    unit[np.arange(n), :, np.arange(n)] = p * group.element_of_code[
+        (1 % group.mods) * group.weights]
+    return np.vstack([zero + us, unit.reshape(-1, n)])
 
 
-def _table_rows(tables) -> np.ndarray:
-    tables = np.asarray(tables, dtype=np.int64)
-    return tables.reshape(len(tables), -1)
+def _compositions(alg: FiniteAlgebra, reps: np.ndarray,
+                  old: int) -> np.ndarray:
+    """Every basic operation applied position-wise to every tuple of rows
+    of `reps` with at least one row past the first `old`: a tuple whose
+    first such row sits at argument j takes its earlier arguments from the
+    first `old` rows, so each tuple comes once."""
+    width = reps.shape[1]
+    out = [np.zeros((0, width), dtype=np.int64)]
+    for op in alg.ops:
+        table = alg.table(op.symbol)
+        for j in range(op.arity):
+            flat = np.zeros((1, width), dtype=np.int64)
+            for block in ([reps[:old]] * j + [reps[old:]]
+                          + [reps] * (op.arity - 1 - j)):
+                flat = (flat[:, None] * alg.size + block).reshape(-1, width)
+            out.append(table[flat].astype(np.int64))
+    return np.vstack(out)
 
 
-def _hats(spec: WreathSpec, tables, arity: int) -> np.ndarray:
-    """The u-shift of each term table: its L-part at arguments with l-part
-    zero, one row per table."""
-    pos = _hat_positions(spec.left.size, spec.p, spec.left_group.zero, arity)
-    return _table_rows(tables)[:, pos] // spec.p
+def _companion_defects(spec: WreathSpec, n: int) -> np.ndarray:
+    """The distinct composition defects of arity n, as L-tables on Z_p^n.
+
+    From the projections and the nullary operations, every basic operation
+    is applied to every tuple of companion representatives (the first term
+    found with each companion) until no new companion appears; each
+    composition's hat minus its representative's is a defect.  Terms are
+    held on ``_held_positions`` only: a composition's value there depends
+    only on its arguments' values there.  Companions and defects are told
+    apart exactly, by ``_group_rows``.
+    """
+    alg, p, cells = spec.algebra, spec.p, spec.p ** n
+    add, neg = spec.left_group.add_table, spec.left_group.neg_table
+    held = _held_positions(spec, n).T
+    reps, fresh = held[:0], np.vstack([held] + [
+        np.full((1, held.shape[1]), op.table[0])
+        for op in alg.ops if op.arity == 0])
+    defects = []
+    while len(fresh):
+        terms = np.vstack([reps, fresh])
+        l, u = np.divmod(terms, p)
+        # the companion: the U-part on Z_p^n and each M_j e_i
+        _, inverse = _group_rows(np.hstack(
+            [u[:, :cells], add[l[:, cells:], neg[l[:, :1]]]]))
+        lead = np.unique(inverse, return_index=True)[1][inverse]
+        defects.append(_group_rows(add[l[:, :cells],
+                                       neg[l[lead, :cells]]])[0])
+        old = len(reps)
+        reps = terms[lead == np.arange(len(terms))]
+        fresh = _compositions(alg, reps, old) if len(reps) > old \
+            else held[:0]
+    return _group_rows(np.vstack(defects))[0]
 
 
-def _companion_keys(spec: WreathSpec, tables, arity: int) -> np.ndarray:
-    """The direct-product behaviour of each term table, one row per table:
-    every entry (l, u) with its shift removed, encoded (l - hat) * p + u."""
-    tables = _table_rows(tables)
-    p = spec.p
-    group = spec.left_group
-    _, u_idx = _split_positions(spec.left.size, p, arity)
-    shift = _hats(spec, tables, arity)[:, u_idx]
-    return group.add_table[tables // p, group.neg_table[shift]] * p + tables % p
-
-
-def _affine_substitutions(p: int, arity: int) -> list:
-    """Index remaps of Z_p^arity induced by coefficient rows summing to 1."""
-    rows = [a for a in product(range(p), repeat=arity) if sum(a) % p == 1]
-    subs = []
-    for choice in product(rows, repeat=arity):
-        remap = []
-        for args in product(range(p), repeat=arity):
-            out_idx = 0
-            for row in choice:
-                v = sum(r * x for r, x in zip(row, args)) % p
-                out_idx = out_idx * p + v
-            remap.append(out_idx)
-        subs.append(tuple(remap))
-    return sorted(set(subs))
-
-
-def _remap_embedded(rows: np.ndarray, sub, rank: int) -> np.ndarray:
-    """Apply a table-position remap to embedded (rank-chunked) rows."""
-    idx = np.repeat(np.asarray(sub, dtype=np.int64) * rank, rank) \
-        + np.tile(np.arange(rank), len(sub))
-    return rows[..., idx]
-
-
-def _close_under(ech: Echelon | FieldEchelon, subs, rank: int) -> None:
-    """Extend `ech` by its rows' images under every substitution, round by
-    round, until the span stops growing; being linear, they then keep it."""
-    grew = True
+def _close_under_maps(ech: Echelon | FieldEchelon, group: AbelianGroupSpec,
+                      mats: np.ndarray) -> None:
+    """Extend `ech` by its rows' images under every endomorphism of the
+    (count, s, s) stack `mats`, applied position-wise, round by round until
+    the span stops growing; being additive, they then keep it."""
+    grew = len(mats) > 0
     while grew:
         rows = ech.row_array()
-        grew = ech.extend(np.concatenate(
-            [_remap_embedded(rows, sub, rank) for sub in subs]))
+        grew = ech.extend(endo_images(group, mats, rows.ravel())
+                          .reshape(-1, rows.shape[1]))
 
 
-def _table_diffs(spec: WreathSpec, tables, arity: int) -> np.ndarray:
-    """Hat differences of same-companion term tables, one row each.
+def diff_clonoid_gens(spec: WreathSpec) -> ClonoidGenSet:
+    """Generators of the difference clonoid, exactly: per arity n = 1, 2,
+    the span D_n of the composition defects (``_companion_defects``),
+    closed under the left algebra's non-scalar argument maps M.
 
-    Buckets are taken in sorted key order and the tables of a bucket in
-    sorted order; every table after a bucket's first gives its hat minus
-    the first one's.
+    Each defect, and M applied to a difference, is a difference of two
+    terms with one companion.  Conversely, by induction over terms: if t_j
+    has hat r_j + d_j, r_j its representative's hat and d_j in D_n, then
+    f(t_1..t_r) has the hat of f(representatives), which is its own
+    representative's plus a defect, plus sum_j M_{f,j} d_j.
     """
-    tables = _table_rows(tables)
-    _, bucket = np.unique(_companion_keys(spec, tables, arity), axis=0,
-                          return_inverse=True)
-    order = np.lexsort(tuple(tables.T[::-1]) + (bucket.ravel(),))
-    bucket = bucket.ravel()[order]
-    first = np.r_[True, bucket[1:] != bucket[:-1]]
-    leader = order[np.maximum.accumulate(
-        np.where(first, np.arange(len(order)), 0))]
-    hats = _hats(spec, tables, arity)
     group = spec.left_group
-    return group.add_table[hats[order[~first]],
-                           group.neg_table[hats[leader[~first]]]]
-
-
-def diff_clonoid_gens(spec: WreathSpec, cap: int = 3000) -> ClonoidGenSet:
-    """Generators of the difference clonoid from term enumeration.
-
-    Unary terms are always enumerated in full.  Binary terms are enumerated
-    in full when they fit under `cap`; otherwise a bounded enumeration seeds
-    an elimination that is closed under substitutions and certified complete
-    by comparing the span against the diagonal-restriction bound.  A bounded
-    run that cannot be certified raises ClosureCapExceeded rather than
-    returning a silently truncated generator set.
-    """
-    alg = spec.algebra
-    group = spec.left_group
-    m = group.exponent
-    p = spec.p
-
-    def enumerate_tables(arity, allow_truncate):
-        idx = np.arange(alg.size ** arity)
-        projections = [tuple((idx // alg.size ** (arity - 1 - j) % alg.size)
-                             .tolist()) for j in range(arity)]
-        tuples, _, _, truncated = closure_with_circuits(
-            alg, projections, cap=cap, truncate=allow_truncate)
-        return tuples, truncated
-
-    # unary part: exact; its only substitution (arity one) is the identity
-    s = group.rank
-    unary_tables, _ = enumerate_tables(1, allow_truncate=False)
-    u_ech = span_over(m, p * s)
-    u_ech.extend(group.embed_elements(_table_diffs(spec, unary_tables, 1)))
-    u_ech.canonicalize()
-    unary_span = u_ech.span_size()
-    u_rows = u_ech.row_array()
-
-    # binary part: exact when possible, certified bounded otherwise
-    binary_tables, truncated = enumerate_tables(2, allow_truncate=True)
-    b_ech = span_over(m, p * p * s)
-    b_ech.extend(group.embed_elements(_table_diffs(spec, binary_tables, 2)))
-    # unary members reappear at arity two through composition with the
-    # first projection (g(x, y) = g(x)); seeding them helps a bounded run
-    # close
-    b_ech.extend(np.repeat(u_rows.reshape(-1, p, s), p, axis=1)
-                 .reshape(len(u_rows), p * p * s))
-    _close_under(b_ech, _affine_substitutions(p, 2), s)
-    b_ech.canonicalize()
-    binary_span = b_ech.span_size()
-    if truncated:
-        # certificate: every binary clonoid function restricts on the
-        # diagonal to a unary clonoid function, so the span can never
-        # exceed unary_span * |L|^(p^2 - p); equality certifies the run.
-        bound = unary_span * group.size ** (p * p - p)
-        if binary_span != bound:
-            raise ClosureCapExceeded(cap)
+    m, p, s = group.exponent, spec.p, group.rank
+    mats = np.asarray(sorted({
+        form.matrices[i] for form in verify_affine(spec.left, group)
+        for i in range(form.arity) if form.scalar(i) is None}),
+        dtype=np.int64).reshape(-1, s, s)
+    spans = []
+    for n in (1, 2):
+        ech = span_over(m, p ** n * s)
+        ech.extend(group.embed_elements(_companion_defects(spec, n)))
+        _close_under_maps(ech, group, mats)
+        ech.canonicalize()
+        spans.append(ech)
+    u_ech, b_ech = spans
 
     # split off the diagonal-vanishing part by head-block elimination
     head = p * s
@@ -399,10 +357,10 @@ def diff_clonoid_gens(spec: WreathSpec, cap: int = 3000) -> ClonoidGenSet:
     # canonical rows are nonzero, and so is a tail row's tail
     tails = aug.row_array()[aug.tail_rows(head), head:]
     binary = group.unembed_array(tails).tolist()
-    unary = group.unembed_array(u_rows).tolist()
+    unary = group.unembed_array(u_ech.row_array()).tolist()
     return ClonoidGenSet(p=p, group=group, unary=unary, binary=binary,
-                         exact=not truncated, unary_span=unary_span,
-                         binary_span=binary_span)
+                         unary_span=u_ech.span_size(),
+                         binary_span=b_ech.span_size())
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,15 @@
 """Pure-Python reference versions of the prefix walk, the fork builder,
 circuit splicing, the echelon, bank evaluation, the recursive s-expression
 reader and writer, the per-row clonoid image, the clonoid image by
-row-by-row elimination, the difference clonoid by row-by-row elimination,
-the stepwise member fold, the elimination generator set of the wreath
-l-part test, the quotient fix on the instance and padding columns at
-once, the wreath solve that builds every l-part generator before its
-subgroup test, the affine closure that eliminates its queue one vector
-at a time (optionally testing the image of every new difference under
-every endomorphism, scalar ones included) and the affine solve on it.  The
-plane points and the per-table u-shift and companion key, which only the
-tests use, live here too.
+row-by-row elimination, the difference clonoid by term enumeration and
+row-by-row elimination (with the term-table helpers it uses), the stepwise
+member fold, the elimination generator set of the wreath l-part test, the
+quotient fix on the instance and padding columns at once, the wreath solve
+that builds every l-part generator before its subgroup test, the affine
+closure that eliminates its queue one vector at a time (optionally testing
+the image of every new difference under every endomorphism, scalar ones
+included) and the affine solve on it.  The plane points and the per-table
+u-shift and companion key, which only the tests use, live here too.
 
 These are the straightforward implementations the array code in
 ``subpower.comprep``, ``subpower.affine``, ``subpower.core`` and
@@ -21,6 +21,8 @@ differential tests check the library against them, output for output.
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -31,12 +33,11 @@ from subpower.affine import (AbelianGroupSpec, AffineSubpowerRep, Echelon,
                              verify_affine)
 from subpower.circuits import (Circuit, CircuitBank, CircuitError,
                                serialize_sexpr)
-from subpower.core import (AlgebraError, ClosureCapExceeded,
+from subpower.core import (AlgebraError, ClosureCapExceeded, _frozen,
                            closure_with_circuits)
-from subpower.wreath import (ClonoidGenSet, Diagonal, Plane,
-                             _affine_substitutions, _classify_rows,
-                             _companion_keys, _group_rows, _hats,
-                             _remap_embedded, _table_diffs, classify_row)
+from subpower.wreath import (ClonoidGenSet, Diagonal, Plane, WreathSpec,
+                             _classify_rows, _group_rows, _split_positions,
+                             classify_row)
 
 
 def signature(tuples) -> set:
@@ -752,6 +753,87 @@ def clonoid_image_dense(gens, u_columns) -> ReferenceImage:
     return ReferenceImage(group=group, k=k, generators=generators,
                           emitted=emitted,
                           tuples_materialized=len(emitted) + len(generators))
+
+
+# the term-table helpers of the enumeration reference
+
+@lru_cache(maxsize=32)
+def _hat_positions(l_size: int, p: int, zero_l: int, arity: int):
+    """Positions of a product table whose arguments all have l-part zero,
+    in the order of their u-arguments."""
+    size = l_size * p
+    us = np.arange(p ** arity, dtype=np.int64)
+    pos = np.zeros_like(us)
+    for j in range(arity):
+        pos = pos * size + zero_l * p + (us // p ** (arity - 1 - j)) % p
+    return _frozen(pos)
+
+
+def _table_rows(tables) -> np.ndarray:
+    tables = np.asarray(tables, dtype=np.int64)
+    return tables.reshape(len(tables), -1)
+
+
+def _hats(spec: WreathSpec, tables, arity: int) -> np.ndarray:
+    """The u-shift of each term table: its L-part at arguments with l-part
+    zero, one row per table."""
+    pos = _hat_positions(spec.left.size, spec.p, spec.left_group.zero, arity)
+    return _table_rows(tables)[:, pos] // spec.p
+
+
+def _companion_keys(spec: WreathSpec, tables, arity: int) -> np.ndarray:
+    """The direct-product behaviour of each term table, one row per table:
+    every entry (l, u) with its shift removed, encoded (l - hat) * p + u."""
+    tables = _table_rows(tables)
+    p = spec.p
+    group = spec.left_group
+    _, u_idx = _split_positions(spec.left.size, p, arity)
+    shift = _hats(spec, tables, arity)[:, u_idx]
+    return group.add_table[tables // p, group.neg_table[shift]] * p + tables % p
+
+
+def _affine_substitutions(p: int, arity: int) -> list:
+    """Index remaps of Z_p^arity induced by coefficient rows summing to 1."""
+    rows = [a for a in product(range(p), repeat=arity) if sum(a) % p == 1]
+    subs = []
+    for choice in product(rows, repeat=arity):
+        remap = []
+        for args in product(range(p), repeat=arity):
+            out_idx = 0
+            for row in choice:
+                v = sum(r * x for r, x in zip(row, args)) % p
+                out_idx = out_idx * p + v
+            remap.append(out_idx)
+        subs.append(tuple(remap))
+    return sorted(set(subs))
+
+
+def _remap_embedded(rows: np.ndarray, sub, rank: int) -> np.ndarray:
+    """Apply a table-position remap to embedded (rank-chunked) rows."""
+    idx = np.repeat(np.asarray(sub, dtype=np.int64) * rank, rank) \
+        + np.tile(np.arange(rank), len(sub))
+    return rows[..., idx]
+
+
+def _table_diffs(spec: WreathSpec, tables, arity: int) -> np.ndarray:
+    """Hat differences of same-companion term tables, one row each.
+
+    Buckets are taken in sorted key order and the tables of a bucket in
+    sorted order; every table after a bucket's first gives its hat minus
+    the first one's.
+    """
+    tables = _table_rows(tables)
+    _, bucket = np.unique(_companion_keys(spec, tables, arity), axis=0,
+                          return_inverse=True)
+    order = np.lexsort(tuple(tables.T[::-1]) + (bucket.ravel(),))
+    bucket = bucket.ravel()[order]
+    first = np.r_[True, bucket[1:] != bucket[:-1]]
+    leader = order[np.maximum.accumulate(
+        np.where(first, np.arange(len(order)), 0))]
+    hats = _hats(spec, tables, arity)
+    group = spec.left_group
+    return group.add_table[hats[order[~first]],
+                           group.neg_table[hats[leader[~first]]]]
 
 
 def diff_clonoid_gens_rowwise(spec, cap: int = 3000) -> ClonoidGenSet:

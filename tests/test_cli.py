@@ -260,6 +260,15 @@ def test_diff_clonoid_output(a6_file, capsys):
     out = json.loads(capsys.readouterr().out)
     assert rc == 0 and out["p"] == 2
     assert out["binary"] == [[0, 1, 1, 0]]
+    assert out["exact_enumeration"] is True
+
+
+@pytest.mark.parametrize("command", ["diff-clonoid", "verify"])
+def test_cap_is_refused_where_it_limits_nothing(a6_file, command, capsys):
+    """Extraction is exact with no cap, and verification runs no closure:
+    neither command takes ``--cap``."""
+    assert main([command, "--algebra", a6_file, "--cap", "5"]) == 2
+    assert "--cap" in capsys.readouterr().err
 
 
 def test_comprep_and_fix(tmp_path, z3_file, capsys):

@@ -2,7 +2,8 @@
 an l-shifted non-member or with ``--quotient`` a u-shifted one, or with
 ``--affine M`` a Z_M member or with ``--probe`` a shifted Z_M
 non-member, reported as JSON.  M = 7 and 12 take one prime and two; 30
-takes three, and 9 a second digit of the p-adic lift."""
+takes three, and 9 a second digit of the p-adic lift.  With ``--context``
+it times a cold wreath context build instead."""
 
 import json
 import os
@@ -94,3 +95,26 @@ def test_scale_lifted_affine_probe_at_k_100(m):
     assert result["probe"] is True and result["affine"] == m
     assert result["member"] is False and result["witness_ok"] is False
     assert result["witness_bytes"] == 0
+
+
+def test_scale_context_build_of_a6():
+    proc = subprocess.run(
+        [sys.executable, "scripts/scale.py", "--context", "a6"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.strip().splitlines()
+    result = json.loads(line)
+    assert result["context"] == "a6"
+    assert result["wall_s"] > 0 and result["peak_rss_mb"] > 0
+    # a6's clonoid: no unary generator, one binary (0, 1, 1, 0)
+    assert result["unary"] == 0 and result["binary"] == 1
+
+
+@pytest.mark.parametrize("flags", [["--context", "z12"],
+                                   ["--context", "random_wreath:3:4"],
+                                   ["--context", "a6", "--probe"]])
+def test_scale_context_refuses_bad_use(flags):
+    proc = subprocess.run([sys.executable, "scripts/scale.py", *flags],
+                          cwd=ROOT, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 2 and "--context" in proc.stderr

@@ -305,14 +305,23 @@ def test_randomized_wreath_families():
     assert total == 32
 
 
-def test_clonoid_extraction_refuses_rather_than_truncates():
-    # some shift patterns have generator sets that neither enumerate fully
-    # under the cap nor certify; they must raise, never silently truncate
-    from subpower.core import ClosureCapExceeded
-    from subpower.wreath import diff_clonoid_gens
+def test_random_wreath_3_4_1_builds_and_agrees_with_oracle():
+    """Its binary terms neither enumerate under a cap of 3000 nor certify
+    a bounded run; the closure over companions builds it exactly."""
     spec = random_wreath(3, 4, seed=1)
-    with pytest.raises(ClosureCapExceeded):
-        diff_clonoid_gens(spec, cap=3000)
+    alg = spec.algebra
+    rng = random.Random(341)
+    verdicts = []
+    for _ in range(24):
+        k = rng.randint(1, 4)
+        n = rng.randint(1, 3)
+        inst = random_member_instance(alg, rng, k, n, bias=0.5)
+        v = solve_smp_wreath(spec, inst)
+        assert v.member == smp_oracle(alg, inst.generators, inst.target)
+        if v.member:
+            assert check_witness(spec, inst, v)
+        verdicts.append(v.member)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_solver_stats_present(a6_spec):

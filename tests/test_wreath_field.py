@@ -16,16 +16,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_impl as ref
+from subpower import core, wreath
 from subpower.affine import (AbelianGroupSpec, Echelon, FieldEchelon,
-                             affine_span)
-from subpower.catalog import (a6, a6_shift, a6_symmetric, random_wreath, w15,
+                             affine_span, span_over)
+from subpower.catalog import (M_CIRCUIT, a6, a6_shift, a6_symmetric,
+                              maltsev_table_mod, random_wreath, w15,
                               zmod_group_algebra)
-from subpower.core import ClosureCapExceeded, smp_oracle, verify_central
+from subpower.circuits import parse_sexpr
+from subpower.core import (ClosureCapExceeded, FiniteAlgebra, Operation,
+                           smp_oracle, verify_central)
 from subpower.instances import random_instance
 from subpower.solver import (SmpInstance, _extended_rows, check_witness,
                              solve_smp_wreath, wreath_context)
-from subpower.wreath import (ClonoidGenSet, _close_under, _group_rows,
-                             clonoid_image_comprep, diff_clonoid_gens)
+from subpower.wreath import (ClonoidGenSet, WreathSpec, _close_under_maps,
+                             _group_rows, clonoid_image_comprep,
+                             diff_clonoid_gens)
 
 # (p, |L|) of random_wreath; L = Z_9 keeps the Howell l-part elimination
 SPECS = {"a6": a6, "w15": w15}
@@ -104,8 +109,9 @@ def test_no_member_for_fix_rows_past_k(name):
     assert all(verdicts[::2]) and any(probes) and not all(probes)
 
 
-# two bounded runs, certified at the default cap as they stand and at
-# cap 50 only once closed under substitutions, and two refusals
+# the reference's runs: two bounded ones, certified at the default cap as
+# they stand and at cap 50 only once closed under substitutions, and two
+# refusals
 BOUNDED = ["random_wreath(3, 5, 2)", "random_wreath(5, 2, 1)"]
 CLONOID_SPECS = {
     "a6": a6, "a6_shift": a6_shift, "a6_symmetric": a6_symmetric, "w15": w15,
@@ -115,32 +121,130 @@ CLONOID_SPECS = {
 REFUSED = [("random_wreath(3, 4, 1)", 3000), ("a6_shift", 50)]
 
 
+def assert_same_clonoid(got: ClonoidGenSet, want: ClonoidGenSet) -> None:
+    """Every field but ``exact`` agrees, and ``got`` is exact."""
+    for f in fields(ClonoidGenSet):
+        if f.name != "exact":
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert got.exact
+
+
 @pytest.mark.parametrize("name, cap", [
     (name, 3000) for name in sorted(CLONOID_SPECS)] + [
     (BOUNDED[0], 50), (BOUNDED[1], 50), ("a6_shift", 50)])
 def test_diff_clonoid_gens_matches_rowwise(name, cap):
+    """Every field but ``exact`` equals the term-enumeration reference's,
+    and ``exact`` is always true."""
     spec = CLONOID_SPECS[name]()
+    got = diff_clonoid_gens(spec)
     if (name, cap) in REFUSED:
-        for extract in (diff_clonoid_gens, ref.diff_clonoid_gens_rowwise):
-            with pytest.raises(ClosureCapExceeded):
-                extract(spec, cap=cap)
+        assert got.exact
+        with pytest.raises(ClosureCapExceeded):
+            ref.diff_clonoid_gens_rowwise(spec, cap=cap)
         return
-    got = diff_clonoid_gens(spec, cap=cap)
     want = ref.diff_clonoid_gens_rowwise(spec, cap=cap)
-    for f in fields(ClonoidGenSet):
-        assert getattr(got, f.name) == getattr(want, f.name), f.name
-    assert got.exact == (name not in BOUNDED)
+    assert_same_clonoid(got, want)
+    assert want.exact == (name not in BOUNDED)
+
+
+def swap_wreath(seed: int) -> WreathSpec:
+    """L = Z_2 x Z_2 with m and the coordinate swap s, a non-scalar map;
+    U = Z_3 with m and s the identity; random hats, those of m zero at
+    (u, u, v) and (v, u, u)."""
+    rng = random.Random(seed)
+    xor = tuple(x ^ y ^ z for x in range(4) for y in range(4)
+                for z in range(4))
+    left = FiniteAlgebra(4, [Operation("m", 3, xor),
+                             Operation("s", 1, (0, 2, 1, 3))],
+                         parse_sexpr(M_CIRCUIT))
+    right = FiniteAlgebra(3, [Operation("m", 3, maltsev_table_mod(3)),
+                              Operation("s", 1, (0, 1, 2))],
+                          parse_sexpr(M_CIRCUIT))
+    hat_m = [0 if u2 in (u1, u3) else rng.randrange(4)
+             for u1 in range(3) for u2 in range(3) for u3 in range(3)]
+    hat_s = [rng.randrange(4) for _ in range(3)]
+    return WreathSpec(left, AbelianGroupSpec((2, 2)), right,
+                      {"m": tuple(hat_m), "s": tuple(hat_s)},
+                      parse_sexpr(M_CIRCUIT))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 124])
+def test_non_scalar_left_map_matches_rowwise(seed):
+    """Seeds whose bounded reference run certifies, each with 24 binary
+    companions."""
+    spec = swap_wreath(seed)
+    assert_same_clonoid(diff_clonoid_gens(spec),
+                        ref.diff_clonoid_gens_rowwise(spec))
+
+
+def test_non_scalar_closure_is_needed(monkeypatch):
+    """On seed 124 the defects alone span half of the binary module: the
+    closure under the swap gives the rest."""
+    full = diff_clonoid_gens(swap_wreath(124)).binary_span
+    monkeypatch.setattr(wreath, "_close_under_maps", lambda *args: None)
+    assert diff_clonoid_gens(swap_wreath(124)).binary_span * 2 == full
+
+
+def test_nullary_operation_matches_rowwise():
+    """A constant seeds the companion closure: L = Z_3 and U = Z_2, each
+    with m and a nullary z (U's is 1), and z's hat nonzero."""
+    left = FiniteAlgebra(3, [Operation("m", 3, maltsev_table_mod(3)),
+                             Operation("z", 0, (0,))], parse_sexpr(M_CIRCUIT))
+    right = FiniteAlgebra(2, [Operation("m", 3, maltsev_table_mod(2)),
+                              Operation("z", 0, (1,))],
+                          parse_sexpr(M_CIRCUIT))
+    hat_m = [0] * 8
+    hat_m[0b101] = 2
+    spec = WreathSpec(left, AbelianGroupSpec((3,)), right,
+                      {"m": tuple(hat_m), "z": (1,)}, parse_sexpr(M_CIRCUIT))
+    got = diff_clonoid_gens(spec)
+    assert got.unary_span == 3
+    assert_same_clonoid(got, ref.diff_clonoid_gens_rowwise(spec))
 
 
 def test_closure_runs_until_the_span_stops_growing():
-    """The catalog closes in one round; a cyclic shift of the table
-    positions takes one round per position from a unit row."""
-    ech = Echelon(4, 8)
-    ech.extend([[1, 2, 0, 0, 0, 0, 0, 0]])
-    # position i takes the entry of position (i - 1) mod 4, rank 2
-    _close_under(ech, [(3, 0, 1, 2)], 2)
-    assert ech.span_size() == 4 ** 4
-    assert [r.tolist() for r in ech.rows][-1] == [0, 0, 0, 0, 0, 0, 1, 2]
+    """A cyclic shift of the residue coordinates takes one round per
+    coordinate from e_0; the swap of Z_4 x Z_4 grows (1, 2) to everything;
+    with no map the span is left as it is."""
+    group = AbelianGroupSpec((2, 2, 2))
+    shift = np.asarray([[[0, 0, 1], [1, 0, 0], [0, 1, 0]]])
+    ech = span_over(2, 6)
+    ech.extend([[1, 0, 0, 1, 0, 0]])
+    _close_under_maps(ech, group, shift)
+    assert ech.span_size() == 2 ** 3
+    ech.canonicalize()
+    assert ech.row_array().tolist() == [[1, 0, 0, 1, 0, 0],
+                                        [0, 1, 0, 0, 1, 0],
+                                        [0, 0, 1, 0, 0, 1]]
+    ech = Echelon(4, 2)
+    ech.extend([[1, 2]])
+    _close_under_maps(ech, AbelianGroupSpec((4, 4)),
+                      np.asarray([[[0, 1], [1, 0]]]))
+    assert ech.span_size() == 4 ** 2
+    ech = Echelon(4, 2)
+    ech.extend([[1, 2]])
+    _close_under_maps(ech, AbelianGroupSpec((4, 4)),
+                      np.zeros((0, 2, 2), dtype=np.int64))
+    assert ech.span_size() == 4
+
+
+def test_context_builds_no_closure_engine(monkeypatch):
+    """Nothing on the ``wreath_context`` path runs the exhaustive closure."""
+    built = []
+    init = core._Closure.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(core._Closure, "__init__", counting)
+    for make in (a6, w15, lambda: random_wreath(5, 4, 2),
+                 lambda: random_wreath(3, 4, 1)):
+        wreath_context(make())
+    assert not built
+    # the counter counts
+    smp_oracle(a6().algebra, [(0, 1)], (0, 1))
+    assert built
 
 
 @settings(max_examples=150, deadline=None)
