@@ -12,10 +12,14 @@ scale and collapses at the sizes the solver shrugs off.
 import random
 import time
 
+import numpy as np
+
 from subpower import (ClosureCapExceeded, SmpInstance, check_witness,
                       smp_oracle, solve_smp_wreath)
 from subpower.catalog import a6
 from subpower.instances import random_instance
+from subpower.solver import wreath_context
+from subpower.wreath import clonoid_image_comprep
 
 spec = a6()
 alg = spec.algebra
@@ -38,18 +42,26 @@ print(f"solver vs oracle: {agree}/80 agree ({members} members, all "
       "witnesses re-checked)")
 
 # --- what a witness looks like -------------------------------------------------
-d = random_instance(spec, 4, 2, member_bias=1.0, seed=11)
+d = random_instance(spec, 4, 2, member_bias=1.0, seed=8)
 inst = SmpInstance(tuple(tuple(g) for g in d["generators"]),
                    tuple(d["target"]))
 verdict = solve_smp_wreath(spec, inst)
 w = verdict.witness
-print("\na member witness decomposes the target as")
+print("\na member witness: term values on the target's u-part, whose l-parts")
+print("(in L = Z_3) combine linearly")
 print("  base member     ", w["base"]["value"],
       "from circuit", w["base"]["circuit"])
+base_l = np.asarray(w["base"]["value"]) // spec.p
+rest = np.asarray(inst.target) // spec.p - base_l
 for part in w["members"]:
-    print(f"  + {part['coeff']} * (member difference {part['value']})")
-for part in w["clonoid"]:
-    print(f"  + {part['coeff']} * (clonoid image {part['value']})")
+    print(f"  + {part['coeff']} * (member {part['value']} - base), the member "
+          f"from circuit {part['circuit']}")
+    rest -= part["coeff"] * (np.asarray(part["value"]) // spec.p - base_l)
+rest %= 3
+# the checker builds the clonoid image of the generators' u-parts itself
+image = clonoid_image_comprep(wreath_context(spec).gens, inst.generators)
+print(f"leave of the target's l-part the rest {rest.tolist()}, which lies in")
+print("the clonoid image:", not image.residues(rest[None]).any())
 
 # --- scaling -------------------------------------------------------------------
 print("\nscaling on the six-element algebra:")

@@ -26,8 +26,8 @@ One JSON line goes to stdout:
 * ``tuples_materialized``: from the verdict's stats;
 * ``witness_bytes``: length of the witness as compact JSON;
 * ``witness_ok``: the ``check_witness`` result (false with no witness);
-* ``clonoid_parts``, ``member_parts``: the wreath witness's clonoid and
-  member parts (0 with no witness, and on the affine path);
+* ``member_parts``: the wreath witness's member parts (0 with no
+  witness, and on the affine path);
 * ``serialize_s``: wall seconds of writing the verdict as compact JSON
   (``verdict_to_dict`` and ``dump_json``);
 * ``check_s``: wall seconds of the ``check_witness`` call (0 with no
@@ -190,7 +190,6 @@ def main(argv=None) -> int:
         "witness_bytes": (len(dump_json(verdict.witness))
                           if verdict.witness is not None else 0),
         "witness_ok": witness_ok,
-        "clonoid_parts": len(witness.get("clonoid", ())),
         "member_parts": len(witness.get("members", ())),
         "serialize_s": round(serialize_s, 4),
         "check_s": round(check_s, 4) if verdict.member else 0,

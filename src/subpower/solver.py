@@ -50,7 +50,7 @@ from .affine import (AbelianGroupSpec, AffineSubpowerRep,
                      span_witness, verify_affine)
 from .circuits import parse_sexpr, serialize_sexpr
 from .comprep import EnumeratedCompactRep, thin_to_compact
-from .core import (AlgebraError, FiniteAlgebra, _check_tuples,
+from .core import (AlgebraError, FiniteAlgebra,
                    _circuit_values, element_array, eval_circuit, eval_nodes,
                    integer, is_int, smp_oracle)
 from .wreath import (ClonoidGenSet, WreathSpec, clonoid_image_comprep,
@@ -259,29 +259,26 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
     by block, one gather and one batched product per row slot, before any
     l-part generator exists; a block's Howell reduction is exact, so the
     residue is zero exactly when w lies in the image.  A zero residue
-    makes the target a member, with the base and image parts as its
-    witness.  A nonzero one decides nothing, since the generators'
-    differences enlarge the span, so the generators are built and their
-    differences reduced the same way.  If every difference residue is
+    makes the target a member, with the base alone as its witness.  A
+    nonzero one decides nothing, since the generators' differences enlarge
+    the span, so the generators are built and their differences reduced
+    the same way.  If every difference residue is
     zero, the differences lie in the image and the target is not a member.
     Otherwise a tracked echelon runs on the residues only, after the rows
     of the blocks that some residue touches: w lies in the image plus the
     differences exactly when its residue lies in that span, because a
     block no residue touches takes no part in a combination of them (its
     columns are zero in every residue and in every other block).  The
-    coefficients of the differences, taken from that echelon, leave x = w
-    minus their combination in the image, and the clonoid parts are x's
-    coefficients on the image's canonical rows; only the rows with a
-    nonzero coefficient are built.
+    witness is the base and the generators with a nonzero coefficient in
+    that echelon's combination; what they leave of w lies in the image,
+    which ``check_witness`` builds and tests itself.
 
-    For prime e the witness is the one a dense test gives: the image's
+    For prime e the members are those a dense test gives: the image's
     canonical rows, then the member differences outside the span so far.
     Those rows are independent, so w has one combination of them.  The
     residues over GF(e) are a linear projection with kernel the image, so
     the differences that grow the span are the same in both tests, and
-    their coefficients are unique.  The image's canonical rows are fully
-    reduced, row b_i 1 at its pivot column c_i and every other row 0
-    there, so x = sum_i x[c_i] b_i.
+    their coefficients are unique.
 
     ``stats["decided_by"]`` names the stage that gave the verdict:
     ``"quotient"`` (the GF(p) fix rejects), ``"image"`` (the image reaches
@@ -357,7 +354,10 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
             ok, combo = span_witness(ech, rows, residue[0])
         if ok:
             gen_coeffs = np.asarray(combo[len(rows) - nraw:], dtype=np.int64)
-            target_v = (target_v - gen_coeffs @ diffs_v) % e
+            # what the members leave of the target lies in the image
+            rest = (target_v - gen_coeffs @ diffs_v) % e
+            if image.residues(rest[None]).any():
+                raise AssertionError("witness verification failed")
     if (members % p != u_b).any():
         raise AssertionError("fixed member has wrong quotient components")
     stats["tuples_materialized"] = tuples_materialized
@@ -382,7 +382,6 @@ def solve_smp_wreath(spec: WreathSpec, inst: SmpInstance,
                 {"coeff": c, "value": values[1 + j],
                  "circuit": serialize_sexpr(rep.bank.extract(node))}
                 for j, c, node in used],
-            "clonoid": _clonoid_parts(image, target_v),
         }
     return SmpVerdict(True, witness, stats)
 
@@ -418,23 +417,6 @@ def _quotient_fix(template: AffineSubpowerRep, u_diffs: np.ndarray,
         _, y = pad_ech.reduce(x0 @ pad % p)
         x0 = (x0 - y @ kernel) % p
     return x0
-
-
-def _clonoid_parts(image, x: np.ndarray) -> list:
-    """The witness parts of `x`, an element of the clonoid image: the
-    canonical rows with a nonzero coefficient, in pivot order, with their
-    coefficients.  Only those rows are built, and they are checked to give
-    `x`."""
-    group = image.group
-    residue, coeffs = image.coefficients(x)
-    used = np.flatnonzero(coeffs)
-    coeffs = coeffs[used]
-    rows = image.canonical_rows(used)
-    if residue.any() or not np.array_equal(coeffs @ rows % group.exponent,
-                                           x):
-        raise AssertionError("witness verification failed")
-    return [{"coeff": c, "value": value} for c, value in
-            zip(coeffs.tolist(), group.unembed_array(rows).tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +556,15 @@ def check_witness(algebra_input, inst: SmpInstance,
                   verdict: SmpVerdict) -> bool:
     """Re-derive the target from a verdict's witness, numerically.
 
+    An affine witness is a circuit that gives the target.  A wreath
+    witness is a base and members, each a value with its circuit, and a
+    coefficient c_j per member.  Each circuit must give its value, on the
+    target's u-part, where terms combine linearly on their l-parts
+    (hat_m(u, u, u) = 0).  What base + sum_j c_j (member_j - base) leaves
+    of the target's l-part must lie in the clonoid image of the
+    generators, built here from ``wreath_context(spec)``.  The ``clonoid``
+    key of an older witness is ignored.
+
     Total: a malformed witness (missing keys, values of the wrong length or
     out of range, non-integer coefficients, unparsable circuits) gives
     False rather than an exception.
@@ -589,39 +580,37 @@ def check_witness(algebra_input, inst: SmpInstance,
 
 def _rederive(algebra_input, inst: SmpInstance, w: dict) -> bool:
     k = inst.k
-    args = list(inst.generators)
     if w["path"] == "affine":
         alg, _ = _as_algebra_group(algebra_input)
         circuit = parse_sexpr(w["circuit"], arity=inst.n)
-        return eval_circuit(alg, circuit, args) == inst.target
+        return eval_circuit(alg, circuit, list(inst.generators)) == inst.target
     if w["path"] == "wreath":
         spec = algebra_input
         alg = spec.algebra
         group = spec.left_group
         m = group.exponent
         p = spec.p
-        mats = list(_check_tuples(alg, args))
+        rows = _instance_rows(inst, spec.size)
+        mats = list(rows[:-1])
+        l_target, u_target = np.divmod(rows[-1], p)
 
         def member(part) -> np.ndarray:
-            # a product element tuple its circuit must reproduce
+            # the embedded l-part of a product element tuple that its
+            # circuit must reproduce, on the target's u-part
             value = _witness_row(part["value"], k, spec.size)
             circuit = parse_sexpr(part["circuit"], arity=inst.n)
             if _circuit_values(alg, circuit, mats, k) != value:
                 raise AlgebraError("witness circuit misses its value")
-            return np.asarray(value, dtype=np.int64)
+            l, u = np.divmod(np.asarray(value, dtype=np.int64), p)
+            if (u != u_target).any():
+                raise AlgebraError("witness member off the target's u-part")
+            return group.embed_elements(l)
 
-        base = member(w["base"])
-        base_l = group.embed_elements(base // p)
-        acc = base_l.copy()
+        base_l = member(w["base"])
+        rest = group.embed_elements(l_target) - base_l
         for part in w["members"]:
             coeff = integer(part["coeff"], "coeff") % m
-            acc += coeff * (group.embed_elements(member(part) // p) - base_l)
-        clonoid = w["clonoid"]
-        if clonoid:
-            coeffs = [integer(part["coeff"], "coeff") % m for part in clonoid]
-            values = [_witness_row(part["value"], k, group.size)
-                      for part in clonoid]
-            acc += np.asarray(coeffs) @ group.embed_elements(values)
-        l_values = group.unembed_array(acc % m)
-        return (l_values * p + base % p).tolist() == list(inst.target)
+            rest -= coeff * (member(part) - base_l)
+        image = clonoid_image_comprep(wreath_context(spec).gens, rows[:-1])
+        return not image.residues(rest[None] % m).any()
     return False

@@ -444,36 +444,30 @@ def _blocks(cols: np.ndarray, rows: np.ndarray) -> _Blocks:
     return _Blocks(cols, rows, pivots, divs, real, bool((divs == 1).all()))
 
 
-def _reduce_blocks(blocks, vectors, m: int, coefficients: bool = False):
+def _reduce_blocks(blocks, vectors, m: int) -> np.ndarray:
     """The rows of `vectors` (embedded, entries in 0..m-1) reduced block by
-    block, and, with `coefficients`, the coefficient each real block row
-    took, blocks in order and rows in (g, r) order.  Blocks lie on disjoint
-    columns, so each is reduced on its own: one gather, then for each row
-    slot r the Howell step of ``Echelon.reduce`` (subtract q times row r
-    when its pivot entry d divides the vector's entry there, q = entry /
-    d), for all blocks at once, and the reduction mod m once at the end.
-    Canonical rows with pivot entry 1 are zero at the block's other
-    pivots, so there q is the vector's own entry.
+    block.  Blocks lie on disjoint columns, so each is reduced on its own:
+    one gather, then for each row slot r the Howell step of
+    ``Echelon.reduce`` (subtract q times row r when its pivot entry d
+    divides the vector's entry there, q = entry / d), for all blocks at
+    once, and the reduction mod m once at the end.  Canonical rows with
+    pivot entry 1 are zero at the block's other pivots, so there q is the
+    vector's own entry.
     """
     vectors = np.array(vectors, dtype=np.int64)
-    coeffs = [np.zeros((len(vectors), 0), dtype=np.int64)]
     for block in blocks:
         cols = block.cols.ravel()
         w = vectors[:, cols]
         blocked = w.reshape(len(w), *block.cols.shape)
-        qs = []
         for r in range(block.rows.shape[1]):
             entry = w[:, block.pivots[:, r]] % m
             if not block.unit:
                 d = block.divs[:, r]
                 entry = entry // d * (entry % d == 0)
             blocked -= entry[:, :, None] * block.rows[:, r]
-            qs.append(entry)
         vectors[:, cols] = w
-        if coefficients and qs:
-            coeffs.append(np.stack(qs, axis=2)[:, block.real])
     np.remainder(vectors, m, out=vectors)
-    return vectors, np.concatenate(coeffs, axis=1)
+    return vectors
 
 
 def _placed(block: _Blocks, g: np.ndarray, r: np.ndarray,
@@ -514,16 +508,17 @@ class ClonoidImage:
     plane, holding the canonical rows of its binary emissions, and one
     dense block for the unary emissions with the planes they reach (see
     ``clonoid_image_comprep``).  Blocks with the same number of columns
-    are stacked, so ``residues`` and ``coefficients`` take one gather and
-    one batched product per row slot.  The canonical rows of a direct sum
-    on disjoint columns are the union of its summands' canonical rows: so
-    ``rank`` and ``tuples_materialized`` are counted from the blocks, and
-    ``basis``, sorted by pivot, and ``generators``, its tuples, are
-    assembled on first read, as are the raw emissions ``emitted``.  The
-    solver builds only the rows it needs (``canonical_rows``,
-    ``touched_rows``).  The binary emissions are kept sparse: off-diagonal
-    coordinate coords[i] lies on plane plane_of[i] and takes columns[b, i]
-    in binary generator b's emission.
+    are stacked, so ``residues`` takes one gather and one batched product
+    per row slot; the solver and ``check_witness`` test membership that
+    way.  The canonical rows of a direct sum on disjoint columns are the
+    union of its summands' canonical rows: so ``rank`` and
+    ``tuples_materialized`` are counted from the blocks, and ``basis``,
+    sorted by pivot, and ``generators``, its tuples, are assembled on
+    first read, as are the raw emissions ``emitted``.  The solver builds
+    only the rows of the blocks a residue touches (``touched_rows``).  The
+    binary emissions are kept sparse: off-diagonal coordinate coords[i]
+    lies on plane plane_of[i] and takes columns[b, i] in binary generator
+    b's emission.
     """
 
     group: AbelianGroupSpec
@@ -534,13 +529,6 @@ class ClonoidImage:
     coords: np.ndarray
     columns: np.ndarray      # (binary generators, off-diagonal coordinates)
     unary_vecs: np.ndarray   # (unary generators, k) emissions
-
-    @cached_property
-    def _order(self) -> np.ndarray:
-        """The real block rows, in block order, sorted by pivot column."""
-        pivots = [np.zeros(0, dtype=np.int64)] + [
-            b.cols.ravel()[b.pivots[b.real]] for b in self.blocks]
-        return np.argsort(np.concatenate(pivots), kind="stable")
 
     @property
     def rank(self) -> int:
@@ -555,31 +543,7 @@ class ClonoidImage:
     def residues(self, vectors) -> np.ndarray:
         """The residues of the rows of `vectors` (embedded) modulo the
         image: zero exactly on the rows that lie in it."""
-        return _reduce_blocks(self.blocks, vectors, self.group.exponent)[0]
-
-    def coefficients(self, vector) -> tuple[np.ndarray, np.ndarray]:
-        """The residue of the embedded `vector` modulo the image, and its
-        coefficients on the canonical rows in pivot order: a vector in the
-        image is its coefficients times ``basis``."""
-        residues, coeffs = _reduce_blocks(
-            self.blocks, np.asarray(vector)[None], self.group.exponent,
-            coefficients=True)
-        return residues[0], coeffs[0, self._order]
-
-    def canonical_rows(self, positions) -> np.ndarray:
-        """The canonical rows at `positions` of the pivot order, embedded:
-        rows of ``basis`` built without the others."""
-        src = self._order[np.asarray(positions, dtype=np.intp)]
-        width = self.k * self.group.rank
-        out = np.zeros((len(src), width), dtype=np.int64)
-        start = 0
-        for b in self.blocks:
-            g, r = b.real.nonzero()
-            mine = np.flatnonzero((src >= start) & (src < start + len(g)))
-            at = src[mine] - start
-            out[mine] = _placed(b, g[at], r[at], width)
-            start += len(g)
-        return out
+        return _reduce_blocks(self.blocks, vectors, self.group.exponent)
 
     def touched_rows(self, residues: np.ndarray) -> np.ndarray:
         """The canonical rows, embedded, of every block on whose columns
@@ -597,7 +561,9 @@ class ClonoidImage:
     @cached_property
     def basis(self) -> np.ndarray:
         """The canonical echelon generators, embedded, sorted by pivot."""
-        return self.canonical_rows(np.arange(self.rank))
+        rows = self.touched_rows(np.ones((1, self.k * self.group.rank)))
+        # canonical rows are nonzero, with distinct pivots
+        return rows[np.argsort((rows != 0).argmax(axis=1))]
 
     @cached_property
     def generators(self) -> list:
@@ -731,7 +697,7 @@ def clonoid_image_comprep(gens: ClonoidGenSet, u_columns) -> ClonoidImage:
         blocks.append(_blocks(cols, plane_rows))
     if len(unary_vecs):
         residues = _reduce_blocks(blocks, group.embed_elements(unary_vecs),
-                                  m)[0]
+                                  m)
         nonzero = residues.any(axis=0)
         dense = [residues]
         for i, b in enumerate(blocks):

@@ -1052,10 +1052,6 @@ def solve_smp_wreath_full(spec, inst, elimination=False):
             {"coeff": c, "value": gens[j].tolist(),
              "circuit": serialize_sexpr(rep.bank.extract(node))}
             for j, c, node in used],
-        "clonoid": [
-            {"coeff": witness_coeffs[j],
-             "value": list(image.generators[j])}
-            for j in range(n_image) if witness_coeffs[j] % m],
     }
 
 

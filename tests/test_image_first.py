@@ -133,33 +133,38 @@ def test_elimination_generators_give_the_solvers_verdicts(name, k, n, seed,
         assert check_witness(spec, inst, SmpVerdict(True, witness))
 
 
-# a solve whose clonoid image hands out wrong coefficients for a target in
-# its span
-LYING_IMAGE = """
+# a full-path member solve whose tracked echelon hands out wrong
+# coefficients for the target, so that the members leave a rest outside
+# the clonoid image
+LYING_SPAN = """
+import subpower.solver as solver
 from subpower.catalog import a6
 from subpower.instances import random_instance
 from subpower.solver import SmpInstance, solve_smp_wreath
-from subpower.wreath import ClonoidImage
 
-honest = ClonoidImage.coefficients
-
-
-def lying(self, vector):
-    residue, coeffs = honest(self, vector)
-    return residue, (coeffs + 1) % self.group.exponent
+honest = solver.span_witness
 
 
-ClonoidImage.coefficients = lying
-d = random_instance(a6(), 6, 3, 1.0, seed=0)
-solve_smp_wreath(a6(), SmpInstance(d["generators"], d["target"]))
+def lying(ech, rows, target_v):
+    ok, combo = honest(ech, rows, target_v)
+    return ok, [(c + 1) % ech.m for c in combo]
+
+
+d = random_instance(a6(), 6, 3, 0.5, seed=2)
+inst = SmpInstance(d["generators"], d["target"])
+verdict = solve_smp_wreath(a6(), inst)
+assert verdict.member and verdict.stats["decided_by"] == "full"
+solver.span_witness = lying
+solve_smp_wreath(a6(), inst)
 """
 
 
 def test_witness_self_check_survives_optimize():
-    """The check that the coefficients reproduce the target is a raise, not
-    an ``assert``, so it holds under ``python -O`` too."""
+    """The check that what the members leave of the target lies in the
+    clonoid image is a raise, not an ``assert``, so it holds under
+    ``python -O`` too."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run([sys.executable, "-O", "-c", LYING_IMAGE],
+    proc = subprocess.run([sys.executable, "-O", "-c", LYING_SPAN],
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode != 0

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from subpower.catalog import zmod_group_algebra
 from subpower.solver import SmpInstance, SmpVerdict, check_witness, dispatch
 
-# a6 instance whose wreath witness uses a member and a clonoid part
+# a6 instance whose wreath witness uses a member; its second generator,
+# a term value with its circuit, has a u-part other than the target's
 INST = SmpInstance(((4, 0, 3, 2), (0, 0, 1, 5)), (0, 0, 1, 0))
+OFF_FIBRE = {"value": [0, 0, 1, 5], "circuit": "x2"}
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +20,7 @@ def wreath_verdict(a6_spec):
     verdict = dispatch(a6_spec, INST)
     assert verdict.member
     w = verdict.witness
-    assert w["members"] and w["clonoid"] and 0 in w["clonoid"][0]["value"]
+    assert w["members"] and set(w) == {"path", "base", "members"}
     assert check_witness(a6_spec, INST, verdict)
     return verdict
 
@@ -29,26 +31,26 @@ def _mutated(verdict, change) -> SmpVerdict:
     return SmpVerdict(True, witness, dict(verdict.stats))
 
 
-def _set_clonoid_zero(w, value):
-    row = w["clonoid"][0]["value"]
-    row[row.index(0)] = value
+def _wrap_first(part, by):
+    part["value"][0] += by
 
 
 MALFORMED = {
-    # -3 indexes the same element as 0 in Z_3 if negative indices wrap
-    "clonoid value out of range (negative)":
-        lambda w: _set_clonoid_zero(w, -3),
-    "clonoid value out of range (too large)":
-        lambda w: _set_clonoid_zero(w, 3),
-    "clonoid value too short": lambda w: w["clonoid"][0]["value"].pop(),
+    # a value shifted by -6 indexes the same element if negative indices
+    # wrap
+    "member value out of range (negative)":
+        lambda w: _wrap_first(w["members"][0], -6),
+    "base value out of range (too large)":
+        lambda w: _wrap_first(w["base"], 6),
+    "member value too short": lambda w: w["members"][0]["value"].pop(),
     # a length-one row would broadcast against the other tuples
-    "clonoid value of length one":
-        lambda w: w["clonoid"][0].update(value=[0]),
+    "member value of length one":
+        lambda w: w["members"][0].update(value=w["members"][0]["value"][:1]),
     "member value too long": lambda w: w["members"][0]["value"].append(0),
     "member value out of range":
         lambda w: w["members"][0]["value"].__setitem__(0, 6),
     "string coefficient": lambda w: w["members"][0].update(coeff="2"),
-    "float coefficient": lambda w: w["clonoid"][0].update(coeff=1.0),
+    "float coefficient": lambda w: w["members"][0].update(coeff=2.0),
     "missing base": lambda w: w.pop("base"),
     "missing members": lambda w: w.pop("members"),
     "missing circuit": lambda w: w["members"][0].pop("circuit"),
@@ -57,7 +59,14 @@ MALFORMED = {
     "circuit on a missing variable":
         lambda w: w["base"].update(circuit="x7"),
     "base value not a list": lambda w: w["base"].update(value=17),
-    "clonoid entry not a dict": lambda w: w["clonoid"].__setitem__(0, [1]),
+    "member entry not a dict": lambda w: w["members"].__setitem__(0, [1]),
+    # a term value with its circuit, off the target's u-part: each leaves
+    # a rest in the clonoid image, at the one coordinate whose u-parts
+    # differ
+    "member off the target's u-part":
+        lambda w: w.update(members=[dict(OFF_FIBRE, coeff=1)]),
+    "base off the target's u-part":
+        lambda w: w.update(base=OFF_FIBRE, members=[]),
 }
 
 

@@ -4,8 +4,9 @@ extended rows, the chain walk against the member circuits, constant
 generators with no raw differences, warm contexts that never grow, one
 evaluation of the closure per solve, circuits built only for a returned
 witness, a warm member solve that its
-clonoid image decides alone, and the open forged-witness gap of
-``check_witness``."""
+clonoid image decides alone, and forged witnesses that ``check_witness``
+rejects: replayed on l-shifted non-members, with old-form clonoid parts,
+and with members off the target's u-part."""
 
 import random
 import sys
@@ -19,9 +20,9 @@ from hypothesis import strategies as st
 import reference_impl as ref
 from subpower import solver
 from subpower.affine import AffineSubpowerRep, FieldEchelon, affine_span
-from subpower.catalog import a6, random_wreath, w15
-from subpower.circuits import CircuitBank
-from subpower.core import eval_nodes
+from subpower.catalog import a6, a6_shift, random_wreath, w15
+from subpower.circuits import CircuitBank, serialize_sexpr
+from subpower.core import eval_nodes, smp_oracle
 from subpower.instances import random_instance
 from subpower.solver import (SmpInstance, SmpVerdict, _extended_rows,
                              _leaf_values, check_witness, solve_smp_wreath,
@@ -268,22 +269,140 @@ def test_warm_solve_skips_image_and_spanned_differences(monkeypatch):
         assert extends == [(fix, "_quotient_fix", 19)]
 
 
-@pytest.mark.xfail(strict=True, reason="check_witness takes clonoid parts on "
-                   "trust; checking each against the clonoid image is open")
+def _l_shifted(spec, target, i: int, shift: int) -> list:
+    """`target` with the l-part of coordinate i moved by `shift`."""
+    moved = list(target)
+    l, u = spec.split(moved[i])
+    moved[i] = spec.pair(spec.left_group.add(l, shift), u)
+    return moved
+
+
 def test_forged_clonoid_part_is_rejected():
+    """An honest witness replayed on an l-shifted non-member is rejected,
+    and so is the old form of it whose ``clonoid`` parts hold the shift:
+    the checker ignores them and tests the rest against its own image."""
     spec = a6()
     inst = _instance(spec, 6, 3, 0)
     honest = solve_smp_wreath(spec, inst).witness
-    # move the l-part of one target coordinate: a non-member
-    shift = 1
-    target = list(inst.target)
-    l, u = spec.split(target[0])
-    target[0] = spec.pair(spec.left_group.add(l, shift), u)
-    moved = SmpInstance(inst.generators, target)
+    assert set(honest) == {"path", "base", "members"}
+    moved = SmpInstance(inst.generators, _l_shifted(spec, inst.target, 0, 1))
     assert not solve_smp_wreath(spec, moved).member
+    assert not check_witness(spec, moved, SmpVerdict(True, honest))
     # the honest witness plus one clonoid part holding the l-difference
     part = [spec.left_group.zero] * inst.k
-    part[0] = shift
-    forged = dict(honest, clonoid=honest["clonoid"] + [
-        {"coeff": 1, "value": part}])
+    part[0] = 1
+    forged = dict(honest, clonoid=[{"coeff": 1, "value": part}])
     assert not check_witness(spec, moved, SmpVerdict(True, forged))
+
+
+REPLAY_SPECS = {"a6": a6, "a6_shift": a6_shift, "w15": w15,
+                "random_wreath(3, 2, 1)": lambda: random_wreath(3, 2, 1)}
+
+
+@cache
+def replay_spec(name: str):
+    return REPLAY_SPECS[name]()
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(sorted(REPLAY_SPECS)), k=st.integers(1, 8),
+       n=st.integers(1, 4), seed=st.integers(0, 10_000), data=st.data())
+def test_replayed_witness_on_l_shift_is_rejected(name, k, n, seed, data):
+    """An honest member witness replayed on the target with one l-part
+    moved, when that is a non-member, is rejected.  The oracle labels the
+    moved target where |A|^k <= 15^3 (k <= 4 on the six-element algebras,
+    k <= 3 on w15), and the solver above that."""
+    spec = replay_spec(name)
+    inst = _instance(spec, k, n, seed)
+    verdict = solve_smp_wreath(spec, inst)
+    assert verdict.member and check_witness(spec, inst, verdict)
+    i = data.draw(st.integers(0, k - 1))
+    shift = data.draw(st.integers(1, spec.left.size - 1))
+    moved = SmpInstance(inst.generators,
+                        _l_shifted(spec, inst.target, i, shift))
+    if spec.size ** k <= 15 ** 3:
+        member = smp_oracle(spec.algebra, moved.generators, moved.target)
+    else:
+        member = solve_smp_wreath(spec, moved, want_witness=False).member
+    if not member:
+        assert not check_witness(spec, moved, verdict)
+
+
+def _random_term(alg, gens, rng: random.Random, depth: int) -> dict:
+    """A random term of the given depth on the generators: its value and
+    its circuit."""
+    bank = CircuitBank(len(gens))
+    symbols = [op for op in alg.ops if op.arity > 0]
+
+    def build(d):
+        if d == 0 or rng.random() < 0.3:
+            return bank.var(rng.randrange(len(gens)) + 1)
+        op = rng.choice(symbols)
+        return bank.app(op.symbol, tuple(build(d - 1)
+                                         for _ in range(op.arity)))
+
+    node = build(depth)
+    value = eval_nodes(alg, bank, [node], [np.asarray(g) for g in gens])[node]
+    return {"value": value.tolist(),
+            "circuit": serialize_sexpr(bank.extract(node))}
+
+
+def _off_fibre_forgeries(seeds, k: int = 5, n: int = 3, extra: int = 30):
+    """Forged a6 witnesses for non-members: a depth-3 term value with the
+    l-part of one coordinate moved by 1, and the honest witness of the
+    unmoved target plus at most two member parts, each a generator or one
+    of `extra` random depth-2 terms with its true circuit, whose
+    l-differences from the base, times their coefficients, make up the
+    move.  The linear sum then reaches the moved target, but some part
+    lies off its u-part, as it is not a member (by the oracle)."""
+    spec = a6()
+    alg, p, e = spec.algebra, spec.p, spec.left.size
+    coeffs = np.arange(1, e)
+    for seed in seeds:
+        rng = random.Random(seed)
+        gens = [[rng.randrange(spec.size) for _ in range(k)]
+                for _ in range(n)]
+        target = _random_term(alg, gens, rng, 3)["value"]
+        i = rng.randrange(k)
+        moved = SmpInstance(gens, _l_shifted(spec, target, i, 1))
+        honest = solve_smp_wreath(spec, SmpInstance(gens, target)).witness
+        parts = [{"value": g, "circuit": f"x{j + 1}"}
+                 for j, g in enumerate(gens)]
+        parts += [_random_term(alg, gens, rng, 2) for _ in range(extra)]
+        shift = np.zeros(k, dtype=np.int64)
+        shift[i] = 1
+        base_l = np.asarray(honest["base"]["value"]) // p
+        scaled = coeffs[:, None, None] * (
+            np.asarray([q["value"] for q in parts]) // p - base_l)
+        # (coefficient, part) with c * d = shift, then pairs a < b with
+        # c_a * d_a + c_b * d_b = shift
+        hits = np.argwhere((scaled % e == shift).all(axis=2))
+        if len(hits):
+            found = [(hits[0, 1], hits[0, 0])]
+        else:
+            sums = (scaled[:, None, :, None] + scaled[None, :, None, :]) % e
+            hits = np.argwhere((sums == shift).all(axis=4)
+                               .transpose(2, 3, 0, 1))
+            hits = hits[hits[:, 0] < hits[:, 1]]
+            if not len(hits):
+                continue
+            a, b, ca, cb = hits[0].tolist()
+            found = [(a, ca), (b, cb)]
+        # the solver's verdict first; the oracle confirms its non-members
+        if solve_smp_wreath(spec, moved, want_witness=False).member:
+            continue
+        assert not smp_oracle(alg, gens, moved.target)
+        forged = dict(honest, members=honest["members"] + [
+            dict(parts[a], coeff=int(c) + 1) for a, c in found])
+        yield moved, forged
+
+
+def test_members_off_the_targets_u_part_are_rejected():
+    """Members combine linearly only on one u-part (hat_m(u, u, u) = 0):
+    witnesses whose extra member parts reach a non-member's l-part from
+    off its u-part are all rejected."""
+    spec = a6()
+    forgeries = list(_off_fibre_forgeries(range(200)))
+    assert len(forgeries) == 32
+    for moved, forged in forgeries:
+        assert not check_witness(spec, moved, SmpVerdict(True, forged))
