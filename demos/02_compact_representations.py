@@ -9,8 +9,8 @@ membership.
 """
 
 from subpower import (eval_circuit, fix_value, fix_values,
-                      maltsev_chain_member, signature, subpower_closure,
-                      thin_to_compact)
+                      maltsev_chain_member, serialize_sexpr, signature,
+                      subpower_closure, thin_to_compact)
 from subpower.catalog import a6, zmod_group_algebra
 from subpower.comprep import EnumeratedCompactRep
 from subpower.core import closure_with_circuits
@@ -29,7 +29,7 @@ print(f"\nclosure has {len(tuples)} tuples; thinned representation keeps "
 print("signatures equal:", rep.sig() == signature(tuples))
 idx = len(rep.entries) // 2
 circuit = rep.circuit(idx)
-print("sample witness circuit:", circuit.to_sexpr())
+print("sample witness circuit:", serialize_sexpr(circuit))
 print("it re-evaluates to its tuple:",
       eval_circuit(alg, circuit, gens) == rep.tuples()[idx])
 

@@ -10,9 +10,9 @@ that recombine to the target on the nose.
 
 import numpy as np
 
-from subpower import (AbelianGroupSpec, Echelon, affine_member,
-                      subgroup_member, verify_affine)
-from subpower.affine import affine_span, coset_compact_rep, span_members
+from subpower import (AbelianGroupSpec, Echelon, subgroup_member,
+                      subpower_closure, verify_affine)
+from subpower.affine import affine_span, coset_compact_rep
 from subpower.catalog import zmod_algebra
 
 # --- subgroup membership with witnesses -------------------------------------
@@ -36,12 +36,14 @@ print("\nHowell rows for <(2,1)> over Z_4:",
 print("span size:", ech.span_size())
 
 # --- affine membership -------------------------------------------------------
+# t is an affine combination of points p_0..p_r (coefficients summing to 1)
+# exactly when t - p_0 lies in the subgroup the p_i - p_0 generate; here
+# p_0 = (0,0), so the differences are the other points themselves
 g3 = AbelianGroupSpec((3,))
-ok, lam = affine_member(g3, [(0, 0), (1, 1)], (2, 2))
+ok, coeffs = subgroup_member(g3, [(1, 1)], (2, 2))
 print("\n(2,2) affinely spanned by (0,0),(1,1):", ok,
-      "coefficients", lam, "(sum 1)")
-print("(1,0) affinely spanned:", affine_member(g3, [(0, 0), (1, 1)],
-                                               (1, 0))[0])
+      "coefficients", [1 - sum(coeffs)] + coeffs, "(sum 1)")
+print("(1,0) affinely spanned:", subgroup_member(g3, [(1, 1)], (1, 0))[0])
 
 # --- affine operations and closure representations ---------------------------
 alg, group = zmod_algebra(6)
@@ -51,8 +53,10 @@ print("\nZ_6 Mal'tsev coefficients:",
 
 gens = [(0, 1, 3), (2, 2, 2), (1, 0, 0)]
 rep = affine_span(alg, group, gens)
-members = span_members(rep)
-print(f"affine closure of {gens} has {len(members)} members")
+# a coset has as many members as its difference subgroup has elements
+size = rep.tracked_echelon.span_size()
+print(f"affine closure of {gens} has {size} members,",
+      "as many as the oracle finds:", size == len(subpower_closure(alg, gens)))
 compact = coset_compact_rep(rep)
 print("compact representation keeps", len(compact.entries), "of them,")
 print("all circuits re-evaluate:", compact.check_circuits(alg))

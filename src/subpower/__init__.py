@@ -8,20 +8,19 @@ cross-check.
 """
 
 from .affine import (AbelianGroupSpec, AffineOpSpec, Echelon, NotAffineError,
-                     affine_closure_comprep, affine_member, affine_span,
-                     subgroup_member, verify_affine)
+                     affine_closure_comprep, affine_span, subgroup_member,
+                     verify_affine)
 from .circuits import Circuit, CircuitBank, CircuitError, parse_sexpr, serialize_sexpr
 from .comprep import (EnumeratedCompactRep, fix_block, fix_value, fix_values,
                       maltsev_chain_member, signature, thin_to_compact)
 from .core import (AlgebraError, ClosureCapExceeded, FiniteAlgebra, Operation,
-                   clone_enumerate, eval_circuit, is_congruence, smp_oracle,
-                   subpower_closure, verify_central, verify_maltsev)
+                   eval_circuit, is_congruence, smp_oracle, subpower_closure,
+                   verify_central, verify_maltsev)
 from .solver import (SmpInstance, SmpVerdict, UnsupportedAlgebraError,
                      check_witness, compute_comprep, dispatch,
                      solve_smp_wreath)
-from .wreath import (ClonoidGenSet, Diagonal, Plane, WreathSpec, build_wreath,
-                     classify_row, clonoid_image_comprep, companion_eval,
-                     diff_clonoid_gens, plane_axes, plane_count)
+from .wreath import (ClonoidGenSet, WreathSpec, build_wreath,
+                     clonoid_image_comprep, diff_clonoid_gens)
 
 __version__ = "0.1.0"
 

@@ -14,12 +14,13 @@ tables are built once, when the frozen spec is made:
   ``scale_table`` (exponent x size).
 
 The scalar methods ``vec``, ``elem``, ``add``, ``neg`` and ``scale`` are
-lookups in these tables.  The whole-tuple functions ``embed_elements``,
-``unembed``, ``tuple_add``, ``tuple_sub`` and ``tuple_scale`` are one numpy
-indexing step each, behind ``check_elements``: numpy wraps negative indices
-and broadcasts length-one arrays, so every tuple is range- and
-shape-checked where it enters.  Inside the solver tuples stay int64 arrays,
-one row per tuple; they become Python tuples only at the API and JSON edge.
+lookups in these tables.  The whole-tuple functions ``embed_elements`` and
+``tuple_add`` are one numpy indexing step each, behind ``check_elements``,
+and ``unembed_array``, their inverse on embedded rows, checks its own
+input: numpy wraps negative indices and broadcasts length-one arrays, so
+every tuple is range- and shape-checked where it enters.  Inside the solver
+tuples stay int64 arrays, one row per tuple; they become Python tuples only
+at the API and JSON edge.
 
 Subgroups of L^k are handled by row echelons on the embedded vectors.
 Over a prime modulus ``FieldEchelon`` keeps the basis fully reduced, so a
@@ -184,10 +185,7 @@ class AbelianGroupSpec:
         Raises AlgebraError (``core.element_array``) on entries that are not
         integers in 0..size-1 and on rows of unequal length.
         """
-        arr = element_array(elements, self._size)
-        if arr.ndim == 0:
-            raise AlgebraError("expected a tuple of elements, got a scalar")
-        return arr
+        return element_array(elements, self._size, "elements", (1, 2))
 
     def embed_elements(self, elements) -> np.ndarray:
         """Flatten a tuple of element indices into an embedded Z_m vector.
@@ -215,9 +213,6 @@ class AbelianGroupSpec:
             raise AlgebraError("vector is not in the embedded lattice")
         return self.element_of_code[(chunks // self.factors) @ self.weights]
 
-    def unembed(self, flat) -> tuple:
-        return tuple(self.unembed_array(flat).tolist())
-
 
 def _same_shape(group: AbelianGroupSpec, x, y):
     x, y = group.check_elements(x), group.check_elements(y)
@@ -229,16 +224,6 @@ def _same_shape(group: AbelianGroupSpec, x, y):
 def tuple_add(group: AbelianGroupSpec, x, y) -> tuple:
     x, y = _same_shape(group, x, y)
     return tuple(group.add_table[x, y].tolist())
-
-
-def tuple_sub(group: AbelianGroupSpec, x, y) -> tuple:
-    x, y = _same_shape(group, x, y)
-    return tuple(group.add_table[x, group.neg_table[y]].tolist())
-
-
-def tuple_scale(group: AbelianGroupSpec, c: int, x) -> tuple:
-    x = group.check_elements(x)
-    return tuple(group.scale_table[c % group.exponent, x].tolist())
 
 
 def element_rows(group: AbelianGroupSpec, rows, k: int) -> np.ndarray:
@@ -900,25 +885,6 @@ def subgroup_member(group: AbelianGroupSpec, gens, target):
     return span_witness(ech, gen_v, target_v)
 
 
-def affine_member(group: AbelianGroupSpec, points, target):
-    """Is `target` in the affine closure of `points` (coefficients sum 1)?
-
-    Returns (True, coeffs) with sum(coeffs) == 1 and
-    sum(coeffs[i] * points[i]) == target, or (False, None).
-    """
-    points = list(points)
-    if not points:
-        raise AlgebraError("affine closure of no points is empty")
-    target = group.check_elements(target)
-    pts = element_rows(group, points, len(target))
-    neg_base = group.neg_table[pts[0]]
-    ok, coeffs = subgroup_member(group, group.add_table[pts[1:], neg_base],
-                                 group.add_table[target, neg_base])
-    if not ok:
-        return False, None
-    return True, [1 - sum(coeffs)] + coeffs
-
-
 # ---------------------------------------------------------------------------
 # affine operation extraction
 
@@ -1213,23 +1179,6 @@ def affine_span(alg: FiniteAlgebra, group: AbelianGroupSpec,
                           bank.app(spec.symbol, tuple(up)),
                           bank.app(spec.symbol, tuple(down))))
     return rep
-
-
-def span_members(rep: AffineSubpowerRep):
-    """Expand the represented coset exhaustively (test-scale helper)."""
-    m = rep.group.exponent
-    members = {tuple(rep.base_flat)}
-    frontier = [rep.base_flat]
-    vecs = [row for row, _, _ in rep.raw]
-    while frontier:
-        cur = frontier.pop()
-        for v in vecs:
-            nxt = (cur + v) % m
-            key = tuple(nxt)
-            if key not in members:
-                members.add(key)
-                frontier.append(np.asarray(nxt))
-    return {rep.group.unembed(np.asarray(v)) for v in members}
 
 
 # ---------------------------------------------------------------------------

@@ -82,13 +82,6 @@ class Circuit:
             slot_of.append(self.arity + len(apps) - 1)
         return tuple(apps), slot_of[self.output]
 
-    def to_sexpr(self) -> str:
-        return serialize_sexpr(self)
-
-    @staticmethod
-    def parse(text: str, arity: int | None = None) -> "Circuit":
-        return parse_sexpr(text, arity)
-
 
 def _needed(gates, targets) -> list[int]:
     """The gates the targets depend on, in increasing id order, which is
@@ -103,11 +96,6 @@ def _needed(gates, targets) -> list[int]:
             if gate[0] != _VAR:
                 stack.extend(gate[1:])
     return sorted(need)
-
-
-def variable(i: int, arity: int) -> Circuit:
-    """The projection circuit x_i of the given arity."""
-    return Circuit(arity, ((_VAR, i),), 0)
 
 
 class CircuitBank:

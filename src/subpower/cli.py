@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 member / success, 1 non-member, 2 usage or validation error,
-3 closure cap exceeded.
+3 closure cap exceeded or out of memory, 4 internal error.  No other
+exception leaves ``main``, so none reads as a verdict.
 """
 
 from __future__ import annotations
@@ -10,7 +11,9 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
+import traceback
 
 from .affine import verify_affine
 from .circuits import CircuitError
@@ -107,7 +110,7 @@ def _cmd_solve(args) -> int:
                        cap=args.cap, want_witness=args.witness)
     if args.witness and verdict.member and verdict.witness is not None:
         if not check_witness(algebra, inst, verdict):
-            raise AlgebraError("internal error: witness failed re-evaluation")
+            raise AssertionError("witness failed re-evaluation")
     out = verdict_to_dict(verdict)
     if not args.witness:
         out["witness"] = None
@@ -210,6 +213,15 @@ _COMMANDS = {
 }
 
 
+def _innermost(err: BaseException) -> str:
+    """``module.function`` of the innermost frame of this package in the
+    traceback of `err`; ``main``'s own frame is always one."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    frame = [f for f in traceback.extract_tb(err.__traceback__)
+             if os.path.dirname(os.path.abspath(f.filename)) == here][-1]
+    return f"{os.path.basename(frame.filename)[:-3]}.{frame.name}"
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -230,6 +242,12 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as e:
         print(f"error: malformed JSON: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:
+        print(f"error: out of memory in {_innermost(e)}", file=sys.stderr)
+        return 3
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -98,7 +98,7 @@ class FiniteAlgebra:
                     f"{op.symbol}: table has {len(op.table)} entries, "
                     f"expected {self.size ** op.arity}")
             tables[op.symbol] = _frozen(element_array(
-                op.table, self.size, f"{op.symbol} table").astype(np.int16))
+                op.table, self.size, f"{op.symbol} table", 1).astype(np.int16))
         object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "op_by_symbol",
                            MappingProxyType({op.symbol: op for op in ops}))
@@ -124,7 +124,7 @@ class FiniteAlgebra:
         """The value of `symbol` at `args`: AlgebraError unless they are
         `arity` integers in 0..size-1 (``element_array``)."""
         arity = self.op(symbol).arity
-        idx = element_array(args, self.size, f"{symbol} arguments")
+        idx = element_array(args, self.size, f"{symbol} arguments", 1)
         if idx.shape != (arity,):
             raise AlgebraError(f"{symbol}: expected {arity} arguments")
         flat = 0
@@ -184,40 +184,48 @@ def integer(value, name: str) -> int:
     return int(value)
 
 
-def element_array(entries, size: int, name: str = "elements") -> np.ndarray:
-    """`entries` (a tuple, or rows of equal-length tuples) as an int64
-    array, every entry an integer in 0..size-1.
+def element_array(entries, size: int, name: str,
+                  ndim: int | tuple) -> np.ndarray:
+    """`entries`, nested `ndim` deep (1: a tuple, 2: rows of equal-length
+    tuples; a tuple of depths accepts each), as an int64 array of integers
+    in 0..size-1: numpy integers and bools count as integers.
 
-    One array conversion and one range test accept them; numpy integers
-    and bools count as integers.  Otherwise AlgebraError names the first
-    entry, row by row, that is not an integer in range, as
-    ``name[i][j] = value``: a float such as 1.7 is refused, not truncated,
-    and so is a string.  Rows of unequal length are refused too.
+    Otherwise AlgebraError names the first entry, row by row, that is not
+    an integer in range, as ``name[i][j] = value``: a float such as 1.7 is
+    refused, not truncated, and so are a string and a sequence nested
+    deeper than `ndim`.  Unequal rows and shallower nesting are refused.
     """
+    depths = (ndim,) if isinstance(ndim, int) else ndim
     try:
         arr = np.asarray(entries)
     except (TypeError, ValueError, OverflowError):
         arr = None
-    if (arr is not None and (arr.dtype.kind in "biu" or not arr.size)
+    if (arr is not None and arr.ndim in depths
+            and (arr.dtype.kind in "biu" or not arr.size)
             and not (arr.size and (arr.min() < 0 or arr.max() >= size))):
         return arr.astype(np.int64, copy=False)
-    for at, value in _entries(entries, ()):
+    for at, value in _entries(entries, (), max(depths)):
         integral = isinstance(value, (numbers.Integral, np.bool_))
         if not integral or not 0 <= value < size:
             fault = (f"out of range 0..{size - 1}" if integral
                      else "is not an integer")
             where = "".join(f"[{i}]" for i in at)
             raise AlgebraError(f"{name}{where} = {value!r} {fault}")
-    raise AlgebraError("tuples have unequal lengths")
+    if arr is None:
+        raise AlgebraError("tuples have unequal lengths")
+    raise AlgebraError(f"{name} is nested {arr.ndim} deep, not "
+                       + " or ".join(map(str, depths)))
 
 
-def _entries(entries, at: tuple):
-    """(index, value) of every entry of nested sequences, row by row."""
-    if isinstance(entries, (str, bytes)) or not np.iterable(entries):
+def _entries(entries, at: tuple, depth: int):
+    """(index, value) of every entry of nested sequences, row by row, the
+    values taken `depth` levels down (or where the nesting stops)."""
+    if (not depth or isinstance(entries, (str, bytes))
+            or not np.iterable(entries)):
         yield at, entries
         return
     for i, item in enumerate(entries):
-        yield from _entries(item, at + (i,))
+        yield from _entries(item, at + (i,), depth - 1)
 
 
 def _check_tuples(alg: FiniteAlgebra, tuples) -> np.ndarray:
@@ -227,10 +235,7 @@ def _check_tuples(alg: FiniteAlgebra, tuples) -> np.ndarray:
         tuples = list(tuples)
     if not len(tuples):
         raise AlgebraError("empty tuple family")
-    rows = element_array(tuples, alg.size, "tuples")
-    if rows.ndim != 2:
-        raise AlgebraError("expected a family of equal-length tuples")
-    return rows
+    return element_array(tuples, alg.size, "tuples", 2)
 
 
 def _evaluate(alg: FiniteAlgebra, gates, order, mats, length: int) -> dict:
@@ -348,15 +353,6 @@ def is_congruence(alg: FiniteAlgebra, blocks) -> bool:
                     if blocks[alt] != blocks[base]:
                         return False
     return True
-
-
-def kernel_partition(values) -> tuple:
-    """Block ids of the kernel of a map given by its value list."""
-    ids: dict = {}
-    out = []
-    for v in values:
-        out.append(ids.setdefault(v, len(ids)))
-    return tuple(out)
 
 
 def verify_central(alg: FiniteAlgebra, blocks, cap: int = DEFAULT_CAP) -> bool:
@@ -664,7 +660,7 @@ def smp_oracle(alg: FiniteAlgebra, gens, b, cap: int = DEFAULT_CAP) -> bool:
     k = _check_tuples(alg, gens).shape[1]
     if len(b) != k:
         raise AlgebraError("target length differs from generators")
-    element_array(b, alg.size, "target")
+    element_array(b, alg.size, "target", 1)
     return tuple(b) in subpower_closure(alg, gens, cap=cap)
 
 
@@ -683,26 +679,3 @@ def closure_with_circuits(alg: FiniteAlgebra, gens, cap: int = DEFAULT_CAP,
     tuples = list(map(tuple, eng.rows.tolist()))
     return tuples, nodes, bank, eng.truncated
 
-
-def clone_enumerate(alg: FiniteAlgebra, arity: int, cap: int = 100_000):
-    """All `arity`-ary term operations, each with one defining circuit.
-
-    Tables are flat row-major tuples over A^arity.  Raises
-    ClosureCapExceeded when the term count passes `cap`.
-    """
-    if arity < 0:
-        raise AlgebraError("arity must be non-negative")
-    n = alg.size
-    width = n ** arity
-    projections = []
-    for j in range(arity):
-        block = n ** (arity - 1 - j)
-        proj = tuple((idx // block) % n for idx in range(width))
-        projections.append(proj)
-    if not projections:
-        raise AlgebraError("nullary clone enumeration is not supported")
-    tables, nodes, bank, _ = closure_with_circuits(alg, projections, cap=cap)
-    out = []
-    for table, node in zip(tables, nodes):
-        out.append((table, bank.extract(node)))
-    return out

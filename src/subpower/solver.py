@@ -101,8 +101,8 @@ def _instance_rows(inst: SmpInstance, size: int) -> np.ndarray:
     generators first, that is not an integer in 0..size-1, such as
     ``generators[0][1] = 1.7 is not an integer``.
     """
-    return np.vstack([element_array(inst.generators, size, "generators"),
-                      element_array(inst.target, size, "target")])
+    return np.vstack([element_array(inst.generators, size, "generators", 2),
+                      element_array(inst.target, size, "target", 1)])
 
 
 # ---------------------------------------------------------------------------

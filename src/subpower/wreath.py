@@ -10,12 +10,13 @@ binary part generate everything, and images of tuples under the generated
 function family reduce to plain subgroup generators of L^k.  Extraction
 is exact, with no cap: one closure over the companions of each arity, at
 a cost of |companions|^arity compositions per operation
-(``diff_clonoid_gens``).  A binary emission is supported on the
-coordinates of one plane of Z_p^n, so a clonoid image is held by plane
-(``ClonoidImage``): a direct sum of small canonical blocks on disjoint
-columns, which a vector is reduced against block by block, with no dense
-k x k array.  Every echelon here, like every echelon of the package, is
-made by ``affine.span_over``.
+(``diff_clonoid_gens``).  Each row of the u-columns lies on the diagonal
+of Z_p^n or on one plane through it (``_classify_rows``), and a binary
+emission is supported on the coordinates of one plane, so a clonoid image
+is held by plane (``ClonoidImage``): a direct sum of small canonical
+blocks on disjoint columns, which a vector is reduced against block by
+block, with no dense k x k array.  Every echelon here, like every echelon
+of the package, is made by ``affine.span_over``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -103,9 +103,6 @@ class WreathSpec:
         return AbelianGroupSpec(self.left_group.orders + (self.p,),
                                 zero=self.zero)
 
-    def l_part(self, t) -> tuple:
-        return tuple(self.split(x)[0] for x in t)
-
     def u_part(self, t) -> tuple:
         return tuple(self.split(x)[1] for x in t)
 
@@ -142,7 +139,7 @@ def build_wreath(spec: WreathSpec) -> FiniteAlgebra:
         if len(table) != p ** op.arity:
             raise WreathSpecError(f"hat table for {op.symbol} has wrong length")
         try:
-            element_array(table, left.size, f"hat[{op.symbol}]")
+            element_array(table, left.size, f"hat[{op.symbol}]", 1)
         except AlgebraError as err:
             raise WreathSpecError(str(err)) from None
     msym = _maltsev_symbol(spec.maltsev)
@@ -170,12 +167,6 @@ def build_wreath(spec: WreathSpec) -> FiniteAlgebra:
     if not verify_maltsev(alg):
         raise WreathSpecError("assembled product fails the Mal'tsev identities")
     return alg
-
-
-def companion_eval(spec: WreathSpec, circuit: Circuit, args) -> tuple:
-    """Evaluate a circuit in the direct product (hat suppressed)."""
-    from .core import eval_circuit
-    return eval_circuit(spec.companion, circuit, args)
 
 
 # ---------------------------------------------------------------------------
@@ -364,55 +355,6 @@ def diff_clonoid_gens(spec: WreathSpec) -> ClonoidGenSet:
 
 
 # ---------------------------------------------------------------------------
-# plane geometry of Z_p^n
-
-@dataclass(frozen=True)
-class Diagonal:
-    value: int
-
-
-@dataclass(frozen=True)
-class Plane:
-    axis: tuple
-    x: int
-    y: int
-
-
-def plane_count(p: int, n: int) -> int:
-    return (p ** (n - 1) - 1) // (p - 1)
-
-
-def plane_axes(p: int, n: int) -> list:
-    """All normalized direction vectors: first entry 0, leading nonzero 1."""
-    axes = []
-    for vec in product(range(p), repeat=n - 1):
-        full = (0,) + vec
-        nz = [v for v in full if v]
-        if nz and nz[0] == 1:
-            axes.append(full)
-    return axes
-
-
-def classify_row(w, p: int):
-    """Assign a row of u-values to the diagonal or its unique plane.
-
-    Off-diagonal rows normalize to Plane(c, x, y) with c the direction
-    scaled so that its leading nonzero entry is 1, x the first row entry
-    and y the entry at the leading disagreement.
-    """
-    w = tuple(v % p for v in w)
-    n = len(w)
-    if n < 2:
-        raise AlgebraError("row classification needs at least two columns")
-    if all(v == w[0] for v in w):
-        return Diagonal(w[0])
-    i = next(idx for idx, v in enumerate(w) if v != w[0])
-    scale = pow((w[i] - w[0]) % p, -1, p)
-    c = tuple((scale * (v - w[0])) % p for v in w)
-    return Plane(axis=c, x=w[0], y=w[i])
-
-
-# ---------------------------------------------------------------------------
 # clonoid images
 
 class _Blocks(NamedTuple):
@@ -512,10 +454,9 @@ class ClonoidImage:
     per row slot; the solver and ``check_witness`` test membership that
     way.  The canonical rows of a direct sum on disjoint columns are the
     union of its summands' canonical rows: so ``rank`` and
-    ``tuples_materialized`` are counted from the blocks, and ``basis``,
-    sorted by pivot, and ``generators``, its tuples, are assembled on
-    first read, as are the raw emissions ``emitted``.  The solver builds
-    only the rows of the blocks a residue touches (``touched_rows``).  The
+    ``tuples_materialized`` are counted from the blocks, the raw emissions
+    ``emitted`` are assembled on first read, and the solver builds only
+    the rows of the blocks a residue touches (``touched_rows``).  The
     binary emissions are kept sparse: off-diagonal coordinate coords[i]
     lies on plane plane_of[i] and takes columns[b, i] in binary generator
     b's emission.
@@ -559,19 +500,6 @@ class ClonoidImage:
         return np.vstack(placed)
 
     @cached_property
-    def basis(self) -> np.ndarray:
-        """The canonical echelon generators, embedded, sorted by pivot."""
-        rows = self.touched_rows(np.ones((1, self.k * self.group.rank)))
-        # canonical rows are nonzero, with distinct pivots
-        return rows[np.argsort((rows != 0).argmax(axis=1))]
-
-    @cached_property
-    def generators(self) -> list:
-        """The canonical echelon generators as tuples of L."""
-        return [tuple(row) for row in
-                self.group.unembed_array(self.basis).tolist()]
-
-    @cached_property
     def emitted(self) -> list:
         """The raw emissions as (tag, tuple): each binary generator's per
         plane, planes in order, then each unary generator's."""
@@ -588,10 +516,13 @@ class ClonoidImage:
 
 
 def _classify_rows(rows: np.ndarray, p: int):
-    """``classify_row`` of every row of a (k, n) u-value matrix, n >= 2, as
-    arrays: the diagonal mask, each row's first entry x, its entry y at the
-    leading disagreement, and its normalized plane axis (zero for a
-    diagonal row)."""
+    """Each row of a (k, n) u-value matrix, n >= 2, on the diagonal of
+    Z_p^n or on its one plane through the diagonal, as arrays: the diagonal
+    mask, each row's first entry x, its entry y at the leading
+    disagreement, and its plane axis c, the row minus x scaled so that its
+    leading nonzero entry is 1 (zero for a diagonal row).  An off-diagonal
+    row is x * (1 - c) + y * c, and the axes of Z_p^n, first entry 0 and
+    leading nonzero entry 1, number (p^(n-1) - 1) / (p - 1)."""
     first = rows[:, 0]
     off = rows != first[:, None]
     lead = off.argmax(axis=1)

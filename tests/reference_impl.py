@@ -8,8 +8,10 @@ quotient fix on the instance and padding columns at once, the wreath solve
 that builds every l-part generator before its subgroup test, the affine
 closure that eliminates its queue one vector at a time (optionally testing
 the image of every new difference under every endomorphism, scalar ones
-included) and the affine solve on it.  The plane points and the per-table
-u-shift and companion key, which only the tests use, live here too.
+included) and the affine solve on it.  The helpers only the tests use
+live here too: the plane points, the per-table u-shift and companion key,
+the clone enumeration, the members of an affine span, the per-row plane
+classification and the canonical rows of a clonoid image.
 
 These are the straightforward implementations the array code in
 ``subpower.comprep``, ``subpower.affine``, ``subpower.core`` and
@@ -33,11 +35,10 @@ from subpower.affine import (AbelianGroupSpec, AffineSubpowerRep, Echelon,
                              verify_affine)
 from subpower.circuits import (Circuit, CircuitBank, CircuitError,
                                serialize_sexpr)
-from subpower.core import (AlgebraError, ClosureCapExceeded, _frozen,
-                           closure_with_circuits)
-from subpower.wreath import (ClonoidGenSet, Diagonal, Plane, WreathSpec,
-                             _classify_rows, _group_rows, _split_positions,
-                             classify_row)
+from subpower.core import (AlgebraError, ClosureCapExceeded, FiniteAlgebra,
+                           _frozen, closure_with_circuits)
+from subpower.wreath import (ClonoidGenSet, WreathSpec, _classify_rows,
+                             _group_rows, _split_positions)
 
 
 def signature(tuples) -> set:
@@ -179,7 +180,8 @@ def coset_compact_entries(rep) -> list:
         if key in emitted:
             continue
         emitted.add(key)
-        out.append((rep.group.unembed(flat), rep.member_node(raw_c)))
+        out.append((tuple(rep.group.unembed_array(flat).tolist()),
+                    rep.member_node(raw_c)))
     return out
 
 
@@ -608,7 +610,8 @@ def clonoid_image_per_row(gens, u_columns) -> ReferenceImage:
     for row in group.embed_elements([vec for _, vec in emitted]):
         ech.insert(row)
     ech.canonicalize()
-    generators = [group.unembed(row) for row in ech.rows]
+    generators = [tuple(group.unembed_array(row).tolist())
+                  for row in ech.rows]
     return ReferenceImage(group=group, k=k, generators=generators,
                           emitted=emitted,
                           tuples_materialized=len(emitted) + len(generators))
@@ -904,8 +907,9 @@ def diff_clonoid_gens_rowwise(spec, cap: int = 3000) -> ClonoidGenSet:
     for ridx in aug.tail_rows(head):
         tail = np.asarray(aug.rows[ridx][head:])
         if tail.any():
-            binary.append(group.unembed(tail))
-    unary = [group.unembed(row) for row in u_ech.rows]
+            binary.append(tuple(group.unembed_array(tail).tolist()))
+    unary = [tuple(group.unembed_array(row).tolist())
+             for row in u_ech.rows]
     unary = [t for t in unary if any(v != group.zero for v in t)]
     return ClonoidGenSet(p=p, group=group, unary=unary, binary=binary,
                          exact=not truncated, unary_span=unary_span,
@@ -1161,3 +1165,97 @@ def _hat_of_table(spec, table, arity: int) -> tuple:
 def _companion_key(spec, table, arity: int) -> tuple:
     """The direct-product behaviour of a term table (bucketing key)."""
     return tuple(_companion_keys(spec, [table], arity)[0].tolist())
+
+
+# ---------------------------------------------------------------------------
+# helpers that only the tests call: the term operations of a clone, the
+# members of an affine span, the per-row plane classification and the
+# canonical rows of a clonoid image
+
+def clone_enumerate(alg: FiniteAlgebra, arity: int, cap: int = 100_000):
+    """All `arity`-ary term operations, each with one defining circuit:
+    the closure of the projections, tables flat row-major over A^arity.
+    Raises ClosureCapExceeded when the term count passes `cap`."""
+    if arity < 1:
+        raise AlgebraError("arity must be positive")
+    width = alg.size ** arity
+    projections = [tuple(idx // alg.size ** (arity - 1 - j) % alg.size
+                         for idx in range(width)) for j in range(arity)]
+    tables, nodes, bank, _ = closure_with_circuits(alg, projections, cap=cap)
+    return [(table, bank.extract(node)) for table, node in zip(tables, nodes)]
+
+
+def span_members(rep: AffineSubpowerRep) -> set:
+    """Every member of the coset an affine span represents: the base plus
+    every sum of its raw differences, mod exp(L), searched exhaustively."""
+    m = rep.group.exponent
+    members = {tuple(rep.base_flat.tolist())}
+    frontier = [rep.base_flat]
+    for cur in frontier:
+        for row, _, _ in rep.raw:
+            nxt = (cur + row) % m
+            if tuple(nxt.tolist()) not in members:
+                members.add(tuple(nxt.tolist()))
+                frontier.append(nxt)
+    return {tuple(row) for row in rep.group.unembed_array(
+        np.asarray(sorted(members), dtype=np.int64)).tolist()}
+
+
+@dataclass(frozen=True)
+class Diagonal:
+    value: int
+
+
+@dataclass(frozen=True)
+class Plane:
+    axis: tuple
+    x: int
+    y: int
+
+
+def plane_count(p: int, n: int) -> int:
+    return (p ** (n - 1) - 1) // (p - 1)
+
+
+def plane_axes(p: int, n: int) -> list:
+    """All normalized direction vectors: first entry 0, leading nonzero 1."""
+    axes = []
+    for vec in product(range(p), repeat=n - 1):
+        nonzero = [v for v in vec if v]
+        if nonzero and nonzero[0] == 1:
+            axes.append((0,) + vec)
+    return axes
+
+
+def classify_row(w, p: int):
+    """Assign a row of u-values to the diagonal or its unique plane, one
+    row at a time: ``wreath._classify_rows`` does all rows at once.
+
+    Off-diagonal rows normalize to Plane(c, x, y) with c the direction
+    scaled so that its leading nonzero entry is 1, x the first row entry
+    and y the entry at the leading disagreement.
+    """
+    w = tuple(v % p for v in w)
+    if len(w) < 2:
+        raise AlgebraError("row classification needs at least two columns")
+    if all(v == w[0] for v in w):
+        return Diagonal(w[0])
+    i = next(idx for idx, v in enumerate(w) if v != w[0])
+    scale = pow((w[i] - w[0]) % p, -1, p)
+    c = tuple((scale * (v - w[0])) % p for v in w)
+    return Plane(axis=c, x=w[0], y=w[i])
+
+
+def image_of(image) -> ReferenceImage:
+    """A ``ClonoidImage`` as the fields the reference images give: its
+    canonical rows are the rows ``touched_rows`` gives for a residue that
+    is nonzero everywhere, sorted by pivot (they have distinct pivots)."""
+    group, k = image.group, image.k
+    rows = image.touched_rows(np.ones((1, k * group.rank), dtype=np.int64))
+    rows = rows[np.argsort((rows != 0).argmax(axis=1))]
+    return ReferenceImage(
+        group=group, k=k,
+        generators=[tuple(row) for row in
+                    group.unembed_array(rows).tolist()],
+        emitted=image.emitted,
+        tuples_materialized=image.tuples_materialized)

@@ -12,19 +12,22 @@ import random
 import time
 from itertools import product
 
+import numpy as np
 import pytest
 
 from conftest import expand_subgroup, oracle_rep
-from reference_impl import _companion_key, _hat_of_table, plane_points
-from subpower.affine import affine_span, span_members
+from reference_impl import (Plane, _companion_key, _hat_of_table,
+                            classify_row, clone_enumerate, image_of,
+                            plane_axes, plane_count, plane_points,
+                            span_members)
+from subpower.affine import affine_span
 from subpower.catalog import a6, a6_shift, w15, zmod_algebra
 from subpower.comprep import fix_value, signature
-from subpower.core import (ClosureCapExceeded, clone_enumerate, smp_oracle,
-                           subpower_closure)
+from subpower.core import ClosureCapExceeded, smp_oracle, subpower_closure
 from subpower.instances import random_instance
 from subpower.solver import SmpInstance, check_witness, solve_smp_wreath
-from subpower.wreath import (Plane, classify_row, clonoid_image_comprep,
-                             diff_clonoid_gens, plane_axes, plane_count)
+from subpower.wreath import (_classify_rows, clonoid_image_comprep,
+                             diff_clonoid_gens)
 
 PASS = "ACCEPTANCE {num} ({name}): PASS ({detail})"
 
@@ -169,14 +172,18 @@ def test_criterion_4_plane_geometry():
                         continue
                     assert w not in owners
                     owners[w] = c
-            for w in product(range(p), repeat=n):
-                if all(v == w[0] for v in w):
-                    continue
-                kind = classify_row(w, p)
-                assert isinstance(kind, Plane)
-                assert kind.axis == owners[w]
-                rebuilt = tuple((kind.x * (1 - ci) + kind.y * ci) % p
-                                for ci in kind.axis)
+            rows = [w for w in product(range(p), repeat=n)
+                    if not all(v == w[0] for v in w)]
+            assert sorted(owners) == rows
+            # the solver's classifier, on every off-diagonal row at once
+            diagonal, xs, ys, found = _classify_rows(np.asarray(rows), p)
+            assert not diagonal.any()
+            assert len(np.unique(found, axis=0)) == len(axes)
+            for w, x, y, axis in zip(rows, xs.tolist(), ys.tolist(),
+                                     map(tuple, found.tolist())):
+                assert axis == owners[w]
+                assert classify_row(w, p) == Plane(axis, x, y)
+                rebuilt = tuple((x * (1 - ci) + y * ci) % p for ci in axis)
                 assert rebuilt == w
                 checked += 1
     print(PASS.format(num=4, name="plane geometry",
@@ -263,7 +270,8 @@ def test_criterion_6_clonoid_images(a6_spec, a6_clone_tables):
             for rows in product(product(range(p), repeat=n), repeat=k):
                 cols = [tuple(r[j] for r in rows) for j in range(n)]
                 image = clonoid_image_comprep(gens, cols)
-                artifact = expand_subgroup(group, image.generators, k)
+                artifact = expand_subgroup(group,
+                                           image_of(image).generators, k)
                 brute = {tuple(d[_row_index(r, p)] for r in rows)
                          for d in diffs}
                 assert artifact == brute, (n, k, rows)

@@ -1,7 +1,7 @@
 import pytest
 
 from subpower.circuits import (Circuit, CircuitBank, CircuitError,
-                               parse_sexpr, serialize_sexpr, variable)
+                               parse_sexpr, serialize_sexpr)
 
 
 def test_parse_simple_application():
@@ -34,8 +34,8 @@ def test_serialize_shares_repeated_gates():
 
 
 def test_variable_and_bad_inputs():
-    v = variable(2, 3)
-    assert v.gates == (("x", 2),)
+    v = parse_sexpr("x2", arity=3)
+    assert v.gates == (("x", 2),) and v.arity == 3
     with pytest.raises(CircuitError):
         parse_sexpr("(m x1 x9)", arity=3)
     with pytest.raises(CircuitError):

@@ -395,3 +395,92 @@ def test_solve_rejects_an_operation_named_x(tmp_path, capsys):
     rc = main(["solve", "--algebra", str(path), "--instance", inst])
     assert rc == 2
     assert "operation symbol 'x' is reserved" in capsys.readouterr().err
+
+
+# a sequence one level deeper than the field takes used to pass the entry
+# checks: an instance crashed in np.vstack with exit 1, a nested table
+# verified as valid, and a nested hat was refused for the wrong invariant
+
+@pytest.mark.parametrize("which", ["a6", "z6"])
+def test_solve_refuses_a_nested_instance_entry(tmp_path, a6_file, capsys,
+                                               which):
+    from subpower.catalog import zmod_group_algebra
+    path = a6_file
+    if which == "z6":
+        path = str(tmp_path / "z6.json")
+        (tmp_path / "z6.json").write_text(
+            dump_json(algebra_to_dict(*zmod_group_algebra(6))))
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"k": 2, "generators": [[[0], [1]]],
+                                "target": [[0], [1]]}))
+    rc = main(["solve", "--algebra", path, "--instance", str(inst),
+               "--witness"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "generators[0][0] = [0] is not an integer" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"], ["solve", "--instance"],
+    ["random-instance", "--k", "2", "--n", "2"]],
+    ids=["verify", "solve", "random-instance"])
+def test_loaders_refuse_a_nested_table_entry(tmp_path, capsys, argv):
+    from subpower.catalog import zmod_group_algebra
+    d = algebra_to_dict(*zmod_group_algebra(3))
+    d["ops"][0]["table"] = [[x] for x in d["ops"][0]["table"]]
+    path = tmp_path / "nested.json"
+    path.write_text(dump_json(d))
+    if argv[0] == "solve":
+        argv = argv + [write_instance(tmp_path, [(0, 1)], (0, 1))]
+    rc = main(argv[:1] + ["--algebra", str(path)] + argv[1:])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    symbol = d["ops"][0]["symbol"]
+    assert f"{symbol} table[0] = [0] is not an integer" in captured.err
+
+
+def test_verify_refuses_a_nested_hat_entry(tmp_path, capsys):
+    d = wreath_to_dict(a6())
+    d["hat"]["m"] = [[v] for v in d["hat"]["m"]]
+    path = tmp_path / "nested_hat.json"
+    path.write_text(dump_json(d))
+    assert main(["verify", "--algebra", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "hat[m][0] = [0] is not an integer" in captured.err
+
+
+def _raise(err):
+    def dispatch(*args, **kwargs):
+        raise err
+    return dispatch
+
+
+@pytest.mark.parametrize("target, innermost", [
+    ("subpower.cli.dispatch", "cli._cmd_solve"),
+    ("subpower.solver.solve_smp_wreath", "solver.dispatch")])
+def test_out_of_memory_is_exit3_not_a_verdict(tmp_path, a6_file, capsys,
+                                              monkeypatch, target, innermost):
+    """An uncaught exception used to leave Python with status 1, the
+    non-member code.  The message names the innermost function of the
+    package that was running."""
+    monkeypatch.setattr(target, _raise(MemoryError()))
+    inst = write_instance(tmp_path, [(0, 1), (3, 3)], (0, 1))
+    rc = main(["solve", "--algebra", a6_file, "--instance", inst])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert f"error: out of memory in {innermost}\n" == captured.err
+
+
+@pytest.mark.parametrize("err", [
+    AssertionError("witness verification failed"),
+    TypeError("unsupported operand"), IndexError("index 9 is out of bounds")],
+    ids=["AssertionError", "TypeError", "IndexError"])
+def test_internal_error_is_exit4_not_a_verdict(tmp_path, a6_file, capsys,
+                                               monkeypatch, err):
+    monkeypatch.setattr("subpower.cli.dispatch", _raise(err))
+    inst = write_instance(tmp_path, [(0, 1), (3, 3)], (0, 1))
+    rc = main(["solve", "--algebra", a6_file, "--instance", inst])
+    captured = capsys.readouterr()
+    assert rc == 4 and captured.out == ""
+    assert f"internal error: {type(err).__name__}: {err}" in captured.err

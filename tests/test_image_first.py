@@ -70,14 +70,15 @@ def test_image_first_matches_full_path(name, k, n, seed):
     assert ok
     base_l = np.asarray(witness["base"]["value"]) // spec.p
     gen_rows = np.asarray(member.generators) % spec.p
-    image = clonoid_image_comprep(wreath_context(spec).gens, gen_rows.tolist())
+    basis = ref.image_of(clonoid_image_comprep(wreath_context(spec).gens,
+                                               gen_rows.tolist())).basis
     rng = random.Random(seed)
 
     # the base plus a random combination of the image rows: decided early
     combo = np.asarray([rng.randrange(group.exponent)
-                        for _ in range(len(image.basis))], dtype=np.int64)
+                        for _ in range(len(basis))], dtype=np.int64)
     reached = group.unembed_array(
-        (group.embed_elements(base_l) + combo @ image.basis)
+        (group.embed_elements(base_l) + combo @ basis)
         % group.exponent)
     inst = SmpInstance(member.generators,
                        _with_l(spec, member.target, reached))
@@ -89,7 +90,7 @@ def test_image_first_matches_full_path(name, k, n, seed):
     # the member target with one l-part moved off the image span: the
     # full test decides it
     span = span_over(group.exponent, k * group.rank)
-    span.extend(image.basis)
+    span.extend(basis)
     l_target = np.asarray(member.target) // spec.p
     shifts = [(i, a) for i in range(k) for a in range(1, group.size)]
     rng.shuffle(shifts)

@@ -1,13 +1,13 @@
 """No module of the package imports a name it never uses (``__init__``
 re-exports its imports, so it is left out), every function, class and
-method it defines is referenced in ``src/``, ``scripts/``, ``perfbench/``
-or ``demos/``, or is exported, only ``span_over`` makes an echelon, so
-no caller chooses its class, and no code reaches into an object's
-``__dict__``: a derived value is a ``functools.cached_property``.  Small
-``ast`` and regex passes, since pyflakes is not a dependency."""
+method it defines is referenced by code (not by a docstring or a comment)
+in ``src/``, ``scripts/``, ``perfbench/`` or ``demos/``, or is exported,
+only ``span_over`` makes an echelon, so no caller chooses its class, and
+no code reaches into an object's ``__dict__``: a derived value is a
+``functools.cached_property``.  Small ``ast`` passes, since pyflakes is
+not a dependency."""
 
 import ast
-import re
 from pathlib import Path
 
 import pytest
@@ -47,8 +47,7 @@ def test_no_unused_imports(name):
 
 # defined in src/subpower with no reference in src/, scripts/, perfbench/
 # or demos/, and not exported: only tests use them
-UNREFERENCED = {"kernel_partition", "WreathSpec.l_part", "wreath_to_dict",
-                "comprep_from_dict"}
+UNREFERENCED = {"wreath_to_dict", "comprep_from_dict"}
 
 
 def definitions(source: str) -> list:
@@ -65,29 +64,45 @@ def definitions(source: str) -> list:
     return names
 
 
+def references(source: str) -> set:
+    """The names the code of `source` refers to: names, attributes,
+    imported names, and string constants (``perfbench/tracing.py`` names
+    what it wraps by string).  A name in a docstring or a comment does not
+    count, and neither does a definition."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
 def unreferenced(package: list, callers: list, exported: set) -> set:
     """The definitions in the `package` sources, not `exported`, whose bare
-    name occurs in `package` and `callers` no more often than it is
-    defined there."""
-    text = "\n".join(package + callers)
-    found = set()
-    for name in (n for source in package for n in definitions(source)):
-        bare = name.rpartition(".")[2]
-        uses = len(re.findall(rf"\b{bare}\b", text))
-        defs = len(re.findall(rf"\b(?:def|class) {bare}\b", text))
-        if name not in exported and uses <= defs:
-            found.add(name)
-    return found
+    name no code in `package` or `callers` refers to."""
+    used = set().union(*map(references, package + callers))
+    return {name for source in package for name in definitions(source)
+            if name not in exported and name.rpartition(".")[2] not in used}
 
 
 def test_the_scan_finds_unreferenced_definitions():
     module = ("class A:\n    def used(self):\n        pass\n\n"
               "    def idle(self):\n        pass\n\n"
+              "    def told(self):\n        pass\n\n"
+              "    def named(self):\n        pass\n\n"
               "    def __len__(self):\n        return 0\n\n\n"
-              "def lone():\n    pass\n\n\ndef shown():\n    pass\n")
-    assert definitions(module) == ["A", "A.used", "A.idle", "lone", "shown"]
-    assert unreferenced([module], ["A().used()\n"], {"shown"}) \
-        == {"A.idle", "lone"}
+              "def lone():\n    \"\"\"Calls lone() and A.told().\"\"\"\n\n\n"
+              "def shown():\n    pass\n")
+    assert definitions(module) == ["A", "A.used", "A.idle", "A.told",
+                                   "A.named", "lone", "shown"]
+    caller = "# A().idle()\nA().used()\nwrap(A, 'named')\n"
+    assert unreferenced([module], [caller], {"shown"}) \
+        == {"A.idle", "A.told", "lone"}
 
 
 def test_every_definition_has_a_caller_or_is_exported():
